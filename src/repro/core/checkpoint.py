@@ -40,7 +40,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -345,7 +345,9 @@ class Checkpoint:
         """JSON text form (floats at full ``repr`` precision, so times and
         coordinates round-trip bit-exactly), stamped with the content
         checksum."""
-        data = asdict(self)
+        # Shallow: every field already holds plain JSON-able containers,
+        # so the deep copy ``asdict`` makes is pure overhead.
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
         data["checksum"] = self._content_checksum(data)
         return json.dumps(data, default=_json_default, sort_keys=True)
 
@@ -453,17 +455,22 @@ class Checkpoint:
                 f"corrupted checkpoint: {type(exc).__name__}: {exc}"
             ) from None
 
-    def save(self, path) -> None:
-        """Write the checkpoint to ``path`` atomically.
+    def save(self, path, text: Optional[str] = None) -> str:
+        """Write the checkpoint to ``path`` atomically; returns the text.
 
         The snapshot lands under a temporary name and is moved into place
         with ``os.replace``, so a kill mid-write can never leave a
-        half-written file where a loadable checkpoint used to be.
+        half-written file where a loadable checkpoint used to be.  Pass a
+        previous call's return value as ``text`` to write the same
+        snapshot under another name without serializing it again.
         """
+        if text is None:
+            text = self.to_json()
         path = Path(path)
         tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(self.to_json())
+        tmp.write_text(text)
         os.replace(tmp, path)
+        return text
 
     @classmethod
     def load(cls, path) -> "Checkpoint":

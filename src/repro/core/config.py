@@ -69,6 +69,21 @@ class DimensionSpec:
                 f"{self.kind}: max_value ({self.max_value}) < "
                 f"min_value ({self.min_value})"
             )
+        if self.kind == "salt" and self.min_value < 0:
+            raise ConfigError(
+                f"salt: min_value must be >= 0 M, got {self.min_value}"
+            )
+        if self.kind == "umbrella":
+            if self.angle not in ("phi", "psi"):
+                raise ConfigError(
+                    f"umbrella: angle must be 'phi' or 'psi', "
+                    f"got {self.angle!r}"
+                )
+            if self.force_constant < 0:
+                raise ConfigError(
+                    f"umbrella: force_constant must be >= 0, "
+                    f"got {self.force_constant}"
+                )
 
     def build(self) -> ExchangeDimension:
         """Instantiate the live exchange dimension."""

@@ -338,8 +338,8 @@ class RepEx:
                 name = f"quiesce_{n:04d}.json"
             else:
                 name = f"cycle_{ckpt.next_cycle:04d}.json"
-            ckpt.save(self.checkpoint_dir / name)
-            ckpt.save(self.checkpoint_dir / "latest.json")
+            text = ckpt.save(self.checkpoint_dir / name)
+            ckpt.save(self.checkpoint_dir / "latest.json", text)
             self._prune_checkpoints()
 
     def _prune_checkpoints(self) -> None:

@@ -7,9 +7,12 @@ mdin parser, 1024 separate ``BrownianIntegrator.run`` loops of small
 executes a whole phase of MD units in one structure-of-arrays pass:
 
 * every unit's mdin/coordinates are parsed up front,
-* units whose thermodynamics allow it (same salt, restraints and step
-  schedule — temperature and seed may differ) are stacked into an
-  ``(R, 2)`` walker array and integrated together, and
+* units with the same step schedule (integrator, ``n_steps``, sample
+  stride, ``dt``, friction, mass) and restraint signature (the angle of
+  each restraint slot) are stacked into an ``(R, 2)`` walker array and
+  integrated together — temperature, salt, umbrella centres, force
+  constants and seed are per-row columns, so a whole T x S x U wave is
+  one group, and
 * each replica keeps its *own* ``default_rng(seed)`` whose normal draws are
   pre-generated as one ``(n_steps, 2)`` block.
 
@@ -22,9 +25,11 @@ differential suite in ``tests/perf/test_soa_equivalence.py``:
 * the force field is elementwise over the walker axis (no reductions), so
   evaluating ``(R,)`` rows together reproduces each ``(1,)`` evaluation bit
   for bit;
-* the per-replica noise scale is computed with the exact scalar arithmetic
-  of the reference and applied via an ``(R, 1) * (R, 2)`` broadcast, which
-  multiplies the same pairs of doubles.
+* the per-replica noise scale, Debye screening factor and restraint
+  operands are computed with the exact scalar arithmetic of the reference
+  and applied as columns (``(R, 1) * (R, 2)`` or ``(R,) * (R,)``), which
+  combine the same pairs of doubles; the gradient itself is the one
+  formula the reference calls (``ForceField.screened_gradient``).
 
 Scalar transcendentals with *different* operand shapes (float exponents,
 ``math.exp`` vs ``np.exp``) are NOT bit-stable between batch and scalar
@@ -44,7 +49,7 @@ from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.md.forcefield import wrap_angle
+from repro.md.forcefield import debye_screening_factor, wrap_angle
 from repro.md.toymd import MDResult, ToyMD
 from repro.utils.units import KB_KCAL_PER_MOL_K
 
@@ -121,11 +126,11 @@ def _run_adapter_batch(adapter, sandbox, tags: List[str]) -> List[MDResult]:
         rng = np.random.Generator(np.random.PCG64(seed))
         parsed.append((params, state, rng, coords))
 
-    # Group by everything the stacked integration must share; temperature
-    # and rng stream stay per-replica inside a group.
+    # Group by the step schedule and the restraint signature (which angle
+    # each restraint slot acts on).  Temperature, salt, umbrella centres
+    # and force constants, and the rng stream are per-row columns.
     results: List[MDResult] = [None] * len(tags)  # type: ignore[list-item]
     group_idx: Dict[tuple, List[int]] = {}
-    group_order: List[tuple] = []
     for i, (params, state, _rng, _coords) in enumerate(parsed):
         ip = params.integrator_params
         key = (
@@ -135,16 +140,11 @@ def _run_adapter_batch(adapter, sandbox, tags: List[str]) -> List[MDResult]:
             ip.dt,
             ip.friction,
             ip.mass,
-            state.salt_molar,
-            state.restraints,
+            tuple(r.angle for r in state.restraints),
         )
-        if key not in group_idx:
-            group_idx[key] = []
-            group_order.append(key)
-        group_idx[key].append(i)
+        group_idx.setdefault(key, []).append(i)
 
-    for key in group_order:
-        idxs = group_idx[key]
+    for key, idxs in group_idx.items():
         if key[0] != "brownian":
             # Non-default integrator: integrate each unit the reference way.
             for i in idxs:
@@ -152,22 +152,18 @@ def _run_adapter_batch(adapter, sandbox, tags: List[str]) -> List[MDResult]:
                 results[i] = adapter.toymd.run(coords, state, params, rng)
             continue
         params = parsed[idxs[0]][0]
-        state0 = parsed[idxs[0]][1]
         # Chunk so the pre-drawn normals stay bounded in memory.
         rows = max(1, _MAX_NORMALS // (2 * max(1, params.n_steps)))
         for lo in range(0, len(idxs), rows):
             chunk = idxs[lo : lo + rows]
             entries = [
-                (parsed[i][3], parsed[i][1].temperature, parsed[i][2])
-                for i in chunk
+                (parsed[i][3], parsed[i][1], parsed[i][2]) for i in chunk
             ]
             outs = _integrate_brownian_group(
                 adapter.toymd,
                 params.n_steps,
                 params.sample_stride,
                 params.integrator_params,
-                state0.salt_molar,
-                state0.restraints,
                 entries,
             )
             for i, result in zip(chunk, outs):
@@ -186,16 +182,16 @@ def _integrate_brownian_group(
     n_steps: int,
     sample_stride: int,
     iparams,
-    salt_molar: float,
-    restraints,
     entries: List[tuple],
 ) -> List[MDResult]:
-    """Overdamped Langevin for R same-Hamiltonian walkers in one pass.
+    """Overdamped Langevin for R walkers in one pass.
 
-    ``entries`` is ``[(coords (2,), temperature, rng), ...]``; every
-    arithmetic step below reproduces ``BrownianIntegrator.run`` +
-    ``ToyMD.run`` per element, with the per-replica noise scale broadcast
-    down the walker axis.
+    ``entries`` is ``[(coords (2,), ThermodynamicState, rng), ...]``, all
+    with the same restraint signature.  Every arithmetic step below
+    reproduces ``BrownianIntegrator.run`` + ``ToyMD.run`` per element: the
+    per-replica noise scale, Debye screening factor and restraint operands
+    are computed with the reference's scalar arithmetic and broadcast down
+    the walker axis as columns.
     """
     ff = toymd.forcefield
     dt = iparams.dt
@@ -204,20 +200,29 @@ def _integrate_brownian_group(
 
     n = len(entries)
     x = np.array([e[0] for e in entries], dtype=float)
+    states = [e[1] for e in entries]
     noise_col = np.empty((n, 1))
-    for i, (_c, temperature, _r) in enumerate(entries):
-        kt = KB_KCAL_PER_MOL_K * temperature
+    for i, state in enumerate(states):
+        kt = KB_KCAL_PER_MOL_K * state.temperature
         noise_col[i, 0] = math.sqrt(2.0 * kt * dt / gamma)
+    s_col = np.array(
+        [debye_screening_factor(st.salt_molar, ff.elec_r0) for st in states]
+    )
+    # One (angle, centre column, 2k column) triple per restraint slot.
+    restraint_cols = []
+    for slot in zip(*(st.restraints for st in states)):
+        angles, centres, two_ks = zip(*(r.gradient_terms for r in slot))
+        restraint_cols.append((angles[0], np.array(centres), np.array(two_ks)))
     # One (n_steps, 2) block per replica == its n_steps sequential (1, 2)
     # draws, and leaves each generator ready for the bath draw below.
     normals = np.empty((n, n_steps, 2))
-    for i, (_c, _t, rng) in enumerate(entries):
+    for i, (_c, _s, rng) in enumerate(entries):
         normals[i] = rng.standard_normal((n_steps, 2))
 
     samples = [] if sample_stride > 0 else None
     for step in range(n_steps):
-        gphi, gpsi = ff.gradient(
-            x[:, 0], x[:, 1], salt_molar=salt_molar, restraints=restraints
+        gphi, gpsi = ff.screened_gradient(
+            x[:, 0], x[:, 1], s_col, restraint_cols
         )
         x[:, 0] -= drift * gphi
         x[:, 1] -= drift * gpsi
@@ -239,9 +244,9 @@ def _integrate_brownian_group(
     # (3,) wells per replica — same ufunc loops, bit-identical elements).
     # Restraint energies stay per-replica: ``d**2`` on a 0-d scalar and on
     # a 1-D array take different pow paths and are NOT bit-stable.
-    tors_all = ff.energy(x[:, 0], x[:, 1], salt_molar=salt_molar)
+    tors_all = ff.screened_energy(x[:, 0], x[:, 1], s_col)
     results = []
-    for i, (_c, temperature, rng) in enumerate(entries):
+    for i, (_c, state, rng) in enumerate(entries):
         final = x[i]
         traj = (
             samples_arr[:, i, :]
@@ -250,9 +255,9 @@ def _integrate_brownian_group(
         )
         tors = float(tors_all[i])
         restr = 0.0
-        for r in restraints:
+        for r in state.restraints:
             restr += float(r.energy(final[0], final[1]))
-        bath = toymd.bath.sample_energy(temperature, rng)
+        bath = toymd.bath.sample_energy(state.temperature, rng)
         results.append(
             MDResult(
                 final_coords=final,
@@ -261,7 +266,7 @@ def _integrate_brownian_group(
                 torsional_energy=tors,
                 restraint_energy=restr,
                 bath_energy=bath,
-                temperature=temperature,
+                temperature=state.temperature,
                 n_steps=n_steps,
             )
         )

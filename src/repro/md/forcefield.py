@@ -103,17 +103,33 @@ class UmbrellaRestraint:
         d_deg = np.degrees(wrap_angle(theta - _deg(self.center_deg)))
         return self.k * d_deg**2
 
+    @property
+    def gradient_terms(self) -> Tuple[str, float, float]:
+        """``(angle, center in radians, 2 k)``: this restraint's operands
+        of :func:`restraint_gradient`."""
+        return self.angle, _deg(self.center_deg), 2.0 * self.k
+
     def gradient(
         self, phi: np.ndarray, psi: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """(dV/dphi, dV/dpsi) in kcal/mol/radian (vectorized)."""
-        theta = phi if self.angle == "phi" else psi
-        d_rad = wrap_angle(theta - _deg(self.center_deg))
-        d_deg = np.degrees(d_rad)
-        # dV/dtheta[rad] = 2 k d_deg * (180/pi)
-        g = 2.0 * self.k * d_deg * (180.0 / math.pi)
-        zero = np.zeros_like(g)
-        return (g, zero) if self.angle == "phi" else (zero, g)
+        return restraint_gradient(phi, psi, *self.gradient_terms)
+
+
+def restraint_gradient(
+    phi: np.ndarray, psi: np.ndarray, angle: str, center_rad, two_k
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(dV/dphi, dV/dpsi) of a harmonic restraint, in kcal/mol/radian.
+
+    ``center_rad`` and ``two_k`` are scalars for one restraint, or one
+    value per walker row for replicas whose restraints share ``angle``.
+    """
+    theta = phi if angle == "phi" else psi
+    d_deg = np.degrees(wrap_angle(theta - center_rad))
+    # dV/dtheta[rad] = 2 k d_deg * (180/pi)
+    g = two_k * d_deg * (180.0 / math.pi)
+    zero = np.zeros_like(g)
+    return (g, zero) if angle == "phi" else (zero, g)
 
 
 def debye_screening_factor(salt_molar: float, r0_angstrom: float = 4.0) -> float:
@@ -235,7 +251,7 @@ class ForceField:
     ) -> np.ndarray:
         """Full potential energy (kcal/mol) at the given thermodynamic state."""
         s = debye_screening_factor(salt_molar, self.elec_r0)
-        v = self.rama_energy(phi, psi) + s * self.elec_energy(phi, psi)
+        v = self.screened_energy(phi, psi, s)
         for r in restraints:
             v = v + r.energy(phi, psi)
         return v
@@ -250,12 +266,36 @@ class ForceField:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Gradient of :meth:`energy` wrt (phi, psi) in kcal/mol/rad."""
         s = debye_screening_factor(salt_molar, self.elec_r0)
+        return self.screened_gradient(
+            phi, psi, s, [r.gradient_terms for r in restraints]
+        )
+
+    # -- shared formulas -------------------------------------------------------
+    # ``s`` is the Debye screening factor; ``restraint_terms`` are
+    # ``UmbrellaRestraint.gradient_terms`` triples.  The methods above pass
+    # scalars, ``repro.md.batch`` one value per walker row: every element
+    # sees the same IEEE operations either way.
+
+    def screened_energy(
+        self, phi: np.ndarray, psi: np.ndarray, s
+    ) -> np.ndarray:
+        """Torsional energy (kcal/mol) at screening factor ``s``."""
+        return self.rama_energy(phi, psi) + s * self.elec_energy(phi, psi)
+
+    def screened_gradient(
+        self,
+        phi: np.ndarray,
+        psi: np.ndarray,
+        s,
+        restraint_terms: Sequence[tuple] = (),
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Gradient at screening factor ``s`` plus the given restraints."""
         gphi, gpsi = self.rama_gradient(phi, psi)
         ephi, epsi = self.elec_gradient(phi, psi)
         gphi = gphi + s * ephi
         gpsi = gpsi + s * epsi
-        for r in restraints:
-            rphi, rpsi = r.gradient(phi, psi)
+        for terms in restraint_terms:
+            rphi, rpsi = restraint_gradient(phi, psi, *terms)
             gphi = gphi + rphi
             gpsi = gpsi + rpsi
         return gphi, gpsi

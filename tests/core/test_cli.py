@@ -196,6 +196,27 @@ class TestCheck:
         assert rc == 2
         assert "invalid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "dimension",
+        [
+            {"kind": "salt", "min_value": -0.5, "max_value": 1.0},
+            {"kind": "umbrella", "min_value": 0.0, "max_value": 360.0,
+             "force_constant": -0.02},
+            {"kind": "umbrella", "min_value": 0.0, "max_value": 360.0,
+             "angle": "omega"},
+        ],
+        ids=["negative-salt", "negative-force-constant", "unknown-angle"],
+    )
+    def test_dimension_that_cannot_run_fails_check_and_run(
+        self, config_file, dimension, capsys
+    ):
+        cfg = json.loads(config_file.read_text())
+        cfg["dimensions"].append({"n_windows": 2, **dimension})
+        config_file.write_text(json.dumps(cfg))
+        for command in ("check", "run"):
+            assert main([command, str(config_file)]) == 2
+            assert f"{dimension['kind']}:" in capsys.readouterr().err
+
 
 class TestInfoCommands:
     def test_table1(self, capsys):

@@ -38,6 +38,18 @@ class TestDimensionSpec:
         with pytest.raises(ConfigError):
             DimensionSpec("temperature", 4, 373.0, 273.0)
 
+    def test_negative_salt_rejected(self):
+        with pytest.raises(ConfigError, match="salt: min_value"):
+            DimensionSpec("salt", 4, -0.5, 1.0)
+
+    def test_negative_force_constant_rejected(self):
+        with pytest.raises(ConfigError, match="force_constant"):
+            DimensionSpec("umbrella", 4, 0.0, 360.0, force_constant=-0.02)
+
+    def test_unknown_umbrella_angle_rejected(self):
+        with pytest.raises(ConfigError, match="angle"):
+            DimensionSpec("umbrella", 4, 0.0, 360.0, angle="omega")
+
     def test_build_temperature(self):
         d = DimensionSpec("temperature", 6, 273.0, 373.0).build()
         assert d.code == "T"

@@ -9,10 +9,12 @@ every hot-path change must keep it green on both engines.
 
 Coverage matrix: {synchronous, asynchronous} x {clean, unit faults,
 staging faults, straggler + watchdog speculation, checkpoint/resume},
-plus hypothesis-driven random ladders, and unit-level differential
-properties for the two vectorized kernels (batched Brownian integration
-vs per-unit ``run_md``; the write-side mdin/mdinfo parse caches vs the
-regex reference).
+a T x S x U Mode II run, plus hypothesis-driven random ladders, and
+unit-level differential properties for the vectorized kernels (batched
+Brownian integration with per-row salt and restraint columns vs
+per-unit ``run_md``; the write-side mdin/mdinfo parse caches vs the
+regex reference).  Call
+counts pin that a T x S x U wave integrates as one group.
 """
 
 from __future__ import annotations
@@ -124,6 +126,14 @@ def assert_equivalent(pair) -> None:
     assert soa_rx.session.clock.peak_heap == ref_rx.session.clock.peak_heap
 
 
+TSU_DIMENSIONS = [
+    DimensionSpec("temperature", 2, 300.0, 340.0),
+    DimensionSpec("salt", 2, 0.0, 1.0),
+    DimensionSpec(
+        "umbrella", 4, 0.0, 360.0, angle="phi", force_constant=0.0005
+    ),
+]
+
 SCENARIOS = {
     "sync-clean": {},
     "sync-mode2": {"execution_mode": "II"},
@@ -168,6 +178,14 @@ SCENARIOS = {
         ],
         "resource": ResourceSpec("supermic", cores=6),
         "n_cycles": 2,
+    },
+    # T x S x U in Mode II waves (fewer cores than replicas): every wave
+    # mixes temperatures, salts and umbrella centres in one stacked batch
+    "tsu-mode2": {
+        "dimensions": TSU_DIMENSIONS,
+        "resource": ResourceSpec("stampede", cores=4),
+        "execution_mode": "II",
+        "n_cycles": 3,
     },
 }
 
@@ -299,10 +317,10 @@ class TestGoldenTraces:
 def _write_units(adapter, sandbox, specs):
     """Write one mdin/inpcrd(/RST) trio per spec; returns the tags."""
     tags = []
-    for i, (temp, n_steps, stride, seed, restraints) in enumerate(specs):
+    for i, (temp, salt, n_steps, stride, seed, restraints) in enumerate(specs):
         tag = f"u{i:03d}"
         state = ThermodynamicState(
-            temperature=temp, restraints=tuple(restraints)
+            temperature=temp, salt_molar=salt, restraints=tuple(restraints)
         )
         params = MDParams(
             n_steps=n_steps,
@@ -315,11 +333,35 @@ def _write_units(adapter, sandbox, specs):
     return tags
 
 
+temperatures = st.floats(min_value=250.0, max_value=450.0)
+salts = st.floats(min_value=0.0, max_value=2.0)
+seeds = st.integers(min_value=0, max_value=2**31 - 1)
+
+
+def restraints_on(angles):
+    """Restraints on ``angles`` (in order) with drawn centres and ``k``."""
+    return st.tuples(
+        *(
+            st.builds(
+                UmbrellaRestraint,
+                angle=st.just(angle),
+                center_deg=st.floats(min_value=-180.0, max_value=180.0),
+                k=st.floats(min_value=0.1, max_value=20.0),
+            )
+            for angle in angles
+        )
+    )
+
+
+#: restraint signatures a batch can mix: none, phi, psi, phi+psi
+SIGNATURES = [(), ("phi",), ("psi",), ("phi", "psi")]
+
 unit_spec = st.tuples(
-    st.floats(min_value=250.0, max_value=450.0),
+    temperatures,
+    salts,
     st.integers(min_value=1, max_value=12),
     st.integers(min_value=0, max_value=3),
-    st.integers(min_value=0, max_value=2**31 - 1),
+    seeds,
     st.lists(
         st.builds(
             UmbrellaRestraint,
@@ -332,9 +374,30 @@ unit_spec = st.tuples(
 )
 
 
-@settings(max_examples=20, deadline=None)
-@given(specs=st.lists(unit_spec, min_size=1, max_size=6))
-def test_batched_md_is_bit_identical_to_per_unit(specs):
+@st.composite
+def shared_schedule_specs(draw):
+    """Units with one ``n_steps``/stride, so they stack into few groups
+    that mix salts, umbrella centres and force constants."""
+    n_steps = draw(st.integers(min_value=1, max_value=12))
+    stride = draw(st.integers(min_value=0, max_value=3))
+    return [
+        (t, c, n_steps, stride, seed, restraints)
+        for t, c, seed, restraints in draw(
+            st.lists(
+                st.tuples(
+                    temperatures,
+                    salts,
+                    seeds,
+                    st.sampled_from(SIGNATURES).flatmap(restraints_on),
+                ),
+                min_size=1,
+                max_size=8,
+            )
+        )
+    ]
+
+
+def _assert_batch_matches_per_unit(specs):
     """run_md_batch == N sequential run_md calls: results AND output files."""
     ref_adapter, soa_adapter = AmberAdapter(), AmberAdapter()
     ref_box, soa_box = Sandbox(), Sandbox()
@@ -361,6 +424,88 @@ def test_batched_md_is_bit_identical_to_per_unit(specs):
             except Exception:
                 continue
             assert soa_box.read_text(name) == ref_text
+
+
+@settings(max_examples=20, deadline=None)
+@given(specs=st.lists(unit_spec, min_size=1, max_size=6))
+def test_batched_md_is_bit_identical_to_per_unit(specs):
+    _assert_batch_matches_per_unit(specs)
+
+
+@settings(max_examples=20, deadline=None)
+@given(specs=shared_schedule_specs())
+def test_stacked_hamiltonian_columns_are_bit_identical(specs):
+    """Units differing only in temperature, salt, umbrella centres and
+    force constants integrate as one group per restraint signature."""
+    _assert_batch_matches_per_unit(specs)
+
+
+class _CountingRamaGradient:
+    """Patches ``ForceField.rama_gradient`` to count its calls."""
+
+    def __init__(self, monkeypatch):
+        from repro.md.forcefield import ForceField
+
+        self.calls = 0
+        original = ForceField.rama_gradient
+
+        def counted(ff, phi, psi):
+            self.calls += 1
+            return original(ff, phi, psi)
+
+        monkeypatch.setattr(ForceField, "rama_gradient", counted)
+
+
+def test_mixed_signatures_stack_into_one_group_each(monkeypatch):
+    """Two units of each signature (none, phi, psi, phi+psi) at different
+    salts, centres and ``k``: four groups, one gradient call per step each."""
+    n_steps = 7
+    specs = [
+        (
+            280.0 + 10 * i,
+            0.25 * i,
+            n_steps,
+            2,
+            1000 + i,
+            [
+                UmbrellaRestraint(angle, center_deg=-150.0 + 40 * i + 15 * j,
+                                  k=0.5 + 0.1 * i)
+                for j, angle in enumerate(SIGNATURES[i % 4])
+            ],
+        )
+        for i in range(8)
+    ]
+    _assert_batch_matches_per_unit(specs)
+    counter = _CountingRamaGradient(monkeypatch)
+    adapter, box = AmberAdapter(), Sandbox()
+    tags = _write_units(adapter, box, specs)
+    run_md_batch([MDWork(adapter=adapter, sandbox=box, tag=t) for t in tags])
+    assert counter.calls == len(SIGNATURES) * n_steps
+
+
+def test_tsu_wave_is_one_gradient_call_per_step(monkeypatch):
+    """A T x S x U Mode II run calls the force field once per MD step per
+    wave: the batch must never re-fragment by salt or umbrella centre."""
+    import repro.md.batch as batch
+
+    counter = _CountingRamaGradient(monkeypatch)
+    waves = []
+    original = batch.run_md_batch
+
+    def counted_batch(items):
+        waves.append(len(items))
+        return original(items)
+
+    monkeypatch.setattr(batch, "run_md_batch", counted_batch)
+    numeric_steps = 5
+    config = make_config(
+        True, **{**SCENARIOS["tsu-mode2"], "numeric_steps": numeric_steps}
+    )
+    result = RepEx(config).run()
+    n_replicas = len(result.replicas)
+    cores = config.resource.cores
+    assert waves == [cores] * (config.n_cycles * n_replicas // cores)
+    assert counter.calls == len(waves) * numeric_steps
 
 
 @settings(max_examples=25, deadline=None)
