@@ -579,18 +579,6 @@ class Arbiter:
             for name, tenant in self._tenants.items()
         }
 
-    def node_states(self) -> List[Dict]:
-        """Current owner / free cores / quarantine flag per node."""
-        return [
-            {
-                "node": n,
-                "owner": self._owner[n],
-                "free_cores": self._free[n],
-                "quarantined": self._quarantined[n],
-            }
-            for n in range(self.datacenter.nodes)
-        ]
-
     #: optional live sink: called with each audit entry as it is
     #: appended (the telemetry plane publishes these on the event bus)
     audit_sink = None

@@ -10,20 +10,69 @@ live :class:`~repro.core.exchange.base.ExchangeDimension` objects.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional
+import numbers
+from dataclasses import asdict, dataclass, field, fields
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.adaptive import AdaptiveSpec
 from repro.core.exchange.base import ExchangeDimension
+from repro.core.exchange.pairing import get_pair_selector
 from repro.core.exchange.ph import PHDimension
 from repro.core.exchange.salt import SaltDimension
 from repro.core.exchange.temperature import TemperatureDimension
 from repro.core.exchange.umbrella import UmbrellaDimension
+from repro.md.engine import available_engines
+from repro.md.system import get_system
+from repro.pilot.cluster import get_cluster
 
 
 class ConfigError(ValueError):
     """Raised for invalid or inconsistent configuration."""
+
+
+#: numeric field annotations -> (accepted number type, None allowed)
+_NUMERIC_ANNOTATIONS = {
+    "int": (numbers.Integral, False),
+    "Optional[int]": (numbers.Integral, True),
+    "float": (numbers.Real, False),
+    "Optional[float]": (numbers.Real, True),
+}
+
+
+def _is_number(value, kind: type = numbers.Real) -> bool:
+    # bool is an Integral to Python, never a number in a config; plain
+    # JSON numbers skip the (slow) ABC instance check
+    t = type(value)
+    if t is int or (t is float and kind is numbers.Real):
+        return True
+    return t is not bool and isinstance(value, kind)
+
+
+@functools.lru_cache(maxsize=None)
+def _numeric_fields(cls: type) -> Tuple[Tuple[str, str, type, bool], ...]:
+    return tuple(
+        (f.name, f.type, *_NUMERIC_ANNOTATIONS[f.type])
+        for f in fields(cls)
+        if f.type in _NUMERIC_ANNOTATIONS
+    )
+
+
+def _check_numbers(spec, prefix: str = "") -> None:
+    """Raise :class:`ConfigError` for a numeric field holding a non-number.
+
+    JSON configs arrive untyped: ``"n_cycles": "3"`` or ``"n_windows": 2.5``
+    must fail validation, not a comparison inside it or a run later on.
+    """
+    for name, annotation, kind, optional in _numeric_fields(type(spec)):
+        value = getattr(spec, name)
+        if value is None and optional:
+            continue
+        if not _is_number(value, kind):
+            raise ConfigError(
+                f"{prefix}{name} must be {annotation}, got {value!r}"
+            )
 
 
 @dataclass
@@ -60,6 +109,7 @@ class DimensionSpec:
             raise ConfigError(
                 f"dimension kind must be one of {self._KINDS}, got {self.kind!r}"
             )
+        _check_numbers(self, prefix=f"{self.kind}: ")
         if self.n_windows < 1:
             raise ConfigError(
                 f"{self.kind}: n_windows must be >= 1, got {self.n_windows}"
@@ -68,6 +118,10 @@ class DimensionSpec:
             raise ConfigError(
                 f"{self.kind}: max_value ({self.max_value}) < "
                 f"min_value ({self.min_value})"
+            )
+        if self.kind == "temperature" and self.min_value <= 0:
+            raise ConfigError(
+                f"temperature: min_value must be > 0 K, got {self.min_value}"
             )
         if self.kind == "salt" and self.min_value < 0:
             raise ConfigError(
@@ -142,6 +196,7 @@ class ResourceSpec:
     gpus: int = 0
 
     def __post_init__(self):
+        _check_numbers(self)
         if self.cores <= 0:
             raise ConfigError(f"resource cores must be > 0, got {self.cores}")
         if self.gpus < 0:
@@ -169,6 +224,7 @@ class PatternSpec:
                 "pattern kind must be 'synchronous' or 'asynchronous', "
                 f"got {self.kind!r}"
             )
+        _check_numbers(self)
         if self.window_seconds <= 0:
             raise ConfigError(
                 f"window_seconds must be > 0, got {self.window_seconds}"
@@ -235,6 +291,7 @@ class FailureSpec:
     hang_probability: float = 0.0
 
     def __post_init__(self):
+        _check_numbers(self)
         if not (0.0 <= self.probability <= 1.0):
             raise ConfigError(
                 f"failure probability must be in [0,1], got {self.probability}"
@@ -260,6 +317,7 @@ class FailureSpec:
             if (
                 not isinstance(entry, (list, tuple))
                 or len(entry) != 2
+                or not all(map(_is_number, entry))
                 or entry[0] < 0
                 or entry[1] < 0
             ):
@@ -297,6 +355,7 @@ class FailureSpec:
             if (
                 not isinstance(entry, (list, tuple))
                 or len(entry) != 2
+                or not all(map(_is_number, entry))
                 or entry[0] < 0
                 or entry[1] <= 1
             ):
@@ -384,6 +443,7 @@ class WatchdogSpec:
     speculative: bool = False
 
     def __post_init__(self):
+        _check_numbers(self)
         if self.deadline_factor <= 1:
             raise ConfigError(
                 f"deadline_factor must be > 1, got {self.deadline_factor}"
@@ -431,11 +491,6 @@ class WatchdogSpec:
 class SimulationConfig:
     """Complete specification of one REMD simulation."""
 
-    #: engine-only knobs excluded from :func:`repro.obs.manifest.config_hash`
-    #: — they cannot change results, so runs differing only in them are the
-    #: same simulation (and may resume each other's checkpoints)
-    HASH_EXCLUDE = ("soa",)
-
     title: str = "remd"
     engine: EngineSpec = field(default_factory=EngineSpec)
     resource: ResourceSpec = field(default_factory=ResourceSpec)
@@ -470,15 +525,14 @@ class SimulationConfig:
     #: pre-production equilibration: minimization + this many MD steps per
     #: replica before cycle 0 (the paper equilibrates every replica >1 ns)
     equilibration_steps: int = 0
-    #: structure-of-arrays phase engine (repro.pilot.soa): whole phases of
-    #: units execute through pooled numpy state tables with batched MD
-    #: dispatch when provably equivalent; False pins the per-event
-    #: reference path (the differential-test baseline)
-    soa: bool = True
 
     def __post_init__(self):
         if not self.dimensions:
             raise ConfigError("at least one exchange dimension is required")
+        _check_numbers(self)
+        _check_numbers(self.adaptive)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.steps_per_cycle < 1:
             raise ConfigError(
                 f"steps_per_cycle must be >= 1, got {self.steps_per_cycle}"
@@ -496,6 +550,12 @@ class SimulationConfig:
         if self.gpus_per_replica < 0:
             raise ConfigError(
                 f"gpus_per_replica must be >= 0, got {self.gpus_per_replica}"
+            )
+        if self.cores_per_replica > self.resource.cores:
+            raise ConfigError(
+                f"cores_per_replica ({self.cores_per_replica}) exceeds the "
+                f"pilot's {self.resource.cores} cores; no replica could ever "
+                "be placed"
             )
         if self.replica_heterogeneity < 0:
             raise ConfigError(
@@ -617,7 +677,9 @@ class SimulationConfig:
                 raise ConfigError(f"{key!r} must be a mapping")
             try:
                 return sub_cls(**raw)
-            except TypeError as exc:
+            except ConfigError:
+                raise
+            except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad {key!r} section: {exc}") from None
 
         engine = pop_sub("engine", EngineSpec, EngineSpec)
@@ -653,13 +715,12 @@ class SimulationConfig:
             "exchange_enabled",
             "replica_heterogeneity",
             "equilibration_steps",
-            "soa",
         }
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
 
-        return cls(
+        config = cls(
             engine=engine,
             resource=resource,
             pattern=pattern,
@@ -669,6 +730,8 @@ class SimulationConfig:
             dimensions=dims,
             **{k: v for k, v in data.items() if k in known},
         )
+        _check_launchable(config)
+        return config
 
     @classmethod
     def from_json(cls, text: str) -> "SimulationConfig":
@@ -691,3 +754,36 @@ class SimulationConfig:
                 dim.name = f"{dim.name}_{i}"
             seen[dim.name] = i
         return dims
+
+
+def _check_launchable(config: SimulationConfig) -> None:
+    """Parse-time checks of what a run otherwise resolves only at launch.
+
+    Registry names (engine, system, cluster, pair selector) and the pilot's
+    fit on the named cluster would surface as a ``KeyError`` or
+    ``ValueError`` deep inside ``repro run`` after ``repro check`` passed.
+    Programmatic construction keeps deferring them to
+    :class:`~repro.core.framework.RepEx`, which raises the lookup errors.
+    """
+    if config.engine.name not in available_engines():
+        raise ConfigError(
+            f"unknown MD engine {config.engine.name!r}; "
+            f"known: {available_engines()}"
+        )
+    try:
+        get_system(config.engine.system)
+        get_pair_selector(config.pair_selector)
+        cluster = get_cluster(config.resource.name)
+    except KeyError as exc:
+        raise ConfigError(exc.args[0]) from None
+    resource = config.resource
+    if resource.cores > cluster.total_cores:
+        raise ConfigError(
+            f"resource: {resource.cores} cores requested but {cluster.name} "
+            f"only has {cluster.total_cores}"
+        )
+    if resource.gpus > cluster.total_gpus:
+        raise ConfigError(
+            f"resource: {resource.gpus} GPUs requested but {cluster.name} "
+            f"only has {cluster.total_gpus}"
+        )

@@ -255,10 +255,6 @@ class ExchangeDimension(abc.ABC):
             self._ladder_cache[key] = arr
         return arr
 
-    def beta_of(self, state: ThermodynamicState) -> float:
-        """Inverse temperature of a state (helper for subclasses)."""
-        return beta_from_temperature(state.temperature)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"{type(self).__name__}({self.name!r}, "

@@ -10,6 +10,12 @@ Between waves the agent re-schedules its MPI layout, charged as a small
 penalty — this is the "MPI task scheduling issue of RP" that depresses
 Mode II efficiency and produces the efficiency uptick at the final,
 cores == replicas point of Fig. 11(b).
+
+Both modes integrate a phase's MD units in one batch before anything is
+scheduled (:func:`precompute_md`): how a task's numerics run does not
+depend on the mode's wave split, nor on which event engine — the SoA
+timeline shortcut (:func:`repro.pilot.soa.try_fast_phase`) or the
+reference submit/wait path — replays the phase's timeline.
 """
 
 from __future__ import annotations
@@ -18,6 +24,8 @@ import abc
 import math
 from typing import List, Sequence
 
+from repro.md import batch as md_batch
+from repro.obs import hostprof
 from repro.pilot.pilot import Pilot
 from repro.pilot.session import Session
 from repro.pilot.soa import try_fast_phase
@@ -31,6 +39,33 @@ MODE2_WAVE_GAP_S = 12.0
 #: (the "MPI task scheduling issue of RP" the paper blames for the Mode II
 #: efficiency dip that vanishes at cores == replicas, Fig. 11b).
 MODE2_PER_CORE_WAVE_GAP_S = 0.18
+
+
+def precompute_md(descriptions: Sequence[UnitDescription]) -> None:
+    """Integrate every MD unit of a phase in one batched pass.
+
+    Each description carrying an :class:`~repro.md.batch.MDWork` gets its
+    ``work`` replaced by a thunk returning the precomputed result, so the
+    unit still produces it at its launch event on either engine.  The
+    batch is bit-identical to per-unit ``run_md`` calls and every task is
+    idempotent and per-task seeded, so running it up front changes no
+    result.  If the batch raises, ``work`` stays untouched and each unit
+    runs (and fails) on its own, exactly as the reference path would.
+    """
+    batched = [
+        d
+        for d in descriptions
+        if isinstance(d.batch, md_batch.MDWork) and d.work is not None
+    ]
+    if len(batched) < 2:
+        return
+    try:
+        with hostprof.section("work.md"):
+            outs = md_batch.run_md_batch([d.batch for d in batched])
+    except Exception:  # noqa: BLE001 - units fail one by one instead
+        return
+    for d, out in zip(batched, outs):
+        d.work = lambda out=out: out
 
 
 class ExecutionMode(abc.ABC):
@@ -51,26 +86,22 @@ class ExecutionMode(abc.ABC):
 class ModeI(ExecutionMode):
     """All tasks concurrent: one burst, one barrier.
 
-    With ``soa=True`` (the default) a phase that passes the fast-path
-    gates executes through the structure-of-arrays engine
-    (:func:`repro.pilot.soa.try_fast_phase`) — byte-identical results,
-    no per-event dispatch.  ``soa=False`` keeps the reference
-    submit/wait path unconditionally (the differential-test baseline).
+    A phase that passes the fast-path gates replays its timeline through
+    the SoA shortcut (:func:`repro.pilot.soa.try_fast_phase`) —
+    byte-identical results, no per-event dispatch; any other phase runs
+    the reference submit/wait path.
     """
 
     name = "I"
-
-    def __init__(self, soa: bool = True):
-        self.soa = soa
 
     def run_phase(self, session, pilot, descriptions):
         """Submit everything, wait for the barrier."""
         if not descriptions:
             return []
-        if self.soa:
-            units = try_fast_phase(session, pilot, descriptions)
-            if units is not None:
-                return units
+        precompute_md(descriptions)
+        units = try_fast_phase(session, pilot, descriptions)
+        if units is not None:
+            return units
         units = session.submit_units(pilot, descriptions)
         session.wait_units(units)
         return units
@@ -85,7 +116,6 @@ class ModeII(ExecutionMode):
         self,
         wave_gap_s: float = MODE2_WAVE_GAP_S,
         per_core_wave_gap_s: float = MODE2_PER_CORE_WAVE_GAP_S,
-        soa: bool = True,
     ):
         if wave_gap_s < 0:
             raise ValueError(f"wave_gap_s must be >= 0, got {wave_gap_s}")
@@ -95,12 +125,12 @@ class ModeII(ExecutionMode):
             )
         self.wave_gap_s = wave_gap_s
         self.per_core_wave_gap_s = per_core_wave_gap_s
-        self.soa = soa
 
     def run_phase(self, session, pilot, descriptions):
         """Run tasks in waves of whatever fits the pilot at once."""
         if not descriptions:
             return []
+        precompute_md(descriptions)
         capacity = pilot.description.cores
         units: List[ComputeUnit] = []
         wave: List[UnitDescription] = []
@@ -119,11 +149,10 @@ class ModeII(ExecutionMode):
         for i, batch in enumerate(waves):
             if i > 0 and gap > 0:
                 session.run_for(gap)
-            if self.soa:
-                batch_units = try_fast_phase(session, pilot, batch)
-                if batch_units is not None:
-                    units.extend(batch_units)
-                    continue
+            batch_units = try_fast_phase(session, pilot, batch)
+            if batch_units is not None:
+                units.extend(batch_units)
+                continue
             batch_units = session.submit_units(pilot, batch)
             session.wait_units(batch_units)
             units.extend(batch_units)
@@ -136,10 +165,10 @@ class ModeII(ExecutionMode):
         return math.ceil(n_tasks / per_wave)
 
 
-def make_mode(name: str, soa: bool = True, **kwargs) -> ExecutionMode:
+def make_mode(name: str, **kwargs) -> ExecutionMode:
     """Instantiate an execution mode by its config name ('I' or 'II')."""
     if name == "I":
-        return ModeI(soa=soa)
+        return ModeI()
     if name == "II":
-        return ModeII(soa=soa, **kwargs)
+        return ModeII(**kwargs)
     raise ValueError(f"unknown execution mode {name!r}; use 'I' or 'II'")

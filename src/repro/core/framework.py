@@ -245,7 +245,7 @@ class RepEx:
             self.amm,
             self.session,
             self.pilot,
-            mode=mode or make_mode(config.effective_mode, soa=config.soa),
+            mode=mode or make_mode(config.effective_mode),
         )
 
     def _init_checkpointing(

@@ -1,10 +1,12 @@
 """Batched MD execution: many replicas, one vectorised integration pass.
 
-The reference execution path runs one ``adapter.run_md(sandbox, tag)`` call
-per compute unit — for a 1024-replica phase that is 1024 trips through the
-mdin parser, 1024 separate ``BrownianIntegrator.run`` loops of small
+Each MD compute unit's own ``work`` is one ``adapter.run_md(sandbox, tag)``
+call — for a 1024-replica phase that is 1024 trips through the mdin
+parser, 1024 separate ``BrownianIntegrator.run`` loops of small
 (1, 2)-shaped NumPy ops, and 1024 rounds of output formatting.  This module
-executes a whole phase of MD units in one structure-of-arrays pass:
+executes a whole phase of MD units in one structure-of-arrays pass (the
+execution mode runs it once per phase, before either event engine sees the
+phase — see :func:`repro.core.execution_modes.precompute_md`):
 
 * every unit's mdin/coordinates are parsed up front,
 * units with the same step schedule (integrator, ``n_steps``, sample
@@ -62,9 +64,10 @@ _MAX_NORMALS = 8_000_000
 class MDWork:
     """Batchable-work descriptor carried on ``UnitDescription.batch``.
 
-    Identifies one MD task (adapter + sandbox + tag) so a phase engine can
-    execute all of a phase's MD units through :func:`run_md_batch` instead
-    of one ``work()`` call each.  The reference path never looks at this.
+    Identifies one MD task (adapter + sandbox + tag) so the execution mode
+    can integrate all of a phase's MD units through :func:`run_md_batch`
+    instead of one ``work()`` call each; every unit's ``work`` then returns
+    its precomputed result, on either event engine.
     """
 
     adapter: Any

@@ -47,17 +47,8 @@ class ManifestError(ValueError):
 
 
 def config_hash(config) -> str:
-    """Stable sha256 over a config's canonical dict form (first 16 hex).
-
-    Keys named in the config class's ``HASH_EXCLUDE`` are dropped before
-    hashing: pure execution-engine knobs (e.g. ``soa``) are proven unable
-    to change any result, so two runs differing only in them must hash —
-    and checkpoint-resume — as the same simulation.
-    """
-    data = config.to_dict()
-    for key in getattr(type(config), "HASH_EXCLUDE", ()):
-        data.pop(key, None)
-    canonical = json.dumps(data, sort_keys=True, default=str)
+    """Stable sha256 over a config's canonical dict form (first 16 hex)."""
+    canonical = json.dumps(config.to_dict(), sort_keys=True, default=str)
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 

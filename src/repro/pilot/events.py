@@ -191,42 +191,6 @@ class EventQueue:
             return True
         return False
 
-    def step_batch(self) -> Tuple[Optional[float], int]:
-        """Drain *every* event at the next live timestamp in one sweep.
-
-        This is the batched-dispatch primitive: all events that share the
-        earliest pending virtual time fire back to back (in sequence
-        order), including events a fired callback schedules *at that same
-        time*.  Lazily-cancelled entries inside the batch are skipped with
-        exact dead accounting, just like :meth:`step`.
-
-        Returns ``(time, n_fired)`` — the batch's virtual time and how
-        many events fired — or ``(None, 0)`` when the queue is empty.
-
-        Note that this is deliberately *not* what :meth:`run_until` uses:
-        its contract checks the predicate before every single event, and
-        a predicate that becomes true mid-batch must stop the loop before
-        the remaining equal-time events fire.  Batch draining is for
-        drivers that own a whole time slice (the SoA phase engine, sweep
-        loops) and for callers that want equal-time fan-in semantics.
-        """
-        t = self.next_event_time()
-        if t is None:
-            return None, 0
-        fired = 0
-        heap = self._heap
-        while heap and heap[0][0] == t:
-            _, _, event = heapq.heappop(heap)
-            if event.cancelled:
-                self._n_cancelled -= 1
-                continue
-            event._queue = None
-            self._now = t
-            self._n_fired += 1
-            fired += 1
-            event.callback()
-        return t, fired
-
     def run(self, max_events: Optional[int] = None) -> None:
         """Drain the queue (optionally at most ``max_events`` events)."""
         fired = 0

@@ -41,7 +41,25 @@ from repro.pilot.cluster import ClusterSpec
 from repro.pilot.events import EventQueue
 from repro.pilot.failures import FailureModel, NO_FAILURES, UnitFailure
 from repro.pilot.staging import StagingAction, StagingArea
-from repro.pilot.unit import ComputeUnit, UnitState
+from repro.pilot.unit import ComputeUnit, UnitDescription, UnitState
+
+
+def run_work(description: UnitDescription):
+    """Call a unit's ``work`` and return its result (shared by both engines).
+
+    With host profiling on, the time is charged per phase (``work.md``,
+    ``work.exchange``, ...); the phase lookup — and its import, which
+    would otherwise be circular through obs.export -> manifest -> pilot —
+    stays off the disabled path entirely.
+    """
+    prof = hostprof.active()
+    if prof is None:
+        return description.work()
+    from repro.obs.export import unit_phase
+
+    phase = unit_phase(description.name, description.metadata) or "other"
+    with prof.section(f"work.{phase}"):
+        return description.work()
 
 
 class SchedulerError(RuntimeError):
@@ -61,7 +79,6 @@ class AgentScheduler:
         gpu_capacity: int = 0,
         fault_domain=None,
         watchdog=None,
-        indexed: bool = True,
         registry=None,
     ):
         if capacity <= 0:
@@ -105,10 +122,6 @@ class AgentScheduler:
             remaining -= take
         self._node_free: List[int] = list(self._node_total)
         self._quarantined: Set[int] = set()
-        #: ``indexed=False`` keeps the original linear-scan placement and
-        #: full queue rescans — the reference implementation the property
-        #: tests compare the indexed fast path against.
-        self._indexed = indexed
         # Sorted index of healthy nodes with free cores.  First-fit always
         # consumes the lowest-indexed nodes first and fills each node
         # completely before touching the next, so a placement removes a
@@ -196,6 +209,25 @@ class AgentScheduler:
         if node in self._quarantined:
             return self._node_total[node]
         return 0
+
+    def is_quiescent(self) -> bool:
+        """True when the agent is idle and still accepts submissions.
+
+        Idle means no unit is queued, placed, staging, waiting on the
+        launcher or executing (speculative copies included).  A phase
+        submitted to a quiescent scheduler owns the agent until its last
+        unit finishes — the precondition of the SoA phase engine
+        (:func:`repro.pilot.soa.try_fast_phase`).
+        """
+        return not (
+            self._drained
+            or self._queue
+            or self._running
+            or self._shadows
+            or self._attempts
+            or self._staging_in_flight
+            or self._launch_pending
+        )
 
     def _enqueue(self, unit: ComputeUnit) -> None:
         """Validate + queue one unit (shared by submit/submit_many)."""
@@ -339,10 +371,7 @@ class AgentScheduler:
             self._scan_queue()
 
     def _scan_queue(self) -> None:
-        if self._indexed and (
-            self.free_cores == 0
-            or self._min_queued_cores > self.free_cores
-        ):
+        if self.free_cores == 0 or self._min_queued_cores > self.free_cores:
             # Nothing can possibly fit (unit core requests are >= 1 and
             # the bound is a valid lower bound), so skip the rescan; the
             # gauges still refresh because callers changed queue/usage.
@@ -390,33 +419,22 @@ class AgentScheduler:
         GPU accounting) themselves.
         """
         placement: Dict[int, int] = {}
-        if self._indexed:
-            free_nodes = self._free_nodes
-            node_free = self._node_free
-            emptied = 0
-            for node in free_nodes:
-                take = node_free[node]
-                if take > need:
-                    take = need
-                node_free[node] -= take
-                placement[node] = take
-                need -= take
-                if node_free[node] == 0:
-                    emptied += 1
-                if need == 0:
-                    break
-            if emptied:
-                del free_nodes[:emptied]
-        else:
-            for node in range(self.n_nodes):
-                if need == 0:
-                    break
-                if node in self._quarantined or self._node_free[node] == 0:
-                    continue
-                take = min(need, self._node_free[node])
-                self._node_free[node] -= take
-                placement[node] = take
-                need -= take
+        free_nodes = self._free_nodes
+        node_free = self._node_free
+        emptied = 0
+        for node in free_nodes:
+            take = node_free[node]
+            if take > need:
+                take = need
+            node_free[node] -= take
+            placement[node] = take
+            need -= take
+            if node_free[node] == 0:
+                emptied += 1
+            if need == 0:
+                break
+        if emptied:
+            del free_nodes[:emptied]
         assert need == 0, "free_cores disagreed with the node map"
         return placement
 
@@ -573,22 +591,7 @@ class AgentScheduler:
         # the numerics.
         if unit.description.work is not None:
             try:
-                prof = hostprof.active()
-                if prof is None:
-                    unit.result = unit.description.work()
-                else:
-                    # per-phase attribution (work.md / work.exchange / ...)
-                    # only when profiling is on; the phase lookup (and its
-                    # import, which would otherwise be circular through
-                    # obs.export -> manifest -> pilot) stays off the
-                    # disabled path entirely
-                    from repro.obs.export import unit_phase
-
-                    phase = unit_phase(
-                        unit.description.name, unit.description.metadata
-                    ) or "other"
-                    with prof.section(f"work.{phase}"):
-                        unit.result = unit.description.work()
+                unit.result = run_work(unit.description)
             except Exception as exc:  # noqa: BLE001 - task isolation boundary
                 self._clock.schedule(
                     0.0, lambda exc=exc: self._fail(unit, exc)
@@ -720,7 +723,7 @@ class AgentScheduler:
             event.cancel()
         for node, taken in placement.items():
             if node not in self._quarantined:
-                if self._indexed and self._node_free[node] == 0:
+                if self._node_free[node] == 0:
                     bisect.insort(self._free_nodes, node)
                 self._node_free[node] += taken
                 self.free_cores += taken
@@ -764,7 +767,7 @@ class AgentScheduler:
             # the node crashed and must not rejoin the free pool.
             for node, taken in placement.items():
                 if node not in self._quarantined:
-                    if self._indexed and self._node_free[node] == 0:
+                    if self._node_free[node] == 0:
                         bisect.insort(self._free_nodes, node)
                     self._node_free[node] += taken
                     self.free_cores += taken

@@ -79,6 +79,11 @@ class Session:
         """Current virtual time in seconds."""
         return self.clock.now
 
+    @property
+    def closed(self) -> bool:
+        """True once :meth:`close` ran; the session accepts no more work."""
+        return self._closed
+
     # -- pilot management ----------------------------------------------------
 
     def submit_pilot(self, description: PilotDescription) -> Pilot:

@@ -5,17 +5,20 @@ The reference pipeline drives every compute unit through four clock events
 + per-object attribute churn.  For the common phase shape — a burst of
 units submitted together into an otherwise idle pilot — the entire event
 timeline is a pure function of the descriptions and the cluster models, so
-it can be computed up front into pooled numpy arrays (one row per unit:
-the four state-entry timestamps) and committed to the simulation in one
-step, skipping the event machinery entirely.
+it can be computed up front on a local heap and committed to the
+simulation in one pass, without a single clock event.
 
-:func:`try_fast_phase` is that fast path.  It is *conservative*: a set of
-gates checks that nothing outside the phase could observe or perturb the
-timeline (idle scheduler, no faults, no watchdog, no pending event due
-inside the phase window); if any gate fails it returns ``None`` and the
-caller runs the byte-identical reference path instead.  The differential
-suite in ``tests/perf/test_soa_equivalence.py`` holds the two paths to
-identical manifests, golden traces and clock diagnostics.
+:func:`try_fast_phase` is that shortcut.  It is *conservative*: gates on
+public members check that nothing outside the phase could observe or
+perturb the timeline (a quiescent scheduler, no faults, no watchdog, no
+pending event due inside the phase window); if any gate fails it returns
+``None`` and the caller runs the byte-identical reference path instead.
+The numerics are not this module's concern: the execution mode has
+already integrated a whole MD phase in one batch before either engine
+sees it (:mod:`repro.core.execution_modes`), so here every unit's ``work``
+is simply called in launch order.  The differential suite in
+``tests/perf/test_soa_equivalence.py`` holds the two paths to identical
+manifests, golden traces and clock diagnostics.
 
 Byte-identity invariants this module maintains (in commit order):
 
@@ -36,10 +39,10 @@ Byte-identity invariants this module maintains (in commit order):
   every pipeline callback pops before it pushes);
 * observability — metric counters advance by the same totals, the wait
   histogram records the same zeros, the staging area replays the same
-  put/get sequence (float accumulation order preserved), and when a
-  tracer is attached every transition is replayed at its exact virtual
-  time through ``ComputeUnit.advance`` so sinks (streamed manifests) see
-  the reference event stream.
+  put/get sequence (float accumulation order preserved), and every
+  transition is replayed at its exact virtual time through
+  ``ComputeUnit.advance``, so unit timestamps, state callbacks and tracer
+  sinks (streamed manifests) see the reference event stream.
 """
 
 from __future__ import annotations
@@ -47,11 +50,10 @@ from __future__ import annotations
 import heapq
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from repro.obs import hostprof
 from repro.pilot.failures import FailureModel
 from repro.pilot.pilot import Pilot, PilotState
+from repro.pilot.scheduler import run_work
 from repro.pilot.session import Session
 from repro.pilot.staging import StagingAction
 from repro.pilot.unit import ComputeUnit, UnitDescription, UnitState
@@ -63,90 +65,12 @@ _FINISHED = 2
 _STAGED_OUT = 3
 
 
-class PhaseTable:
-    """Pooled SoA state table: one row per unit, one column per pipeline stage.
-
-    Grow-only numpy storage reused across phases (the pool lives on the
-    scheduler), so steady-state phases allocate no per-unit timestamp
-    objects during simulation — values land in flat float64 arrays and are
-    only materialized onto units at commit.
-    """
-
-    __slots__ = ("capacity", "t_staged_in", "t_launched", "t_finished", "t_done")
-
-    def __init__(self):
-        self.capacity = 0
-        self.t_staged_in = np.empty(0)
-        self.t_launched = np.empty(0)
-        self.t_finished = np.empty(0)
-        self.t_done = np.empty(0)
-
-    def reserve(self, n: int) -> None:
-        """Ensure at least ``n`` rows (amortized doubling, never shrinks)."""
-        if n <= self.capacity:
-            return
-        cap = max(n, 2 * self.capacity, 64)
-        self.t_staged_in = np.empty(cap)
-        self.t_launched = np.empty(cap)
-        self.t_finished = np.empty(cap)
-        self.t_done = np.empty(cap)
-        self.capacity = cap
-
-
-def _table_for(sched) -> PhaseTable:
-    table = getattr(sched, "_soa_table", None)
-    if table is None:
-        table = PhaseTable()
-        sched._soa_table = table
-    return table
-
-
-def _run_work(descriptions, launched_order, prof) -> list:
-    """Run every unit's work callable, in reference (launch-event) order.
-
-    Units carrying a batchable :class:`~repro.md.batch.MDWork` descriptor
-    execute together through one vectorised pass; everything else runs its
-    ``work`` callable directly, with the reference's per-phase host-time
-    attribution when profiling is on.
-    """
+def _run_work(descriptions, launched_order) -> list:
+    """Call every unit's work callable in reference (launch-event) order."""
     results = [None] * len(descriptions)
-    batch_ks = [
-        k
-        for k in launched_order
-        if descriptions[k].batch is not None and descriptions[k].work is not None
-    ]
-    if len(batch_ks) > 1:
-        # md deps stay out of the pilot layer unless a batch actually runs
-        from repro.md.batch import MDWork, run_md_batch
-
-        items = [descriptions[k].batch for k in batch_ks]
-        if all(type(item) is MDWork for item in items):
-            if prof is None:
-                outs = run_md_batch(items)
-            else:
-                with prof.section("work.md"):
-                    outs = run_md_batch(items)
-            for k, out in zip(batch_ks, outs):
-                results[k] = out
-        else:
-            batch_ks = []
-    else:
-        batch_ks = []
-    batched = set(batch_ks)
     for k in launched_order:
-        if k in batched:
-            continue
-        d = descriptions[k]
-        if d.work is None:
-            continue
-        if prof is None:
-            results[k] = d.work()
-        else:
-            from repro.obs.export import unit_phase
-
-            phase = unit_phase(d.name, d.metadata) or "other"
-            with prof.section(f"work.{phase}"):
-                results[k] = d.work()
+        if descriptions[k].work is not None:
+            results[k] = run_work(descriptions[k])
     return results
 
 
@@ -155,7 +79,7 @@ def try_fast_phase(
     pilot: Pilot,
     descriptions: Sequence[UnitDescription],
 ) -> Optional[List[ComputeUnit]]:
-    """Execute a whole phase through the SoA table, or return ``None``.
+    """Execute a whole phase on a precomputed timeline, or return ``None``.
 
     ``None`` means "this phase is not provably equivalent under the fast
     path" — the caller must run the reference submit/wait path.  Nothing
@@ -163,30 +87,22 @@ def try_fast_phase(
     in that case.
     """
     # -- gates: the phase must own the simulation until its last event -----
-    if session._closed:
-        return None
+    if session.closed or pilot not in session.pilots:
+        return None  # a foreign pilot may tick on another clock
     if pilot.state is not PilotState.ACTIVE:
         return None
     sched = pilot.scheduler
-    if sched is None or sched._drained:
-        return None
-    clock = session.clock
-    if sched._clock is not clock:
+    if sched is None or not sched.is_quiescent():
         return None
     if sched.watchdog is not None or sched.fault_domain is not None:
         return None
     fm = sched.failure_model
     if type(fm) is not FailureModel or fm.probability != 0.0:
         return None
-    if not sched._indexed:
-        return None
-    if sched._queue or sched._running or sched._shadows or sched._attempts:
-        return None
-    if sched._staging_in_flight or sched._launch_pending:
-        return None
+    clock = session.clock
     # A cancelled entry makes next_event_time() mutate the heap (purge) and
     # perturbs peak accounting — reference-path territory.
-    if clock._n_cancelled != 0:
+    if clock.n_cancelled != 0:
         return None
     n = len(descriptions)
     total_cores = 0
@@ -200,15 +116,9 @@ def try_fast_phase(
         return None  # not a one-scan placement; waves/backfill differ
 
     # -- local timeline: pure simulation, no shared state touched ----------
-    fs = sched._cluster.filesystem
-    launcher = sched._cluster.launcher
+    fs = pilot.cluster.filesystem
+    launcher = pilot.cluster.launcher
     t0 = clock.now
-    table = _table_for(sched)
-    table.reserve(n)
-    t_in = table.t_staged_in
-    t_launch = table.t_launched
-    t_fin = table.t_finished
-    t_done = table.t_done
 
     heap: list = []
     fired: list = []
@@ -239,14 +149,12 @@ def try_fast_phase(
             fired.append((t, kind, k))
             d = descriptions[k]
             if kind == _STAGED_IN:
-                t_in[k] = t
                 in_flight -= len(d.input_staging)
                 delay = launcher.launch_delay(launch_pending, cores=d.cores)
                 launch_pending += 1
                 heapq.heappush(heap, (t + delay, seq, _LAUNCHED, k))
                 seq += 1
             elif kind == _LAUNCHED:
-                t_launch[k] = t
                 launch_pending -= 1
                 launched_order.append(k)
                 heapq.heappush(
@@ -254,7 +162,6 @@ def try_fast_phase(
                 )
                 seq += 1
             elif kind == _FINISHED:
-                t_fin[k] = t
                 with hostprof.section("staging"):
                     delay = 0.0
                     for dirv in d.output_staging:
@@ -268,7 +175,6 @@ def try_fast_phase(
                 heapq.heappush(heap, (t + delay, seq, _STAGED_OUT, k))
                 seq += 1
             else:
-                t_done[k] = t
                 in_flight -= len(d.output_staging)
 
     t_end = fired[-1][0]
@@ -279,14 +185,15 @@ def try_fast_phase(
     if next_t is not None and next_t <= t_end:
         return None
     # Reference peak: schedule_many grows the heap by n in one batch and
-    # every later pipeline callback pops before it pushes.
-    peak = len(clock._heap) + n
+    # every later pipeline callback pops before it pushes.  The heap holds
+    # no dead entries (gated above), so len(clock) is its full size.
+    peak = len(clock) + n
 
     # Work runs now, before any commit: a raising callable sends the phase
     # back to the reference path, which re-runs the (idempotent,
     # per-task-seeded) numerics and fails the unit the reference way.
     try:
-        results = _run_work(descriptions, launched_order, hostprof.active())
+        results = _run_work(descriptions, launched_order)
     except Exception:  # noqa: BLE001 - task isolation boundary
         return None
 
@@ -301,55 +208,25 @@ def try_fast_phase(
         sched._h_wait.observe(0.0)
         u.advance(UnitState.STAGING_INPUT, t0)
     sched._update_occupancy()
-    tracer = session.tracer
-    if tracer is not None:
-        tracer.watch_all(units)
+    if session.tracer is not None:
+        session.tracer.watch_all(units)
 
     area = sched.staging_area
     clock.account_batch(0, t0, peak=peak)
-    if tracer is not None:
-        # Transition-accurate replay: every event fires through
-        # ComputeUnit.advance at its exact virtual time so tracer sinks
-        # (streamed manifests) observe the reference event stream.
-        i = 0
-        n_fired = len(fired)
-        while i < n_fired:
-            t = fired[i][0]
-            j = i
-            while j < n_fired and fired[j][0] == t:
-                j += 1
-            clock.account_batch(j - i, t)
-            for idx in range(i, j):
-                _, kind, k = fired[idx]
-                u = units[k]
-                d = descriptions[k]
-                if kind == _STAGED_IN:
-                    for dirv in d.input_staging:
-                        if dirv.target not in area:
-                            area.put(dirv.target, dirv.size_mb)
-                        else:
-                            area.get(dirv.target)
-                    u.advance(UnitState.AGENT_EXECUTING_PENDING, t)
-                elif kind == _LAUNCHED:
-                    u.advance(UnitState.EXECUTING, t)
-                    sched._m_started.inc()
-                    u.result = results[k]
-                elif kind == _FINISHED:
-                    u.advance(UnitState.STAGING_OUTPUT, t)
-                else:
-                    for dirv in d.output_staging:
-                        area.put(dirv.target, dirv.size_mb)
-                    u.advance(UnitState.DONE, t)
-                    sched._m_completed.inc()
-                    sched._release(u)
-            i = j
-    else:
-        # No transition observers: settle the clock in one step, replay
-        # the staging ledger in fired order (float accumulation order is
-        # part of the contract), and write timestamps straight into the
-        # units from the SoA table.
-        clock.account_batch(len(fired), t_end)
-        for t, kind, k in fired:
+    # Transition-accurate replay: every event fires through
+    # ComputeUnit.advance at its exact virtual time, in fired order (the
+    # staging ledger's float accumulation order is part of the contract).
+    i = 0
+    n_fired = len(fired)
+    while i < n_fired:
+        t = fired[i][0]
+        j = i
+        while j < n_fired and fired[j][0] == t:
+            j += 1
+        clock.account_batch(j - i, t)
+        for idx in range(i, j):
+            _, kind, k = fired[idx]
+            u = units[k]
             d = descriptions[k]
             if kind == _STAGED_IN:
                 for dirv in d.input_staging:
@@ -357,20 +234,18 @@ def try_fast_phase(
                         area.put(dirv.target, dirv.size_mb)
                     else:
                         area.get(dirv.target)
-            elif kind == _STAGED_OUT:
+                u.advance(UnitState.AGENT_EXECUTING_PENDING, t)
+            elif kind == _LAUNCHED:
+                u.advance(UnitState.EXECUTING, t)
+                sched._m_started.inc()
+                u.result = results[k]
+            elif kind == _FINISHED:
+                u.advance(UnitState.STAGING_OUTPUT, t)
+            else:
                 for dirv in d.output_staging:
                     area.put(dirv.target, dirv.size_mb)
-        for k, u in enumerate(units):
-            ts = u.timestamps
-            ts[UnitState.AGENT_EXECUTING_PENDING] = float(t_in[k])
-            ts[UnitState.EXECUTING] = float(t_launch[k])
-            ts[UnitState.STAGING_OUTPUT] = float(t_fin[k])
-            ts[UnitState.DONE] = float(t_done[k])
-            u.state = UnitState.DONE
-            u._done = True
-            u.result = results[k]
-        sched._m_started.inc(n)
-        sched._m_completed.inc(n)
-        for u in units:
-            sched._release(u)
+                u.advance(UnitState.DONE, t)
+                sched._m_completed.inc()
+                sched._release(u)
+        i = j
     return units

@@ -210,35 +210,6 @@ class Tracer:
         events.sort()
         return [[t, name, state] for t, name, state in events]
 
-    def span_records(self):
-        """Unit state intervals as :class:`~repro.obs.spans.SpanRecord`.
-
-        Unifies tracer output with the span taxonomy: each non-final
-        state a unit passed through becomes one ``unit.<STATE>`` span
-        tagged with the unit's name and metadata phase.
-        """
-        from repro.obs.spans import SpanRecord
-
-        spans = []
-        for rec in self.records.values():
-            for i, (state, t0) in enumerate(rec.transitions):
-                if i + 1 >= len(rec.transitions):
-                    continue
-                spans.append(
-                    SpanRecord(
-                        name=f"unit.{state}",
-                        t_start=t0,
-                        t_end=rec.transitions[i + 1][1],
-                        tags={
-                            "unit": rec.name,
-                            "phase": rec.metadata.get("phase"),
-                        },
-                        unit=rec.name,
-                    )
-                )
-        spans.sort(key=lambda s: (s.t_start, s.tags["unit"], s.name))
-        return spans
-
     def unit_meta(self) -> List[Dict]:
         """Per-unit metadata in manifest form, sorted by unit name.
 

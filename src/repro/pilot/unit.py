@@ -128,10 +128,10 @@ class UnitDescription:
     #: GPUs held while executing (the paper's GPU-support extension)
     gpus: int = 0
     #: Optional batchable-work descriptor (e.g. ``repro.md.batch.MDWork``).
-    #: When a whole phase runs through the SoA fast path, units carrying a
-    #: descriptor of the same batchable family are executed in one
-    #: vectorised pass instead of one ``work()`` call each; the reference
-    #: path ignores this field entirely and calls ``work``.
+    #: The execution mode runs every unit of a phase carrying one in a
+    #: single vectorised pass before scheduling and swaps each unit's
+    #: ``work`` for a thunk returning its precomputed result; the schedulers
+    #: themselves only ever call ``work``.
     batch: Optional[Any] = None
 
     def __post_init__(self):

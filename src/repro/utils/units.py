@@ -8,7 +8,6 @@ the conventions of the Amber ecosystem that the paper's experiments use
 
 from __future__ import annotations
 
-import math
 from typing import List
 
 #: Boltzmann constant in kcal / (mol K), the value used by Amber.
@@ -107,13 +106,3 @@ def wrap_degrees(angle: float) -> float:
 def angular_distance_degrees(a: float, b: float) -> float:
     """Smallest absolute separation of two angles in degrees (<= 180)."""
     return abs(wrap_degrees(a - b))
-
-
-def degrees_to_radians(angle: float) -> float:
-    """Convert degrees to radians."""
-    return angle * math.pi / 180.0
-
-
-def radians_to_degrees(angle: float) -> float:
-    """Convert radians to degrees."""
-    return angle * 180.0 / math.pi

@@ -30,6 +30,68 @@ def config_file(tmp_path):
     return path
 
 
+def patch_config(cfg, path, value):
+    """Set the dotted ``path`` of a config dict (``"engine.name"``,
+    ``"dimensions.0.n_windows"``); a list index one past the end appends."""
+    *parents, last = path.split(".")
+    node = cfg
+    for key in parents:
+        node = node[int(key)] if isinstance(node, list) else node.setdefault(key, {})
+    if isinstance(node, list) and int(last) == len(node):
+        node.append(value)
+    elif isinstance(node, list):
+        node[int(last)] = value
+    else:
+        node[last] = value
+
+
+#: config patches ``repro run`` cannot execute -> expected error text; both
+#: ``check`` and ``run`` must reject them with exit code 2
+CANNOT_RUN = {
+    "negative-salt": (
+        {"dimensions.1": {"kind": "salt", "n_windows": 2,
+                          "min_value": -0.5, "max_value": 1.0}},
+        "salt:",
+    ),
+    "negative-force-constant": (
+        {"dimensions.1": {"kind": "umbrella", "n_windows": 2,
+                          "min_value": 0.0, "max_value": 360.0,
+                          "force_constant": -0.02}},
+        "umbrella:",
+    ),
+    "unknown-angle": (
+        {"dimensions.1": {"kind": "umbrella", "n_windows": 2,
+                          "min_value": 0.0, "max_value": 360.0,
+                          "angle": "omega"}},
+        "umbrella:",
+    ),
+    "nonpositive-temperature": (
+        {"dimensions.0.min_value": 0.0}, "temperature:"
+    ),
+    "unknown-pair-selector": ({"pair_selector": "nearest"}, "pair selector"),
+    "unknown-engine": ({"engine.name": "gromacs"}, "MD engine"),
+    "unknown-system": ({"engine.system": "trp-cage"}, "unknown system"),
+    "unknown-cluster": ({"resource.name": "summit"}, "unknown cluster"),
+    "cores-above-cluster": ({"resource.cores": 10_000}, "cores requested"),
+    "gpus-above-cluster": ({"resource.gpus": 2}, "GPUs requested"),
+    "cores-per-replica-above-pilot": (
+        {"cores_per_replica": 8}, "cores_per_replica"
+    ),
+    "cores-per-replica-above-pilot-mode-ii": (
+        {"cores_per_replica": 8, "execution_mode": "II"}, "cores_per_replica"
+    ),
+    "negative-seed": ({"seed": -1}, "seed"),
+    "adaptive-min-cycles": ({"adaptive.min_cycles": 0}, "min_cycles"),
+    "string-n-cycles": ({"n_cycles": "3"}, "n_cycles"),
+    "fractional-n-windows": ({"dimensions.0.n_windows": 2.5}, "n_windows"),
+    "string-pka": (
+        {"dimensions.1": {"kind": "ph", "n_windows": 2, "min_value": 4.0,
+                          "max_value": 6.0, "pka": "6.5"}},
+        "pka",
+    ),
+}
+
+
 class TestRun:
     def test_run_prints_summary(self, config_file, capsys):
         rc = main(["run", str(config_file)])
@@ -197,25 +259,18 @@ class TestCheck:
         assert "invalid" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "dimension",
-        [
-            {"kind": "salt", "min_value": -0.5, "max_value": 1.0},
-            {"kind": "umbrella", "min_value": 0.0, "max_value": 360.0,
-             "force_constant": -0.02},
-            {"kind": "umbrella", "min_value": 0.0, "max_value": 360.0,
-             "angle": "omega"},
-        ],
-        ids=["negative-salt", "negative-force-constant", "unknown-angle"],
+        "patches, needle", list(CANNOT_RUN.values()), ids=list(CANNOT_RUN)
     )
     def test_dimension_that_cannot_run_fails_check_and_run(
-        self, config_file, dimension, capsys
+        self, config_file, patches, needle, capsys
     ):
         cfg = json.loads(config_file.read_text())
-        cfg["dimensions"].append({"n_windows": 2, **dimension})
+        for path, value in patches.items():
+            patch_config(cfg, path, value)
         config_file.write_text(json.dumps(cfg))
         for command in ("check", "run"):
             assert main([command, str(config_file)]) == 2
-            assert f"{dimension['kind']}:" in capsys.readouterr().err
+            assert needle in capsys.readouterr().err
 
 
 class TestInfoCommands:

@@ -1,20 +1,24 @@
 """Differential harness: the SoA fast path is byte-identical to the reference.
 
-The structure-of-arrays engine (``repro.pilot.soa`` + ``repro.md.batch``)
-is pure optimization — ``soa=True`` and ``soa=False`` must produce the
-*same simulation*, bit for bit: replica trajectories and energies at full
-float precision, exchange decisions, manifests (timelines, metrics,
-spans), virtual-clock counters, and checkpoints.  This suite is the gate:
-every hot-path change must keep it green on both engines.
+The structure-of-arrays timeline shortcut (``repro.pilot.soa``) and the
+batched MD integration (``repro.md.batch``, run once per phase by the
+execution mode) are pure optimizations.  Running every phase on the
+reference submit/wait path (``try_fast_phase`` declined), or integrating
+every MD unit with its own ``run_md`` call, must produce the *same
+simulation*, bit for bit: replica trajectories and energies at full float
+precision, exchange decisions, manifests (timelines, metrics, spans),
+virtual-clock counters, and checkpoints.  This suite is the gate: every
+hot-path change must keep it green on both engines.
 
 Coverage matrix: {synchronous, asynchronous} x {clean, unit faults,
 staging faults, straggler + watchdog speculation, checkpoint/resume},
-a T x S x U Mode II run, plus hypothesis-driven random ladders, and
-unit-level differential properties for the vectorized kernels (batched
-Brownian integration with per-row salt and restraint columns vs
-per-unit ``run_md``; the write-side mdin/mdinfo parse caches vs the
-regex reference).  Call
-counts pin that a T x S x U wave integrates as one group.
+a T x S x U Mode II run, plus hypothesis-driven random ladders, the same
+scenarios with per-unit MD instead of the phase batch, and unit-level
+differential properties for the vectorized kernels (batched Brownian
+integration with per-row salt and restraint columns vs per-unit
+``run_md``; the write-side mdin/mdinfo parse caches vs the regex
+reference).  Call counts pin that an MD phase integrates as one batch —
+also when the SoA path declines it — and a T x S x U phase as one group.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.execution_modes as execution_modes
+import repro.md.batch as batch
 from repro.core import RepEx
 from repro.core.config import (
     DimensionSpec,
@@ -42,8 +48,11 @@ from repro.md.sandbox import Sandbox
 from repro.md.toymd import IntegratorParams, MDParams, ThermodynamicState
 from repro.obs.metrics import MetricsRegistry
 
+#: the two phase engines every scenario runs on
+ENGINES = ("reference", "soa")
 
-def make_config(soa: bool, **over) -> SimulationConfig:
+
+def make_config(**over) -> SimulationConfig:
     defaults = dict(
         title="diff-soa",
         dimensions=[DimensionSpec("temperature", 4, 273.0, 373.0)],
@@ -53,10 +62,28 @@ def make_config(soa: bool, **over) -> SimulationConfig:
         numeric_steps=8,
         sample_stride=4,
         seed=7,
-        soa=soa,
     )
     defaults.update(over)
     return SimulationConfig(**defaults)
+
+
+def decline_fast_phase(*_args):
+    """``try_fast_phase`` stand-in: every phase takes the reference path."""
+    return None
+
+
+def run_on(engine: str, config: SimulationConfig, **kwargs):
+    """Build and run ``config`` on one phase engine; returns (repex, result).
+
+    The reference engine is picked by patching the fast path to decline
+    every phase (a context, not a fixture, so hypothesis tests and tests
+    comparing both engines can switch per run).
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        if engine == "reference":
+            mp.setattr(execution_modes, "try_fast_phase", decline_fast_phase)
+        repex = RepEx(config, **kwargs)
+        return repex, repex.run()
 
 
 def fingerprint(result) -> str:
@@ -107,12 +134,10 @@ def fingerprint(result) -> str:
 
 def run_both(**over):
     """One reference run, one SoA run, instrumented; returns the pair."""
-    results = []
-    for soa in (False, True):
-        repex = RepEx(make_config(soa, **over), registry=MetricsRegistry())
-        result = repex.run()
-        results.append((repex, result))
-    return results
+    return [
+        run_on(engine, make_config(**over), registry=MetricsRegistry())
+        for engine in ENGINES
+    ]
 
 
 def assert_equivalent(pair) -> None:
@@ -120,7 +145,6 @@ def assert_equivalent(pair) -> None:
     assert fingerprint(soa) == fingerprint(ref)
     # the manifest carries timeline, metrics, spans, units, ladder —
     # JSONL equality covers the golden-trace surface in one shot
-    # (config_hash excludes the soa knob by design)
     assert soa.manifest.to_jsonl() == ref.manifest.to_jsonl()
     assert soa_rx.session.clock.n_fired == ref_rx.session.clock.n_fired
     assert soa_rx.session.clock.peak_heap == ref_rx.session.clock.peak_heap
@@ -195,6 +219,70 @@ def test_soa_matches_reference(name):
     assert_equivalent(run_both(**SCENARIOS[name]))
 
 
+def per_unit_md(items):
+    """``run_md_batch`` stand-in: one ``run_md`` call per unit."""
+    return [item.adapter.run_md(item.sandbox, item.tag) for item in items]
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_phase_batch_matches_per_unit_md(name, monkeypatch):
+    """Both engines batch MD per phase.  A whole run must not differ by a
+    byte from one whose batch integrates unit by unit (``run_md`` per
+    item), nor from one with no phase batch at all (every unit runs its
+    own ``work`` at its launch event)."""
+    config = make_config(**SCENARIOS[name])
+
+    def run():
+        repex = RepEx(config, registry=MetricsRegistry())
+        return repex, repex.run()
+
+    batched = run()
+    monkeypatch.setattr(batch, "run_md_batch", per_unit_md)
+    assert_equivalent([run(), batched])
+    monkeypatch.setattr(execution_modes, "precompute_md", lambda _descs: None)
+    assert_equivalent([run(), batched])
+
+
+def test_declined_phases_still_batch_md(monkeypatch):
+    """Unit faults make the SoA path decline every phase; each MD phase of
+    two or more units (relaunch phases included) still integrates as one
+    batch."""
+    md_phases, batches, fast_hits = [], [], []
+    original_run_phase = execution_modes.ModeI.run_phase
+    original_batch = batch.run_md_batch
+    original_fast = execution_modes.try_fast_phase
+
+    def run_phase(mode, session, pilot, descriptions):
+        n_md = sum(isinstance(d.batch, MDWork) for d in descriptions)
+        if n_md:
+            md_phases.append(n_md)
+        return original_run_phase(mode, session, pilot, descriptions)
+
+    def counted_batch(items):
+        batches.append(len(items))
+        return original_batch(items)
+
+    def spied_fast(*args):
+        units = original_fast(*args)
+        fast_hits.append(units is not None)
+        return units
+
+    monkeypatch.setattr(execution_modes.ModeI, "run_phase", run_phase)
+    monkeypatch.setattr(batch, "run_md_batch", counted_batch)
+    monkeypatch.setattr(execution_modes, "try_fast_phase", spied_fast)
+    config = make_config(
+        dimensions=[DimensionSpec("temperature", 8, 273.0, 373.0)],
+        resource=ResourceSpec("supermic", cores=8),
+        failure=FailureSpec(probability=0.4, policy="relaunch"),
+        n_cycles=3,
+    )
+    result = RepEx(config).run()
+    assert fast_hits and not any(fast_hits)
+    assert result.n_relaunches > 0
+    assert batches == [n for n in md_phases if n >= 2]
+    assert len(batches) > config.n_cycles  # relaunch phases batch too
+
+
 @settings(max_examples=8, deadline=None)
 @given(
     n_windows=st.integers(min_value=2, max_value=5),
@@ -226,56 +314,60 @@ class TestCrashResume:
     """Checkpoint/resume crosses engines without a trace."""
 
     def test_soa_resume_matches_reference_baseline(self, tmp_path):
-        baseline = RepEx(make_config(False, n_cycles=4)).run()
-        first = RepEx(
-            make_config(True, n_cycles=4),
+        _, baseline = run_on("reference", make_config(n_cycles=4))
+        _, first = run_on(
+            "soa",
+            make_config(n_cycles=4),
             checkpoint_every=2,
             checkpoint_dir=tmp_path,
             stop_after_cycle=2,
         )
-        assert first.run().interrupted
-        resumed = RepEx(
-            make_config(True, n_cycles=4),
+        assert first.interrupted
+        _, resumed = run_on(
+            "soa",
+            make_config(n_cycles=4),
             resume_from=tmp_path / "latest.json",
-        ).run()
+        )
         assert fingerprint(resumed) == fingerprint(baseline)
 
     def test_resume_can_switch_engines_mid_run(self, tmp_path):
-        """A checkpoint written under one engine resumes under the other —
-        the soa knob is excluded from the config hash for exactly this."""
-        baseline = RepEx(make_config(True, n_cycles=4)).run()
-        RepEx(
-            make_config(True, n_cycles=4),
+        """A checkpoint written under one engine resumes under the other."""
+        _, baseline = run_on("soa", make_config(n_cycles=4))
+        run_on(
+            "soa",
+            make_config(n_cycles=4),
             checkpoint_every=2,
             checkpoint_dir=tmp_path,
             stop_after_cycle=2,
-        ).run()
-        resumed = RepEx(
-            make_config(False, n_cycles=4),
+        )
+        _, resumed = run_on(
+            "reference",
+            make_config(n_cycles=4),
             resume_from=tmp_path / "latest.json",
-        ).run()
+        )
         assert fingerprint(resumed) == fingerprint(baseline)
 
     def test_checkpoint_files_are_identical_across_engines(self, tmp_path):
         trees = {}
-        for soa in (False, True):
-            out = tmp_path / ("soa" if soa else "ref")
-            RepEx(
-                make_config(soa, n_cycles=4),
+        for engine in ENGINES:
+            out = tmp_path / engine
+            run_on(
+                engine,
+                make_config(n_cycles=4),
                 checkpoint_every=2,
                 checkpoint_dir=out,
-            ).run()
-            trees[soa] = {
+            )
+            trees[engine] = {
                 p.name: p.read_bytes() for p in sorted(out.glob("*.json"))
             }
-        assert trees[True] == trees[False]
+        assert trees["soa"] == trees["reference"]
 
 
 class TestGoldenTraces:
     """The committed golden fixtures hold on BOTH engines."""
 
-    @pytest.mark.parametrize("soa", [False, True], ids=["reference", "soa"])
-    def test_sync_golden_timeline(self, soa):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_sync_golden_timeline(self, engine):
         from pathlib import Path
 
         from tests.conftest import small_tremd_config
@@ -285,12 +377,12 @@ class TestGoldenTraces:
             / "fixtures"
             / "golden_sync_timeline.json"
         )
-        result = RepEx(small_tremd_config(soa=soa)).run()
+        _, result = run_on(engine, small_tremd_config())
         got = json.dumps(result.manifest.timeline, separators=(",", ":"))
         assert got == fixture.read_text()
 
-    @pytest.mark.parametrize("soa", [False, True], ids=["reference", "soa"])
-    def test_async_golden_timeline(self, soa):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_async_golden_timeline(self, engine):
         from pathlib import Path
 
         from tests.conftest import small_tremd_config
@@ -300,13 +392,13 @@ class TestGoldenTraces:
             / "fixtures"
             / "golden_async_timeline.json"
         )
-        result = RepEx(
+        _, result = run_on(
+            engine,
             small_tremd_config(
                 pattern=PatternSpec(kind="asynchronous", window_seconds=60.0),
                 n_cycles=3,
-                soa=soa,
-            )
-        ).run()
+            ),
+        )
         got = json.dumps(result.manifest.timeline, separators=(",", ":"))
         assert got == fixture.read_text()
 
@@ -485,27 +577,25 @@ def test_mixed_signatures_stack_into_one_group_each(monkeypatch):
 
 def test_tsu_wave_is_one_gradient_call_per_step(monkeypatch):
     """A T x S x U Mode II run calls the force field once per MD step per
-    wave: the batch must never re-fragment by salt or umbrella centre."""
-    import repro.md.batch as batch
-
+    phase: all waves of a phase share one batch, and the batch never
+    re-fragments by salt or umbrella centre."""
     counter = _CountingRamaGradient(monkeypatch)
-    waves = []
+    phases = []
     original = batch.run_md_batch
 
     def counted_batch(items):
-        waves.append(len(items))
+        phases.append(len(items))
         return original(items)
 
     monkeypatch.setattr(batch, "run_md_batch", counted_batch)
     numeric_steps = 5
     config = make_config(
-        True, **{**SCENARIOS["tsu-mode2"], "numeric_steps": numeric_steps}
+        **{**SCENARIOS["tsu-mode2"], "numeric_steps": numeric_steps}
     )
     result = RepEx(config).run()
-    n_replicas = len(result.replicas)
-    cores = config.resource.cores
-    assert waves == [cores] * (config.n_cycles * n_replicas // cores)
-    assert counter.calls == len(waves) * numeric_steps
+    assert config.resource.cores < len(result.replicas)  # several waves
+    assert phases == [len(result.replicas)] * config.n_cycles
+    assert counter.calls == len(phases) * numeric_steps
 
 
 @settings(max_examples=25, deadline=None)

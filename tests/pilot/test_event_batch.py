@@ -1,10 +1,10 @@
 """Edge cases of the batched event-queue primitives.
 
-``step_batch`` (equal-time sweep), ``schedule_many`` (amortized bulk
-insert) and ``account_batch`` (externally simulated batch credit) are the
-three primitives the SoA phase engine leans on; these tests pin their
-behavior where the reference loop's lazy-cancellation and compaction
-machinery interacts with batching.
+``schedule_many`` (amortized bulk insert, used by the scheduler's
+placement scan) and ``account_batch`` (externally simulated batch credit,
+used by the SoA phase engine); these tests pin their behavior where the
+reference loop's lazy-cancellation and compaction machinery interacts
+with batching.
 """
 
 from __future__ import annotations
@@ -12,80 +12,6 @@ from __future__ import annotations
 import pytest
 
 from repro.pilot.events import EventQueue, SimulationError
-
-
-class TestStepBatchCancellation:
-    def test_pre_cancelled_events_inside_equal_time_batch_are_skipped(self):
-        q = EventQueue()
-        fired = []
-        events = [
-            q.schedule(1.0, lambda i=i: fired.append(i)) for i in range(6)
-        ]
-        events[1].cancel()
-        events[4].cancel()
-        t, n = q.step_batch()
-        assert (t, n) == (1.0, 4)
-        assert fired == [0, 2, 3, 5]
-        assert q.n_cancelled == 0  # dead accounting settled exactly
-        assert len(q) == 0
-
-    def test_callback_cancelling_a_later_equal_time_event(self):
-        """Lazy cancellation *during* the batch: a fired event cancels a
-        sibling at the same timestamp before the sweep reaches it."""
-        q = EventQueue()
-        fired = []
-        victim = {}
-
-        def assassin():
-            fired.append("assassin")
-            victim["event"].cancel()
-
-        q.schedule(2.0, assassin)
-        victim["event"] = q.schedule(2.0, lambda: fired.append("victim"))
-        q.schedule(2.0, lambda: fired.append("bystander"))
-        t, n = q.step_batch()
-        assert (t, n) == (2.0, 2)
-        assert fired == ["assassin", "bystander"]
-        assert q.n_cancelled == 0
-
-    def test_callback_scheduling_at_the_same_time_joins_the_batch(self):
-        q = EventQueue()
-        fired = []
-
-        def spawner():
-            fired.append("parent")
-            q.schedule(0.0, lambda: fired.append("child"))
-
-        q.schedule(1.5, spawner)
-        t, n = q.step_batch()
-        assert (t, n) == (1.5, 2)
-        assert fired == ["parent", "child"]
-
-    def test_batch_of_only_cancelled_events_is_empty(self):
-        q = EventQueue()
-        doomed = [q.schedule(1.0, lambda: None) for _ in range(3)]
-        survivor_fired = []
-        q.schedule(2.0, lambda: survivor_fired.append(True))
-        for event in doomed:
-            event.cancel()
-        # the sweep must skip straight past the dead 1.0 cohort
-        t, n = q.step_batch()
-        assert (t, n) == (2.0, 1)
-        assert survivor_fired == [True]
-
-    def test_empty_queue_sweep(self):
-        q = EventQueue()
-        assert q.step_batch() == (None, 0)
-        assert q.now == 0.0
-        assert q.n_fired == 0
-
-    def test_sweep_after_everything_cancelled(self):
-        q = EventQueue()
-        for event in [q.schedule(1.0, lambda: None) for _ in range(4)]:
-            event.cancel()
-        assert q.step_batch() == (None, 0)
-        assert len(q._heap) == 0  # peek purged the corpses
-        assert q.n_cancelled == 0
 
 
 class TestScheduleManyCompaction:
@@ -146,8 +72,8 @@ class TestScheduleManyCompaction:
             [(1.0, lambda: fired.append("b1")), (1.0, lambda: fired.append("b2"))]
         )
         q.schedule(1.0, lambda: fired.append("s2"))
-        t, n = q.step_batch()
-        assert (t, n) == (1.0, 4)
+        q.run()
+        assert (q.now, q.n_fired) == (1.0, 4)
         assert fired == ["s1", "b1", "b2", "s2"]
 
 

@@ -9,6 +9,7 @@ from repro.core.config import (
     ResourceSpec,
     SimulationConfig,
 )
+from repro.pilot.cluster import get_cluster
 
 dim_strategy = st.one_of(
     st.builds(
@@ -36,46 +37,58 @@ dim_strategy = st.one_of(
     ),
 )
 
-config_strategy = st.builds(
-    SimulationConfig,
-    title=st.text(
-        alphabet=st.characters(whitelist_categories=("Ll", "Nd")),
-        min_size=1,
-        max_size=20,
-    ),
-    dimensions=st.lists(dim_strategy, min_size=1, max_size=3),
-    resource=st.builds(
-        ResourceSpec,
-        name=st.sampled_from(["supermic", "stampede", "small-cluster"]),
-        cores=st.integers(min_value=1, max_value=4096),
-    ),
-    pattern=st.builds(
-        PatternSpec,
-        kind=st.sampled_from(["synchronous", "asynchronous"]),
-        window_seconds=st.floats(min_value=1.0, max_value=600.0),
-    ),
-    n_cycles=st.integers(min_value=1, max_value=100),
-    steps_per_cycle=st.integers(min_value=1, max_value=100000),
-    cores_per_replica=st.integers(min_value=1, max_value=64),
-    seed=st.integers(min_value=0, max_value=2**31 - 1),
-)
+
+@st.composite
+def config_strategy(draw):
+    """Configs from the valid space: the pilot fits on its named cluster
+    and a replica fits on the pilot."""
+    name = draw(st.sampled_from(["supermic", "stampede", "small-cluster"]))
+    total_cores = get_cluster(name).total_cores
+    resource = ResourceSpec(
+        name=name,
+        cores=draw(st.integers(min_value=1, max_value=min(4096, total_cores))),
+    )
+    return SimulationConfig(
+        title=draw(
+            st.text(
+                alphabet=st.characters(whitelist_categories=("Ll", "Nd")),
+                min_size=1,
+                max_size=20,
+            )
+        ),
+        dimensions=draw(st.lists(dim_strategy, min_size=1, max_size=3)),
+        resource=resource,
+        pattern=draw(
+            st.builds(
+                PatternSpec,
+                kind=st.sampled_from(["synchronous", "asynchronous"]),
+                window_seconds=st.floats(min_value=1.0, max_value=600.0),
+            )
+        ),
+        n_cycles=draw(st.integers(min_value=1, max_value=100)),
+        steps_per_cycle=draw(st.integers(min_value=1, max_value=100000)),
+        cores_per_replica=draw(
+            st.integers(min_value=1, max_value=min(64, resource.cores))
+        ),
+        seed=draw(st.integers(min_value=0, max_value=2**31 - 1)),
+    )
 
 
-@given(cfg=config_strategy)
+@given(cfg=config_strategy())
 @settings(max_examples=200)
 def test_dict_roundtrip_preserves_everything(cfg):
     again = SimulationConfig.from_dict(cfg.to_dict())
     assert again.to_dict() == cfg.to_dict()
 
 
-@given(cfg=config_strategy)
+@given(cfg=config_strategy())
 @settings(max_examples=200)
 def test_json_roundtrip(cfg):
     again = SimulationConfig.from_json(cfg.to_json())
     assert again.to_dict() == cfg.to_dict()
 
 
-@given(cfg=config_strategy)
+@given(cfg=config_strategy())
 @settings(max_examples=200)
 def test_replica_count_is_window_product(cfg):
     expected = 1
@@ -84,14 +97,14 @@ def test_replica_count_is_window_product(cfg):
     assert cfg.n_replicas == expected
 
 
-@given(cfg=config_strategy)
+@given(cfg=config_strategy())
 @settings(max_examples=100)
 def test_build_dimensions_unique_names(cfg):
     names = [d.name for d in cfg.build_dimensions()]
     assert len(names) == len(set(names))
 
 
-@given(cfg=config_strategy)
+@given(cfg=config_strategy())
 @settings(max_examples=100)
 def test_effective_mode_consistent(cfg):
     mode = cfg.effective_mode
