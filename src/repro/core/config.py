@@ -23,7 +23,7 @@ from repro.core.exchange.ph import PHDimension
 from repro.core.exchange.salt import SaltDimension
 from repro.core.exchange.temperature import TemperatureDimension
 from repro.core.exchange.umbrella import UmbrellaDimension
-from repro.md.engine import available_engines
+from repro.md.engine import adapter_class
 from repro.md.system import get_system
 from repro.pilot.cluster import get_cluster
 
@@ -599,6 +599,13 @@ class SimulationConfig:
                 "already serializes the cycle into waves with their own "
                 "internal barriers)"
             )
+        if self.pattern.kind == "asynchronous" and any(
+            d.kind == "salt" and not d.internal_sp for d in self.dimensions
+        ):
+            raise ConfigError(
+                "the asynchronous pattern runs no salt single-point tasks; "
+                "use internal_sp or the synchronous pattern"
+            )
         if self.adaptive.enabled and self.pattern.kind != "asynchronous":
             raise ConfigError(
                 "adaptive sampling requires the asynchronous pattern "
@@ -759,23 +766,26 @@ class SimulationConfig:
 def _check_launchable(config: SimulationConfig) -> None:
     """Parse-time checks of what a run otherwise resolves only at launch.
 
-    Registry names (engine, system, cluster, pair selector) and the pilot's
-    fit on the named cluster would surface as a ``KeyError`` or
-    ``ValueError`` deep inside ``repro run`` after ``repro check`` passed.
-    Programmatic construction keeps deferring them to
+    Registry names (engine, system, cluster, pair selector), what the
+    engine's formats can express and the pilot's fit on the named cluster
+    would surface as a ``KeyError``, ``EngineError`` or ``ValueError`` deep
+    inside ``repro run`` after ``repro check`` passed.  Programmatic
+    construction keeps deferring them to
     :class:`~repro.core.framework.RepEx`, which raises the lookup errors.
     """
-    if config.engine.name not in available_engines():
-        raise ConfigError(
-            f"unknown MD engine {config.engine.name!r}; "
-            f"known: {available_engines()}"
-        )
     try:
+        engine = adapter_class(config.engine.name)
         get_system(config.engine.system)
         get_pair_selector(config.pair_selector)
         cluster = get_cluster(config.resource.name)
     except KeyError as exc:
         raise ConfigError(exc.args[0]) from None
+    if not engine.supports_salt and any(
+        d.kind == "salt" for d in config.dimensions
+    ):
+        raise ConfigError(
+            f"MD engine {engine.name!r} has no salt-concentration input"
+        )
     resource = config.resource
     if resource.cores > cluster.total_cores:
         raise ConfigError(

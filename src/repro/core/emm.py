@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.core.amm import ApplicationManager
 from repro.core.config import SimulationConfig
 from repro.core.exchange.base import SwapProposal
-from repro.core.execution_modes import ExecutionMode, make_mode
+from repro.core.execution_modes import ExecutionMode, make_mode, precompute_md
 from repro.core.fault import FaultAction, FaultPolicy, policy_from_spec
 from repro.core.replica import Replica, ReplicaStatus
 from repro.core.results import CycleTiming, SimulationResult
@@ -247,6 +247,7 @@ class ExecutionManagerBase:
         that arrived within the window.
         """
         descs = [self.amm.md_task(r, cycle) for r in replicas]
+        precompute_md(descs)
         units = self.session.submit_units(self.pilot, descs)
         self._wait_barrier(units, deadline_s)
         unit_of = {u.description.metadata["rid"]: u for u in units}
@@ -675,27 +676,33 @@ class AsynchronousEMM(ExecutionManagerBase):
                 and not exchange_busy["flag"]
             )
 
-        def submit_md(rep: Replica) -> None:
+        def submit_md(reps: Sequence[Replica]) -> None:
+            """Launch the MD tasks of ``reps`` with unfinished cycles, in
+            order, integrated as one batch before the first submission."""
+            reps = [r for r in reps if cycles_done[r.rid] < n_cycles]
             if quiesce["active"]:
-                quiesce["deferred"].append(rep.rid)
+                quiesce["deferred"].extend(r.rid for r in reps)
                 return
-            cycle = cycles_done[rep.rid]
-            desc = self.amm.md_task(rep, cycle)
             scheduler = self.pilot.scheduler
-            if scheduler is not None and desc.cores > scheduler.capacity:
-                # Node quarantine shrank the pilot below this task; the
-                # replica can never run again, so retire it instead of
-                # letting the submission kill the event loop.
-                rep.status = ReplicaStatus.RETIRED
-                set_cycles(rep.rid, n_cycles)
-                self.n_retired += 1
-                return
-            units = self.session.submit_units(self.pilot, [desc])
-            unit = units[0]
-            inflight[rep.rid] = unit
-            unit.register_callback(
-                lambda u, s: on_md_final(rep, u) if u.done else None
-            )
+            launch = []
+            for rep in reps:
+                desc = self.amm.md_task(rep, cycles_done[rep.rid])
+                if scheduler is not None and desc.cores > scheduler.capacity:
+                    # Node quarantine shrank the pilot below this task; the
+                    # replica can never run again, so retire it instead of
+                    # letting the submission kill the event loop.
+                    rep.status = ReplicaStatus.RETIRED
+                    set_cycles(rep.rid, n_cycles)
+                    self.n_retired += 1
+                else:
+                    launch.append((rep, desc))
+            precompute_md([desc for _, desc in launch])
+            for rep, desc in launch:
+                unit = self.session.submit_units(self.pilot, [desc])[0]
+                inflight[rep.rid] = unit
+                unit.register_callback(
+                    lambda u, s, r=rep: on_md_final(r, u) if u.done else None
+                )
 
         def maybe_drain() -> None:
             """FIFO mode: never leave pooled replicas stranded when no MD
@@ -733,7 +740,7 @@ class AsynchronousEMM(ExecutionManagerBase):
                 if action is FaultAction.RELAUNCH:
                     self.n_relaunches += 1
                     self._c_relaunches.inc()
-                    submit_md(rep)
+                    submit_md([rep])
                     return
                 md_attempts.pop(rep.rid, None)
                 if action is FaultAction.RETIRE:
@@ -744,8 +751,7 @@ class AsynchronousEMM(ExecutionManagerBase):
                 # CONTINUE: count the cycle, resubmit if more remain
                 self.amm.process_md_output(rep, unit, cycle, None)
                 set_cycles(rep.rid, cycle + 1)
-                if cycles_done[rep.rid] < n_cycles:
-                    submit_md(rep)
+                submit_md([rep])
                 return
 
             md_attempts.pop(rep.rid, None)
@@ -778,7 +784,7 @@ class AsynchronousEMM(ExecutionManagerBase):
                         self.replicas.append(fresh)
                         by_rid[fresh.rid] = fresh
                         set_cycles(fresh.rid, n_cycles - remaining)
-                        submit_md(fresh)
+                        submit_md([fresh])
                 return
             pool.append(rep.rid)
             pool_gauge.set(len(pool))
@@ -842,9 +848,7 @@ class AsynchronousEMM(ExecutionManagerBase):
 
                 def resubmit() -> None:
                     exchange_busy["flag"] = False
-                    for rep in ready:
-                        if cycles_done[rep.rid] < n_cycles:
-                            submit_md(rep)
+                    submit_md(ready)
                     if quiesce["active"]:
                         # the drain was waiting on this sweep; the
                         # resubmissions above were deferred
@@ -884,9 +888,7 @@ class AsynchronousEMM(ExecutionManagerBase):
             """Resubmit pooled replicas without exchange (no partners left)."""
             ready, pool[:] = list(pool), []
             pool_gauge.set(0)
-            for rid in ready:
-                if cycles_done[rid] < n_cycles:
-                    submit_md(by_rid[rid])
+            submit_md([by_rid[rid] for rid in ready])
 
         def schedule_window() -> None:
             if all_done():
@@ -1003,9 +1005,7 @@ class AsynchronousEMM(ExecutionManagerBase):
             """Release deferred launches in captured order and re-check
             the exchange criterion (same shape as post-exchange resubmit)."""
             pending, quiesce["deferred"][:] = list(quiesce["deferred"]), []
-            for rid in pending:
-                if cycles_done[rid] < n_cycles:
-                    submit_md(by_rid[rid])
+            submit_md([by_rid[rid] for rid in pending])
             if fifo_count is not None and len(pool) >= fifo_count:
                 trigger_exchange()
             else:
@@ -1028,8 +1028,7 @@ class AsynchronousEMM(ExecutionManagerBase):
                     len(self.replicas), self.amm.schedule.n_dims
                 )
             )
-            for rep in self.replicas:
-                submit_md(rep)
+            submit_md(self.replicas)
             if fifo_count is None:
                 schedule_window()
             schedule_quiesce()

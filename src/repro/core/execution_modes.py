@@ -42,12 +42,14 @@ MODE2_PER_CORE_WAVE_GAP_S = 0.18
 
 
 def precompute_md(descriptions: Sequence[UnitDescription]) -> None:
-    """Integrate every MD unit of a phase in one batched pass.
+    """Integrate every MD unit of a submission group in one batched pass.
 
-    Each description carrying an :class:`~repro.md.batch.MDWork` gets its
-    ``work`` replaced by a thunk returning the precomputed result, so the
-    unit still produces it at its launch event on either engine.  The
-    batch is bit-identical to per-unit ``run_md`` calls and every task is
+    Runs before any group of MD units is submitted (a phase, the bounded
+    barrier's fan-out, an asynchronous launch group).  Each description
+    carrying an :class:`~repro.md.batch.MDWork` gets its ``work`` replaced
+    by a thunk returning the precomputed result, so the unit still
+    produces it at its launch event on either engine.  The batch is
+    bit-identical to integrating each unit alone and every task is
     idempotent and per-task seeded, so running it up front changes no
     result.  If the batch raises, ``work`` stays untouched and each unit
     runs (and fails) on its own, exactly as the reference path would.

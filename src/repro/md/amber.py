@@ -277,20 +277,15 @@ class AmberAdapter(EngineAdapter):
         )
         return params, state, seed
 
-    # -------------------------------------------------------------- execution
-
-    def run_md(self, sandbox: Sandbox, tag: str) -> MDResult:
-        """Simulated ``sander``: parse mdin, integrate, write mdinfo/restart."""
+    def read_task(self, sandbox: Sandbox, tag: str):
+        """Parse ``{tag}.mdin`` (with its DISANG file) and ``{tag}.inpcrd``."""
         params, state, seed = self._parse_mdin(sandbox, tag)
-        coords = self._read_coords(sandbox, f"{tag}.inpcrd")
-        rng = np.random.default_rng(seed)
-        result = self.toymd.run(coords, state, params, rng)
-        self._write_mdinfo(sandbox, tag, result)
-        self._write_coords(sandbox, self.restart_file(tag), result.final_coords)
-        self._write_trajectory(sandbox, tag, result)
-        return result
+        return params, state, seed, self._read_coords(sandbox, f"{tag}.inpcrd")
 
-    def _write_mdinfo(self, sandbox: Sandbox, tag: str, result: MDResult) -> None:
+    # ----------------------------------------------------------------- output
+
+    def write_outputs(self, sandbox: Sandbox, tag: str, result: MDResult) -> None:
+        """Simulated ``sander`` output: ``.mdinfo``, ``.rst`` and ``.mdcrd``."""
         eamber = result.potential_energy - result.restraint_energy
         text = (
             f" NSTEP = {result.n_steps:8d}   TIME(PS) = "
@@ -325,12 +320,9 @@ class AmberAdapter(EngineAdapter):
                     "temperature": float(f"{fields[4]:.2f}"),
                 },
             )
-
-    def _write_trajectory(self, sandbox: Sandbox, tag: str, result: MDResult) -> None:
+        self._write_coords(sandbox, self.restart_file(tag), result.final_coords)
         lines = [f"{row[0]: 12.7f}{row[1]: 12.7f}" for row in result.trajectory]
         sandbox.write_text(f"{tag}.mdcrd", "\n".join(lines) + "\n")
-
-    # ----------------------------------------------------------------- output
 
     def read_info(self, sandbox: Sandbox, tag: str) -> Dict[str, float]:
         """Parse ``{tag}.mdinfo`` (the exchange phase's input)."""

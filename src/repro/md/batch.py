@@ -1,25 +1,32 @@
 """Batched MD execution: many replicas, one vectorised integration pass.
 
-Each MD compute unit's own ``work`` is one ``adapter.run_md(sandbox, tag)``
-call — for a 1024-replica phase that is 1024 trips through the mdin
-parser, 1024 separate ``BrownianIntegrator.run`` loops of small
-(1, 2)-shaped NumPy ops, and 1024 rounds of output formatting.  This module
-executes a whole phase of MD units in one structure-of-arrays pass (the
-execution mode runs it once per phase, before either event engine sees the
-phase — see :func:`repro.core.execution_modes.precompute_md`):
+Adapters own the file formats, this module owns the numerics.  A task is
+read through :meth:`EngineAdapter.read_task
+<repro.md.engine.EngineAdapter.read_task>` (parameters, state, seed and
+coordinates from the engine's own input files), integrated here, and its
+outputs written through :meth:`~repro.md.engine.EngineAdapter.write_outputs`
+— so Amber and NAMD tasks batch alike, and ``EngineAdapter.run_md`` is a
+batch of one.  Every MD submission site integrates its whole group in one
+call (:func:`repro.core.execution_modes.precompute_md`): a synchronous
+phase in either execution mode, the deadline-bounded barrier's fan-out,
+and the asynchronous pattern's initial launch and its post-sweep,
+pool-flush and post-checkpoint relaunch groups.  Within a call:
 
-* every unit's mdin/coordinates are parsed up front,
-* units with the same step schedule (integrator, ``n_steps``, sample
-  stride, ``dt``, friction, mass) and restraint signature (the angle of
-  each restraint slot) are stacked into an ``(R, 2)`` walker array and
-  integrated together — temperature, salt, umbrella centres, force
-  constants and seed are per-row columns, so a whole T x S x U wave is
-  one group, and
+* every task is read up front,
+* tasks with the same step schedule (``n_steps``, sample stride, ``dt``,
+  friction, mass) and restraint signature (the angle of each restraint
+  slot) are stacked into an ``(R, 2)`` walker array and integrated
+  together with the Brownian integrator (the only one the engines' input
+  formats express; a task naming another raises ``EngineError``) —
+  temperature, salt, umbrella centres, force constants and seed are
+  per-row columns, so a whole T x S x U wave is one group, and
 * each replica keeps its *own* ``default_rng(seed)`` whose normal draws are
   pre-generated as one ``(n_steps, 2)`` block.
 
-Bit-identity with the per-unit path is a hard contract, relied on by the
-differential suite in ``tests/perf/test_soa_equivalence.py``:
+Bit-identity with the scalar path (``read_task`` ->
+``ToyMD.run(..., default_rng(seed))`` -> ``write_outputs``) is a hard
+contract, relied on by the differential suite in
+``tests/perf/test_soa_equivalence.py``:
 
 * ``Generator.standard_normal((n_steps, 2))`` yields exactly the values of
   ``n_steps`` sequential ``(1, 2)`` draws and leaves the generator in the
@@ -37,10 +44,6 @@ Scalar transcendentals with *different* operand shapes (float exponents,
 ``math.exp`` vs ``np.exp``) are NOT bit-stable between batch and scalar
 form — anything of that shape (energy readouts, cluster models) stays a
 per-replica scalar call here.
-
-Units whose adapter overrides ``run_md``, or whose engine is not the toy
-Brownian integrator, fall back to per-unit ``run_md`` calls inside the
-batch — same results, no vectorisation.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.md.engine import EngineError
 from repro.md.forcefield import debye_screening_factor, wrap_angle
 from repro.md.toymd import MDResult, ToyMD
 from repro.utils.units import KB_KCAL_PER_MOL_K
@@ -64,10 +68,10 @@ _MAX_NORMALS = 8_000_000
 class MDWork:
     """Batchable-work descriptor carried on ``UnitDescription.batch``.
 
-    Identifies one MD task (adapter + sandbox + tag) so the execution mode
-    can integrate all of a phase's MD units through :func:`run_md_batch`
-    instead of one ``work()`` call each; every unit's ``work`` then returns
-    its precomputed result, on either event engine.
+    Identifies one MD task (adapter + sandbox + tag) so a submission site
+    can integrate all of its MD units through :func:`run_md_batch`
+    instead of one ``work()`` call each; every unit's ``work`` then
+    returns its precomputed result, on either event engine.
     """
 
     adapter: Any
@@ -75,36 +79,19 @@ class MDWork:
     tag: str
 
 
-def _batchable(adapter) -> bool:
-    """True when ``adapter`` runs the stock Amber ``run_md`` on stock ToyMD."""
-    from repro.md.amber import AmberAdapter
-
-    if not isinstance(adapter, AmberAdapter):
-        return False
-    if type(adapter).run_md is not AmberAdapter.run_md:
-        return False
-    return type(adapter.toymd) is ToyMD
-
-
 def run_md_batch(items: Sequence[MDWork]) -> List[MDResult]:
     """Execute every MD task in ``items``; returns results in input order.
 
     Tasks are grouped by (adapter, sandbox) identity, then by integration
     compatibility; each compatible group integrates as one stacked walker
-    array.  Output files (mdinfo / restart / trajectory) are written
-    exactly as ``run_md`` writes them.
+    array.  Each task's output files are written by its adapter's
+    ``write_outputs``.
     """
     results: List[MDResult] = [None] * len(items)  # type: ignore[list-item]
     groups: Dict[Tuple[int, int], List[int]] = {}
-    order: List[Tuple[int, int]] = []
     for i, item in enumerate(items):
-        key = (id(item.adapter), id(item.sandbox))
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(i)
-    for key in order:
-        idxs = groups[key]
+        groups.setdefault((id(item.adapter), id(item.sandbox)), []).append(i)
+    for idxs in groups.values():  # first-seen order
         first = items[idxs[0]]
         outs = _run_adapter_batch(
             first.adapter, first.sandbox, [items[i].tag for i in idxs]
@@ -115,29 +102,23 @@ def run_md_batch(items: Sequence[MDWork]) -> List[MDResult]:
 
 
 def _run_adapter_batch(adapter, sandbox, tags: List[str]) -> List[MDResult]:
-    if not _batchable(adapter):
-        return [adapter.run_md(sandbox, tag) for tag in tags]
-
-    # Parse phase: exactly run_md's parse + coordinate read + rng creation,
-    # hoisted out of the integration loop for every unit at once.
-    parsed = []
-    for tag in tags:
-        params, state, seed = adapter._parse_mdin(sandbox, tag)
-        coords = adapter._read_coords(sandbox, f"{tag}.inpcrd")
-        # Same bit-generator state as run_md's default_rng(seed), without
-        # default_rng's errstate wrapper (one construction per unit).
-        rng = np.random.Generator(np.random.PCG64(seed))
-        parsed.append((params, state, rng, coords))
+    # Read phase: every task's (params, state, seed, coords), hoisted out
+    # of the integration loop.
+    tasks = [adapter.read_task(sandbox, tag) for tag in tags]
 
     # Group by the step schedule and the restraint signature (which angle
     # each restraint slot acts on).  Temperature, salt, umbrella centres
     # and force constants, and the rng stream are per-row columns.
     results: List[MDResult] = [None] * len(tags)  # type: ignore[list-item]
     group_idx: Dict[tuple, List[int]] = {}
-    for i, (params, state, _rng, _coords) in enumerate(parsed):
+    for i, (params, state, _seed, _coords) in enumerate(tasks):
+        if params.integrator != "brownian":
+            raise EngineError(
+                f"{tags[i]}: batched MD integrates only the Brownian "
+                f"integrator, not {params.integrator!r}"
+            )
         ip = params.integrator_params
         key = (
-            params.integrator,
             params.n_steps,
             params.sample_stride,
             ip.dt,
@@ -147,63 +128,51 @@ def _run_adapter_batch(adapter, sandbox, tags: List[str]) -> List[MDResult]:
         )
         group_idx.setdefault(key, []).append(i)
 
-    for key, idxs in group_idx.items():
-        if key[0] != "brownian":
-            # Non-default integrator: integrate each unit the reference way.
-            for i in idxs:
-                params, state, rng, coords = parsed[i]
-                results[i] = adapter.toymd.run(coords, state, params, rng)
-            continue
-        params = parsed[idxs[0]][0]
+    for idxs in group_idx.values():
+        params = tasks[idxs[0]][0]
         # Chunk so the pre-drawn normals stay bounded in memory.
         rows = max(1, _MAX_NORMALS // (2 * max(1, params.n_steps)))
         for lo in range(0, len(idxs), rows):
             chunk = idxs[lo : lo + rows]
-            entries = [
-                (parsed[i][3], parsed[i][1], parsed[i][2]) for i in chunk
-            ]
             outs = _integrate_brownian_group(
-                adapter.toymd,
-                params.n_steps,
-                params.sample_stride,
-                params.integrator_params,
-                entries,
+                adapter.toymd, [tasks[i] for i in chunk]
             )
             for i, result in zip(chunk, outs):
                 results[i] = result
 
-    # Output phase: the same three files run_md writes, same formats.
+    # Output phase: the adapter's own files and formats.
     for tag, result in zip(tags, results):
-        adapter._write_mdinfo(sandbox, tag, result)
-        adapter._write_coords(sandbox, adapter.restart_file(tag), result.final_coords)
-        adapter._write_trajectory(sandbox, tag, result)
+        adapter.write_outputs(sandbox, tag, result)
     return results
 
 
 def _integrate_brownian_group(
-    toymd: ToyMD,
-    n_steps: int,
-    sample_stride: int,
-    iparams,
-    entries: List[tuple],
+    toymd: ToyMD, tasks: List[tuple]
 ) -> List[MDResult]:
     """Overdamped Langevin for R walkers in one pass.
 
-    ``entries`` is ``[(coords (2,), ThermodynamicState, rng), ...]``, all
-    with the same restraint signature.  Every arithmetic step below
-    reproduces ``BrownianIntegrator.run`` + ``ToyMD.run`` per element: the
-    per-replica noise scale, Debye screening factor and restraint operands
-    are computed with the reference's scalar arithmetic and broadcast down
-    the walker axis as columns.
+    ``tasks`` is ``[(params, ThermodynamicState, seed, coords (2,)), ...]``
+    as ``read_task`` returns them, all with the same step schedule and
+    restraint signature.  Every arithmetic step below reproduces
+    ``BrownianIntegrator.run`` + ``ToyMD.run`` per element: the per-replica
+    noise scale, Debye screening factor and restraint operands are
+    computed with the reference's scalar arithmetic and broadcast down the
+    walker axis as columns.
     """
     ff = toymd.forcefield
+    params = tasks[0][0]
+    n_steps, sample_stride = params.n_steps, params.sample_stride
+    iparams = params.integrator_params
     dt = iparams.dt
     gamma = iparams.friction
     drift = dt / gamma
 
-    n = len(entries)
-    x = np.array([e[0] for e in entries], dtype=float)
-    states = [e[1] for e in entries]
+    n = len(tasks)
+    x = np.array([t[3] for t in tasks], dtype=float)
+    states = [t[1] for t in tasks]
+    # Same bit-generator state as the reference's default_rng(seed),
+    # without default_rng's errstate wrapper (one construction per task).
+    rngs = [np.random.Generator(np.random.PCG64(t[2])) for t in tasks]
     noise_col = np.empty((n, 1))
     for i, state in enumerate(states):
         kt = KB_KCAL_PER_MOL_K * state.temperature
@@ -219,7 +188,7 @@ def _integrate_brownian_group(
     # One (n_steps, 2) block per replica == its n_steps sequential (1, 2)
     # draws, and leaves each generator ready for the bath draw below.
     normals = np.empty((n, n_steps, 2))
-    for i, (_c, _s, rng) in enumerate(entries):
+    for i, rng in enumerate(rngs):
         normals[i] = rng.standard_normal((n_steps, 2))
 
     samples = [] if sample_stride > 0 else None
@@ -249,7 +218,7 @@ def _integrate_brownian_group(
     # a 1-D array take different pow paths and are NOT bit-stable.
     tors_all = ff.screened_energy(x[:, 0], x[:, 1], s_col)
     results = []
-    for i, (_c, state, rng) in enumerate(entries):
+    for i, (state, rng) in enumerate(zip(states, rngs)):
         final = x[i]
         traj = (
             samples_arr[:, i, :]

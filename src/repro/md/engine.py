@@ -3,12 +3,12 @@
 The RepEx design principle is that the framework never reaches inside the
 MD engine: the AMM prepares *input files* and task descriptions, the RAM
 (running on the cluster) launches the executable and parses *output files*.
-An adapter therefore only knows how to
-
-* serialize a replica's thermodynamic state + coordinates into the engine's
-  native input formats,
-* run the engine (here: the toy physics backend) against those files, and
-* parse the engine's output files back into energies and coordinates.
+An adapter therefore only knows its engine's native file formats:
+``write_input`` / ``read_task`` write a task's input files and parse them
+back, ``write_outputs`` / ``read_info`` / ``read_restart`` do the same for
+its output files.  The numerics in between belong to
+:mod:`repro.md.batch`, which integrates tasks of either engine in one
+pass; ``run_md`` is a batch of one.
 
 Adding a new MD engine to RepEx means writing one new adapter — nothing in
 ``repro.core`` changes, which is the paper's "integration of new MD
@@ -19,7 +19,7 @@ test suite asserts structurally.
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,6 +40,8 @@ class EngineAdapter(abc.ABC):
     name: str = "abstract"
     #: executables this engine provides, serial first
     executables: Sequence[str] = ()
+    #: whether the input formats carry a salt concentration (S-REMD)
+    supports_salt: bool = True
 
     def __init__(
         self,
@@ -68,19 +70,30 @@ class EngineAdapter(abc.ABC):
         ``"md_r0042_c0003"``.
         """
 
+    @abc.abstractmethod
+    def read_task(
+        self, sandbox: Sandbox, tag: str
+    ) -> Tuple[MDParams, ThermodynamicState, int, np.ndarray]:
+        """Parse ``tag``'s input files (the single source of truth, as for
+        a real engine) into ``(params, state, seed, coords)``."""
+
     # -- execution (RAM calls this inside the compute unit) --------------------
 
-    @abc.abstractmethod
     def run_md(self, sandbox: Sandbox, tag: str) -> MDResult:
-        """Execute the MD phase described by ``tag``'s input files.
+        """Execute the MD phase described by ``tag``'s input files: read,
+        integrate, write the outputs, return the result.  A batch of one
+        (:func:`repro.md.batch.run_md_batch`); submission groups call the
+        batch directly, so adapters implement the formats, not this."""
+        from repro.md.batch import MDWork, run_md_batch  # imports this module
 
-        Reads the input files back from the sandbox (they are the single
-        source of truth — exactly like a real engine), runs the physics
-        backend, writes the engine's native output files, and returns the
-        parsed result.
-        """
+        return run_md_batch([MDWork(self, sandbox, tag)])[0]
 
     # -- output side (exchange phase reads these) -------------------------------
+
+    @abc.abstractmethod
+    def write_outputs(self, sandbox: Sandbox, tag: str, result: MDResult) -> None:
+        """Write the native output files (info, restart, trajectory) of
+        ``tag``'s finished integration."""
 
     @abc.abstractmethod
     def read_info(self, sandbox: Sandbox, tag: str) -> Dict[str, float]:
@@ -126,12 +139,8 @@ def register_adapter(cls: type) -> type:
     return cls
 
 
-def get_adapter(
-    name: str,
-    system: Optional[MolecularSystem] = None,
-    forcefield: Optional[ForceField] = None,
-) -> EngineAdapter:
-    """Instantiate a registered adapter by engine name.
+def adapter_class(name: str) -> type:
+    """The adapter class registered under engine ``name``.
 
     Raises
     ------
@@ -139,12 +148,20 @@ def get_adapter(
         If no adapter with that name is registered.
     """
     try:
-        cls = _ADAPTERS[name]
+        return _ADAPTERS[name]
     except KeyError:
         raise KeyError(
             f"unknown MD engine {name!r}; known: {sorted(_ADAPTERS)}"
         ) from None
-    return cls(system=system, forcefield=forcefield)
+
+
+def get_adapter(
+    name: str,
+    system: Optional[MolecularSystem] = None,
+    forcefield: Optional[ForceField] = None,
+) -> EngineAdapter:
+    """Instantiate a registered adapter by engine name."""
+    return adapter_class(name)(system=system, forcefield=forcefield)
 
 
 def available_engines() -> List[str]:

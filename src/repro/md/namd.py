@@ -10,8 +10,10 @@ from :class:`repro.md.amber.AmberAdapter` only in file dialects —
 * ``.log``   — NAMD log with ``ETITLE:`` / ``ENERGY:`` lines, which doubles
   as the info file the exchange phase parses.
 
-NAMD has no salt-concentration input in this subset; attempting to write a
-salted state raises, matching the paper (S-REMD experiments all use Amber).
+NAMD has no salt-concentration input in this subset (``supports_salt`` is
+False, so a config pairing NAMD with a salt dimension fails validation, and
+writing a salted state raises), matching the paper (S-REMD experiments all
+use Amber).
 """
 
 from __future__ import annotations
@@ -23,12 +25,25 @@ import numpy as np
 
 from repro.md.engine import EngineAdapter, EngineError, register_adapter
 from repro.md.forcefield import UmbrellaRestraint
+from repro.md.integrators import IntegratorParams
 from repro.md.sandbox import Sandbox
 from repro.md.toymd import MDParams, MDResult, ThermodynamicState
 
 _ETITLE = (
     "ETITLE:      TS           POTENTIAL           RESTRAINT"
     "                BATH               TEMP"
+)
+
+# Hot-path patterns, compiled once; ``search`` keeps the first match.
+_CONF_KEYS = {
+    key: re.compile(rf"^{key}\s+(\S+)", re.MULTILINE)
+    for key in ("run", "langevinTemp", "langevinDamping", "timestep", "seed",
+                "outputEnergies")
+}
+_COLVARS_CONFIG_RE = re.compile(r"colvarsConfig\s+(\S+)")
+_COLVARS_RE = re.compile(
+    r"group:\s*(phi|psi).*?centers\s+(-?[\d.]+).*?forceConstant\s+([\d.]+)",
+    re.DOTALL,
 )
 
 
@@ -38,6 +53,7 @@ class NAMDAdapter(EngineAdapter):
 
     name = "namd"
     executables = ("namd2",)
+    supports_salt = False
 
     def info_file(self, tag: str) -> str:
         """NAMD writes energies into its log."""
@@ -110,20 +126,14 @@ class NAMDAdapter(EngineAdapter):
 
     @staticmethod
     def _parse_colvars(text: str) -> List[UmbrellaRestraint]:
-        restraints = []
-        pattern = re.compile(
-            r"group:\s*(phi|psi).*?centers\s+(-?[\d.]+).*?forceConstant\s+([\d.]+)",
-            re.DOTALL,
-        )
-        for m in pattern.finditer(text):
-            restraints.append(
-                UmbrellaRestraint(
-                    angle=m.group(1),
-                    center_deg=float(m.group(2)),
-                    k=float(m.group(3)),
-                )
+        return [
+            UmbrellaRestraint(
+                angle=m.group(1),
+                center_deg=float(m.group(2)),
+                k=float(m.group(3)),
             )
-        return restraints
+            for m in _COLVARS_RE.finditer(text)
+        ]
 
     def _write_coords(self, sandbox: Sandbox, name: str, coords: np.ndarray) -> None:
         sandbox.write_text(
@@ -141,11 +151,12 @@ class NAMDAdapter(EngineAdapter):
             return np.array([float(vals[0]), float(vals[1])])
         raise EngineError(f"malformed coordinate file {name!r}")
 
-    def _parse_conf(self, sandbox: Sandbox, tag: str):
+    def read_task(self, sandbox: Sandbox, tag: str):
+        """Parse ``{tag}.conf`` (with its colvars file) and ``{tag}.coor``."""
         text = sandbox.read_text(f"{tag}.conf")
 
         def grab(key: str, default=None):
-            m = re.search(rf"^{key}\s+(\S+)", text, re.MULTILINE)
+            m = _CONF_KEYS[key].search(text)
             if m is None:
                 if default is None:
                     raise EngineError(f"{tag}.conf: missing {key}")
@@ -160,11 +171,9 @@ class NAMDAdapter(EngineAdapter):
         stride = int(grab("outputEnergies", "50"))
 
         restraints: List[UmbrellaRestraint] = []
-        m = re.search(r"colvarsConfig\s+(\S+)", text)
+        m = _COLVARS_CONFIG_RE.search(text)
         if m:
             restraints = self._parse_colvars(sandbox.read_text(m.group(1)))
-
-        from repro.md.integrators import IntegratorParams
 
         params = MDParams(
             n_steps=n_steps,
@@ -174,22 +183,25 @@ class NAMDAdapter(EngineAdapter):
         state = ThermodynamicState(
             temperature=temperature, restraints=tuple(restraints)
         )
-        return params, state, seed
+        return params, state, seed, self._read_coords(sandbox, f"{tag}.coor")
 
-    # -------------------------------------------------------------- execution
+    # ----------------------------------------------------------------- output
 
-    def run_md(self, sandbox: Sandbox, tag: str) -> MDResult:
-        """Simulated ``namd2``: parse conf, integrate, write log/restart."""
-        params, state, seed = self._parse_conf(sandbox, tag)
-        coords = self._read_coords(sandbox, f"{tag}.coor")
-        rng = np.random.default_rng(seed)
-        result = self.toymd.run(coords, state, params, rng)
-        self._write_log(sandbox, tag, result)
+    def write_outputs(self, sandbox: Sandbox, tag: str, result: MDResult) -> None:
+        """Simulated ``namd2`` output: ``.log``, ``.restart.coor`` and
+        ``.dcd.txt``."""
+        log = [
+            f"Info: NAMD 2.10 (simulated) for {self.system.name}",
+            _ETITLE,
+            (
+                f"ENERGY: {result.n_steps:8d} {result.potential_energy:19.4f} "
+                f"{result.restraint_energy:19.4f} {result.bath_energy:19.4f} "
+                f"{result.temperature:18.2f}"
+            ),
+            "WallClock: (simulated)",
+        ]
+        sandbox.write_text(f"{tag}.log", "\n".join(log) + "\n")
         self._write_coords(sandbox, self.restart_file(tag), result.final_coords)
-        self._write_trajectory(sandbox, tag, result)
-        return result
-
-    def _write_trajectory(self, sandbox: Sandbox, tag: str, result) -> None:
         lines = ["# NAMD toy trajectory (phi psi radians per frame)"]
         lines += [
             f"{row[0]: 12.7f}{row[1]: 12.7f}" for row in result.trajectory
@@ -205,21 +217,6 @@ class NAMDAdapter(EngineAdapter):
             if line.strip() and not line.startswith("#")
         ]
         return np.asarray(rows) if rows else np.empty((0, 2))
-
-    def _write_log(self, sandbox: Sandbox, tag: str, result: MDResult) -> None:
-        lines = [
-            f"Info: NAMD 2.10 (simulated) for {self.system.name}",
-            _ETITLE,
-            (
-                f"ENERGY: {result.n_steps:8d} {result.potential_energy:19.4f} "
-                f"{result.restraint_energy:19.4f} {result.bath_energy:19.4f} "
-                f"{result.temperature:18.2f}"
-            ),
-            "WallClock: (simulated)",
-        ]
-        sandbox.write_text(f"{tag}.log", "\n".join(lines) + "\n")
-
-    # ----------------------------------------------------------------- output
 
     def read_info(self, sandbox: Sandbox, tag: str) -> Dict[str, float]:
         """Parse the last ``ENERGY:`` line of ``{tag}.log``."""

@@ -89,6 +89,24 @@ CANNOT_RUN = {
                           "max_value": 6.0, "pka": "6.5"}},
         "pka",
     ),
+    "async-salt": (
+        {"pattern.kind": "asynchronous",
+         "dimensions.1": {"kind": "salt", "n_windows": 2,
+                          "min_value": 0.0, "max_value": 1.0}},
+        "asynchronous pattern",
+    ),
+    "namd-salt": (
+        {"engine.name": "namd",
+         "dimensions.1": {"kind": "salt", "n_windows": 2,
+                          "min_value": 0.0, "max_value": 1.0}},
+        "salt-concentration",
+    ),
+    "namd-salt-internal-sp": (
+        {"engine.name": "namd",
+         "dimensions.1": {"kind": "salt", "n_windows": 2, "min_value": 0.0,
+                          "max_value": 1.0, "internal_sp": True}},
+        "salt-concentration",
+    ),
 }
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import RepEx
 from repro.core.config import (
+    ConfigError,
     DimensionSpec,
     FailureSpec,
     PatternSpec,
@@ -118,9 +119,15 @@ class TestAsyncFaults:
 
 class TestAsyncSREMDUnsupported:
     def test_raises_clearly(self):
-        cfg = async_config(
-            dimensions=[DimensionSpec("salt", 4, 0.0, 1.0)],
-            resource=ResourceSpec("supermic", cores=4),
-        )
+        with pytest.raises(ConfigError, match="asynchronous pattern"):
+            async_config(
+                dimensions=[DimensionSpec("salt", 4, 0.0, 1.0)],
+                resource=ResourceSpec("supermic", cores=4),
+            )
+
+    def test_salt_added_after_construction_still_raises_at_run(self):
+        """Validation runs at construction; the EMM keeps its own guard."""
+        cfg = async_config()
+        cfg.dimensions.append(DimensionSpec("salt", 2, 0.0, 1.0))
         with pytest.raises(NotImplementedError, match="asynchronous S-REMD"):
             RepEx(cfg).run()

@@ -1,5 +1,7 @@
 """Tests for the Amber-style adapter: file dialect round-trips + execution."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,21 @@ class TestExecution:
         assert info["potential_energy"] == pytest.approx(
             result.potential_energy, abs=0.01
         )
+
+    def test_non_brownian_task_is_rejected(self, adapter, sandbox):
+        """Only the Brownian integrator is batched: a task naming another
+        fails instead of being integrated as Brownian."""
+        write_basic(adapter, sandbox)
+        read_task = adapter.read_task
+
+        def baoab_task(sb, tag):
+            params, state, seed, coords = read_task(sb, tag)
+            return replace(params, integrator="baoab"), state, seed, coords
+
+        adapter.read_task = baoab_task
+        with pytest.raises(EngineError, match="only the Brownian"):
+            adapter.run_md(sandbox, "t0")
+        assert not sandbox.exists("t0.mdinfo")
 
 
 class TestSinglePointGroup:

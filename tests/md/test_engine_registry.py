@@ -44,7 +44,10 @@ class TestRegistry:
             def write_input(self, *a, **k):
                 return []
 
-            def run_md(self, *a, **k):
+            def read_task(self, *a, **k):
+                raise NotImplementedError
+
+            def write_outputs(self, *a, **k):
                 raise NotImplementedError
 
             def read_info(self, *a, **k):

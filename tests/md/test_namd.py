@@ -58,9 +58,12 @@ class TestInputFiles:
 class TestRoundTrip:
     def test_conf_parse(self, adapter, sandbox):
         restraints = (UmbrellaRestraint("phi", 45.0, 0.01),)
-        write_basic(adapter, sandbox, temperature=340.0, restraints=restraints)
-        params, state, seed = adapter._parse_conf(sandbox, "n0")
+        _, _, _, written = write_basic(
+            adapter, sandbox, temperature=340.0, restraints=restraints
+        )
+        params, state, seed, coords = adapter.read_task(sandbox, "n0")
         assert params.n_steps == 30
+        assert np.allclose(coords, written, atol=1e-6)
         assert state.temperature == pytest.approx(340.0)
         assert seed == 5
         assert len(state.restraints) == 1

@@ -1,24 +1,27 @@
 """Differential harness: the SoA fast path is byte-identical to the reference.
 
 The structure-of-arrays timeline shortcut (``repro.pilot.soa``) and the
-batched MD integration (``repro.md.batch``, run once per phase by the
-execution mode) are pure optimizations.  Running every phase on the
-reference submit/wait path (``try_fast_phase`` declined), or integrating
-every MD unit with its own ``run_md`` call, must produce the *same
-simulation*, bit for bit: replica trajectories and energies at full float
-precision, exchange decisions, manifests (timelines, metrics, spans),
-virtual-clock counters, and checkpoints.  This suite is the gate: every
-hot-path change must keep it green on both engines.
+batched MD integration (``repro.md.batch``, run once per submission group)
+are pure optimizations.  Running every phase on the reference submit/wait
+path (``try_fast_phase`` declined), or integrating every MD unit on the
+scalar path (``read_task`` -> ``ToyMD.run`` -> ``write_outputs``, defined
+here as the oracle, since ``run_md`` itself is a batch of one), must
+produce the *same simulation*, bit for bit: replica trajectories and
+energies at full float precision, exchange decisions, manifests
+(timelines, metrics, spans), virtual-clock counters, and checkpoints.
+This suite is the gate: every hot-path change must keep it green on both
+engines.
 
 Coverage matrix: {synchronous, asynchronous} x {clean, unit faults,
 staging faults, straggler + watchdog speculation, checkpoint/resume},
-a T x S x U Mode II run, plus hypothesis-driven random ladders, the same
-scenarios with per-unit MD instead of the phase batch, and unit-level
-differential properties for the vectorized kernels (batched Brownian
-integration with per-row salt and restraint columns vs per-unit
-``run_md``; the write-side mdin/mdinfo parse caches vs the regex
-reference).  Call counts pin that an MD phase integrates as one batch —
-also when the SoA path declines it — and a T x S x U phase as one group.
+a T x S x U Mode II run, Amber and NAMD, plus hypothesis-driven random
+ladders, the same scenarios with scalar MD instead of the batch, and
+unit-level differential properties for the vectorized kernels (batched
+Brownian integration with per-row salt and restraint columns vs the
+scalar path, for both adapters' file formats; the write-side mdin/mdinfo
+parse caches vs the regex reference).  Call counts pin that an MD phase
+integrates as one batch — also when the SoA path declines it — that an
+asynchronous launch group does too, and a T x S x U phase as one group.
 """
 
 from __future__ import annotations
@@ -30,11 +33,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.emm as emm
 import repro.core.execution_modes as execution_modes
 import repro.md.batch as batch
 from repro.core import RepEx
+from repro.core.amm import ApplicationManager
 from repro.core.config import (
     DimensionSpec,
+    EngineSpec,
     FailureSpec,
     PatternSpec,
     ResourceSpec,
@@ -44,6 +50,7 @@ from repro.core.config import (
 from repro.md.amber import AmberAdapter
 from repro.md.batch import MDWork, run_md_batch
 from repro.md.forcefield import UmbrellaRestraint
+from repro.md.namd import NAMDAdapter
 from repro.md.sandbox import Sandbox
 from repro.md.toymd import IntegratorParams, MDParams, ThermodynamicState
 from repro.obs.metrics import MetricsRegistry
@@ -211,6 +218,20 @@ SCENARIOS = {
         "execution_mode": "II",
         "n_cycles": 3,
     },
+    # NAMD's conf/colvars/log formats through the same batches
+    "sync-namd-umbrella": {
+        "engine": EngineSpec(name="namd"),
+        "dimensions": [
+            DimensionSpec("temperature", 2, 290.0, 330.0),
+            DimensionSpec("umbrella", 2, 0.0, 360.0, angle="psi"),
+        ],
+    },
+    "async-namd-unit-faults": {
+        "engine": EngineSpec(name="namd"),
+        "pattern": PatternSpec(kind="asynchronous", window_seconds=60.0),
+        "failure": FailureSpec(probability=0.3, policy="relaunch"),
+        "n_cycles": 3,
+    },
 }
 
 
@@ -219,17 +240,28 @@ def test_soa_matches_reference(name):
     assert_equivalent(run_both(**SCENARIOS[name]))
 
 
+def scalar_md(adapter, sandbox, tag):
+    """The oracle: one task read, integrated by ``ToyMD.run`` with its own
+    ``default_rng(seed)``, and written, exactly as a per-unit engine would."""
+    params, state, seed, coords = adapter.read_task(sandbox, tag)
+    result = adapter.toymd.run(
+        coords, state, params, np.random.default_rng(seed)
+    )
+    adapter.write_outputs(sandbox, tag, result)
+    return result
+
+
 def per_unit_md(items):
-    """``run_md_batch`` stand-in: one ``run_md`` call per unit."""
-    return [item.adapter.run_md(item.sandbox, item.tag) for item in items]
+    """``run_md_batch`` stand-in: the scalar path, one task at a time."""
+    return [scalar_md(item.adapter, item.sandbox, item.tag) for item in items]
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_phase_batch_matches_per_unit_md(name, monkeypatch):
-    """Both engines batch MD per phase.  A whole run must not differ by a
-    byte from one whose batch integrates unit by unit (``run_md`` per
-    item), nor from one with no phase batch at all (every unit runs its
-    own ``work`` at its launch event)."""
+    """Every MD submission group integrates as one batch.  A whole run must
+    not differ by a byte from one whose batches integrate unit by unit on
+    the scalar path, nor from one with no group batch at all (every unit
+    runs its own ``work`` at its launch event)."""
     config = make_config(**SCENARIOS[name])
 
     def run():
@@ -239,7 +271,8 @@ def test_phase_batch_matches_per_unit_md(name, monkeypatch):
     batched = run()
     monkeypatch.setattr(batch, "run_md_batch", per_unit_md)
     assert_equivalent([run(), batched])
-    monkeypatch.setattr(execution_modes, "precompute_md", lambda _descs: None)
+    for module in (execution_modes, emm):
+        monkeypatch.setattr(module, "precompute_md", lambda _descs: None)
     assert_equivalent([run(), batched])
 
 
@@ -279,8 +312,44 @@ def test_declined_phases_still_batch_md(monkeypatch):
     result = RepEx(config).run()
     assert fast_hits and not any(fast_hits)
     assert result.n_relaunches > 0
-    assert batches == [n for n in md_phases if n >= 2]
+    # groups of one integrate in their unit's own ``run_md``
+    assert [n for n in batches if n >= 2] == [n for n in md_phases if n >= 2]
     assert len(batches) > config.n_cycles  # relaunch phases batch too
+
+
+@pytest.mark.parametrize(
+    "name", ["async-clean", "async-fifo", "async-namd-unit-faults"]
+)
+def test_async_launch_groups_integrate_as_one_batch(name, monkeypatch):
+    """The asynchronous pattern integrates its initial launch, and the
+    group it relaunches after each exchange sweep, in one ``run_md_batch``
+    call each, in launch order."""
+    batches, sweeps = [], []
+    original_batch = batch.run_md_batch
+    original_exchange = ApplicationManager.exchange_task
+
+    def counted_batch(items):
+        batches.append([item.tag for item in items])
+        return original_batch(items)
+
+    def spied_exchange(amm, replicas, *args, **kwargs):
+        sweeps.append([(rep.rid, rep.cycle) for rep in replicas])
+        return original_exchange(amm, replicas, *args, **kwargs)
+
+    monkeypatch.setattr(batch, "run_md_batch", counted_batch)
+    monkeypatch.setattr(ApplicationManager, "exchange_task", spied_exchange)
+    config = make_config(**SCENARIOS[name])
+    result = RepEx(config).run()
+    n_replicas = len(result.replicas)
+    assert batches[0] == [f"md_r{rid:05d}_c0000" for rid in range(n_replicas)]
+    groups = [
+        [f"md_r{rid:05d}_c{c:04d}" for rid, c in sweep if c < config.n_cycles]
+        for sweep in sweeps
+    ]
+    assert any(len(group) >= 2 for group in groups)
+    for group in groups:
+        if len(group) >= 2:
+            assert group in batches
 
 
 @settings(max_examples=8, deadline=None)
@@ -407,7 +476,7 @@ class TestGoldenTraces:
 
 
 def _write_units(adapter, sandbox, specs):
-    """Write one mdin/inpcrd(/RST) trio per spec; returns the tags."""
+    """Write one task's input files per spec; returns the tags."""
     tags = []
     for i, (temp, salt, n_steps, stride, seed, restraints) in enumerate(specs):
         tag = f"u{i:03d}"
@@ -489,14 +558,21 @@ def shared_schedule_specs(draw):
     ]
 
 
-def _assert_batch_matches_per_unit(specs):
-    """run_md_batch == N sequential run_md calls: results AND output files."""
-    ref_adapter, soa_adapter = AmberAdapter(), AmberAdapter()
+#: every output file each adapter writes per task
+OUTPUT_SUFFIXES = {
+    AmberAdapter: ("mdinfo", "rst", "mdcrd"),
+    NAMDAdapter: ("log", "restart.coor", "dcd.txt"),
+}
+
+
+def _assert_batch_matches_per_unit(specs, adapter_cls=AmberAdapter):
+    """run_md_batch == N scalar integrations: results AND output files."""
+    ref_adapter, soa_adapter = adapter_cls(), adapter_cls()
     ref_box, soa_box = Sandbox(), Sandbox()
     tags = _write_units(ref_adapter, ref_box, specs)
     _write_units(soa_adapter, soa_box, specs)
 
-    ref_results = [ref_adapter.run_md(ref_box, tag) for tag in tags]
+    ref_results = [scalar_md(ref_adapter, ref_box, tag) for tag in tags]
     soa_results = run_md_batch(
         [MDWork(adapter=soa_adapter, sandbox=soa_box, tag=tag) for tag in tags]
     )
@@ -509,13 +585,10 @@ def _assert_batch_matches_per_unit(specs):
         assert soa.restraint_energy == ref.restraint_energy
         assert soa.bath_energy == ref.bath_energy
     for tag in tags:
-        for suffix in ("mdinfo", "rst", "mdcrd"):
+        for suffix in OUTPUT_SUFFIXES[adapter_cls]:
             name = f"{tag}.{suffix}"
-            try:
-                ref_text = ref_box.read_text(name)
-            except Exception:
-                continue
-            assert soa_box.read_text(name) == ref_text
+            assert soa_box.read_text(name) == ref_box.read_text(name)
+    assert soa_box.listdir() == ref_box.listdir()
 
 
 @settings(max_examples=20, deadline=None)
@@ -530,6 +603,18 @@ def test_stacked_hamiltonian_columns_are_bit_identical(specs):
     """Units differing only in temperature, salt, umbrella centres and
     force constants integrate as one group per restraint signature."""
     _assert_batch_matches_per_unit(specs)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    specs=st.one_of(st.lists(unit_spec, min_size=1, max_size=6),
+                    shared_schedule_specs())
+)
+def test_namd_batched_md_is_bit_identical_to_per_unit(specs):
+    """NAMD's conf/colvars/coor inputs and log/restart/dcd outputs go
+    through the same batch (NAMD carries no salt)."""
+    unsalted = [(t, 0.0, *rest) for t, _salt, *rest in specs]
+    _assert_batch_matches_per_unit(unsalted, NAMDAdapter)
 
 
 class _CountingRamaGradient:

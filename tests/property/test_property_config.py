@@ -48,6 +48,12 @@ def config_strategy(draw):
         name=name,
         cores=draw(st.integers(min_value=1, max_value=min(4096, total_cores))),
     )
+    dimensions = draw(st.lists(dim_strategy, min_size=1, max_size=3))
+    # salt exchange needs single-point group tasks, which only the
+    # synchronous pattern schedules
+    kinds = ["synchronous"]
+    if all(d.kind != "salt" for d in dimensions):
+        kinds.append("asynchronous")
     return SimulationConfig(
         title=draw(
             st.text(
@@ -56,12 +62,12 @@ def config_strategy(draw):
                 max_size=20,
             )
         ),
-        dimensions=draw(st.lists(dim_strategy, min_size=1, max_size=3)),
+        dimensions=dimensions,
         resource=resource,
         pattern=draw(
             st.builds(
                 PatternSpec,
-                kind=st.sampled_from(["synchronous", "asynchronous"]),
+                kind=st.sampled_from(kinds),
                 window_seconds=st.floats(min_value=1.0, max_value=600.0),
             )
         ),

@@ -93,7 +93,9 @@ def test_namd_conf_roundtrip(state, params, coords, seed):
     adapter = NAMDAdapter()
     sb = Sandbox()
     adapter.write_input(sb, "f", coords, state, params, seed)
-    parsed_params, parsed_state, parsed_seed = adapter._parse_conf(sb, "f")
+    parsed_params, parsed_state, parsed_seed, back_coords = adapter.read_task(
+        sb, "f"
+    )
     assert parsed_params.n_steps == params.n_steps
     assert parsed_seed == seed
     assert parsed_state.temperature == pytest.approx(
@@ -103,6 +105,7 @@ def test_namd_conf_roundtrip(state, params, coords, seed):
     for orig, back in zip(state.restraints, parsed_state.restraints):
         assert back.angle == orig.angle
         assert back.center_deg == pytest.approx(orig.center_deg, abs=0.1)
+    assert np.allclose(back_coords, coords, atol=1e-6)
 
 
 @given(
