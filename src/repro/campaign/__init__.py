@@ -31,7 +31,6 @@ from repro.campaign.arbiter import (
 from repro.campaign.grid import expand_grid
 from repro.campaign.runner import repex_runner, stub_runner
 from repro.campaign.service import CampaignReport, run_campaign
-from repro.campaign.shard import ShardRunner, shard_runner
 from repro.campaign.spec import (
     CampaignError,
     CampaignSpec,
@@ -51,11 +50,9 @@ __all__ = [
     "SessionRecord",
     "SessionRequest",
     "SessionState",
-    "ShardRunner",
     "TenantSpec",
     "expand_grid",
     "repex_runner",
     "run_campaign",
-    "shard_runner",
     "stub_runner",
 ]

@@ -615,27 +615,9 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             return 2
         print(f"live telemetry on {server.url}/metrics", file=sys.stderr)
 
-    runner = None
-    if args.shard is not None:
-        from repro.campaign.shard import shard_runner
-
-        try:
-            runner = shard_runner(
-                spec, manifest_dir=args.out,
-                processes=args.shard if args.shard != 0 else None,
-            )
-        except CampaignError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(
-            f"precomputed {len(runner)} session shard(s) across "
-            f"{runner.processes} worker process(es)",
-            file=sys.stderr,
-        )
-
     try:
         report = run_campaign(
-            spec, runner=runner, manifest_dir=args.out, on_arbiter=on_arbiter
+            spec, manifest_dir=args.out, on_arbiter=on_arbiter
         )
     except CampaignError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -1013,13 +995,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--serve-hold", type=float, default=0.0, metavar="SECONDS",
         help="keep the telemetry server up this many host seconds after "
              "the campaign finishes",
-    )
-    p_camp.add_argument(
-        "--shard", nargs="?", type=int, const=0, default=None, metavar="N",
-        help="precompute every session in N worker processes before the "
-             "arbiter replays against the memoized outcomes (bit-identical "
-             "to in-process execution; N omitted or 0 means one worker per "
-             "CPU, 1 runs the shards sequentially)",
     )
     p_camp.set_defaults(func=cmd_campaign)
 

@@ -29,7 +29,6 @@ from repro.core.execution_modes import ExecutionMode, make_mode, precompute_md
 from repro.core.fault import FaultAction, FaultPolicy, policy_from_spec
 from repro.core.replica import Replica, ReplicaStatus
 from repro.core.results import CycleTiming, SimulationResult
-from repro.obs import hostprof
 from repro.obs.ladder import LadderTracker
 from repro.obs.metrics import get_registry
 from repro.pilot.pilot import Pilot, PilotState
@@ -420,16 +419,15 @@ class SynchronousEMM(ExecutionManagerBase):
             md_span.end()
 
             n_failed = 0
-            with hostprof.section("emm"):
-                for rep in on_time:
-                    ok = self.amm.process_md_output(
-                        rep,
-                        unit_of[rep.rid],
-                        cycle,
-                        dimension.name if dimension else None,
-                    )
-                    if not ok:
-                        n_failed += 1
+            for rep in on_time:
+                ok = self.amm.process_md_output(
+                    rep,
+                    unit_of[rep.rid],
+                    cycle,
+                    dimension.name if dimension else None,
+                )
+                if not ok:
+                    n_failed += 1
 
             proposals: List[SwapProposal] = []
             if dimension is not None:
@@ -832,8 +830,7 @@ class AsynchronousEMM(ExecutionManagerBase):
                 proposals = (
                     list(u.result) if u.succeeded and u.result else []
                 )
-                with hostprof.section("emm"):
-                    self.amm.apply_proposals(ready, dimension, proposals)
+                self.amm.apply_proposals(ready, dimension, proposals)
                 all_proposals.extend(proposals)
                 if self.ladder is not None:
                     self.ladder.observe_all(self.session.now, ready)

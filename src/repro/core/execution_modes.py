@@ -25,7 +25,6 @@ import math
 from typing import List, Sequence
 
 from repro.md import batch as md_batch
-from repro.obs import hostprof
 from repro.pilot.pilot import Pilot
 from repro.pilot.session import Session
 from repro.pilot.soa import try_fast_phase
@@ -62,8 +61,7 @@ def precompute_md(descriptions: Sequence[UnitDescription]) -> None:
     if len(batched) < 2:
         return
     try:
-        with hostprof.section("work.md"):
-            outs = md_batch.run_md_batch([d.batch for d in batched])
+        outs = md_batch.run_md_batch([d.batch for d in batched])
     except Exception:  # noqa: BLE001 - units fail one by one instead
         return
     for d, out in zip(batched, outs):

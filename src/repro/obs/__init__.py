@@ -26,9 +26,11 @@ them as first-class data rather than ad-hoc prints:
 * :mod:`repro.obs.ladder` — per-replica ladder occupancy and round-trip
   time tracking (exchange dynamics),
 * :mod:`repro.obs.alerts` — declarative threshold alert rules evaluated
-  on the virtual clock,
-* :mod:`repro.obs.hostprof` — host-time (wall-clock) self-time
-  attribution per subsystem for ``repro bench --profile``.
+  on the virtual clock.
+
+Host (wall-clock) time is measured from outside the program:
+``benchmarks/e2e/run.py --trace 1`` splits it per layer, and
+``repro bench --profile`` prints cProfile hotspots.
 
 See ``docs/OBSERVABILITY.md`` for the metric-name and span taxonomy.
 """

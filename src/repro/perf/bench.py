@@ -21,9 +21,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.campaign.spec import CampaignSpec
 from repro.core.framework import RepEx
-from repro.obs import hostprof
 from repro.obs.metrics import MetricsRegistry, NullRegistry, using_registry
-from repro.perf.scenarios import SCENARIOS, ShardedCampaign, scenario_names
+from repro.perf.scenarios import SCENARIOS, scenario_names
 
 #: canonical result file name, written at the repo root
 BENCH_FILENAME = "BENCH_scale.json"
@@ -90,6 +89,15 @@ def run_scenario(
     return result
 
 
+def _print_hotspots(profiler: cProfile.Profile, top: int, name: str) -> None:
+    """Print the ``top`` functions of a profiled run by internal time."""
+    stream = io.StringIO()
+    stats = pstats.Stats(profiler, stream=stream)
+    stats.sort_stats("tottime").print_stats(top)
+    print(f"--- cProfile top {top} (tottime) for {name} ---")
+    print(stream.getvalue())
+
+
 def _measure(
     name: str,
     *,
@@ -99,12 +107,6 @@ def _measure(
 ) -> Dict[str, object]:
     scenario = SCENARIOS[name]
     config = scenario.build(fast)
-    if isinstance(config, ShardedCampaign):
-        return _measure_campaign(
-            scenario, config.spec, fast=fast, profile=profile,
-            profile_top=profile_top, shard_processes=config.processes,
-            shard=True,
-        )
     if isinstance(config, CampaignSpec):
         return _measure_campaign(
             scenario, config, fast=fast, profile=profile,
@@ -113,7 +115,6 @@ def _measure(
     with using_registry(NullRegistry()):
         repex = RepEx(config)
         profiler = cProfile.Profile() if profile else None
-        host = hostprof.enable() if profile else None
         start = time.perf_counter()
         if profiler is not None:
             profiler.enable()
@@ -121,19 +122,9 @@ def _measure(
         if profiler is not None:
             profiler.disable()
         wall = time.perf_counter() - start
-        if host is not None:
-            hostprof.disable()
     clock = repex.session.clock
     if profiler is not None:
-        stream = io.StringIO()
-        stats = pstats.Stats(profiler, stream=stream)
-        stats.sort_stats("tottime").print_stats(profile_top)
-        print(f"--- cProfile top {profile_top} (tottime) for {name} ---")
-        print(stream.getvalue())
-    if host is not None:
-        print(f"--- host-time attribution for {name} ---")
-        print(host.report(wall))
-        print()
+        _print_hotspots(profiler, profile_top, name)
     events = clock.n_fired
     return {
         "description": scenario.description,
@@ -156,8 +147,6 @@ def _measure_campaign(
     fast: bool,
     profile: bool,
     profile_top: int,
-    shard: bool = False,
-    shard_processes: Optional[int] = None,
 ) -> Dict[str, object]:
     """Measure a campaign scenario: the two-level DES end to end.
 
@@ -169,11 +158,6 @@ def _measure_campaign(
     aggregate both levels: ``events_fired`` sums the arbiter clock and
     every inner clock, ``virtual_s`` is the campaign makespan, and
     ``n_failures`` counts inner failures plus crash-induced relaunches.
-
-    With ``shard=True`` the sessions execute through
-    :class:`~repro.campaign.shard.ShardRunner` (worker-process pool,
-    built inside the timed window — the precompute *is* the work); the
-    deterministic fields must match the in-process variant exactly.
     """
     from repro.campaign.arbiter import Arbiter, SessionOutcome
     from repro.campaign.service import expand_requests
@@ -201,40 +185,18 @@ def _measure_campaign(
         seed=spec.seed,
     )
     profiler = cProfile.Profile() if profile else None
-    host = hostprof.enable() if profile else None
     start = time.perf_counter()
     if profiler is not None:
         profiler.enable()
-    if shard:
-        from repro.campaign.shard import ShardRunner
-
-        runner = ShardRunner(
-            spec, processes=shard_processes, observability=False
-        )
-    else:
-        runner = in_process_runner
-    arbiter.prepare(runner)
+    arbiter.prepare(in_process_runner)
     for request in requests:
         arbiter.submit(request)
-    records = arbiter.run(runner)
+    records = arbiter.run(in_process_runner)
     if profiler is not None:
         profiler.disable()
     wall = time.perf_counter() - start
-    if host is not None:
-        hostprof.disable()
     if profiler is not None:
-        stream = io.StringIO()
-        stats = pstats.Stats(profiler, stream=stream)
-        stats.sort_stats("tottime").print_stats(profile_top)
-        print(
-            f"--- cProfile top {profile_top} (tottime) "
-            f"for {scenario.name} ---"
-        )
-        print(stream.getvalue())
-    if host is not None:
-        print(f"--- host-time attribution for {scenario.name} ---")
-        print(host.report(wall))
-        print()
+        _print_hotspots(profiler, profile_top, scenario.name)
     outcomes = [r.outcome for r in records if r.outcome is not None]
     events = arbiter.clock.n_fired + sum(o.events_fired for o in outcomes)
     n_replicas = 0
@@ -335,26 +297,15 @@ def export_traces(
     for name in selected:
         config = SCENARIOS[name].build(fast)
         slug = name.replace("/", "_")
-        if isinstance(config, (CampaignSpec, ShardedCampaign)):
+        if isinstance(config, CampaignSpec):
             # A campaign has no single manifest; write the per-session
             # manifest tree plus the aggregated report instead.  The
             # --compare attribution path degrades gracefully when its
             # <slug>.manifest.jsonl is absent.
             from repro.campaign.service import run_campaign
 
-            runner = None
-            if isinstance(config, ShardedCampaign):
-                from repro.campaign.shard import ShardRunner
-
-                spec = config.spec
-                runner = ShardRunner(
-                    spec,
-                    manifest_dir=out / f"{slug}.sessions",
-                    processes=config.processes,
-                )
-                config = spec
             report = run_campaign(
-                config, runner=runner, manifest_dir=out / f"{slug}.sessions"
+                config, manifest_dir=out / f"{slug}.sessions"
             )
             report_path = out / f"{slug}.report.json"
             report_path.write_text(

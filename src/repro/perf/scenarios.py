@@ -23,12 +23,6 @@ run, not the toy MD numerics:
   shared 64-core datacenter with two injected node crashes.  Stresses
   the two-level DES — the arbiter's dispatch/placement/fault loop
   outside, hundreds of short inner simulations within one process.
-- ``campaign-256-shard``: the same campaign executed shard-per-session
-  through :class:`~repro.campaign.shard.ShardRunner` — every inner
-  simulation precomputed in a worker-process pool, the arbiter replaying
-  against memoized outcomes.  The deterministic counters must equal
-  ``campaign-256``'s exactly (that is the shard contract); only the
-  wallclock differs.
 
 Every scenario sets ``numeric_steps=1`` so the virtual clock still bills
 the paper's 6000-step cycles while the wallclock measures framework
@@ -41,7 +35,7 @@ events/s are not comparable with each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Union
 
 from repro.campaign.spec import (
     CampaignSpec,
@@ -58,22 +52,9 @@ from repro.core.config import (
     WatchdogSpec,
 )
 
-@dataclass(frozen=True)
-class ShardedCampaign:
-    """A campaign to execute via the shard-per-session runner.
 
-    Wraps the spec so the bench harness can dispatch on type;
-    ``processes=None`` lets :class:`~repro.campaign.shard.ShardRunner`
-    pick one worker per CPU.
-    """
-
-    spec: CampaignSpec
-    processes: Optional[int] = None
-
-
-#: what a scenario's builder may return — one simulation, a campaign,
-#: or a campaign marked for shard-per-session execution
-Buildable = Union[SimulationConfig, CampaignSpec, ShardedCampaign]
+#: what a scenario's builder may return — one simulation or a campaign
+Buildable = Union[SimulationConfig, CampaignSpec]
 
 
 @dataclass(frozen=True)
@@ -266,12 +247,6 @@ SCENARIOS: Dict[str, Scenario] = {
             "campaign-256",
             "4-tenant campaign, 256 sessions on 64 shared cores, 2 crashes",
             _campaign_256,
-        ),
-        Scenario(
-            "campaign-256-shard",
-            "the campaign-256 workload precomputed shard-per-session "
-            "across worker processes",
-            lambda fast: ShardedCampaign(_campaign_256(fast)),
         ),
     )
 }

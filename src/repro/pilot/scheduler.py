@@ -35,31 +35,12 @@ import math
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Set
 
-from repro.obs import hostprof
 from repro.obs.metrics import get_registry
 from repro.pilot.cluster import ClusterSpec
 from repro.pilot.events import EventQueue
 from repro.pilot.failures import FailureModel, NO_FAILURES, UnitFailure
 from repro.pilot.staging import StagingAction, StagingArea
-from repro.pilot.unit import ComputeUnit, UnitDescription, UnitState
-
-
-def run_work(description: UnitDescription):
-    """Call a unit's ``work`` and return its result (shared by both engines).
-
-    With host profiling on, the time is charged per phase (``work.md``,
-    ``work.exchange``, ...); the phase lookup — and its import, which
-    would otherwise be circular through obs.export -> manifest -> pilot —
-    stays off the disabled path entirely.
-    """
-    prof = hostprof.active()
-    if prof is None:
-        return description.work()
-    from repro.obs.export import unit_phase
-
-    phase = unit_phase(description.name, description.metadata) or "other"
-    with prof.section(f"work.{phase}"):
-        return description.work()
+from repro.pilot.unit import ComputeUnit, UnitState
 
 
 class SchedulerError(RuntimeError):
@@ -108,7 +89,9 @@ class AgentScheduler:
         if watchdog is not None:
             watchdog.attach(self)
         self._queue: Deque[ComputeUnit] = deque()
-        self._running: Set[ComputeUnit] = set()
+        #: insertion-ordered, so crashes and preemption fail units in
+        #: placement order rather than memory-address order
+        self._running: Dict[ComputeUnit, None] = {}
         # Node map: the pilot's cores are carved into nodes of
         # ``cluster.cores_per_node`` (the last node takes the remainder).
         # GPUs stay a global pool — the paper's GPU runs are one GPU task
@@ -367,8 +350,7 @@ class AgentScheduler:
         """Start every queued unit that fits in the free cores (backfill)."""
         if not self._queue:
             return
-        with hostprof.section("scheduler"):
-            self._scan_queue()
+        self._scan_queue()
 
     def _scan_queue(self) -> None:
         if self.free_cores == 0 or self._min_queued_cores > self.free_cores:
@@ -392,7 +374,7 @@ class AgentScheduler:
                 and unit.description.gpus <= self.free_gpus
             ):
                 self._place(unit)
-                self._running.add(unit)
+                self._running[unit] = None
                 self._begin_staging_in(unit, batch=staging_batch)
             else:
                 still_waiting.append(unit)
@@ -480,17 +462,14 @@ class AgentScheduler:
         unit fails for good.  The transient model is resolved once per
         unit and threaded through the retry chain.
         """
-        with hostprof.section("staging"):
-            delay = self._staging_time(directives, unit)
+        delay = self._staging_time(directives, unit)
         self._staging_in_flight += len(directives)
         if model is None:
             model = self._staging_model()
 
-        def _done():
-            with hostprof.section("staging"):
-                self._staging_done(unit, directives, on_done, attempt, model)
-
-        return delay, _done
+        return delay, lambda: self._staging_done(
+            unit, directives, on_done, attempt, model
+        )
 
     def _staging_done(self, unit, directives, on_done, attempt, model) -> None:
         """Settle one finished staging attempt (success/fault/retry)."""
@@ -591,7 +570,7 @@ class AgentScheduler:
         # the numerics.
         if unit.description.work is not None:
             try:
-                unit.result = run_work(unit.description)
+                unit.result = unit.description.work()
             except Exception as exc:  # noqa: BLE001 - task isolation boundary
                 self._clock.schedule(
                     0.0, lambda exc=exc: self._fail(unit, exc)
@@ -758,7 +737,7 @@ class AgentScheduler:
         self._run_staging(unit, directives, _staged)
 
     def _release(self, unit: ComputeUnit) -> None:
-        self._running.discard(unit)
+        self._running.pop(unit, None)
         placement = self._placement.pop(unit, None)
         if placement is None:
             self.free_cores += unit.description.cores

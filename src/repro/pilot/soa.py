@@ -50,10 +50,8 @@ from __future__ import annotations
 import heapq
 from typing import List, Optional, Sequence
 
-from repro.obs import hostprof
 from repro.pilot.failures import FailureModel
 from repro.pilot.pilot import Pilot, PilotState
-from repro.pilot.scheduler import run_work
 from repro.pilot.session import Session
 from repro.pilot.staging import StagingAction
 from repro.pilot.unit import ComputeUnit, UnitDescription, UnitState
@@ -70,7 +68,7 @@ def _run_work(descriptions, launched_order) -> list:
     results = [None] * len(descriptions)
     for k in launched_order:
         if descriptions[k].work is not None:
-            results[k] = run_work(descriptions[k])
+            results[k] = descriptions[k].work()
     return results
 
 
@@ -125,57 +123,50 @@ def try_fast_phase(
     launched_order: list = []
     in_flight = 0
     launch_pending = 0
-    with hostprof.section("scheduler"):
-        # Stage-in events carry local seqs 0..n-1 in description order,
-        # mirroring the reference's one schedule_many batch; every later
-        # event allocates the next seq at its parent's fire time, exactly
-        # as the reference allocates real sequence numbers.
-        with hostprof.section("staging"):
-            for k, d in enumerate(descriptions):
-                delay = 0.0
-                for dirv in d.input_staging:
-                    if dirv.action is StagingAction.LINK:
-                        delay += fs.link_time()
-                    else:
-                        delay += fs.transfer_time(
-                            dirv.size_mb, concurrent=in_flight
-                        )
-                in_flight += len(d.input_staging)
-                heap.append((t0 + delay, k, _STAGED_IN, k))
-        heapq.heapify(heap)
-        seq = n
-        while heap:
-            t, _, kind, k = heapq.heappop(heap)
-            fired.append((t, kind, k))
-            d = descriptions[k]
-            if kind == _STAGED_IN:
-                in_flight -= len(d.input_staging)
-                delay = launcher.launch_delay(launch_pending, cores=d.cores)
-                launch_pending += 1
-                heapq.heappush(heap, (t + delay, seq, _LAUNCHED, k))
-                seq += 1
-            elif kind == _LAUNCHED:
-                launch_pending -= 1
-                launched_order.append(k)
-                heapq.heappush(
-                    heap, (t + float(d.duration), seq, _FINISHED, k)
-                )
-                seq += 1
-            elif kind == _FINISHED:
-                with hostprof.section("staging"):
-                    delay = 0.0
-                    for dirv in d.output_staging:
-                        if dirv.action is StagingAction.LINK:
-                            delay += fs.link_time()
-                        else:
-                            delay += fs.transfer_time(
-                                dirv.size_mb, concurrent=in_flight
-                            )
-                in_flight += len(d.output_staging)
-                heapq.heappush(heap, (t + delay, seq, _STAGED_OUT, k))
-                seq += 1
+    # Stage-in events carry local seqs 0..n-1 in description order,
+    # mirroring the reference's one schedule_many batch; every later
+    # event allocates the next seq at its parent's fire time, exactly
+    # as the reference allocates real sequence numbers.
+    for k, d in enumerate(descriptions):
+        delay = 0.0
+        for dirv in d.input_staging:
+            if dirv.action is StagingAction.LINK:
+                delay += fs.link_time()
             else:
-                in_flight -= len(d.output_staging)
+                delay += fs.transfer_time(dirv.size_mb, concurrent=in_flight)
+        in_flight += len(d.input_staging)
+        heap.append((t0 + delay, k, _STAGED_IN, k))
+    heapq.heapify(heap)
+    seq = n
+    while heap:
+        t, _, kind, k = heapq.heappop(heap)
+        fired.append((t, kind, k))
+        d = descriptions[k]
+        if kind == _STAGED_IN:
+            in_flight -= len(d.input_staging)
+            delay = launcher.launch_delay(launch_pending, cores=d.cores)
+            launch_pending += 1
+            heapq.heappush(heap, (t + delay, seq, _LAUNCHED, k))
+            seq += 1
+        elif kind == _LAUNCHED:
+            launch_pending -= 1
+            launched_order.append(k)
+            heapq.heappush(heap, (t + float(d.duration), seq, _FINISHED, k))
+            seq += 1
+        elif kind == _FINISHED:
+            delay = 0.0
+            for dirv in d.output_staging:
+                if dirv.action is StagingAction.LINK:
+                    delay += fs.link_time()
+                else:
+                    delay += fs.transfer_time(
+                        dirv.size_mb, concurrent=in_flight
+                    )
+            in_flight += len(d.output_staging)
+            heapq.heappush(heap, (t + delay, seq, _STAGED_OUT, k))
+            seq += 1
+        else:
+            in_flight -= len(d.output_staging)
 
     t_end = fired[-1][0]
     # Any pending event due at-or-before the phase's last event (walltime
@@ -204,7 +195,7 @@ def try_fast_phase(
         u.advance(UnitState.SCHEDULING, t0)
     for u in units:
         sched._place(u)
-        sched._running.add(u)
+        sched._running[u] = None
         sched._h_wait.observe(0.0)
         u.advance(UnitState.STAGING_INPUT, t0)
     sched._update_occupancy()

@@ -457,6 +457,25 @@ class TestBenchAttribute:
         assert "phase.md" not in out
 
 
+class TestBenchProfile:
+    def test_profile_prints_hotspots_and_writes_nothing(
+        self, tmp_path, capsys
+    ):
+        out_path = tmp_path / "x.json"
+        scenarios = ["chaos-preempt-256", "campaign-256"]
+        argv = ["bench", "--fast", "--profile", "-o", str(out_path)]
+        for name in scenarios:
+            argv += ["--scenario", name]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        for name in scenarios:
+            assert out.count(f"(tottime) for {name} ---") == 1
+        assert out.count("--- cProfile top") == len(scenarios)
+        assert "host-time attribution" not in out
+        assert "not saved" in out
+        assert not out_path.exists()
+
+
 class TestChaosResumeFlag:
     def test_no_resume_skips_the_column(self, capsys):
         rc = main(["chaos", "--fast", "--no-resume"])
@@ -600,34 +619,6 @@ class TestCampaign:
         manifests = sorted(p.name for p in out_dir.rglob("*.jsonl"))
         assert "alice-0000.jsonl" in manifests
         assert "bob-0000.jsonl" in manifests
-
-    def test_shard_mode_output_is_bit_identical(
-        self, campaign_file, tmp_path, capsys
-    ):
-        ref_dir, shard_dir = tmp_path / "ref", tmp_path / "shard"
-        assert main(["campaign", str(campaign_file), "--out", str(ref_dir)]) == 0
-        assert main(
-            ["campaign", str(campaign_file), "--shard", "1",
-             "--out", str(shard_dir)]
-        ) == 0
-        assert "precomputed 5 session shard(s)" in capsys.readouterr().err
-        assert (shard_dir / "report.json").read_bytes() == (
-            ref_dir / "report.json"
-        ).read_bytes()
-        ref = {
-            p.relative_to(ref_dir): p.read_bytes()
-            for p in sorted(ref_dir.rglob("*.jsonl"))
-        }
-        shard = {
-            p.relative_to(shard_dir): p.read_bytes()
-            for p in sorted(shard_dir.rglob("*.jsonl"))
-        }
-        assert shard == ref
-
-    def test_negative_shard_count_exits_2(self, campaign_file, capsys):
-        rc = main(["campaign", str(campaign_file), "--shard", "-1"])
-        assert rc == 2
-        assert "processes" in capsys.readouterr().err
 
     def test_json_flag_prints_full_report(self, campaign_file, capsys):
         rc = main(["campaign", str(campaign_file), "--json"])

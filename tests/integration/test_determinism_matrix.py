@@ -47,6 +47,20 @@ SCENARIOS = {
         failure=FailureSpec(probability=0.3, policy="relaunch"),
         numeric_steps=10,
     ),
+    # A node crash and a pilot preemption each fail many running units in
+    # one event; the order they fail in decides relaunch and pooling order.
+    "async-node-crash": dict(
+        dimensions=[DimensionSpec("temperature", 32, 273.0, 373.0)],
+        resource=ResourceSpec("supermic", cores=32),
+        pattern=PatternSpec(kind="asynchronous", window_seconds=60.0),
+        failure=FailureSpec(policy="relaunch", node_crashes=[[30.0, 0]]),
+    ),
+    "async-preempt": dict(
+        dimensions=[DimensionSpec("temperature", 64, 273.0, 373.0)],
+        resource=ResourceSpec("supermic", cores=64),
+        pattern=PatternSpec(kind="asynchronous", window_seconds=60.0),
+        failure=FailureSpec(preempt_after_s=100.0),
+    ),
 }
 
 

@@ -45,7 +45,7 @@ class LinearScanScheduler(AgentScheduler):
                 and unit.description.gpus <= self.free_gpus
             ):
                 self._place(unit)
-                self._running.add(unit)
+                self._running[unit] = None
                 self._begin_staging_in(unit, batch=staging_batch)
             else:
                 still_waiting.append(unit)
