@@ -28,22 +28,10 @@ from __future__ import annotations
 import re
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.obs.manifest import RunManifest
+from repro.obs.manifest import STATE_ORDER, RunManifest
 
-#: canonical lifecycle order, for stable in-lane ordering of ties and
-#: for rebuilding per-unit state intervals from the sorted timeline
-STATE_ORDER: Tuple[str, ...] = (
-    "NEW",
-    "SCHEDULING",
-    "STAGING_INPUT",
-    "AGENT_EXECUTING_PENDING",
-    "EXECUTING",
-    "STAGING_OUTPUT",
-    "DONE",
-    "FAILED",
-    "CANCELED",
-)
-
+#: lifecycle rank, for stable in-lane ordering of ties and for
+#: rebuilding per-unit state intervals from the sorted timeline
 _STATE_RANK = {name: i for i, name in enumerate(STATE_ORDER)}
 
 #: states that terminate a unit's interval chain

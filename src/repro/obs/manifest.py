@@ -8,10 +8,11 @@ A :class:`RunManifest` is written at the end of
   derived from the unit tracer, in core-seconds,
 * a snapshot of every metric in the active registry,
 * every finished span, and
-* the event-ordered per-unit state timeline.
+* one row per unit: its metadata and the entry time of every state,
+  from which the event-ordered state timeline is a view.
 
 The export format is JSONL (one self-describing record per line) so large
-timelines stream, and ``repro obs summary <manifest>`` renders the same
+runs stream, and ``repro obs summary <manifest>`` renders the same
 phase table the paper's figures plot.
 """
 
@@ -19,14 +20,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanRecord
 from repro.pilot.trace import Tracer
-from repro.pilot.unit import UnitState
+from repro.pilot.unit import FINAL_STATES, UnitState
 
 #: Bump when the JSONL schema changes shape.
 #: v1: run/metrics/span/event/fault records.
@@ -36,20 +37,128 @@ from repro.pilot.unit import UnitState
 #: v3: adds per-dimension ``ladder`` records (occupancy, up/down
 #:     walkers, round-trip times) and ``alert`` transition records;
 #:     both are strictly optional, so v2/v1 manifests still load.
-SCHEMA_VERSION = 3
+#: v4: a ``unit`` record carries its transitions as ``t``, the entry
+#:     time of every state of :data:`STATE_ORDER` (null where not
+#:     entered), and a dump holds no ``event`` records.  A streamed file
+#:     still has one ``event`` per transition and unit rows without ``t``.
+SCHEMA_VERSION = 4
+
+#: ``UnitState`` names in declaration order, which is lifecycle order:
+#: the order of a v4 unit row's ``t`` entries.
+STATE_ORDER: Tuple[str, ...] = tuple(state.value for state in UnitState)
+
+_STATE_INDEX = {state: i for i, state in enumerate(UnitState)}
 
 #: Unit metadata phases folded into the manifest's ``exchange`` bucket.
 _EXCHANGE_PHASES = frozenset({"exchange", "single_point"})
+
+_NUMBER = (int, float)
+
+#: The record kinds a manifest holds, each with the fields it cannot
+#: load without and their JSON types.
+_REQUIRED = {
+    "run": {
+        "title": str,
+        "config_hash": str,
+        "pattern": str,
+        "execution_mode": str,
+        "n_replicas": int,
+        "pilot_cores": int,
+        "t_start": _NUMBER,
+        "t_end": _NUMBER,
+    },
+    "metrics": {},
+    "span": {"name": str, "t_start": _NUMBER, "t_end": _NUMBER},
+    "event": {"t": _NUMBER, "unit": str, "state": str},
+    "fault": {},
+    "unit": {"name": str},
+    "ladder": {},
+    "alert": {},
+}
+
+#: ``json.dumps(record, sort_keys=True)`` without building an encoder
+#: per call.
+_encode = json.JSONEncoder(sort_keys=True).encode
 
 
 class ManifestError(ValueError):
     """Raised when a manifest cannot be parsed."""
 
 
+def _config_json(value):
+    """``default`` hook: a dataclass instance as its fields, else ``str``."""
+    if hasattr(type(value), "__dataclass_fields__"):
+        return {f.name: getattr(value, f.name) for f in fields(value)}
+    return str(value)
+
+
 def config_hash(config) -> str:
-    """Stable sha256 over a config's canonical dict form (first 16 hex)."""
-    canonical = json.dumps(config.to_dict(), sort_keys=True, default=str)
+    """Stable sha256 over a config dataclass's canonical JSON (first 16 hex).
+
+    The text is ``json.dumps(asdict(config), sort_keys=True,
+    default=str)``, built without ``asdict``'s deep copy: the encoder
+    asks :func:`_config_json` for each dataclass it meets and writes
+    lists, tuples, dicts and scalars itself, as it would from the copy.
+    """
+    canonical = json.dumps(config, sort_keys=True, default=_config_json)
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+
+
+def _fold_units(tracer: Tracer) -> Tuple[Dict[str, float], List[Dict]]:
+    """Phase totals and v4 unit rows in one pass over the tracer.
+
+    Totals accumulate in record (creation) order from the raw entry
+    times, so they do not depend on the rows' 1 µs rounding.  Rows are
+    sorted by unit name; uids are left out because they come from a
+    global counter and would break byte-stable manifests.
+    """
+    totals = {
+        "md": 0.0,
+        "exchange": 0.0,
+        "staging": 0.0,
+        "overhead": 0.0,
+        "other": 0.0,
+    }
+    rows: List[Dict] = []
+    for rec in tracer.records.values():
+        entered: List[Optional[float]] = [None] * len(STATE_ORDER)
+        dwell: Dict[UnitState, float] = {}
+        last = None
+        for state, t in rec.timestamps.items():
+            entered[_STATE_INDEX[state]] = round(t, 6)
+            if last is not None:
+                dwell[last] = t - t_last
+            last, t_last = state, t
+        cores = rec.cores
+        executing = dwell.get(UnitState.EXECUTING, 0.0) * cores
+        phase = rec.metadata.get("phase")
+        if phase == "md":
+            totals["md"] += executing
+        elif phase in _EXCHANGE_PHASES:
+            totals["exchange"] += executing
+        else:
+            totals["other"] += executing
+        totals["staging"] += (
+            dwell.get(UnitState.STAGING_INPUT, 0.0)
+            + dwell.get(UnitState.STAGING_OUTPUT, 0.0)
+        ) * cores
+        totals["overhead"] += (
+            dwell.get(UnitState.SCHEDULING, 0.0)
+            + dwell.get(UnitState.AGENT_EXECUTING_PENDING, 0.0)
+        ) * cores
+        rows.append(
+            {
+                "name": rec.name,
+                "cores": cores,
+                "phase": phase,
+                "rid": rec.metadata.get("rid"),
+                "cycle": rec.metadata.get("cycle"),
+                "final_state": last.value if last in FINAL_STATES else None,
+                "t": entered,
+            }
+        )
+    rows.sort(key=lambda row: row["name"])
+    return totals, rows
 
 
 def phase_totals(tracer: Tracer) -> Dict[str, float]:
@@ -61,32 +170,39 @@ def phase_totals(tracer: Tracer) -> Dict[str, float]:
     dwell of every unit; ``overhead`` is scheduling + launch-pending
     dwell; ``other`` catches execution of untagged units.
     """
-    totals = {
-        "md": 0.0,
-        "exchange": 0.0,
-        "staging": 0.0,
-        "overhead": 0.0,
-        "other": 0.0,
-    }
-    for rec in tracer.records.values():
-        cores = rec.cores
-        executing = rec.dwell(UnitState.EXECUTING) * cores
-        phase = rec.metadata.get("phase")
-        if phase == "md":
-            totals["md"] += executing
-        elif phase in _EXCHANGE_PHASES:
-            totals["exchange"] += executing
-        else:
-            totals["other"] += executing
-        totals["staging"] += (
-            rec.dwell(UnitState.STAGING_INPUT)
-            + rec.dwell(UnitState.STAGING_OUTPUT)
-        ) * cores
-        totals["overhead"] += (
-            rec.dwell(UnitState.SCHEDULING)
-            + rec.dwell(UnitState.AGENT_EXECUTING_PENDING)
-        ) * cores
-    return totals
+    return _fold_units(tracer)[0]
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, _NUMBER) and not isinstance(value, bool)
+
+
+def _problem(record) -> Optional[str]:
+    """Why a parsed JSONL line cannot load as a record, or None."""
+    if not isinstance(record, dict):
+        return "record that is not a JSON object"
+    kind = record.get("kind")
+    required = _REQUIRED.get(kind)
+    if required is None:
+        return f"unknown record kind {kind!r}"
+    for name, kinds in required.items():
+        value = record.get(name)
+        if not (
+            _is_number(value) if kinds is _NUMBER else isinstance(value, kinds)
+        ):
+            return f"{kind} record without a valid {name!r}"
+    if kind == "unit" and "t" in record:
+        entered = record["t"]
+        if not (
+            isinstance(entered, list)
+            and len(entered) == len(STATE_ORDER)
+            and all(t is None or _is_number(t) for t in entered)
+        ):
+            return (
+                f"unit record whose 't' is not {len(STATE_ORDER)} "
+                "numbers or nulls"
+            )
+    return None
 
 
 @dataclass
@@ -109,15 +225,20 @@ class RunManifest:
     #: registry snapshot at the end of the run
     metrics: Dict[str, Dict] = field(default_factory=dict)
     spans: List[SpanRecord] = field(default_factory=list)
-    #: event-ordered ``[time, unit_name, state]`` triples
-    timeline: List[List] = field(default_factory=list)
+    #: ``[time, unit_name, state]`` triples read from ``event`` records,
+    #: in file order: a streamed or pre-v4 file's transitions.  A run's
+    #: own manifest keeps them in ``units[*]["t"]`` instead; see
+    #: :attr:`timeline` for both merged.
+    events: List[List] = field(default_factory=list)
     n_units: int = 0
     #: fault-injection events (node crashes, preemptions, staging
     #: transients) recorded by the pilot's fault domain; empty when
     #: faults are disabled
     fault_events: List[Dict] = field(default_factory=list)
-    #: per-unit metadata (name/cores/phase/rid/cycle/final_state) from
-    #: :meth:`Tracer.unit_meta`; empty in pre-v2 manifests
+    #: one row per unit, sorted by name: ``name``, ``cores``, ``phase``,
+    #: ``rid``, ``cycle``, ``final_state`` and, in a v4 dump, ``t`` (entry
+    #: time per state of :data:`STATE_ORDER`, None where not entered);
+    #: empty in pre-v2 manifests
     units: List[Dict] = field(default_factory=list)
     #: per-dimension exchange-dynamics records (occupancy, walkers,
     #: round-trip times) from
@@ -134,6 +255,9 @@ class RunManifest:
     #: empty for a clean parse, never serialized
     recovered: List[str] = field(default_factory=list)
     schema_version: int = SCHEMA_VERSION
+    _timeline: Optional[List[List]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # -- construction --------------------------------------------------------
 
@@ -173,10 +297,8 @@ class RunManifest:
             spans=list(registry.spans),
         )
         if tracer is not None:
-            manifest.phase_totals = phase_totals(tracer)
-            manifest.timeline = tracer.timeline()
+            manifest.phase_totals, manifest.units = _fold_units(tracer)
             manifest.n_units = len(tracer.records)
-            manifest.units = tracer.unit_meta()
         if fault_events:
             manifest.fault_events = list(fault_events)
         if ladder:
@@ -186,6 +308,33 @@ class RunManifest:
         return manifest
 
     # -- derived -------------------------------------------------------------
+
+    @property
+    def timeline(self) -> List[List]:
+        """Event-ordered ``[time, unit_name, state]`` triples.
+
+        A view, built on first access and cached (later edits to
+        :attr:`units` or :attr:`events` do not show), over the unit
+        rows' ``t`` entries and the :attr:`events` read from a file.
+        Times are rounded to 1 µs and ties are broken by unit name then
+        state, so the list is byte-stable across runs of the same seeded
+        workload regardless of uid allocation order, and equal for a
+        run's dump and its streamed file — this is what the golden-trace
+        regression fixtures are diffed against.
+        """
+        if self._timeline is None:
+            triples = [(t, name, state) for t, name, state in self.events]
+            for unit in self.units:
+                entered = unit.get("t")
+                if entered is None:
+                    continue
+                name = unit["name"]
+                for state, t in zip(STATE_ORDER, entered):
+                    if t is not None:
+                        triples.append((t, name, state))
+            triples.sort()
+            self._timeline = [[t, name, state] for t, name, state in triples]
+        return self._timeline
 
     @property
     def wallclock(self) -> float:
@@ -204,8 +353,8 @@ class RunManifest:
 
     # -- JSONL round-trip ----------------------------------------------------
 
-    def to_jsonl(self) -> str:
-        """Serialize as one self-describing JSON record per line."""
+    def _lines(self) -> Iterator[str]:
+        """The JSONL records, one newline-terminated line each."""
         header = {
             "kind": "run",
             "schema_version": self.schema_version,
@@ -223,55 +372,45 @@ class RunManifest:
             "n_units": self.n_units,
             "partial": self.partial,
         }
-        lines = [json.dumps(header, sort_keys=True)]
-        lines.append(
-            json.dumps({"kind": "metrics", "data": self.metrics}, sort_keys=True)
-        )
+        yield _encode(header) + "\n"
+        yield _encode({"kind": "metrics", "data": self.metrics}) + "\n"
         for span in self.spans:
-            record = {"kind": "span"}
-            record.update(span.to_dict())
-            lines.append(json.dumps(record, sort_keys=True))
-        for unit in self.units:
-            record = {"kind": "unit"}
-            record.update(unit)
-            lines.append(json.dumps(record, sort_keys=True))
+            yield _encode({"kind": "span", **span.to_dict()}) + "\n"
         for event in self.fault_events:
-            record = {"kind": "fault"}
-            record.update(event)
-            lines.append(json.dumps(record, sort_keys=True))
+            yield _encode({"kind": "fault", **event}) + "\n"
         for entry in self.ladder:
-            record = {"kind": "ladder"}
-            record.update(entry)
-            lines.append(json.dumps(record, sort_keys=True))
+            yield _encode({"kind": "ladder", **entry}) + "\n"
         for entry in self.alerts:
-            record = {"kind": "alert"}
-            record.update(entry)
-            lines.append(json.dumps(record, sort_keys=True))
-        for t, unit, state in self.timeline:
-            lines.append(
-                json.dumps(
-                    {"kind": "event", "t": t, "unit": unit, "state": state},
-                    sort_keys=True,
-                )
-            )
-        return "\n".join(lines) + "\n"
+            yield _encode({"kind": "alert", **entry}) + "\n"
+        # transitions only a loaded streamed or pre-v4 file carries
+        for t, unit, state in self.events:
+            yield _encode(
+                {"kind": "event", "t": t, "unit": unit, "state": state}
+            ) + "\n"
+        for unit in self.units:
+            yield _encode({"kind": "unit", **unit}) + "\n"
+
+    def to_jsonl(self) -> str:
+        """Serialize as one self-describing JSON record per line."""
+        return "".join(self._lines())
 
     @classmethod
     def from_jsonl(cls, text: str, *, recover: bool = False) -> "RunManifest":
-        """Parse :meth:`to_jsonl` output back into a manifest.
+        """Parse :meth:`to_jsonl` or streamed output back into a manifest.
 
-        With ``recover=True`` a damaged manifest — a streamed file cut
+        A record that is not valid JSON, is of an unknown kind, or lacks
+        a field its kind requires raises :class:`ManifestError`.  With
+        ``recover=True`` a damaged manifest — a streamed file cut
         mid-record by a kill, or records from a newer schema — does not
-        raise: unparsable or unknown lines are skipped, each skip is
-        noted in :attr:`recovered`, and the result is marked
-        :attr:`partial` so downstream consumers know the view is
-        incomplete.  A manifest with no ``run`` header at all is beyond
-        recovery and still raises :class:`ManifestError`.
+        raise: each bad line is skipped and noted in :attr:`recovered`,
+        and the result is marked :attr:`partial` so downstream consumers
+        know the view is incomplete.  A manifest with no usable ``run``
+        header is beyond recovery and still raises.
         """
         header: Optional[Dict] = None
         metrics: Dict[str, Dict] = {}
         spans: List[SpanRecord] = []
-        timeline: List[List] = []
+        events: List[List] = []
         fault_events: List[Dict] = []
         units: List[Dict] = []
         ladder: List[Dict] = []
@@ -290,7 +429,16 @@ class RunManifest:
                     )
                     continue
                 raise ManifestError(f"line {lineno}: invalid JSON: {exc}") from None
-            kind = record.get("kind")
+            problem = _problem(record)
+            if problem is not None:
+                # a bad header is never recoverable: it is the identity
+                if not recover or (
+                    isinstance(record, dict) and record.get("kind") == "run"
+                ):
+                    raise ManifestError(f"line {lineno}: {problem}")
+                warnings.append(f"line {lineno}: {problem} dropped")
+                continue
+            kind = record.pop("kind")
             if kind == "run":
                 # Last header wins: a finalized ManifestStream appends a
                 # non-partial header after the provisional one.
@@ -300,26 +448,15 @@ class RunManifest:
             elif kind == "span":
                 spans.append(SpanRecord.from_dict(record))
             elif kind == "event":
-                timeline.append([record["t"], record["unit"], record["state"]])
+                events.append([record["t"], record["unit"], record["state"]])
             elif kind == "fault":
-                fault_events.append(
-                    {k: v for k, v in record.items() if k != "kind"}
-                )
+                fault_events.append(record)
             elif kind == "unit":
-                units.append({k: v for k, v in record.items() if k != "kind"})
+                units.append(record)
             elif kind == "ladder":
-                ladder.append({k: v for k, v in record.items() if k != "kind"})
-            elif kind == "alert":
-                alerts.append({k: v for k, v in record.items() if k != "kind"})
+                ladder.append(record)
             else:
-                if recover:
-                    warnings.append(
-                        f"line {lineno}: unknown record kind {kind!r} dropped"
-                    )
-                    continue
-                raise ManifestError(
-                    f"line {lineno}: unknown record kind {kind!r}"
-                )
+                alerts.append(record)
         if header is None:
             raise ManifestError("no 'run' header record found")
         return cls(
@@ -336,7 +473,7 @@ class RunManifest:
             utilization=header.get("utilization", 0.0),
             metrics=metrics,
             spans=spans,
-            timeline=timeline,
+            events=events,
             n_units=header.get("n_units", 0),
             fault_events=fault_events,
             units=units,
@@ -350,7 +487,8 @@ class RunManifest:
     def dump(self, path) -> Path:
         """Write the JSONL form to ``path``; returns the Path written."""
         path = Path(path)
-        path.write_text(self.to_jsonl())
+        with path.open("w") as fh:
+            fh.writelines(self._lines())
         return path
 
     @classmethod
@@ -483,7 +621,7 @@ class ManifestStream:
     def _write(self, record: Dict) -> None:
         if self._closed:
             return
-        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
+        self._fh.write(_encode(record) + "\n")
         self._fh.flush()
 
     # -- sinks ---------------------------------------------------------------
@@ -518,10 +656,12 @@ class ManifestStream:
     # -- lifecycle -----------------------------------------------------------
 
     def finalize(self, manifest: RunManifest) -> None:
-        """Append metrics, spans and the final header, then close.
+        """Append metrics, spans, unit rows and the final header, then close.
 
         The streamed event lines already carry the timeline, so only the
-        end-of-run records are appended here.
+        end-of-run records are appended here, and the unit rows go
+        without their ``t`` entry times: each transition appears once
+        per file.
         """
         if self._closed:
             return
@@ -531,8 +671,8 @@ class ManifestStream:
             record.update(span.to_dict())
             self._write(record)
         for unit in manifest.units:
-            record = {"kind": "unit"}
-            record.update(unit)
+            record = {k: v for k, v in unit.items() if k != "t"}
+            record["kind"] = "unit"
             self._write(record)
         for entry in manifest.ladder:
             record = {"kind": "ladder"}

@@ -3,7 +3,9 @@
 The telemetry plane emits one JSON record per happening — unit state
 transitions (``kind=event``), fault injections (``kind=fault``), alert
 transitions (``kind=alert``), campaign arbiter audit entries
-(``kind=campaign``).  This module turns that stream into the operator
+(``kind=campaign``).  A dumped (schema v4) manifest has no ``event``
+records; its ``unit`` rows carry each unit's transitions instead, and
+fold the same way.  This module turns that stream into the operator
 view: a per-tenant session table for campaigns, a per-phase unit table
 for single runs, the currently-firing alerts, and fault counts.
 
@@ -21,7 +23,7 @@ import time
 import urllib.request
 from typing import Dict, Iterator, Optional
 
-from repro.obs.export import unit_phase
+from repro.obs.export import STATE_ORDER, unit_phase
 
 __all__ = ["TailTable", "iter_file_records", "iter_http_records"]
 
@@ -69,6 +71,12 @@ class TailTable:
         kind = record.get("kind")
         if kind == "event":
             self._ingest_unit(record)
+        elif kind == "unit" and isinstance(record.get("t"), list):
+            name = record.get("name")
+            for state, t in zip(STATE_ORDER, record["t"]):
+                if isinstance(t, (int, float)):
+                    self.t = max(self.t, float(t))
+                    self._ingest_unit({"unit": name, "state": state})
         elif kind == "campaign":
             self._ingest_campaign(record)
         elif kind == "alert":

@@ -2,12 +2,17 @@
 
 RADICAL-Pilot ships a profiler that records per-unit state-transition
 timestamps; this is its counterpart.  A :class:`Tracer` attached to a
-session (or registered on individual units) collects every state
-transition, from which it derives:
+session (or registered on individual units) keeps one record per unit,
+from which it derives:
 
 * the full unit timeline (for post-mortem inspection or plotting),
 * a core-concurrency profile over virtual time (how many cores were busy),
 * aggregate per-state dwell times (where the time actually went).
+
+A record does not copy transitions: it holds the unit's own
+``timestamps`` dict.  The transition DAG in :mod:`repro.pilot.unit`
+enters each state at most once and in order, and a relaunch is a new
+unit, so that dict's insertion order already is the transition list.
 
 Used by ``examples/trace_timeline.py`` and available to users debugging
 their own workloads.
@@ -24,41 +29,56 @@ from repro.pilot.unit import ComputeUnit, FINAL_STATES, UnitState
 
 @dataclass
 class TraceRecord:
-    """All state-transition timestamps of one unit."""
+    """One unit's lifecycle, as views over its state-entry times.
+
+    ``timestamps`` is the unit's own ``state -> entry time`` dict, shared
+    rather than copied, so it fills in as the unit advances.  The record
+    never references the unit itself, which would keep its MD result and
+    ``work`` closure alive for the rest of the run.
+    """
 
     uid: str
     name: str
     cores: int
     metadata: Dict[str, object]
-    transitions: List[Tuple[str, float]] = field(default_factory=list)
+    timestamps: Dict[UnitState, float] = field(default_factory=dict)
+
+    @property
+    def transitions(self) -> List[Tuple[str, float]]:
+        """``(state, entry time)`` pairs in the order they happened."""
+        return [(state.value, t) for state, t in self.timestamps.items()]
 
     @property
     def final_state(self) -> Optional[str]:
         """Name of the final state reached, if any."""
-        for state, _ in reversed(self.transitions):
-            if UnitState(state) in FINAL_STATES:
-                return state
+        for state in reversed(self.timestamps):
+            if state in FINAL_STATES:
+                return state.value
+        return None
+
+    def _left_at(self, state: UnitState) -> Optional[float]:
+        """Entry time of the state entered after ``state``, if any."""
+        entries = iter(self.timestamps.items())
+        for entered, _ in entries:
+            if entered is state:
+                for _, t in entries:
+                    return t
+                return None
         return None
 
     def dwell(self, state: UnitState) -> float:
         """Virtual seconds spent in ``state`` (0 if never entered)."""
-        for i, (name, t0) in enumerate(self.transitions):
-            if name == state.value:
-                if i + 1 < len(self.transitions):
-                    return self.transitions[i + 1][1] - t0
-                return 0.0
-        return 0.0
+        t1 = self._left_at(state)
+        return 0.0 if t1 is None else t1 - self.timestamps[state]
 
     def interval(self, state: UnitState) -> Optional[Tuple[float, float]]:
         """(enter, leave) times of ``state``, or None."""
-        for i, (name, t0) in enumerate(self.transitions):
-            if name == state.value and i + 1 < len(self.transitions):
-                return (t0, self.transitions[i + 1][1])
-        return None
+        t1 = self._left_at(state)
+        return None if t1 is None else (self.timestamps[state], t1)
 
 
 class Tracer:
-    """Collects state transitions from the units it watches."""
+    """Keeps one :class:`TraceRecord` per unit it watches."""
 
     def __init__(self):
         self.records: Dict[str, TraceRecord] = {}
@@ -68,36 +88,42 @@ class Tracer:
         """Stream transitions: ``sink(unit_name, state, t)`` per event.
 
         Sinks fire as transitions happen (in causal order, not the
-        sorted order of :meth:`timeline`) — this is how
+        sorted order of the manifest timeline) — this is how
         :class:`~repro.obs.manifest.ManifestStream` flushes a manifest
-        incrementally while the run is still in flight.
+        incrementally while the run is still in flight.  A sink sees the
+        units watched after it is added, so add sinks before the run
+        submits work.
         """
         self._sinks.append(sink)
 
     def _on_transition(self, unit: ComputeUnit, state) -> None:
         t = unit.timestamps[state]
-        self.records[unit.uid].transitions.append((state.value, t))
         name = unit.description.name
         for sink in self._sinks:
             sink(name, state.value, t)
 
     def watch(self, unit: ComputeUnit) -> None:
-        """Start recording ``unit``'s transitions (idempotent)."""
+        """Start recording ``unit``'s transitions (idempotent).
+
+        Recording itself costs nothing per transition; only a tracer
+        with sinks registers a per-unit callback, to feed them.
+        """
         if unit.uid in self.records:
             return
-        record = TraceRecord(
+        description = unit.description
+        self.records[unit.uid] = TraceRecord(
             uid=unit.uid,
-            name=unit.description.name,
-            cores=unit.description.cores,
-            metadata=dict(unit.description.metadata),
+            name=description.name,
+            cores=description.cores,
+            metadata=dict(description.metadata),
+            timestamps=unit.timestamps,
         )
-        # transitions that already happened
-        for state, t in sorted(unit.timestamps.items(), key=lambda kv: kv[1]):
-            record.transitions.append((state.value, t))
-            for sink in self._sinks:
-                sink(record.name, state.value, t)
-        self.records[unit.uid] = record
-        unit.register_callback(self._on_transition)
+        if self._sinks:
+            # transitions that already happened
+            for state, t in unit.timestamps.items():
+                for sink in self._sinks:
+                    sink(description.name, state.value, t)
+            unit.register_callback(self._on_transition)
 
     def watch_all(self, units: Sequence[ComputeUnit]) -> None:
         """Watch every unit in ``units``."""
@@ -195,45 +221,6 @@ class Tracer:
             lines.append(f"... {len(recs) - max_rows} more units")
         return "\n".join(lines)
 
-    def timeline(self) -> List[List]:
-        """Event-ordered ``[time, unit_name, state]`` triples.
-
-        Times are rounded to microseconds and ties are broken by unit
-        name then state, so the result is byte-stable across runs of the
-        same seeded workload regardless of uid allocation order — this is
-        what the golden-trace regression fixtures are diffed against.
-        """
-        events: List[Tuple[float, str, str]] = []
-        for rec in self.records.values():
-            for state, t in rec.transitions:
-                events.append((round(t, 6), rec.name, state))
-        events.sort()
-        return [[t, name, state] for t, name, state in events]
-
-    def unit_meta(self) -> List[Dict]:
-        """Per-unit metadata in manifest form, sorted by unit name.
-
-        One dict per watched unit with the fields the trace analytics
-        need to attribute timeline intervals: ``name``, ``cores``, the
-        metadata ``phase``/``rid``/``cycle`` tags, and the final state.
-        Unit uids are deliberately excluded — they come from a global
-        counter and would break byte-stable manifests.
-        """
-        metas = []
-        for rec in self.records.values():
-            metas.append(
-                {
-                    "name": rec.name,
-                    "cores": rec.cores,
-                    "phase": rec.metadata.get("phase"),
-                    "rid": rec.metadata.get("rid"),
-                    "cycle": rec.metadata.get("cycle"),
-                    "final_state": rec.final_state,
-                }
-            )
-        metas.sort(key=lambda m: m["name"])
-        return metas
-
     # -- checkpointing --------------------------------------------------------
 
     def state_dict(self) -> List[Dict]:
@@ -272,9 +259,9 @@ class Tracer:
                 name=str(item["name"]),
                 cores=int(item["cores"]),
                 metadata=dict(item.get("metadata", {})),
-                transitions=[
-                    (str(s), float(t)) for s, t in item["transitions"]
-                ],
+                timestamps={
+                    UnitState(s): float(t) for s, t in item["transitions"]
+                },
             )
             self.records[uid] = rec
             for state, t in rec.transitions:
@@ -311,6 +298,8 @@ class Tracer:
                 name=item["name"],
                 cores=item["cores"],
                 metadata=item.get("metadata", {}),
-                transitions=[tuple(t) for t in item["transitions"]],
+                timestamps={
+                    UnitState(s): t for s, t in item["transitions"]
+                },
             )
         return tracer

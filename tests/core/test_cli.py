@@ -385,6 +385,34 @@ class TestObsCommands:
             assert "refusing under --strict" in err
             assert str(cut) in err
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"kind": "event", "t": 1.0, "state": "DONE"},
+            {"kind": "span", "name": "cycle", "t_end": 2.0, "tags": {}},
+            {"kind": "unit", "name": "md_r0_c0", "cores": 1, "t": [1.0]},
+        ],
+        ids=["event-without-unit", "span-without-t_start", "unit-short-t"],
+    )
+    def test_bad_record_is_dropped_and_strict_exits_4(
+        self, manifest_file, tmp_path, capsys, record
+    ):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(manifest_file.read_text() + json.dumps(record) + "\n")
+        assert main(["obs", "summary", str(bad)]) == 0
+        assert "dropped" in capsys.readouterr().err
+        assert main(["obs", "summary", "--strict", str(bad)]) == 4
+        assert "refusing under --strict" in capsys.readouterr().err
+
+    def test_header_without_title_exits_2(self, manifest_file, tmp_path, capsys):
+        lines = manifest_file.read_text().splitlines(True)
+        header = json.loads(lines[0])
+        del header["title"]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+        assert main(["obs", "summary", str(bad)]) == 2
+        assert "'title'" in capsys.readouterr().err
+
     def test_strict_on_clean_manifest_is_silent(self, manifest_file, capsys):
         assert main(["obs", "summary", "--strict", str(manifest_file)]) == 0
         captured = capsys.readouterr()

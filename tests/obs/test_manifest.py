@@ -1,18 +1,44 @@
 """Tests for run manifests: construction, JSONL round-trip, phase totals."""
 
+import hashlib
 import json
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
+from repro.campaign.service import expand_requests
+from repro.campaign.spec import CampaignSpec
 from repro.core import RepEx
+from repro.core.config import FailureSpec, SimulationConfig
 from repro.obs.manifest import (
+    STATE_ORDER,
     ManifestError,
     RunManifest,
     config_hash,
     phase_totals,
 )
 from repro.obs.metrics import NullRegistry, using_registry
+from repro.pilot.unit import UnitState
 from tests.conftest import small_tremd_config
+
+EXAMPLE_CONFIGS = Path(__file__).resolve().parents[2] / "examples" / "configs"
+
+#: a valid header, so each bad-record case below has exactly one fault
+HEADER = json.dumps(
+    {
+        "kind": "run", "schema_version": 4, "title": "t",
+        "config_hash": "0" * 16, "pattern": "synchronous",
+        "execution_mode": "I", "n_replicas": 1, "pilot_cores": 1,
+        "t_start": 0.0, "t_end": 1.0,
+    }
+)
+
+
+def asdict_hash(config) -> str:
+    """The pre-v4 ``config_hash``: sha256 of ``asdict``'s canonical JSON."""
+    text = json.dumps(asdict(config), sort_keys=True, default=str)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +104,29 @@ class TestFromRun:
         states = {state for _, _, state in timeline}
         assert "EXECUTING" in states and "DONE" in states
 
+    def test_unit_rows_are_the_timeline(self, run):
+        """Each unit row's ``t`` lists every state's entry time in
+        declaration order; the timeline is exactly their union."""
+        repex, result = run
+        manifest = result.manifest
+        assert manifest.events == []
+        by_name = {rec.name: rec for rec in repex.tracer.records.values()}
+        triples = []
+        for unit in manifest.units:
+            rec = by_name[unit["name"]]
+            assert unit["t"] == [
+                round(rec.timestamps[state], 6)
+                if state in rec.timestamps else None
+                for state in UnitState
+            ]
+            assert unit["final_state"] == rec.final_state
+            triples += [
+                (t, unit["name"], state)
+                for state, t in zip(STATE_ORDER, unit["t"])
+                if t is not None
+            ]
+        assert [tuple(e) for e in manifest.timeline] == sorted(triples)
+
 
 class TestJsonlRoundTrip:
     def test_round_trip_preserves_everything(self, run, tmp_path):
@@ -95,9 +144,8 @@ class TestJsonlRoundTrip:
         ]
         assert kinds[0] == "run"
         assert kinds[1] == "metrics"
-        assert set(kinds) == {
-            "run", "metrics", "span", "event", "unit", "ladder"
-        }
+        # v4: transitions live in the unit rows, not in event records
+        assert set(kinds) == {"run", "metrics", "span", "unit", "ladder"}
 
     def test_invalid_json_line_rejected(self):
         with pytest.raises(ManifestError, match="invalid JSON"):
@@ -110,6 +158,89 @@ class TestJsonlRoundTrip:
     def test_missing_header_rejected(self):
         with pytest.raises(ManifestError, match="no 'run' header"):
             RunManifest.from_jsonl('{"kind": "metrics", "data": {}}\n')
+
+    def test_pre_v4_event_records_still_load(self, run):
+        """A v3 dump (one ``event`` per transition, unit rows without
+        ``t``) loads to the same timeline and round-trips."""
+        _, result = run
+        manifest = result.manifest
+        v3 = [json.dumps({**json.loads(HEADER), "schema_version": 3})]
+        v3 += [
+            json.dumps({"kind": "unit", **{k: v for k, v in unit.items()
+                                           if k != "t"}})
+            for unit in manifest.units
+        ]
+        v3 += [
+            json.dumps({"kind": "event", "t": t, "unit": u, "state": s})
+            for t, u, s in manifest.timeline
+        ]
+        loaded = RunManifest.from_jsonl("\n".join(v3) + "\n")
+        assert loaded.timeline == manifest.timeline
+        assert RunManifest.from_jsonl(loaded.to_jsonl()) == loaded
+
+
+class TestBadRecords:
+    """A record lacking a field its kind needs is a ManifestError, never
+    a KeyError: fatal in a strict load, dropped and noted under
+    ``recover=True`` — except a bad header, which is always fatal."""
+
+    def load(self, *records, recover=False):
+        lines = [HEADER] + [json.dumps(r) for r in records]
+        return RunManifest.from_jsonl("\n".join(lines) + "\n", recover=recover)
+
+    def test_event_without_unit(self):
+        bad = {"kind": "event", "t": 1.0, "state": "DONE"}
+        with pytest.raises(ManifestError, match="line 2: event record .*'unit'"):
+            self.load(bad)
+        manifest = self.load(bad, recover=True)
+        assert manifest.timeline == []
+        assert manifest.partial
+        assert manifest.recovered == [
+            "line 2: event record without a valid 'unit' dropped"
+        ]
+
+    def test_header_without_title(self):
+        header = json.loads(HEADER)
+        del header["title"]
+        for recover in (False, True):
+            with pytest.raises(ManifestError, match="run record .*'title'"):
+                RunManifest.from_jsonl(json.dumps(header) + "\n",
+                                       recover=recover)
+
+    def test_span_without_t_start(self):
+        bad = {"kind": "span", "name": "cycle", "t_end": 2.0, "tags": {}}
+        with pytest.raises(ManifestError, match="span record .*'t_start'"):
+            self.load(bad)
+        manifest = self.load(bad, recover=True)
+        assert manifest.spans == []
+        assert "'t_start'" in manifest.recovered[0]
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            None,
+            "0.5",
+            [0.5] * (len(STATE_ORDER) - 1),
+            [0.5] * (len(STATE_ORDER) + 1),
+            [None] * (len(STATE_ORDER) - 1) + ["0.5"],
+            [None] * (len(STATE_ORDER) - 1) + [True],
+        ],
+        ids=["null", "string", "short", "long", "string-entry", "bool-entry"],
+    )
+    def test_unit_row_with_malformed_t(self, t):
+        bad = {"kind": "unit", "name": "md_r0_c0", "cores": 1, "t": t}
+        with pytest.raises(ManifestError, match="line 2: unit record"):
+            self.load(bad)
+        manifest = self.load(bad, recover=True)
+        assert manifest.units == []
+        assert manifest.timeline == []
+        assert "'t' is not" in manifest.recovered[0]
+
+    def test_record_that_is_not_an_object(self):
+        with pytest.raises(ManifestError, match="not a JSON object"):
+            RunManifest.from_jsonl(HEADER + "\n[1, 2]\n")
+        manifest = RunManifest.from_jsonl(HEADER + "\n[1, 2]\n", recover=True)
+        assert len(manifest.recovered) == 1
 
 
 class TestRecovery:
@@ -133,8 +264,12 @@ class TestRecovery:
         assert "truncated or invalid JSON" in manifest.recovered[0]
         assert manifest.title == result.manifest.title
         assert manifest.spans == result.manifest.spans
-        # the cut record and everything after it are gone, nothing else
-        assert len(manifest.timeline) == len(result.manifest.timeline) - 2
+        # the cut record and everything after it are gone, nothing else:
+        # the last two lines are unit rows, taking their transitions along
+        lost = result.manifest.units[-2:]
+        assert manifest.units == result.manifest.units[:-2]
+        n_lost = sum(t is not None for unit in lost for t in unit["t"])
+        assert len(manifest.timeline) == len(result.manifest.timeline) - n_lost
 
     def test_recover_skips_unknown_kinds(self, run):
         _, result = run
@@ -170,6 +305,32 @@ class TestConfigHash:
         assert config_hash(small_tremd_config()) != config_hash(
             small_tremd_config(seed=8)
         )
+
+    def test_matches_asdict_on_every_example_config(self):
+        """The hash stored in manifests and checkpoints is unchanged:
+        pinned against the ``asdict`` text for every example config and
+        every session config the example campaign expands to."""
+        configs = []
+        for path in sorted(EXAMPLE_CONFIGS.glob("*.json")):
+            data = json.loads(path.read_text())
+            if "tenants" in data:
+                spec = CampaignSpec.from_dict(data)
+                configs += [
+                    SimulationConfig.from_dict(r.payload)
+                    for r in expand_requests(spec)
+                ]
+            else:
+                configs.append(SimulationConfig.from_dict(data))
+        configs.append(
+            small_tremd_config(
+                failure=FailureSpec(
+                    node_crashes=[[40.0, 0]], slow_nodes=[[1, 2.0]]
+                )
+            )
+        )
+        assert len(configs) > 4
+        for config in configs:
+            assert config_hash(config) == asdict_hash(config)
 
 
 class TestNullRegistryRun:

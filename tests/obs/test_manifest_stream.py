@@ -22,15 +22,29 @@ class TestStreamedRun:
         config = small_tremd_config()
         result = run_streamed(path, config)
         loaded = RunManifest.load(path)
+        dumped = RunManifest.load(result.manifest.dump(tmp_path / "dump.jsonl"))
         assert not loaded.partial
         assert loaded.title == "test-tremd"
         assert loaded.t_end == result.t_end
-        # streamed lines are in causal firing order; the in-memory manifest
-        # groups per unit — same events either way
-        assert sorted(map(tuple, loaded.timeline)) == sorted(
-            map(tuple, result.manifest.timeline)
-        )
+        # the stream carries transitions as events in causal firing order,
+        # the dump as unit rows: both load to the same timeline
+        assert loaded.timeline == dumped.timeline == result.manifest.timeline
+        assert loaded.phase_totals == dumped.phase_totals
+        assert loaded.n_units == dumped.n_units == len(dumped.units)
+        assert loaded.units == [
+            {k: v for k, v in unit.items() if k != "t"}
+            for unit in dumped.units
+        ]
         assert loaded.metrics == result.manifest.metrics
+        # each transition appears exactly once in the streamed file
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        events = [
+            (r["t"], r["unit"], r["state"])
+            for r in records
+            if r["kind"] == "event"
+        ]
+        assert sorted(events) == [tuple(e) for e in result.manifest.timeline]
+        assert not any("t" in r for r in records if r["kind"] == "unit")
 
     def test_fault_events_streamed_and_kept(self, tmp_path):
         path = tmp_path / "run.jsonl"

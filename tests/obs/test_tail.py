@@ -79,6 +79,28 @@ class TestAlertAndFaultFold:
         assert "faults=2" in table.render()
 
 
+class TestManifestFold:
+    def test_dumped_and_streamed_manifests_fold_alike(self, tmp_path):
+        """A v4 dump's unit rows fold like the streamed file's events."""
+        from repro.core import RepEx
+        from repro.obs.metrics import MetricsRegistry, using_registry
+        from tests.conftest import small_tremd_config
+
+        streamed = tmp_path / "streamed.jsonl"
+        with using_registry(MetricsRegistry()):
+            result = RepEx(small_tremd_config(), manifest_path=streamed).run()
+        dumped = result.manifest.dump(tmp_path / "run.jsonl")
+        tables = []
+        for path in (streamed, dumped):
+            table = TailTable()
+            for record in iter_file_records(path):
+                table.ingest(record)
+            tables.append(table)
+        assert tables[0].phases == tables[1].phases
+        assert tables[0].phases["md"]["done"] > 0
+        assert tables[0].t == tables[1].t == round(result.t_end, 6)
+
+
 class TestFileIterator:
     def test_reads_jsonl_and_skips_garbage(self, tmp_path):
         path = tmp_path / "stream.jsonl"

@@ -1,5 +1,8 @@
 """Tests for the execution tracer."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.pilot import (
@@ -8,7 +11,16 @@ from repro.pilot import (
     UnitDescription,
 )
 from repro.pilot.trace import Tracer
-from repro.pilot.unit import UnitState
+from repro.pilot.unit import ComputeUnit, UnitState
+
+LIFECYCLE = (
+    UnitState.SCHEDULING,
+    UnitState.STAGING_INPUT,
+    UnitState.AGENT_EXECUTING_PENDING,
+    UnitState.EXECUTING,
+    UnitState.STAGING_OUTPUT,
+    UnitState.DONE,
+)
 
 
 def run_traced(n_units=4, cores=2, duration=10.0):
@@ -70,6 +82,34 @@ class TestTracer:
         names = [s for s, _ in rec.transitions]
         # each state appears once despite double-watching
         assert len(names) == len(set(names))
+
+    @pytest.mark.parametrize("with_sink", [False, True])
+    def test_keeps_no_finished_unit_alive(self, with_sink):
+        """A record shares the unit's timestamps, never the unit, so a
+        dropped unit is freed along with its result and work closure."""
+        tracer = Tracer()
+        seen = []
+        if with_sink:
+            tracer.add_sink(lambda *event: seen.append(event))
+        payload = bytearray(1 << 16)
+        unit = ComputeUnit(UnitDescription(name="u", work=lambda: payload))
+        unit.advance(UnitState.SCHEDULING, 0.0)
+        tracer.watch(unit)
+        for t, state in enumerate(LIFECYCLE[1:], start=1):
+            unit.advance(state, float(t))
+        unit.result = payload
+        ref = weakref.ref(unit)
+        del unit
+        gc.collect()
+        assert ref() is None
+        (rec,) = tracer.records.values()
+        assert rec.transitions == [
+            (state.value, float(t)) for t, state in enumerate(LIFECYCLE)
+        ]
+        assert rec.final_state == "DONE"
+        assert rec.dwell(UnitState.EXECUTING) == 1.0
+        assert seen == ([("u", s, t) for s, t in rec.transitions]
+                        if with_sink else [])
 
     def test_concurrency_profile_respects_capacity(self):
         tracer = run_traced(n_units=6, cores=2, duration=10.0)

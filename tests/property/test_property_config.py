@@ -1,5 +1,9 @@
 """Property-based tests for configuration round-trips."""
 
+import hashlib
+import json
+from dataclasses import asdict
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +13,7 @@ from repro.core.config import (
     ResourceSpec,
     SimulationConfig,
 )
+from repro.obs.manifest import config_hash
 from repro.pilot.cluster import get_cluster
 
 dim_strategy = st.one_of(
@@ -92,6 +97,15 @@ def test_dict_roundtrip_preserves_everything(cfg):
 def test_json_roundtrip(cfg):
     again = SimulationConfig.from_json(cfg.to_json())
     assert again.to_dict() == cfg.to_dict()
+
+
+@given(cfg=config_strategy())
+@settings(max_examples=200)
+def test_config_hash_is_over_the_asdict_json(cfg):
+    """``config_hash`` skips ``asdict``'s deep copy but hashes the same
+    text, so hashes already stored in manifests and checkpoints hold."""
+    text = json.dumps(asdict(cfg), sort_keys=True, default=str)
+    assert config_hash(cfg) == hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 @given(cfg=config_strategy())
