@@ -25,14 +25,15 @@ fault schedule) regenerate identically from the seed.
 
 Two kinds of quiet point exist, one per execution pattern:
 
-* **synchronous** — every cycle boundary is naturally quiet (schema v1
-  checkpoints were exactly these, and still load);
+* **synchronous** — every cycle boundary is naturally quiet;
 * **asynchronous** — the EMM *induces* one via the quiesce protocol
   (:class:`~repro.core.emm.AsynchronousEMM`): stop launching, drain
-  in-flight units, capture, resume.  Schema v2 adds the ``pattern`` tag
-  and the ``async_state`` block (per-replica progress counters, deferred
-  launch queue, exchange-candidate pool, window-timer phase) that the
-  async event loop needs to rebuild itself mid-stream.
+  in-flight units, capture, resume.  The snapshot's ``async_state`` block
+  (:class:`~repro.core.emm.AsyncState`: per-replica progress counters,
+  deferred launch queue, exchange-candidate pool, window-timer phase) is
+  what the async event loop rebuilds itself from mid-stream.
+
+:meth:`Checkpoint.capture` and :func:`restore` serve both patterns.
 """
 
 from __future__ import annotations
@@ -42,10 +43,11 @@ import json
 import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.core.emm import AsyncState
 from repro.core.replica import CycleRecord, Replica, ReplicaStatus
 from repro.core.results import CycleTiming
 from repro.core.exchange.base import SwapProposal
@@ -54,20 +56,8 @@ from repro.obs.manifest import config_hash
 #: Bump on any incompatible change to the checkpoint layout.
 SCHEMA_VERSION = 2
 
-#: Versions :func:`Checkpoint.from_json` can read.  v1 (cycle-boundary,
-#: synchronous-only, no obs blob) upgrades in memory on load.
-SUPPORTED_VERSIONS = (1, 2)
-
-#: Required keys of the ``async_state`` block of an asynchronous snapshot.
-_ASYNC_STATE_KEYS = (
-    "cycles_done",
-    "md_attempts",
-    "pool",
-    "deferred",
-    "sweep",
-    "rid_next",
-    "n_quiesces",
-)
+#: Versions :func:`Checkpoint.from_json` can read.
+SUPPORTED_VERSIONS = (SCHEMA_VERSION,)
 
 
 class CheckpointError(RuntimeError):
@@ -238,7 +228,8 @@ class Checkpoint:
     staging: Dict[str, object] = field(default_factory=dict)
     #: which EMM took the snapshot: "synchronous" | "asynchronous"
     pattern: str = "synchronous"
-    #: async event-loop state (quiesce snapshots only)
+    #: async event-loop state (quiesce snapshots only), as
+    #: :meth:`AsyncState.to_dict <repro.core.emm.AsyncState.to_dict>` wrote it
     async_state: Optional[Dict[str, object]] = None
     #: observability state (metrics/spans/trace/faults); None when obs off
     obs: Optional[Dict[str, object]] = None
@@ -254,79 +245,34 @@ class Checkpoint:
     # -- capture -------------------------------------------------------------
 
     @classmethod
-    def capture(
-        cls,
-        emm,
-        next_cycle: int,
-        t_start: float,
-        timings: List[CycleTiming],
-        proposals: List[SwapProposal],
-    ) -> "Checkpoint":
-        """Snapshot ``emm`` at a cycle boundary (``next_cycle`` not yet run)."""
-        return cls(
-            config_hash=config_hash(emm.config),
-            title=emm.config.title,
-            next_cycle=next_cycle,
-            t_start=t_start,
-            t_now=emm.session.now,
-            replicas=[_replica_to_dict(r) for r in emm.replicas],
-            exchange_stats={
-                name: {"attempted": s.attempted, "accepted": s.accepted}
-                for name, s in emm.amm.exchange_stats.items()
-            },
-            timings=[asdict(t) for t in timings],
-            proposals=[asdict(p) for p in proposals],
-            accounting=_capture_accounting(emm),
-            rng=_capture_rng(emm),
-            staging=emm.session.staging_area.snapshot(),
-            pattern="synchronous",
-            obs=_capture_obs(emm),
-            watchdog_state=_capture_watchdog(emm),
-        )
+    def capture(cls, emm) -> "Checkpoint":
+        """Snapshot ``emm`` at a quiet point.
 
-    @classmethod
-    def capture_async(
-        cls,
-        emm,
-        *,
-        t_start: float,
-        timings: List[CycleTiming],
-        proposals: List[SwapProposal],
-        async_state: Dict[str, object],
-    ) -> "Checkpoint":
-        """Snapshot ``emm`` at a quiesce point (async pattern).
-
-        Must be called at the induced quiet point — nothing in flight, no
-        exchange in progress — so the clock replay on restore sees the
-        same pending-event picture the capture did.  ``async_state`` is
-        the event loop's own progress block (see
-        :class:`~repro.core.emm.AsynchronousEMM`).
+        A synchronous EMM is at a cycle boundary (its ``next_cycle`` not
+        yet run); an asynchronous one at a quiesce point — nothing in
+        flight, no exchange in progress — so the clock replay on restore
+        sees the same pending-event picture the capture did.
         """
-        missing = [k for k in _ASYNC_STATE_KEYS if k not in async_state]
-        if missing:
-            raise CheckpointError(
-                f"async_state is missing keys: {', '.join(missing)}"
-            )
-        cycles_done = async_state["cycles_done"]
-        next_cycle = min(cycles_done.values()) if cycles_done else 0
+        pattern = emm.config.pattern.kind
+        state = emm.state if pattern == "asynchronous" else None
         return cls(
             config_hash=config_hash(emm.config),
             title=emm.config.title,
-            next_cycle=int(next_cycle),
-            t_start=t_start,
+            next_cycle=emm.next_cycle if state is None else state.next_cycle,
+            t_start=emm.t_start,
             t_now=emm.session.now,
             replicas=[_replica_to_dict(r) for r in emm.replicas],
             exchange_stats={
                 name: {"attempted": s.attempted, "accepted": s.accepted}
                 for name, s in emm.amm.exchange_stats.items()
             },
-            timings=[asdict(t) for t in timings],
-            proposals=[asdict(p) for p in proposals],
+            timings=[asdict(t) for t in emm.timings],
+            proposals=[asdict(p) for p in emm.proposals],
             accounting=_capture_accounting(emm),
             rng=_capture_rng(emm),
             staging=emm.session.staging_area.snapshot(),
-            pattern="asynchronous",
-            async_state=dict(async_state),
+            pattern=pattern,
+            async_state=state.to_dict() if state is not None else None,
             obs=_capture_obs(emm),
             watchdog_state=_capture_watchdog(emm),
         )
@@ -366,12 +312,6 @@ class Checkpoint:
                 f"(this build reads versions "
                 f"{', '.join(str(v) for v in SUPPORTED_VERSIONS)})"
             )
-        if version == 1:
-            # v1 predates the pattern tag: always a synchronous
-            # cycle-boundary snapshot with no async/obs blocks.
-            data.setdefault("pattern", "synchronous")
-            data.setdefault("async_state", None)
-            data.setdefault("obs", None)
         try:
             ckpt = cls(**data)
         except TypeError as exc:
@@ -379,10 +319,8 @@ class Checkpoint:
         ckpt.validate()
         # Verified last: structural damage gets its specific error above;
         # the checksum catches the silent kind — a flipped bit in a
-        # coordinate or RNG word that still parses and validates.  Only
-        # current-schema files are checked: the v1 upgrade path rewrites
-        # fields, so any hash it carried can no longer match.
-        if version == SCHEMA_VERSION and ckpt.checksum is not None:
+        # coordinate or RNG word that still parses and validates.
+        if ckpt.checksum is not None:
             expected = cls._content_checksum(data)
             if ckpt.checksum != expected:
                 recorded = (
@@ -431,29 +369,36 @@ class Checkpoint:
             float(self.t_start)
             float(self.t_now)
             if self.pattern == "asynchronous":
-                state = self.async_state
-                if not isinstance(state, dict):
-                    raise TypeError(
-                        "asynchronous checkpoint has no async_state block"
-                    )
-                missing = [k for k in _ASYNC_STATE_KEYS if k not in state]
-                if missing:
-                    raise KeyError(
-                        f"async_state missing {', '.join(missing)}"
-                    )
-                for k, v in state["cycles_done"].items():
-                    int(k), int(v)
-                [int(r) for r in state["pool"]]
-                [int(r) for r in state["deferred"]]
-                int(state["sweep"])
-                int(state["rid_next"])
-                int(state["n_quiesces"])
-        except CheckpointError:
-            raise
+                # parsing alone: the cycle target only feeds the done count
+                AsyncState.from_dict(self.async_state, n_cycles=0)
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise CheckpointError(
                 f"corrupted checkpoint: {type(exc).__name__}: {exc}"
             ) from None
+
+    def check_resumes(self, config) -> None:
+        """Raise :class:`CheckpointError` unless this snapshot can continue
+        a run of ``config``: same pattern, same configuration, work left."""
+        if self.pattern != config.pattern.kind:
+            raise CheckpointError(
+                f"checkpoint was taken by the {self.pattern} pattern but "
+                f"this run uses the {config.pattern.kind} pattern"
+            )
+        if self.config_hash != config_hash(config):
+            raise CheckpointError(
+                f"checkpoint was taken from a different configuration "
+                f"(hash {self.config_hash} != {config_hash(config)})"
+            )
+        if self.pattern == "asynchronous":
+            state = AsyncState.from_dict(self.async_state, config.n_cycles)
+            complete = state.finished
+        else:
+            complete = self.next_cycle >= config.n_cycles
+        if complete:
+            raise CheckpointError(
+                f"checkpoint is already complete (every replica has run "
+                f"all {config.n_cycles} cycles)"
+            )
 
     def save(self, path, text: Optional[str] = None) -> str:
         """Write the checkpoint to ``path`` atomically; returns the text.
@@ -492,21 +437,20 @@ class Checkpoint:
             ) from None
 
 
-def _check_pattern(emm, ckpt: Checkpoint, expected: str) -> None:
-    if ckpt.pattern != expected:
-        raise CheckpointError(
-            f"checkpoint was taken by the {ckpt.pattern} pattern but this "
-            f"run uses the {expected} pattern"
-        )
-    if ckpt.config_hash != config_hash(emm.config):
-        raise CheckpointError(
-            f"checkpoint was taken from a different configuration "
-            f"(hash {ckpt.config_hash} != {config_hash(emm.config)})"
-        )
+def restore(emm, ckpt: Checkpoint) -> None:
+    """Overwrite ``emm``'s run state from ``ckpt``, for either pattern.
 
-
-def _restore_state(emm, ckpt: Checkpoint) -> None:
-    """Overwrite replicas, stats, accounting, RNG and staging from ``ckpt``."""
+    Must be called after the pilot is ACTIVE and before the run loop
+    starts, with a snapshot :meth:`Checkpoint.check_resumes` accepted for
+    this run.  Sets the replicas, stats, accounting, RNG, staging and obs
+    state, plus the EMM's ``t_start``, ``timings``, ``proposals`` and its
+    position: ``next_cycle`` (synchronous) or ``state``, an
+    :class:`~repro.core.emm.AsyncState` (asynchronous).  The virtual
+    clock is replayed to the checkpoint time: events strictly before it
+    fire (re-arming deterministic fault schedules, re-quarantining
+    crashed nodes), events at or after it stay pending, exactly as at the
+    original quiet point.
+    """
     emm.replicas = [_replica_from_dict(d) for d in ckpt.replicas]
     for name, counts in ckpt.exchange_stats.items():
         if name not in emm.amm.exchange_stats:
@@ -554,6 +498,17 @@ def _restore_state(emm, ckpt: Checkpoint) -> None:
 
     emm.session.staging_area.restore(ckpt.staging)
 
+    _replay_clock(emm.session, ckpt.t_now)
+    _restore_obs(emm, ckpt.obs)
+
+    emm.t_start = ckpt.t_start
+    emm.timings = [CycleTiming(**d) for d in ckpt.timings]
+    emm.proposals = [SwapProposal(**d) for d in ckpt.proposals]
+    if ckpt.pattern == "asynchronous":
+        emm.state = AsyncState.from_dict(ckpt.async_state, emm.config.n_cycles)
+    else:
+        emm.next_cycle = ckpt.next_cycle
+
 
 def _replay_clock(session, t_now: float) -> None:
     """Replay the virtual clock to the quiet point.
@@ -594,80 +549,3 @@ def _restore_obs(emm, obs: Optional[Dict[str, object]]) -> None:
     # with fresh walk state rather than failing
     if ladder is not None and obs.get("ladder") is not None:
         ladder.load_state(obs["ladder"])
-
-
-def restore(
-    emm, ckpt: Checkpoint
-) -> Tuple[int, float, List[CycleTiming], List[SwapProposal]]:
-    """Overwrite ``emm``'s state from a synchronous ``ckpt``.
-
-    Must be called after the pilot is ACTIVE and before any cycle runs.
-    Returns ``(start_cycle, t_start, timings, proposals)`` for the EMM's
-    cycle loop.  The virtual clock is replayed to the checkpoint time:
-    events strictly before it fire (re-arming deterministic fault
-    schedules, re-quarantining crashed nodes), events at or after it stay
-    pending, exactly as at the original boundary.
-    """
-    _check_pattern(emm, ckpt, "synchronous")
-    if ckpt.next_cycle >= emm.config.n_cycles:
-        raise CheckpointError(
-            f"checkpoint is already complete ({ckpt.next_cycle} of "
-            f"{emm.config.n_cycles} cycles)"
-        )
-
-    _restore_state(emm, ckpt)
-    _replay_clock(emm.session, ckpt.t_now)
-    _restore_obs(emm, ckpt.obs)
-
-    timings = [CycleTiming(**d) for d in ckpt.timings]
-    proposals = [SwapProposal(**d) for d in ckpt.proposals]
-    return ckpt.next_cycle, ckpt.t_start, timings, proposals
-
-
-def restore_async(emm, ckpt: Checkpoint) -> Dict[str, object]:
-    """Overwrite ``emm``'s state from an asynchronous (quiesce) ``ckpt``.
-
-    Returns the event-loop state block the async run loop rebuilds itself
-    from: per-replica progress (``cycles_done``, ``md_attempts``), the
-    exchange-candidate ``pool`` and ``deferred`` launch queue (both in
-    original order, which pins event sequencing), the sweep and rid
-    counters, the pending window-timer fire time, and the accumulated
-    timings/proposals.
-    """
-    _check_pattern(emm, ckpt, "asynchronous")
-    state = ckpt.async_state
-    if not isinstance(state, dict):
-        raise CheckpointError(
-            "asynchronous checkpoint has no async_state block"
-        )
-    cycles_done = {int(k): int(v) for k, v in state["cycles_done"].items()}
-    if cycles_done and all(
-        c >= emm.config.n_cycles for c in cycles_done.values()
-    ):
-        raise CheckpointError(
-            f"checkpoint is already complete (all replicas at "
-            f"{emm.config.n_cycles} cycles)"
-        )
-
-    _restore_state(emm, ckpt)
-    _replay_clock(emm.session, ckpt.t_now)
-    _restore_obs(emm, ckpt.obs)
-
-    window_next_t = state.get("window_next_t")
-    return {
-        "t_start": float(ckpt.t_start),
-        "timings": [CycleTiming(**d) for d in ckpt.timings],
-        "proposals": [SwapProposal(**d) for d in ckpt.proposals],
-        "cycles_done": cycles_done,
-        "md_attempts": {
-            int(k): int(v) for k, v in state["md_attempts"].items()
-        },
-        "pool": [int(r) for r in state["pool"]],
-        "deferred": [int(r) for r in state["deferred"]],
-        "sweep": int(state["sweep"]),
-        "rid_next": int(state["rid_next"]),
-        "n_quiesces": int(state["n_quiesces"]),
-        "window_next_t": (
-            float(window_next_t) if window_next_t is not None else None
-        ),
-    }

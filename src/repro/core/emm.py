@@ -20,8 +20,10 @@ utilization metric of Eq. 4.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.core.adaptive import build_adaptive
 from repro.core.amm import ApplicationManager
 from repro.core.config import SimulationConfig
 from repro.core.exchange.base import SwapProposal
@@ -36,8 +38,114 @@ from repro.pilot.session import Session
 from repro.pilot.unit import ComputeUnit
 
 
+@dataclass
+class AsyncState:
+    """The asynchronous event loop's progress: what a quiesce saves.
+
+    The one owner of a checkpoint's ``async_state`` block — its keys and
+    key types (:meth:`to_dict`, :meth:`from_dict`) and the counts derived
+    from it (:attr:`n_done`, :attr:`finished`, :attr:`next_cycle`).
+    Replica ids are written as string keys: JSON turns int keys into
+    strings anyway, and only string keys sort the same before and after a
+    round trip, which the checkpoint's content checksum relies on.
+    """
+
+    #: the run's cycle target (fixed by the config, so never saved)
+    n_cycles: int
+    #: completed cycles per replica; written only through :meth:`set_cycles`
+    cycles_done: Dict[int, int]
+    #: consecutive failed attempts of each replica's current cycle, so
+    #: relaunch budgets actually exhaust (dropped on success/continue)
+    md_attempts: Dict[int, int] = field(default_factory=dict)
+    #: rids awaiting exchange, in arrival order
+    pool: List[int] = field(default_factory=list)
+    #: rids whose launch a quiesce held back, in submission order (both
+    #: orders pin event sequencing on resume)
+    deferred: List[int] = field(default_factory=list)
+    #: exchange sweeps started so far
+    sweep: int = 0
+    #: id the next spawned replica gets
+    rid_next: int = 0
+    #: quiesce checkpoints captured so far (by this run and its ancestors)
+    n_quiesces: int = 0
+    #: fire time of the pending window timer, so restore re-arms it in phase
+    window_next_t: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        # The loop's done test runs after every event, so it must not
+        # rescan ``cycles_done`` (quadratic at 1000 replicas): keep an
+        # exact count of finished replicas, restored ones included.
+        self.n_done = sum(
+            c >= self.n_cycles for c in self.cycles_done.values()
+        )
+
+    def set_cycles(self, rid: int, value: int) -> None:
+        """Record ``rid``'s completed cycles, keeping :attr:`n_done` exact."""
+        was_done = self.cycles_done.get(rid, 0) >= self.n_cycles
+        self.cycles_done[rid] = value
+        self.n_done += (value >= self.n_cycles) - was_done
+
+    @property
+    def finished(self) -> bool:
+        """Every replica has run (or was retired at) its last cycle."""
+        return self.n_done == len(self.cycles_done)
+
+    @property
+    def next_cycle(self) -> int:
+        """The least-progressed replica's next cycle."""
+        return min(self.cycles_done.values(), default=0)
+
+    def to_dict(self) -> Dict[str, object]:
+        """The checkpoint's ``async_state`` block."""
+        return {
+            "cycles_done": {str(r): c for r, c in self.cycles_done.items()},
+            "md_attempts": {str(r): n for r, n in self.md_attempts.items()},
+            "pool": list(self.pool),
+            "deferred": list(self.deferred),
+            "sweep": self.sweep,
+            "rid_next": self.rid_next,
+            "n_quiesces": self.n_quiesces,
+            "window_next_t": self.window_next_t,
+        }
+
+    @classmethod
+    def from_dict(cls, data, n_cycles: int) -> "AsyncState":
+        """Parse a block :meth:`to_dict` wrote (``window_next_t`` may be
+        absent); a malformed one raises ``KeyError``, ``TypeError``,
+        ``ValueError`` or ``AttributeError`` naming ``async_state``."""
+        if not isinstance(data, dict):
+            raise TypeError("asynchronous checkpoint has no async_state block")
+        try:
+            window = data.get("window_next_t")
+            return cls(
+                n_cycles=n_cycles,
+                cycles_done={
+                    int(r): int(c) for r, c in data["cycles_done"].items()
+                },
+                md_attempts={
+                    int(r): int(n) for r, n in data["md_attempts"].items()
+                },
+                pool=[int(r) for r in data["pool"]],
+                deferred=[int(r) for r in data["deferred"]],
+                sweep=int(data["sweep"]),
+                rid_next=int(data["rid_next"]),
+                n_quiesces=int(data["n_quiesces"]),
+                window_next_t=float(window) if window is not None else None,
+            )
+        except KeyError as exc:
+            raise KeyError(f"async_state missing {exc.args[0]}") from None
+
+
 class ExecutionManagerBase:
-    """Shared plumbing of the two pattern EMMs."""
+    """Shared plumbing of the two pattern EMMs.
+
+    Each EMM keeps its run state on itself, set when a run begins —
+    ``t_start``, ``timings``, ``proposals`` and the pattern's own position
+    (the synchronous ``next_cycle``, the asynchronous :class:`AsyncState`)
+    — so one
+    :meth:`Checkpoint.capture <repro.core.checkpoint.Checkpoint.capture>`
+    and one :func:`~repro.core.checkpoint.restore` serve both patterns.
+    """
 
     def __init__(
         self,
@@ -115,11 +223,52 @@ class ExecutionManagerBase:
 
     # -- helpers ---------------------------------------------------------------
 
-    def _ensure_pilot_active(self) -> None:
+    def _begin(self, resume) -> None:
+        """Activate the pilot, then restore ``resume``'s run state (a
+        :class:`~repro.core.checkpoint.Checkpoint`) or start afresh; the
+        caller sets its own pattern state on a fresh start."""
+        # imported here: the checkpoint module imports this one
+        from repro.core.checkpoint import restore
+
         if self.pilot.state is PilotState.NEW:
             raise RuntimeError("pilot was never launched")
         if self.pilot.state is PilotState.PENDING:
             self.session.wait_pilot(self.pilot)
+        if resume is not None:
+            restore(self, resume)
+            return
+        self.replicas = self.amm.create_replicas()
+        self.t_start = self.session.now
+        self.timings = []
+        self.proposals = []
+        if self.ladder is not None:
+            self.ladder.reset()
+            self.ladder.observe_all(self.t_start, self.replicas)
+
+    def _checkpoint(self) -> None:
+        """Hand the sink a snapshot of this quiet point."""
+        from repro.core.checkpoint import Checkpoint
+
+        # counted before capture so the snapshot's own metric state
+        # already includes this checkpoint (a resumed run's totals then
+        # telescope to the uninterrupted run's)
+        self._c_captured.inc()
+        self.checkpoint_sink(Checkpoint.capture(self))
+
+    def _md_failed(self, rep: Replica, attempt: int) -> FaultAction:
+        """Count one failed MD attempt of ``rep`` and apply the fault
+        policy, retiring the replica when told to; returns the action
+        (what a relaunch or continue means is the caller's business)."""
+        self.n_failures += 1
+        self._c_failures.inc()
+        action = self.policy.on_failure(rep, attempt)
+        if action is FaultAction.RETIRE:
+            self._retire(rep)
+        return action
+
+    def _retire(self, rep: Replica) -> None:
+        rep.status = ReplicaStatus.RETIRED
+        self.n_retired += 1
 
     def _account_md(self, units: Sequence[ComputeUnit]) -> None:
         for u in units:
@@ -159,24 +308,16 @@ class ExecutionManagerBase:
         Every unit in ``unit_of`` must be final; relaunched replicas get
         their new unit written back into the dict.
         """
+        by_rid = {r.rid: r for r in replicas}
         attempt = 1
         while True:
-            failed = [
-                rid for rid, u in unit_of.items() if not u.succeeded
-            ]
-            if not failed:
-                break
-            self.n_failures += len(failed)
-            self._c_failures.inc(len(failed))
             to_relaunch: List[Replica] = []
-            by_rid = {r.rid: r for r in replicas}
-            for rid in failed:
-                action = self.policy.on_failure(by_rid[rid], attempt)
+            for rid, unit in unit_of.items():
+                if unit.succeeded:
+                    continue
+                action = self._md_failed(by_rid[rid], attempt)
                 if action is FaultAction.RELAUNCH:
                     to_relaunch.append(by_rid[rid])
-                elif action is FaultAction.RETIRE:
-                    by_rid[rid].status = ReplicaStatus.RETIRED
-                    self.n_retired += 1
             if not to_relaunch:
                 break
             redo = [self.amm.md_task(r, cycle) for r in to_relaunch]
@@ -212,24 +353,24 @@ class ExecutionManagerBase:
         pending = [u for u in units if not u.done]
         if not pending:
             return
-        remaining = [len(pending)]
+        remaining = len(pending)
+        fired = False
 
         def _on_final(unit: ComputeUnit, _state) -> None:
+            nonlocal remaining
             if unit.done:
-                remaining[0] -= 1
+                remaining -= 1
 
         for unit in pending:
             unit.register_callback(_on_final)
-        fired = {"flag": False}
 
         def _fire() -> None:
-            fired["flag"] = True
+            nonlocal fired
+            fired = True
 
         timer = self.session.clock.schedule(deadline_s, _fire)
-        self.session.clock.run_until(
-            lambda: remaining[0] == 0 or fired["flag"]
-        )
-        if not fired["flag"]:
+        self.session.clock.run_until(lambda: remaining == 0 or fired)
+        if not fired:
             timer.cancel()
 
     def _run_md_bounded(
@@ -320,7 +461,7 @@ class ExecutionManagerBase:
         self.amm.apply_proposals(replicas, dimension, proposals)
         return proposals
 
-    def _build_result(self, timings: List[CycleTiming], t_start: float) -> SimulationResult:
+    def _build_result(self, interrupted: bool) -> SimulationResult:
         if self.ladder is not None:
             # close the occupancy integral at the run's end; checkpoints
             # are always captured before this point, so an interrupted
@@ -334,17 +475,19 @@ class ExecutionManagerBase:
             n_replicas=self.config.n_replicas,
             pilot_cores=self.pilot.description.cores,
             replicas=self.replicas,
-            cycle_timings=timings,
+            cycle_timings=self.timings,
+            proposals=self.proposals,
             exchange_stats=self.amm.exchange_stats,
             md_core_seconds=self.md_core_seconds,
             exchange_core_seconds=self.exchange_core_seconds,
-            t_start=t_start,
+            t_start=self.t_start,
             t_end=self.session.now,
             n_failures=self.n_failures,
             n_relaunches=self.n_relaunches,
             steps_per_cycle=self.config.steps_per_cycle,
             n_retired=self.n_retired,
             n_spawned=self.n_spawned,
+            interrupted=interrupted,
         )
 
 
@@ -359,25 +502,13 @@ class SynchronousEMM(ExecutionManagerBase):
         and execution continues at its ``next_cycle`` — bit-identical to
         an uninterrupted run at the same seed.
         """
-        from repro.core import checkpoint as ckpt_mod
-
-        self._ensure_pilot_active()
-        if resume is not None:
-            start_cycle, t_start, timings, all_proposals = ckpt_mod.restore(
-                self, resume
-            )
-        else:
-            self.replicas = self.amm.create_replicas()
-            start_cycle = 0
-            t_start = self.session.now
-            timings = []
-            all_proposals = []
-            if self.ladder is not None:
-                self.ladder.reset()
-                self.ladder.observe_all(t_start, self.replicas)
+        self._begin(resume)
+        if resume is None:
+            # the first cycle not yet run, where a checkpoint resumes
+            self.next_cycle = 0
         interrupted = False
 
-        for cycle in range(start_cycle, self.config.n_cycles):
+        for cycle in range(self.next_cycle, self.config.n_cycles):
             dimension = (
                 self.amm.schedule.active(cycle)
                 if self.config.exchange_enabled
@@ -448,7 +579,7 @@ class SynchronousEMM(ExecutionManagerBase):
                         cycle, dimension, healthy, span=ex_span
                     )
                 self._c_sweeps.inc()
-                all_proposals.extend(proposals)
+                self.proposals.extend(proposals)
                 if self.ladder is not None:
                     # windows only move at applied swaps, so observing the
                     # participants right after the sweep keeps the
@@ -471,12 +602,7 @@ class SynchronousEMM(ExecutionManagerBase):
                     rep = by_rid[rid]
                     unit = unit_of[rid]
                     if not unit.succeeded:
-                        self.n_failures += 1
-                        self._c_failures.inc()
-                        action = self.policy.on_failure(rep, 1)
-                        if action is FaultAction.RETIRE:
-                            rep.status = ReplicaStatus.RETIRED
-                            self.n_retired += 1
+                        self._md_failed(rep, 1)
                     ok = self.amm.process_md_output(
                         rep,
                         unit,
@@ -494,7 +620,7 @@ class SynchronousEMM(ExecutionManagerBase):
                 + self._last_exchange_data_time
             )
             self._last_exchange_data_time = 0.0
-            timings.append(
+            self.timings.append(
                 CycleTiming(
                     cycle=cycle,
                     dimension=dimension.name if dimension else None,
@@ -518,22 +644,14 @@ class SynchronousEMM(ExecutionManagerBase):
             if self.alerts is not None:
                 self.alerts.evaluate(self.session.now)
 
-            completed = cycle + 1
+            self.next_cycle = completed = cycle + 1
             if (
                 self.checkpoint_every
                 and self.checkpoint_sink is not None
                 and completed % self.checkpoint_every == 0
                 and completed < self.config.n_cycles
             ):
-                # counted before capture so the snapshot's own metric state
-                # already includes this checkpoint (a resumed run's totals
-                # then telescope to the uninterrupted run's)
-                self._c_captured.inc()
-                self.checkpoint_sink(
-                    ckpt_mod.Checkpoint.capture(
-                        self, completed, t_start, timings, all_proposals
-                    )
-                )
+                self._checkpoint()
             if (
                 self.stop_after_cycle is not None
                 and completed >= self.stop_after_cycle
@@ -542,10 +660,7 @@ class SynchronousEMM(ExecutionManagerBase):
                 interrupted = True
                 break
 
-        result = self._build_result(timings, t_start)
-        result.proposals = all_proposals
-        result.interrupted = interrupted
-        return result
+        return self._build_result(interrupted)
 
 
 class AsynchronousEMM(ExecutionManagerBase):
@@ -555,6 +670,11 @@ class AsynchronousEMM(ExecutionManagerBase):
     Fig. 13 async runs all use Execution Mode I); replicas whose MD is done
     idle in the exchange pool until the criterion fires, which is exactly
     the utilization gap the paper measures.
+
+    The event loop is a small state machine: :attr:`state`
+    (:class:`AsyncState`) holds what survives a quiet point, and the
+    attributes :meth:`run` resets hold what only lives between two —
+    units in flight, a running sweep, an open quiesce.
     """
 
     def run(self, resume=None) -> SimulationResult:
@@ -579,478 +699,379 @@ class AsynchronousEMM(ExecutionManagerBase):
         defined against an uninterrupted run *with the same checkpoint
         cadence*, exactly as for any checkpointing system.
         """
-        from repro.core import checkpoint as ckpt_mod
-        from repro.core.adaptive import build_adaptive
-
-        self._ensure_pilot_active()
-        restored = None
-        if resume is not None:
-            restored = ckpt_mod.restore_async(self, resume)
-            t_start = restored["t_start"]
-        else:
-            self.replicas = self.amm.create_replicas()
-            t_start = self.session.now
-            if self.ladder is not None:
-                self.ladder.reset()
-                self.ladder.observe_all(t_start, self.replicas)
-        by_rid = {r.rid: r for r in self.replicas}
-
-        criterion, spawn_policy = build_adaptive(self.config.adaptive)
-        adaptive = self.config.adaptive
-        spawn_rng = self.amm.rng.stream("adaptive-spawn")
-        rid_counter = {
-            "next": (
-                restored["rid_next"]
-                if restored is not None
-                else (max(by_rid) + 1 if by_rid else 0)
+        self._begin(resume)
+        if resume is None:
+            self.state = AsyncState(
+                self.config.n_cycles,
+                {r.rid: 0 for r in self.replicas},
+                rid_next=max((r.rid for r in self.replicas), default=-1) + 1,
             )
-        }
+        self._by_rid = {r.rid: r for r in self.replicas}
+        self._criterion, self._spawner = build_adaptive(self.config.adaptive)
+        self._spawn_rng = self.amm.rng.stream("adaptive-spawn")
+        self._pool_gauge = self.metrics.gauge("emm.pool_depth")
+        self._inflight: Dict[int, ComputeUnit] = {}
+        self._exchange_busy = False
+        self._interrupted = False
+        #: quiesce protocol: while set, launches land in ``state.deferred``
+        self._quiescing = False
+        self._t_trigger = 0.0
+        self._quiesce_span = None
+        self._capture_event = None
+        #: the pending window-timer event, whose fire time a capture saves
+        self._window_event = None
 
-        cycles_done: Dict[int, int] = (
-            dict(restored["cycles_done"])
-            if restored is not None
-            else {r.rid: 0 for r in self.replicas}
-        )
-        #: consecutive failed attempts of each replica's current cycle,
-        #: so relaunch budgets actually exhaust (reset on success/continue)
-        md_attempts: Dict[int, int] = (
-            dict(restored["md_attempts"]) if restored is not None else {}
-        )
-        # rids awaiting exchange
-        pool: List[int] = list(restored["pool"]) if restored is not None else []
-        inflight: Dict[int, ComputeUnit] = {}
-        all_proposals: List[SwapProposal] = (
-            list(restored["proposals"]) if restored is not None else []
-        )
-        timings: List[CycleTiming] = (
-            list(restored["timings"]) if restored is not None else []
-        )
-        n_cycles = self.config.n_cycles
-        fifo_count = self.config.pattern.fifo_count
-        window = self.config.pattern.window_seconds
-        exchange_busy = {"flag": False}
-        sweep_counter = {
-            "n": restored["sweep"] if restored is not None else 0
-        }
-        pool_gauge = self.metrics.gauge("emm.pool_depth")
-        #: quiesce-protocol state: when ``active``, launches land in
-        #: ``deferred`` (in order) instead of being submitted
-        quiesce = {
-            "active": False,
-            "t_trigger": 0.0,
-            "deferred": (
-                list(restored["deferred"]) if restored is not None else []
-            ),
-            "n_done": restored["n_quiesces"] if restored is not None else 0,
-            "span": None,
-            "capture_event": None,
-        }
-        interrupted = {"flag": False}
-        #: handle of the pending window-timer event, captured into the
-        #: checkpoint so restore can re-arm the timer in phase
-        window_handle = {"event": None}
-
-        # ``all_done`` runs after every event, so it must not rescan the
-        # per-replica cycle table (quadratic at 1000 replicas).  All
-        # ``cycles_done`` writes go through ``set_cycles``, which keeps an
-        # exact count of finished replicas.
-        done_count = {"n": 0}
-
-        def set_cycles(rid: int, value: int) -> None:
-            was = cycles_done.get(rid)
-            was_done = was is not None and was >= n_cycles
-            cycles_done[rid] = value
-            if value >= n_cycles:
-                if not was_done:
-                    done_count["n"] += 1
-            elif was_done:
-                done_count["n"] -= 1
-
-        def all_done() -> bool:
-            return (
-                done_count["n"] == len(cycles_done)
-                and not inflight
-                and not pool
-                and not exchange_busy["flag"]
-            )
-
-        def submit_md(reps: Sequence[Replica]) -> None:
-            """Launch the MD tasks of ``reps`` with unfinished cycles, in
-            order, integrated as one batch before the first submission."""
-            reps = [r for r in reps if cycles_done[r.rid] < n_cycles]
-            if quiesce["active"]:
-                quiesce["deferred"].extend(r.rid for r in reps)
-                return
-            scheduler = self.pilot.scheduler
-            launch = []
-            for rep in reps:
-                desc = self.amm.md_task(rep, cycles_done[rep.rid])
-                if scheduler is not None and desc.cores > scheduler.capacity:
-                    # Node quarantine shrank the pilot below this task; the
-                    # replica can never run again, so retire it instead of
-                    # letting the submission kill the event loop.
-                    rep.status = ReplicaStatus.RETIRED
-                    set_cycles(rep.rid, n_cycles)
-                    self.n_retired += 1
-                else:
-                    launch.append((rep, desc))
-            precompute_md([desc for _, desc in launch])
-            for rep, desc in launch:
-                unit = self.session.submit_units(self.pilot, [desc])[0]
-                inflight[rep.rid] = unit
-                unit.register_callback(
-                    lambda u, s, r=rep: on_md_final(r, u) if u.done else None
-                )
-
-        def maybe_drain() -> None:
-            """FIFO mode: never leave pooled replicas stranded when no MD
-            is in flight (the count criterion can no longer fire)."""
-            if fifo_count is None:
-                return  # the window timer handles stragglers
-            if inflight or exchange_busy["flag"]:
-                return
-            if len(pool) >= 2:
-                trigger_exchange()
-            elif pool:
-                flush_pool()
-
-        def on_md_final(rep: Replica, unit: ComputeUnit) -> None:
-            if inflight.get(rep.rid) is not unit:
-                return  # stale callback from a relaunched task
-            try:
-                _handle_md_final(rep, unit)
-            finally:
-                if quiesce["active"]:
-                    maybe_capture()
-                else:
-                    maybe_drain()
-
-        def _handle_md_final(rep: Replica, unit: ComputeUnit) -> None:
-            del inflight[rep.rid]
-            self._account_md([unit])
-            cycle = cycles_done[rep.rid]
-            if not unit.succeeded:
-                self.n_failures += 1
-                self._c_failures.inc()
-                attempt = md_attempts.get(rep.rid, 0) + 1
-                md_attempts[rep.rid] = attempt
-                action = self.policy.on_failure(rep, attempt)
-                if action is FaultAction.RELAUNCH:
-                    self.n_relaunches += 1
-                    self._c_relaunches.inc()
-                    submit_md([rep])
-                    return
-                md_attempts.pop(rep.rid, None)
-                if action is FaultAction.RETIRE:
-                    rep.status = ReplicaStatus.RETIRED
-                    set_cycles(rep.rid, n_cycles)
-                    self.n_retired += 1
-                    return
-                # CONTINUE: count the cycle, resubmit if more remain
-                self.amm.process_md_output(rep, unit, cycle, None)
-                set_cycles(rep.rid, cycle + 1)
-                submit_md([rep])
-                return
-
-            md_attempts.pop(rep.rid, None)
-            self.amm.process_md_output(rep, unit, cycle, None)
-            set_cycles(rep.rid, cycle + 1)
-            if cycles_done[rep.rid] >= n_cycles:
-                return
-            # adaptive sampling: retire converged replicas, release their
-            # cores, optionally refill the lattice point from a donor
-            if (
-                adaptive.enabled
-                and cycles_done[rep.rid] >= adaptive.min_cycles
-                and criterion.should_terminate(rep)
-            ):
-                remaining = n_cycles - cycles_done[rep.rid]
-                rep.status = ReplicaStatus.RETIRED
-                set_cycles(rep.rid, n_cycles)
-                self.n_retired += 1
-                if (
-                    adaptive.spawn_replacements
-                    and self.n_spawned < adaptive.max_spawns
-                    and remaining > 0
-                ):
-                    fresh = spawn_policy.spawn(
-                        rep, self.replicas, rid_counter["next"], spawn_rng
-                    )
-                    if fresh is not None:
-                        rid_counter["next"] += 1
-                        self.n_spawned += 1
-                        self.replicas.append(fresh)
-                        by_rid[fresh.rid] = fresh
-                        set_cycles(fresh.rid, n_cycles - remaining)
-                        submit_md([fresh])
-                return
-            pool.append(rep.rid)
-            pool_gauge.set(len(pool))
-            if fifo_count is not None and len(pool) >= fifo_count:
-                trigger_exchange()
-
-        def trigger_exchange() -> None:
-            if quiesce["active"] or exchange_busy["flag"] or len(pool) < 2:
-                return
-            ready = [by_rid[rid] for rid in pool]
-            pool.clear()
-            pool_gauge.set(0)
-            exchange_busy["flag"] = True
-            sweep = sweep_counter["n"]
-            sweep_counter["n"] += 1
-            dimension = self.amm.schedule.active(sweep)
-            t_sweep_start = self.session.now
-            sweep_span = self.metrics.begin_span(
-                "exchange",
-                pattern="asynchronous",
-                sweep=sweep,
-                dimension=dimension.name,
-                n_replicas=len(ready),
-            )
-
-            # S-REMD in async mode would need its SP stage serialized here;
-            # the paper's async experiments are T-REMD, and we support the
-            # cheap dimensions (T/U/pH) asynchronously.
-            if dimension.requires_single_point:
-                raise NotImplementedError(
-                    "asynchronous S-REMD is not supported (the paper's "
-                    "async experiments use T-REMD)"
-                )
-
-            ex_desc = self.amm.exchange_task(ready, dimension, sweep)
-            sweep_span.unit = ex_desc.name
-            units = self.session.submit_units(self.pilot, [ex_desc])
-
-            def on_ex_final(u: ComputeUnit, _s) -> None:
-                if not u.done:
-                    return
-                sweep_span.end()
-                self._c_sweeps.inc()
-                self._account_exchange([u])
-                proposals = (
-                    list(u.result) if u.succeeded and u.result else []
-                )
-                self.amm.apply_proposals(ready, dimension, proposals)
-                all_proposals.extend(proposals)
-                if self.ladder is not None:
-                    self.ladder.observe_all(self.session.now, ready)
-                if self.alerts is not None:
-                    self.alerts.evaluate(self.session.now)
-                # RepEx task preparation for the resubmitted MD phases is
-                # charged here, exactly as the sync pattern charges it per
-                # cycle; replicas idle during preparation.
-                prep = self.amm.perf.task_prep_overhead(
-                    len(ready), self.amm.schedule.n_dims
-                )
-
-                def resubmit() -> None:
-                    exchange_busy["flag"] = False
-                    submit_md(ready)
-                    if quiesce["active"]:
-                        # the drain was waiting on this sweep; the
-                        # resubmissions above were deferred
-                        maybe_capture()
-                        return
-                    # replicas that pooled during this exchange may already
-                    # satisfy the FIFO criterion
-                    if fifo_count is not None and len(pool) >= fifo_count:
-                        trigger_exchange()
-                    else:
-                        maybe_drain()
-
-                timings.append(
-                    CycleTiming(
-                        cycle=sweep,
-                        dimension=dimension.name,
-                        t_md=0.0,
-                        t_ex=self.session.now - t_sweep_start,
-                        t_data=u.data_time,
-                        t_repex=prep,
-                        t_rp=u.launch_overhead,
-                        span=self.session.now + prep - t_sweep_start,
-                        t_start=t_sweep_start,
-                        t_end=self.session.now + prep,
-                        n_replicas=len(ready),
-                    )
-                )
-                self._c_cycles.inc()
-                self._h_cycle_span.observe(
-                    self.session.now + prep - t_sweep_start
-                )
-                self.session.clock.schedule(prep, resubmit)
-
-            units[0].register_callback(on_ex_final)
-
-        def flush_pool() -> None:
-            """Resubmit pooled replicas without exchange (no partners left)."""
-            ready, pool[:] = list(pool), []
-            pool_gauge.set(0)
-            submit_md([by_rid[rid] for rid in ready])
-
-        def schedule_window() -> None:
-            if all_done():
-                window_handle["event"] = None
-                return
-            window_handle["event"] = self.session.clock.schedule(
-                window, on_window
-            )
-
-        def on_window() -> None:
-            if (
-                fifo_count is None
-                and not exchange_busy["flag"]
-                and not quiesce["active"]
-            ):
-                if len(pool) >= 2:
-                    trigger_exchange()
-                elif pool and not inflight:
-                    flush_pool()
-            schedule_window()
-
-        # -- quiesce protocol ------------------------------------------------
-
-        def begin_quiesce() -> None:
-            """Checkpoint trigger: stop launching and start the drain."""
-            if self.checkpoint_sink is None:
-                return
-            if quiesce["active"] or interrupted["flag"] or all_done():
-                return
-            quiesce["active"] = True
-            quiesce["t_trigger"] = self.session.now
-            self._c_quiesces.inc()
-            quiesce["span"] = self.metrics.begin_span(
-                "quiesce",
-                pattern="asynchronous",
-                n_inflight=len(inflight),
-                pool_depth=len(pool),
-            )
-            maybe_capture()
-
-        def maybe_capture() -> None:
-            """Once the drain completes, arm the capture.
-
-            The capture itself is deferred by one zero-delay event: the
-            drain is detected from inside the final unit's completion
-            callback, and sibling callbacks of that same event (scheduler
-            accounting, tracer sinks) still have to run before the
-            snapshot is taken — otherwise the captured obs state would
-            be one unit-completion short of what the uninterrupted run
-            records.  Launches stay blocked until the capture fires.
-            """
-            if (
-                not quiesce["active"]
-                or inflight
-                or exchange_busy["flag"]
-                or quiesce["capture_event"] is not None
-            ):
-                return
-            quiesce["capture_event"] = self.session.clock.schedule(
-                0.0, _do_capture
-            )
-
-        def _do_capture() -> None:
-            quiesce["capture_event"] = None
-            # metrics and the span are finalized *before* the capture so
-            # the snapshot's own obs state already reflects this
-            # checkpoint — a resumed run's totals then telescope to the
-            # uninterrupted run's
-            self._h_drain.observe(self.session.now - quiesce["t_trigger"])
-            if quiesce["span"] is not None:
-                quiesce["span"].end()
-                quiesce["span"] = None
-            quiesce["active"] = False
-            quiesce["n_done"] += 1
-            self._c_captured.inc()
-            window_event = window_handle["event"]
-            window_next_t = (
-                window_event.time
-                if (
-                    fifo_count is None
-                    and window_event is not None
-                    and not window_event.cancelled
-                )
-                else None
-            )
-            self.checkpoint_sink(
-                ckpt_mod.Checkpoint.capture_async(
-                    self,
-                    t_start=t_start,
-                    timings=timings,
-                    proposals=all_proposals,
-                    async_state={
-                        "cycles_done": dict(cycles_done),
-                        "md_attempts": dict(md_attempts),
-                        "pool": list(pool),
-                        "deferred": list(quiesce["deferred"]),
-                        "sweep": sweep_counter["n"],
-                        "rid_next": rid_counter["next"],
-                        "n_quiesces": quiesce["n_done"],
-                        "window_next_t": window_next_t,
-                    },
-                )
-            )
-            if (
-                self.stop_after_checkpoint is not None
-                and quiesce["n_done"] >= self.stop_after_checkpoint
-            ):
-                interrupted["flag"] = True
-                return
-            resume_launching()
-            schedule_quiesce()
-
-        def resume_launching() -> None:
-            """Release deferred launches in captured order and re-check
-            the exchange criterion (same shape as post-exchange resubmit)."""
-            pending, quiesce["deferred"][:] = list(quiesce["deferred"]), []
-            submit_md([by_rid[rid] for rid in pending])
-            if fifo_count is not None and len(pool) >= fifo_count:
-                trigger_exchange()
-            else:
-                maybe_drain()
-
-        def schedule_quiesce() -> None:
-            if self.checkpoint_sink is not None and self.checkpoint_every_s > 0:
-                self.session.clock.schedule(
-                    self.checkpoint_every_s, begin_quiesce
-                )
-
-        if restored is None:
-            # one-shot quiesce triggers (preemption warnings), relative to
-            # run start
-            for rel in sorted(self.quiesce_rel_times):
-                self.session.clock.schedule_at(t_start + rel, begin_quiesce)
+        clock = self.session.clock
+        # one-shot quiesce triggers (preemption warnings), relative to run
+        # start; a resumed run keeps only those still ahead
+        for rel in sorted(self.quiesce_rel_times):
+            if resume is None or self.t_start + rel > self.session.now:
+                clock.schedule_at(self.t_start + rel, self._begin_quiesce)
+        if resume is None:
             # initial task preparation, charged like the sync pattern's
             self.session.run_for(
                 self.amm.perf.task_prep_overhead(
                     len(self.replicas), self.amm.schedule.n_dims
                 )
             )
-            submit_md(self.replicas)
-            if fifo_count is None:
-                schedule_window()
-            schedule_quiesce()
+            self._submit_md(self.replicas)
+            if self.config.pattern.fifo_count is None:
+                self._schedule_window()
         else:
             # re-arm what was pending at the quiet point, in the same
             # relative event order the capturing run had: window timer
             # first (its event predates the capture), then the deferred
             # launches, then the next periodic trigger
-            for rel in sorted(self.quiesce_rel_times):
-                if t_start + rel > self.session.now:
-                    self.session.clock.schedule_at(
-                        t_start + rel, begin_quiesce
-                    )
-            if fifo_count is None and restored["window_next_t"] is not None:
-                window_handle["event"] = self.session.clock.schedule_at(
-                    restored["window_next_t"], on_window
+            if self.state.window_next_t is not None:
+                self._window_event = clock.schedule_at(
+                    self.state.window_next_t, self._on_window
                 )
-            resume_launching()
-            schedule_quiesce()
+            self._resume_launching()
+        self._schedule_quiesce()
 
-        self.session.clock.run_until(
-            lambda: all_done() or interrupted["flag"]
+        clock.run_until(lambda: self._all_done() or self._interrupted)
+        return self._build_result(self._interrupted)
+
+    def _retire(self, rep: Replica) -> None:
+        super()._retire(rep)
+        self.state.set_cycles(rep.rid, self.config.n_cycles)
+
+    def _all_done(self) -> bool:
+        state = self.state
+        return (
+            state.finished
+            and not self._inflight
+            and not state.pool
+            and not self._exchange_busy
         )
 
-        result = self._build_result(timings, t_start)
-        result.proposals = all_proposals
-        result.interrupted = interrupted["flag"]
-        return result
+    # -- MD ------------------------------------------------------------------
+
+    def _submit_md(self, reps: Sequence[Replica]) -> None:
+        """Launch the MD tasks of ``reps`` with unfinished cycles, in
+        order, integrated as one batch before the first submission."""
+        cycles_done = self.state.cycles_done
+        reps = [r for r in reps if cycles_done[r.rid] < self.config.n_cycles]
+        if self._quiescing:
+            self.state.deferred.extend(r.rid for r in reps)
+            return
+        scheduler = self.pilot.scheduler
+        launch = []
+        for rep in reps:
+            desc = self.amm.md_task(rep, cycles_done[rep.rid])
+            if scheduler is not None and desc.cores > scheduler.capacity:
+                # Node quarantine shrank the pilot below this task; the
+                # replica can never run again, so retire it instead of
+                # letting the submission kill the event loop.
+                self._retire(rep)
+            else:
+                launch.append((rep, desc))
+        precompute_md([desc for _, desc in launch])
+        for rep, desc in launch:
+            unit = self.session.submit_units(self.pilot, [desc])[0]
+            self._inflight[rep.rid] = unit
+            unit.register_callback(
+                lambda u, s, r=rep: self._on_md_final(r, u) if u.done else None
+            )
+
+    def _on_md_final(self, rep: Replica, unit: ComputeUnit) -> None:
+        if self._inflight.get(rep.rid) is not unit:
+            return  # stale callback from a relaunched task
+        try:
+            self._handle_md_final(rep, unit)
+        finally:
+            if self._quiescing:
+                self._maybe_capture()
+            else:
+                self._maybe_drain()
+
+    def _handle_md_final(self, rep: Replica, unit: ComputeUnit) -> None:
+        state = self.state
+        del self._inflight[rep.rid]
+        self._account_md([unit])
+        cycle = state.cycles_done[rep.rid]
+        if not unit.succeeded:
+            attempt = state.md_attempts.get(rep.rid, 0) + 1
+            state.md_attempts[rep.rid] = attempt
+            action = self._md_failed(rep, attempt)
+            if action is FaultAction.RELAUNCH:
+                self.n_relaunches += 1
+                self._c_relaunches.inc()
+                self._submit_md([rep])
+                return
+            del state.md_attempts[rep.rid]
+            if action is FaultAction.CONTINUE:
+                # count the cycle, resubmit if more remain
+                self.amm.process_md_output(rep, unit, cycle, None)
+                state.set_cycles(rep.rid, cycle + 1)
+                self._submit_md([rep])
+            return
+
+        state.md_attempts.pop(rep.rid, None)
+        self.amm.process_md_output(rep, unit, cycle, None)
+        done = cycle + 1
+        state.set_cycles(rep.rid, done)
+        if done >= self.config.n_cycles:
+            return
+        # adaptive sampling: retire converged replicas, release their
+        # cores, optionally refill the lattice point from a donor
+        adaptive = self.config.adaptive
+        if (
+            adaptive.enabled
+            and done >= adaptive.min_cycles
+            and self._criterion.should_terminate(rep)
+        ):
+            self._retire(rep)
+            if (
+                adaptive.spawn_replacements
+                and self.n_spawned < adaptive.max_spawns
+            ):
+                fresh = self._spawner.spawn(
+                    rep, self.replicas, state.rid_next, self._spawn_rng
+                )
+                if fresh is not None:
+                    state.rid_next += 1
+                    self.n_spawned += 1
+                    self.replicas.append(fresh)
+                    self._by_rid[fresh.rid] = fresh
+                    state.set_cycles(fresh.rid, done)
+                    self._submit_md([fresh])
+            return
+        state.pool.append(rep.rid)
+        self._pool_gauge.set(len(state.pool))
+        fifo_count = self.config.pattern.fifo_count
+        if fifo_count is not None and len(state.pool) >= fifo_count:
+            self._trigger_exchange()
+
+    # -- exchange ------------------------------------------------------------
+
+    def _check_criterion(self) -> None:
+        """Trigger an exchange if the pool meets the FIFO count, else make
+        sure pooled replicas are not stranded."""
+        fifo_count = self.config.pattern.fifo_count
+        if fifo_count is not None and len(self.state.pool) >= fifo_count:
+            self._trigger_exchange()
+        else:
+            self._maybe_drain()
+
+    def _maybe_drain(self) -> None:
+        """FIFO mode: never leave pooled replicas stranded when no MD
+        is in flight (the count criterion can no longer fire)."""
+        if self.config.pattern.fifo_count is None:
+            return  # the window timer handles stragglers
+        if self._inflight or self._exchange_busy:
+            return
+        if len(self.state.pool) >= 2:
+            self._trigger_exchange()
+        elif self.state.pool:
+            self._flush_pool()
+
+    def _trigger_exchange(self) -> None:
+        state = self.state
+        if self._quiescing or self._exchange_busy or len(state.pool) < 2:
+            return
+        ready = [self._by_rid[rid] for rid in state.pool]
+        state.pool.clear()
+        self._pool_gauge.set(0)
+        self._exchange_busy = True
+        sweep = state.sweep
+        state.sweep += 1
+        dimension = self.amm.schedule.active(sweep)
+        t_sweep_start = self.session.now
+        sweep_span = self.metrics.begin_span(
+            "exchange",
+            pattern="asynchronous",
+            sweep=sweep,
+            dimension=dimension.name,
+            n_replicas=len(ready),
+        )
+
+        # S-REMD in async mode would need its SP stage serialized here;
+        # the paper's async experiments are T-REMD, and we support the
+        # cheap dimensions (T/U/pH) asynchronously.
+        if dimension.requires_single_point:
+            raise NotImplementedError(
+                "asynchronous S-REMD is not supported (the paper's "
+                "async experiments use T-REMD)"
+            )
+
+        ex_desc = self.amm.exchange_task(ready, dimension, sweep)
+        sweep_span.unit = ex_desc.name
+        unit = self.session.submit_units(self.pilot, [ex_desc])[0]
+        unit.register_callback(
+            lambda u, _s: self._on_exchange_final(
+                u, ready, dimension, sweep, t_sweep_start, sweep_span
+            )
+            if u.done
+            else None
+        )
+
+    def _on_exchange_final(
+        self, unit, ready, dimension, sweep, t_sweep_start, sweep_span
+    ) -> None:
+        sweep_span.end()
+        self._c_sweeps.inc()
+        self._account_exchange([unit])
+        proposals = list(unit.result) if unit.succeeded and unit.result else []
+        self.amm.apply_proposals(ready, dimension, proposals)
+        self.proposals.extend(proposals)
+        now = self.session.now
+        if self.ladder is not None:
+            self.ladder.observe_all(now, ready)
+        if self.alerts is not None:
+            self.alerts.evaluate(now)
+        # RepEx task preparation for the resubmitted MD phases is charged
+        # here, exactly as the sync pattern charges it per cycle; replicas
+        # idle during preparation.
+        prep = self.amm.perf.task_prep_overhead(
+            len(ready), self.amm.schedule.n_dims
+        )
+        self.timings.append(
+            CycleTiming(
+                cycle=sweep,
+                dimension=dimension.name,
+                t_md=0.0,
+                t_ex=now - t_sweep_start,
+                t_data=unit.data_time,
+                t_repex=prep,
+                t_rp=unit.launch_overhead,
+                span=now + prep - t_sweep_start,
+                t_start=t_sweep_start,
+                t_end=now + prep,
+                n_replicas=len(ready),
+            )
+        )
+        self._c_cycles.inc()
+        self._h_cycle_span.observe(now + prep - t_sweep_start)
+        self.session.clock.schedule(prep, lambda: self._resubmit(ready))
+
+    def _resubmit(self, ready: List[Replica]) -> None:
+        self._exchange_busy = False
+        self._submit_md(ready)
+        if self._quiescing:
+            # the drain was waiting on this sweep; the resubmissions
+            # above were deferred
+            self._maybe_capture()
+        else:
+            # replicas that pooled during this exchange may already
+            # satisfy the FIFO criterion
+            self._check_criterion()
+
+    def _flush_pool(self) -> None:
+        """Resubmit pooled replicas without exchange (no partners left)."""
+        ready, self.state.pool = self.state.pool, []
+        self._pool_gauge.set(0)
+        self._submit_md([self._by_rid[rid] for rid in ready])
+
+    def _schedule_window(self) -> None:
+        self._window_event = (
+            None
+            if self._all_done()
+            else self.session.clock.schedule(
+                self.config.pattern.window_seconds, self._on_window
+            )
+        )
+
+    def _on_window(self) -> None:
+        if not self._exchange_busy and not self._quiescing:
+            if len(self.state.pool) >= 2:
+                self._trigger_exchange()
+            elif self.state.pool and not self._inflight:
+                self._flush_pool()
+        self._schedule_window()
+
+    # -- quiesce protocol ----------------------------------------------------
+
+    def _begin_quiesce(self) -> None:
+        """Checkpoint trigger: stop launching and start the drain."""
+        if self.checkpoint_sink is None:
+            return
+        if self._quiescing or self._interrupted or self._all_done():
+            return
+        self._quiescing = True
+        self._t_trigger = self.session.now
+        self._c_quiesces.inc()
+        self._quiesce_span = self.metrics.begin_span(
+            "quiesce",
+            pattern="asynchronous",
+            n_inflight=len(self._inflight),
+            pool_depth=len(self.state.pool),
+        )
+        self._maybe_capture()
+
+    def _maybe_capture(self) -> None:
+        """Once the drain completes, arm the capture.
+
+        The capture itself is deferred by one zero-delay event: the
+        drain is detected from inside the final unit's completion
+        callback, and sibling callbacks of that same event (scheduler
+        accounting, tracer sinks) still have to run before the
+        snapshot is taken — otherwise the captured obs state would
+        be one unit-completion short of what the uninterrupted run
+        records.  Launches stay blocked until the capture fires.
+        """
+        if (
+            not self._quiescing
+            or self._inflight
+            or self._exchange_busy
+            or self._capture_event is not None
+        ):
+            return
+        self._capture_event = self.session.clock.schedule(0.0, self._capture)
+
+    def _capture(self) -> None:
+        state = self.state
+        self._capture_event = None
+        # metrics and the span are finalized *before* the capture so the
+        # snapshot's own obs state already reflects this checkpoint — a
+        # resumed run's totals then telescope to the uninterrupted run's
+        self._h_drain.observe(self.session.now - self._t_trigger)
+        self._quiesce_span.end()
+        self._quiescing = False
+        state.n_quiesces += 1
+        event = self._window_event
+        state.window_next_t = (
+            event.time if event is not None and not event.cancelled else None
+        )
+        self._checkpoint()
+        if (
+            self.stop_after_checkpoint is not None
+            and state.n_quiesces >= self.stop_after_checkpoint
+        ):
+            self._interrupted = True
+            return
+        self._resume_launching()
+        self._schedule_quiesce()
+
+    def _resume_launching(self) -> None:
+        """Release deferred launches in captured order and re-check the
+        exchange criterion (same shape as post-exchange resubmit)."""
+        pending, self.state.deferred = self.state.deferred, []
+        self._submit_md([self._by_rid[rid] for rid in pending])
+        self._check_criterion()
+
+    def _schedule_quiesce(self) -> None:
+        if self.checkpoint_sink is not None and self.checkpoint_every_s > 0:
+            self.session.clock.schedule(
+                self.checkpoint_every_s, self._begin_quiesce
+            )

@@ -74,7 +74,9 @@ class RepEx:
         A :class:`~repro.core.checkpoint.Checkpoint` (or a path to one)
         to continue from; the resumed run is bit-identical to the
         uninterrupted one (for the async pattern: to the uninterrupted
-        run with the same checkpoint cadence).
+        run with the same checkpoint cadence).  A checkpoint of another
+        pattern or configuration, or one with no work left, raises
+        :class:`~repro.core.checkpoint.CheckpointError` here.
     stop_after_cycle:
         Synchronous: stop cleanly after this many completed cycles (the
         tested way to "kill" a run at a checkpoint boundary).
@@ -291,12 +293,7 @@ class RepEx:
                     "(checkpoint_every_s)"
                 )
         if resume_from is not None:
-            expected = "synchronous" if self._is_sync else "asynchronous"
-            if resume_from.pattern != expected:
-                raise CheckpointError(
-                    f"checkpoint was taken by the {resume_from.pattern} "
-                    f"pattern but this run uses the {expected} pattern"
-                )
+            resume_from.check_resumes(self.config)
         self.checkpoint_every = int(checkpoint_every)
         self.checkpoint_every_s = float(checkpoint_every_s)
         self.checkpoint_keep = int(checkpoint_keep)
@@ -333,11 +330,10 @@ class RepEx:
         self.checkpoints.append(ckpt)
         if self.checkpoint_dir is not None:
             self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
-            if ckpt.pattern == "asynchronous":
-                n = int(ckpt.async_state["n_quiesces"])
-                name = f"quiesce_{n:04d}.json"
-            else:
+            if self._is_sync:
                 name = f"cycle_{ckpt.next_cycle:04d}.json"
+            else:
+                name = f"quiesce_{self.emm.state.n_quiesces:04d}.json"
             text = ckpt.save(self.checkpoint_dir / name)
             ckpt.save(self.checkpoint_dir / "latest.json", text)
             self._prune_checkpoints()

@@ -92,9 +92,11 @@ class TestValidation:
     def test_rejects_other_schema_version(self, tmp_path):
         repex, _ = checkpointed_run(tmp_path)
         data = json.loads(repex.checkpoints[0].to_json())
-        data["schema_version"] = SCHEMA_VERSION + 1
-        with pytest.raises(CheckpointError, match="schema version"):
-            Checkpoint.from_json(json.dumps(data))
+        # schema 1 included: its upgrade path is gone
+        for version in (1, SCHEMA_VERSION + 1):
+            data["schema_version"] = version
+            with pytest.raises(CheckpointError, match="schema version"):
+                Checkpoint.from_json(json.dumps(data))
 
     def test_rejects_invalid_json(self):
         with pytest.raises(CheckpointError, match="invalid checkpoint JSON"):
@@ -116,11 +118,8 @@ class TestValidation:
     def test_resume_rejects_config_mismatch(self, tmp_path):
         repex, _ = checkpointed_run(tmp_path)
         other = small_tremd_config(n_cycles=4, seed=999)
-        resumed = RepEx(
-            other, resume_from=tmp_path / "ckpts" / "latest.json"
-        )
         with pytest.raises(CheckpointError, match="different configuration"):
-            resumed.run()
+            RepEx(other, resume_from=tmp_path / "ckpts" / "latest.json")
 
     def test_resume_rejects_completed_checkpoint(self, tmp_path):
         repex, _ = checkpointed_run(tmp_path)
@@ -128,9 +127,8 @@ class TestValidation:
         same = small_tremd_config(n_cycles=4)
         ckpt_done = Checkpoint.from_json(ckpt.to_json())
         ckpt_done.next_cycle = 4
-        resumed = RepEx(same, resume_from=ckpt_done)
         with pytest.raises(CheckpointError, match="already complete"):
-            resumed.run()
+            RepEx(same, resume_from=ckpt_done)
 
     def test_negative_checkpoint_every_rejected(self):
         with pytest.raises(ValueError, match="checkpoint_every"):
@@ -280,36 +278,10 @@ class TestAsyncCheckpoint:
 
 
 class TestSchemaV1Upgrade:
-    def v1_text(self, tmp_path):
-        """A v2 sync snapshot stripped down to the v1 field set."""
-        repex, _ = checkpointed_run(tmp_path)
-        data = json.loads(repex.checkpoints[0].to_json())
-        data["schema_version"] = 1
-        for field in ("pattern", "async_state", "obs"):
-            del data[field]
-        # v1 accounting predates adaptive-sampling bookkeeping
-        del data["accounting"]["n_retired"]
-        del data["accounting"]["n_spawned"]
-        return json.dumps(data)
-
-    def test_v1_loads_as_synchronous(self, tmp_path):
-        ckpt = Checkpoint.from_json(self.v1_text(tmp_path))
-        assert ckpt.pattern == "synchronous"
-        assert ckpt.async_state is None
-        assert ckpt.obs is None
-
-    def test_v1_resumes(self, tmp_path):
-        baseline = RepEx(small_tremd_config(n_cycles=4)).run()
-        path = tmp_path / "v1.json"
-        path.write_text(self.v1_text(tmp_path))
-        resumed = RepEx(
-            small_tremd_config(n_cycles=4), resume_from=path
-        ).run()
-        # v1 has no obs blob, so only the physics is comparable
-        assert resumed.fingerprint() == baseline.fingerprint()
+    """Schema v1 no longer loads (see test_rejects_other_schema_version)."""
 
     def test_supported_versions_documented(self):
-        assert SUPPORTED_VERSIONS == (1, 2)
+        assert SUPPORTED_VERSIONS == (2,)
         assert SCHEMA_VERSION == 2
 
 

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -261,6 +262,43 @@ class TestCrashResumeFlags:
         )
         assert rc == 2
         assert "quiesce" in capsys.readouterr().err
+
+    def test_shipped_async_example_resumes(self, tmp_path, monkeypatch):
+        # 16 replicas: a snapshot whose replica ids pass 9 must reload
+        config = str(
+            Path(__file__).parents[2] / "examples" / "configs"
+            / "async_namd.json"
+        )
+        monkeypatch.chdir(tmp_path)
+        cadence = ["--checkpoint-every-s", "200"]
+        assert main(
+            ["run", config] + cadence
+            + ["--checkpoint-dir", "ck", "--stop-after-checkpoint", "1"]
+        ) == 0
+        assert main(
+            ["run", config] + cadence + ["--resume", "ck/latest.json"]
+        ) == 0
+
+    def test_foreign_checkpoint_exits_2(self, config_file, tmp_path, capsys):
+        ckpt_dir = tmp_path / "ck"
+        assert main(
+            [
+                "run", str(config_file),
+                "--checkpoint-every", "1",
+                "--checkpoint-dir", str(ckpt_dir),
+                "--stop-after-cycle", "1",
+            ]
+        ) == 0
+        cfg = json.loads(config_file.read_text())
+        cfg["seed"] = 99
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        rc = main(
+            ["run", str(other), "--resume", str(ckpt_dir / "latest.json")]
+        )
+        assert rc == 2
+        assert "different configuration" in capsys.readouterr().err
 
 
 class TestCheck:

@@ -10,6 +10,7 @@ import pytest
 
 from repro.core import RepEx
 from repro.core.config import (
+    AdaptiveSpec,
     DimensionSpec,
     EngineSpec,
     FailureSpec,
@@ -132,6 +133,29 @@ STAGING_FAULTS = dict(
     )
 )
 
+#: FIFO exchange: by a late quiesce some replicas have finished, and the
+#: pool may already meet the FIFO count
+FIFO = dict(
+    dimensions=[DimensionSpec("temperature", 8, 273.0, 373.0)],
+    resource=ResourceSpec("supermic", cores=8),
+    pattern=PatternSpec(kind="asynchronous", fifo_count=3),
+)
+
+#: ``adaptive_config()`` of tests/core/test_adaptive.py: replicas retire
+#: early and spawned replacements take fresh replica ids
+ADAPTIVE_SPAWN = dict(
+    dimensions=[DimensionSpec("temperature", 6, 290.0, 315.0)],
+    resource=ResourceSpec("supermic", cores=6),
+    pattern=PatternSpec(kind="asynchronous", window_seconds=60.0),
+    adaptive=AdaptiveSpec(
+        enabled=True,
+        min_cycles=2,
+        energy_tolerance=1000.0,
+        spawn_replacements=True,
+    ),
+    n_cycles=6,
+)
+
 #: name -> (pattern kind, config overrides, kill fraction of the golden span)
 RESUME_MATRIX = {
     "sync/tremd/mid-cycle": ("synchronous", {}, 0.45),
@@ -143,6 +167,8 @@ RESUME_MATRIX = {
     "async/tremd/at-quiesce": ("asynchronous", {}, 0.78),
     "async/tu/mid-flight": ("asynchronous", TU2D, 0.7),
     "async/staging-faults/mid-flight": ("asynchronous", STAGING_FAULTS, 0.6),
+    "async/fifo/late-quiesce": ("asynchronous", FIFO, 0.8),
+    "async/adaptive-spawn/mid-flight": ("asynchronous", ADAPTIVE_SPAWN, 0.5),
 }
 
 
@@ -152,7 +178,7 @@ def test_crash_resume_is_bit_identical(name, tmp_path):
     params = dict(n_cycles=4)
     params.update(overrides)
     if kind == "asynchronous":
-        params["pattern"] = PatternSpec(kind="asynchronous")
+        params.setdefault("pattern", PatternSpec(kind="asynchronous"))
 
     def build(**kwargs):
         return RepEx(small_tremd_config(**params), **kwargs)
@@ -162,7 +188,15 @@ def test_crash_resume_is_bit_identical(name, tmp_path):
     else:
         span = build().run().wallclock
         cadence = {"checkpoint_every_s": span / 3}
-    golden = build(**cadence).run()
+    golden_repex = build(**cadence)
+    golden = golden_repex.run()
+    # a resume that never ends quiesces forever: stop it one capture past
+    # the golden's so the failure shows instead of a hang
+    guard = (
+        {"stop_after_checkpoint": len(golden_repex.checkpoints) + 1}
+        if kind == "asynchronous"
+        else {}
+    )
 
     crash_at = golden.t_start + kill_frac * golden.wallclock
     with pytest.raises(SimulatedCrash):
@@ -172,8 +206,9 @@ def test_crash_resume_is_bit_identical(name, tmp_path):
     assert (tmp_path / "latest.json").exists(), "no checkpoint before kill"
 
     resumed = build(
-        resume_from=tmp_path / "latest.json", **cadence
+        resume_from=tmp_path / "latest.json", **cadence, **guard
     ).run()
+    assert not resumed.interrupted
     assert resumed.fingerprint() == golden.fingerprint()
     if "staging-faults" not in name:
         # fault injection races the drain, so the manifest's fault log

@@ -21,7 +21,12 @@ import pytest
 
 from repro.core import RepEx
 from repro.core.checkpoint import Checkpoint
-from repro.core.config import FailureSpec, PatternSpec
+from repro.core.config import (
+    DimensionSpec,
+    FailureSpec,
+    PatternSpec,
+    ResourceSpec,
+)
 from repro.obs.diff import diff_manifests
 from repro.pilot.events import SimulatedCrash
 from tests.conftest import small_tremd_config
@@ -269,6 +274,31 @@ class TestAsyncQuiesceResume:
             resume_from=tmp_path / "latest.json",
         ).run()
         equivalent(golden, final)
+
+    def test_resume_counts_replicas_already_finished(self, tmp_path):
+        over = dict(
+            dimensions=[DimensionSpec("temperature", 8, 273.0, 373.0)],
+            resource=ResourceSpec("supermic", cores=8),
+            pattern=PatternSpec(kind="asynchronous", fifo_count=3),
+        )
+        golden = RepEx(
+            async_config(**over),
+            checkpoint_every_s=180.0,
+            checkpoint_dir=tmp_path,
+        ).run()
+        snapshot = Checkpoint.load(tmp_path / "quiesce_0002.json")
+        cycles_done = snapshot.async_state["cycles_done"].values()
+        assert any(c >= 4 for c in cycles_done), "no finished replica"
+
+        # the guard stops a resume that never ends instead of hanging
+        resumed = RepEx(
+            async_config(**over),
+            checkpoint_every_s=180.0,
+            resume_from=snapshot,
+            stop_after_checkpoint=4,
+        ).run()
+        assert not resumed.interrupted
+        equivalent(golden, resumed)
 
     def test_preempt_warning_induces_checkpoint(self, tmp_path):
         """A preemption warning quiesces once, ahead of the preemption,

@@ -5,7 +5,7 @@ fully validated :class:`Checkpoint` or raises :class:`CheckpointError`
 with a readable message — never a bare ``JSONDecodeError``, ``KeyError``
 or ``TypeError`` from deep inside the parser — and a clean round trip is
 byte-identical.  Both schema flavours (synchronous cycle-boundary and
-asynchronous quiesce) are fuzzed.
+asynchronous quiesce, the latter also past ten replicas) are fuzzed.
 """
 
 import json
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core import RepEx
 from repro.core.checkpoint import Checkpoint, CheckpointError
-from repro.core.config import PatternSpec
+from repro.core.config import DimensionSpec, PatternSpec, ResourceSpec
 from tests.conftest import small_tremd_config
 
 
@@ -27,8 +27,13 @@ def checkpoint_text(kind: str) -> str:
     if kind == "sync":
         repex = RepEx(small_tremd_config(), checkpoint_every=1)
     else:
+        # 16 replicas: ids past 9 sort differently as ints and as strings
+        n = 16 if kind == "async16" else 4
         config = small_tremd_config(
-            pattern=PatternSpec(kind="asynchronous"), n_cycles=3
+            pattern=PatternSpec(kind="asynchronous"),
+            n_cycles=3,
+            dimensions=[DimensionSpec("temperature", n, 273.0, 373.0)],
+            resource=ResourceSpec("supermic", cores=n),
         )
         repex = RepEx(config, checkpoint_every_s=120.0)
     repex.run()
@@ -36,7 +41,7 @@ def checkpoint_text(kind: str) -> str:
     return repex.checkpoints[0].to_json()
 
 
-KINDS = ("sync", "async")
+KINDS = ("sync", "async", "async16")
 
 #: junk slices spliced into the JSON text by the corruption strategy
 junk = st.text(
@@ -156,6 +161,5 @@ def test_wrong_config_hash_is_rejected_at_restore(tmp_path):
     data["checksum"] = Checkpoint._content_checksum(data)
     path = tmp_path / "foreign.json"
     path.write_text(json.dumps(data))
-    resumed = RepEx(small_tremd_config(), resume_from=path)
     with pytest.raises(CheckpointError, match="different configuration"):
-        resumed.run()
+        RepEx(small_tremd_config(), resume_from=path)
