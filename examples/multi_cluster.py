@@ -52,17 +52,17 @@ def main():
         # cores are ~18% slower than SuperMIC's in the paper's timings).
         units_by_pilot = {}
         all_units = []
-        for i in range(n_tasks):
+        tags = [f"md_{i:03d}" for i in range(n_tasks)]
+        adapter.write_inputs(
+            sandbox,
+            tags,
+            [np.radians([-63.0, -42.0])] * n_tasks,
+            [ThermodynamicState(temperature=300.0 + i) for i in range(n_tasks)],
+            MDParams(n_steps=100),
+            list(range(n_tasks)),
+        )
+        for i, tag in enumerate(tags):
             pilot = pilots[i % len(pilots)]
-            tag = f"md_{i:03d}"
-            adapter.write_input(
-                sandbox,
-                tag,
-                np.radians([-63.0, -42.0]),
-                ThermodynamicState(temperature=300.0 + i),
-                MDParams(n_steps=100),
-                seed=i,
-            )
             desc = UnitDescription(
                 name=tag,
                 cores=1,

@@ -561,7 +561,19 @@ class Arbiter:
         """
         self._runner = runner
         self._dispatch()
-        self.clock.run_until(lambda: all(r.done for r in self.records))
+        # Records only ever become final, and new ones are appended, so
+        # the first one not yet final only moves forward: the finish
+        # check is linear in sessions over the whole run, not per event.
+        records = self.records
+        first_open = 0
+
+        def all_final() -> bool:
+            nonlocal first_open
+            while first_open < len(records) and records[first_open].done:
+                first_open += 1
+            return first_open == len(records)
+
+        self.clock.run_until(all_final)
         return self.records
 
     def prepare(

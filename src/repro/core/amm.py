@@ -19,7 +19,7 @@ Concretely, the AMM:
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -46,6 +46,9 @@ from repro.pilot.cluster import ClusterSpec
 from repro.pilot.staging import StagingAction, StagingDirective
 from repro.pilot.unit import ComputeUnit, UnitDescription
 from repro.utils.rng import RNGRegistry
+
+#: input files charged at the performance model's restart-file size
+_COORD_SUFFIXES = (".inpcrd", ".coor", ".rst", ".restart.coor")
 
 
 class ApplicationManager:
@@ -141,9 +144,14 @@ class ApplicationManager:
         return replicas
 
     def replica_speed(self, rid: int) -> float:
-        """Per-replica duration multiplier (heterogeneous ensembles).
+        """Duration multiplier of one MD task of replica ``rid``
+        (heterogeneous ensembles).
 
-        Deterministic per (seed, rid); identity when
+        Each call takes the next draw of the replica's own
+        ``("replica-speed", rid)`` stream, so every task built for the
+        replica — its relaunches included — gets a fresh log-normal
+        multiplier; the sequence is deterministic per (seed, rid) and
+        independent of how replicas are grouped.  Identity when
         ``replica_heterogeneity`` is 0.  Models ensembles mixing levels of
         theory, where "different replicas may have significant differences
         in performance" (paper Sec. 2.1).
@@ -182,128 +190,152 @@ class ApplicationManager:
         """Unique task tag for one replica's MD phase of one cycle."""
         return f"md_r{replica.rid:05d}_c{cycle:04d}"
 
-    def md_task(self, replica: Replica, cycle: int) -> UnitDescription:
-        """Build the compute-unit description for one MD phase."""
-        tag = self.md_tag(replica, cycle)
-        state = self.state_of(replica)
-        params = MDParams(
-            n_steps=self.config.effective_numeric_steps,
-            sample_stride=self.config.sample_stride,
-        )
-        seed = (
-            self.config.seed * 1_000_003 + replica.rid * 1_009 + cycle * 7
-        ) % (2**31 - 1)
-        input_files = self.adapter.write_input(
-            self.sandbox, tag, replica.coords, state, params, seed
-        )
+    def md_tasks(
+        self, replicas: Sequence[Replica], cycles: Union[int, Sequence[int]]
+    ) -> List[UnitDescription]:
+        """Build the compute-unit descriptions of one MD submission group.
 
-        in_staging = [
-            StagingDirective(
-                source=f"client:///{f}",
-                target=f"sandbox:///{tag}/{f}",
-                size_mb=self._file_size(f),
-                action=StagingAction.COPY,
-            )
-            for f in input_files
+        ``cycles`` is the cycle every replica runs, or one cycle per
+        replica (an asynchronous launch group mixes cycles).  The group's
+        input files are written in one adapter call and its durations come
+        from one perf-model call; each task still draws its own
+        :meth:`replica_speed` multiplier, in replica order.
+        """
+        config = self.config
+        if isinstance(cycles, int):
+            cycles = [cycles] * len(replicas)
+        tags = [self.md_tag(r, c) for r, c in zip(replicas, cycles)]
+        base_seed = config.seed * 1_000_003
+        seeds = [
+            (base_seed + r.rid * 1_009 + c * 7) % (2**31 - 1)
+            for r, c in zip(replicas, cycles)
         ]
-        out_staging = [
-            StagingDirective(
-                source=f"sandbox:///{tag}/{self.adapter.info_file(tag)}",
-                target=f"staging:///{self.adapter.info_file(tag)}",
-                size_mb=self.perf.mdinfo_size_mb(),
-                action=StagingAction.COPY,
+        adapter, sandbox = self.adapter, self.sandbox
+        input_files = adapter.write_inputs(
+            sandbox,
+            tags,
+            [r.coords for r in replicas],
+            [self.state_of(r) for r in replicas],
+            MDParams(
+                n_steps=config.effective_numeric_steps,
+                sample_stride=config.sample_stride,
             ),
-            StagingDirective(
-                source=f"sandbox:///{tag}/{self.adapter.restart_file(tag)}",
-                target=f"staging:///{self.adapter.restart_file(tag)}",
-                size_mb=self.perf.restart_size_mb(self.system),
-                action=StagingAction.COPY,
-            ),
-        ]
-
-        duration = self.cluster.speed_factor * self.perf.md_duration(
+            seeds,
+        )
+        durations = self.perf.md_durations(
             self.executable,
             self.system,
-            self.config.steps_per_cycle,
-            cores=replica.cores,
-            task_key=tag,
+            config.steps_per_cycle,
+            [r.cores for r in replicas],
+            tags,
         )
-        duration *= self.replica_speed(replica.rid)
-        adapter, sandbox = self.adapter, self.sandbox
-        return UnitDescription(
-            name=tag,
-            cores=replica.cores,
-            gpus=self.config.gpus_per_replica,
-            duration=duration,
-            work=lambda: ram.execute_md(adapter, sandbox, tag),
-            batch=MDWork(adapter=adapter, sandbox=sandbox, tag=tag),
-            input_staging=in_staging,
-            output_staging=out_staging,
-            metadata={
-                "phase": "md",
-                "rid": replica.rid,
-                "cycle": cycle,
-            },
-        )
+        restart_mb = self.perf.restart_size_mb(self.system)
+        info_mb = self.perf.mdinfo_size_mb()
+        speed_factor = self.cluster.speed_factor
+        gpus = config.gpus_per_replica
+        descs = []
+        for rep, cycle, tag, files, duration in zip(
+            replicas, cycles, tags, input_files, durations
+        ):
+            # Coordinate files stand in for full-system restart files,
+            # whose size the performance model supplies; text inputs are
+            # charged at the size just written.
+            in_staging = [
+                StagingDirective(
+                    source=f"client:///{f}",
+                    target=f"sandbox:///{tag}/{f}",
+                    size_mb=(
+                        restart_mb
+                        if f.endswith(_COORD_SUFFIXES)
+                        else max(nbytes / 1.0e6, 0.001)
+                    ),
+                    action=StagingAction.COPY,
+                )
+                for f, nbytes in files
+            ]
+            info, restart = adapter.info_file(tag), adapter.restart_file(tag)
+            out_staging = [
+                StagingDirective(
+                    source=f"sandbox:///{tag}/{info}",
+                    target=f"staging:///{info}",
+                    size_mb=info_mb,
+                    action=StagingAction.COPY,
+                ),
+                StagingDirective(
+                    source=f"sandbox:///{tag}/{restart}",
+                    target=f"staging:///{restart}",
+                    size_mb=restart_mb,
+                    action=StagingAction.COPY,
+                ),
+            ]
+            descs.append(
+                UnitDescription(
+                    name=tag,
+                    cores=rep.cores,
+                    gpus=gpus,
+                    duration=speed_factor
+                    * duration
+                    * self.replica_speed(rep.rid),
+                    work=lambda tag=tag: ram.execute_md(adapter, sandbox, tag),
+                    batch=MDWork(adapter=adapter, sandbox=sandbox, tag=tag),
+                    input_staging=in_staging,
+                    output_staging=out_staging,
+                    metadata={"phase": "md", "rid": rep.rid, "cycle": cycle},
+                )
+            )
+        return descs
 
-    def _file_size(self, filename: str) -> float:
-        """Size (MB) charged for staging one input file.
+    def process_md_outputs(
+        self,
+        replicas: Sequence[Replica],
+        units: Sequence[ComputeUnit],
+        cycle: int,
+        dim_name: Optional[str],
+    ) -> List[bool]:
+        """Fold finished MD units back into their replicas, pairwise.
 
-        Coordinate files stand in for full-system restart files, whose
-        size the performance model supplies; everything else is charged
-        at its real (tiny, text) size.
+        The outputs of the successful units are parsed in one adapter
+        call.  Returns, per replica, True on success; False (without
+        touching the replica's coordinates) when its unit failed.
         """
-        if filename.endswith((".inpcrd", ".coor", ".rst", ".restart.coor")):
-            return self.perf.restart_size_mb(self.system)
-        try:
-            return max(self.sandbox.size_mb(filename), 0.001)
-        except Exception:
-            return 0.001
-
-    def process_md_output(
-        self, replica: Replica, unit: ComputeUnit, cycle: int, dim_name: Optional[str]
-    ) -> bool:
-        """Fold one finished MD unit back into its replica.
-
-        Returns True on success; False (without touching the replica's
-        coordinates) when the unit failed.
-        """
-        record = CycleRecord(
-            cycle=cycle,
-            dimension=dim_name,
-            param_indices=dict(replica.param_indices),
-            potential_energy=float("nan"),
-            restraint_energy=float("nan"),
-        )
-        if not unit.succeeded:
-            replica.n_failures += 1
-            record.failed = True
-            replica.history.append(record)
-            replica.cycle = cycle + 1
-            return False
-
-        tag = self.md_tag(replica, cycle)
-        energies, coords = ram.read_md_outputs(self.adapter, self.sandbox, tag)
-        replica.coords = coords
-        replica.last_energies = dict(energies)
-        # pH dimensions: sample the titratable site's occupancy after MD.
-        for dim in self.dimensions:
-            if isinstance(dim, PHDimension):
+        ok = [unit.succeeded for unit in units]
+        tags = [self.md_tag(r, cycle) for r, good in zip(replicas, ok) if good]
+        outputs = iter(ram.read_md_outputs(self.adapter, self.sandbox, tags))
+        ph_dims = [d for d in self.dimensions if isinstance(d, PHDimension)]
+        for replica, unit, good in zip(replicas, units, ok):
+            record = CycleRecord(
+                cycle=cycle,
+                dimension=dim_name,
+                param_indices=dict(replica.param_indices),
+                potential_energy=float("nan"),
+                restraint_energy=float("nan"),
+            )
+            if not good:
+                replica.n_failures += 1
+                record.failed = True
+                replica.history.append(record)
+                replica.cycle = cycle + 1
+                continue
+            energies, coords = next(outputs)
+            replica.coords = coords
+            replica.last_energies = dict(energies)
+            # pH dimensions: sample the titratable site's occupancy after MD.
+            for dim in ph_dims:
                 ph = float(dim.value(replica.window(dim.name)))
                 occ = dim.protonation_occupancy(
                     ph, self.rng.stream("protonation", replica.rid, cycle)
                 )
                 replica.last_energies["protonation"] = float(occ)
-        record.potential_energy = energies["potential_energy"]
-        record.restraint_energy = energies["restraint_energy"]
-        record.torsional_energy = energies.get(
-            "torsional_energy", float("nan")
-        )
-        if unit.result is not None and hasattr(unit.result, "trajectory"):
-            record.trajectory = unit.result.trajectory
-        replica.history.append(record)
-        replica.cycle = cycle + 1
-        return True
+            record.potential_energy = energies["potential_energy"]
+            record.restraint_energy = energies["restraint_energy"]
+            record.torsional_energy = energies.get(
+                "torsional_energy", float("nan")
+            )
+            if unit.result is not None and hasattr(unit.result, "trajectory"):
+                record.trajectory = unit.result.trajectory
+            replica.history.append(record)
+            replica.cycle = cycle + 1
+        return ok
 
     # -- exchange phase -----------------------------------------------------------------
 

@@ -59,6 +59,10 @@ SCHEMA_VERSION = 2
 #: Versions :func:`Checkpoint.from_json` can read.
 SUPPORTED_VERSIONS = (SCHEMA_VERSION,)
 
+#: characters hashed per piece when stamping the checksum (bounds the
+#: transient copy; any size gives the same digest)
+_HASH_CHUNK = 1 << 16
+
 
 class CheckpointError(RuntimeError):
     """Raised for unreadable, incompatible or mismatched checkpoints."""
@@ -290,12 +294,36 @@ class Checkpoint:
     def to_json(self) -> str:
         """JSON text form (floats at full ``repr`` precision, so times and
         coordinates round-trip bit-exactly), stamped with the content
-        checksum."""
+        checksum.
+
+        The snapshot is encoded once, with a placeholder digest.  Sorted
+        keys put the ``"checksum": …, `` member right after the members
+        whose keys sort before it, so the canonical text
+        :meth:`_content_checksum` hashes is this text without that member;
+        it is hashed in pieces, never copied whole, and the placeholder is
+        then replaced by the digest.
+        """
         # Shallow: every field already holds plain JSON-able containers,
         # so the deep copy ``asdict`` makes is pure overhead.
         data = {f.name: getattr(self, f.name) for f in fields(self)}
-        data["checksum"] = self._content_checksum(data)
-        return json.dumps(data, default=_json_default, sort_keys=True)
+        data["checksum"] = "0" * 64  # a sha256 hexdigest's length
+        text = json.dumps(data, default=_json_default, sort_keys=True)
+        member = f'"checksum": "{data["checksum"]}", '
+        # "{", the members sorting before it, then ", ": the length of
+        # those members dumped on their own, plus one
+        head = {k: v for k, v in data.items() if k < "checksum"}
+        at = 1
+        if head:
+            at += len(json.dumps(head, default=_json_default, sort_keys=True))
+        assert text.startswith(member, at)
+        digest = hashlib.sha256(text[:at].encode())
+        for i in range(at + len(member), len(text), _HASH_CHUNK):
+            digest.update(text[i : i + _HASH_CHUNK].encode())
+        # no member before it can hold the placeholder, so the first
+        # occurrence is the one at ``at``
+        return text.replace(
+            member, f'"checksum": "{digest.hexdigest()}", ', 1
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "Checkpoint":

@@ -517,7 +517,8 @@ class SimulationConfig:
     seed: int = 2016
     #: skip the exchange phase entirely (the paper's "No exchange" baseline)
     exchange_enabled: bool = True
-    #: sigma of a log-normal per-replica speed multiplier, modeling
+    #: sigma of a log-normal speed multiplier, drawn afresh for every MD
+    #: task from its replica's own stream (relaunches included), modeling
     #: heterogeneous ensembles ("quantum mechanics calculations usually
     #: are slower than classical molecular dynamics", paper Sec. 2.1);
     #: 0 disables heterogeneity

@@ -288,7 +288,7 @@ class ExecutionManagerBase:
         Returns rid -> the final unit for that replica (possibly a
         relaunched one).
         """
-        descs = [self.amm.md_task(r, cycle) for r in replicas]
+        descs = self.amm.md_tasks(replicas, cycle)
         units = self.mode.run_phase(self.session, self.pilot, descs)
         self._account_md(units)
         unit_of = {
@@ -320,7 +320,7 @@ class ExecutionManagerBase:
                     to_relaunch.append(by_rid[rid])
             if not to_relaunch:
                 break
-            redo = [self.amm.md_task(r, cycle) for r in to_relaunch]
+            redo = self.amm.md_tasks(to_relaunch, cycle)
             scheduler = self.pilot.scheduler
             if scheduler is not None:
                 # Node quarantine may have shrunk the pilot below what a
@@ -386,7 +386,7 @@ class ExecutionManagerBase:
         window closes.  Fault-policy recovery applies only to replicas
         that arrived within the window.
         """
-        descs = [self.amm.md_task(r, cycle) for r in replicas]
+        descs = self.amm.md_tasks(replicas, cycle)
         precompute_md(descs)
         units = self.session.submit_units(self.pilot, descs)
         self._wait_barrier(units, deadline_s)
@@ -549,16 +549,10 @@ class SynchronousEMM(ExecutionManagerBase):
             md_end = self.session.now
             md_span.end()
 
-            n_failed = 0
-            for rep in on_time:
-                ok = self.amm.process_md_output(
-                    rep,
-                    unit_of[rep.rid],
-                    cycle,
-                    dimension.name if dimension else None,
-                )
-                if not ok:
-                    n_failed += 1
+            dim_name = dimension.name if dimension else None
+            n_failed = self.amm.process_md_outputs(
+                on_time, [unit_of[r.rid] for r in on_time], cycle, dim_name
+            ).count(False)
 
             proposals: List[SwapProposal] = []
             if dimension is not None:
@@ -595,22 +589,16 @@ class SynchronousEMM(ExecutionManagerBase):
                 # already gone, so it keeps pre-cycle coordinates and
                 # rejoins next cycle (RETIRE still retires).
                 by_rid = {r.rid: r for r in active}
+                late_reps = [by_rid[rid] for rid in late_rids]
                 late_units = [unit_of[rid] for rid in late_rids]
                 self.session.wait_units(late_units)
                 self._account_md(late_units)
-                for rid in late_rids:
-                    rep = by_rid[rid]
-                    unit = unit_of[rid]
+                for rep, unit in zip(late_reps, late_units):
                     if not unit.succeeded:
                         self._md_failed(rep, 1)
-                    ok = self.amm.process_md_output(
-                        rep,
-                        unit,
-                        cycle,
-                        dimension.name if dimension else None,
-                    )
-                    if not ok:
-                        n_failed += 1
+                n_failed += self.amm.process_md_outputs(
+                    late_reps, late_units, cycle, dim_name
+                ).count(False)
 
             md_units = [unit_of[r.rid] for r in active]
             t_md = max((u.execution_time for u in md_units), default=0.0)
@@ -777,8 +765,8 @@ class AsynchronousEMM(ExecutionManagerBase):
             return
         scheduler = self.pilot.scheduler
         launch = []
-        for rep in reps:
-            desc = self.amm.md_task(rep, cycles_done[rep.rid])
+        descs = self.amm.md_tasks(reps, [cycles_done[r.rid] for r in reps])
+        for rep, desc in zip(reps, descs):
             if scheduler is not None and desc.cores > scheduler.capacity:
                 # Node quarantine shrank the pilot below this task; the
                 # replica can never run again, so retire it instead of
@@ -822,13 +810,13 @@ class AsynchronousEMM(ExecutionManagerBase):
             del state.md_attempts[rep.rid]
             if action is FaultAction.CONTINUE:
                 # count the cycle, resubmit if more remain
-                self.amm.process_md_output(rep, unit, cycle, None)
+                self.amm.process_md_outputs([rep], [unit], cycle, None)
                 state.set_cycles(rep.rid, cycle + 1)
                 self._submit_md([rep])
             return
 
         state.md_attempts.pop(rep.rid, None)
-        self.amm.process_md_output(rep, unit, cycle, None)
+        self.amm.process_md_outputs([rep], [unit], cycle, None)
         done = cycle + 1
         state.set_cycles(rep.rid, done)
         if done >= self.config.n_cycles:

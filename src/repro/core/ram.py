@@ -37,12 +37,11 @@ def execute_md(adapter: EngineAdapter, sandbox: Sandbox, tag: str) -> MDResult:
 
 
 def read_md_outputs(
-    adapter: EngineAdapter, sandbox: Sandbox, tag: str
-) -> Tuple[Dict[str, float], np.ndarray]:
-    """Parse a finished MD task's info file and restart coordinates."""
-    energies = adapter.read_info(sandbox, tag)
-    coords = adapter.read_restart(sandbox, tag)
-    return energies, coords
+    adapter: EngineAdapter, sandbox: Sandbox, tags: Sequence[str]
+) -> List[Tuple[Dict[str, float], np.ndarray]]:
+    """Parse the info files and restart coordinates of a group of finished
+    MD tasks, in order."""
+    return adapter.read_outputs(sandbox, tags)
 
 
 def execute_single_point_group(

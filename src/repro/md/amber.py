@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from repro.md.engine import EngineAdapter, EngineError, register_adapter
 from repro.md.forcefield import UmbrellaRestraint
 from repro.md.integrators import IntegratorParams
 from repro.md.sandbox import Sandbox
-from repro.md.toymd import MDParams, MDResult, ThermodynamicState
+from repro.md.toymd import MDParams, ThermodynamicState
 
 #: Amber atom indices of the backbone torsions in alanine dipeptide.
 _TORSION_ATOMS = {"phi": (5, 7, 9, 15), "psi": (7, 9, 15, 17)}
@@ -59,112 +59,129 @@ def _fmt_float(x: float) -> str:
 
 @register_adapter
 class AmberAdapter(EngineAdapter):
-    """Adapter for the simulated ``sander`` / ``pmemd.MPI`` executables."""
+    """Adapter for the simulated ``sander`` / ``pmemd.MPI`` executables.
+
+    Parse state is phase-scoped.  Writing a task's mdin (resp. mdinfo)
+    records what a regex parse of those exact bytes recovers; the read
+    that uses the entry removes it, and a hit still requires the file
+    text to equal the recorded text, so a rewritten or hand-edited file
+    always goes through the real parser.  Tasks of one state share one
+    parsed :class:`ThermodynamicState`.  A task whose file is never read
+    (a unit that failed before its outputs were folded) keeps its entry
+    until the same tag is written again.
+    """
 
     name = "amber"
     executables = ("sander", "pmemd.MPI", "pmemd.cuda")
 
+    def __init__(self, system=None, forcefield=None):
+        super().__init__(system, forcefield)
+        #: (id(sandbox), tag) -> (mdin text, DISANG text or None,
+        #: (n_steps, stride, dt, friction, state), seed)
+        self._mdin_cache: Dict[Tuple[int, str], tuple] = {}
+        #: (id(sandbox), tag) -> (mdinfo text, parsed energies)
+        self._info_cache: Dict[Tuple[int, str], tuple] = {}
+
     # ------------------------------------------------------------------ input
 
-    def write_input(
-        self,
-        sandbox: Sandbox,
-        tag: str,
-        coords: np.ndarray,
-        state: ThermodynamicState,
-        params: MDParams,
-        seed: int,
-    ) -> List[str]:
+    def write_inputs(self, sandbox, tags, coords, states, params, seeds):
         """Write ``{tag}.mdin``, ``{tag}.inpcrd`` and, if restrained,
-        ``{tag}.RST``."""
-        coords = np.asarray(coords, dtype=float)
-        if coords.shape != (2,):
-            raise EngineError(f"coords must have shape (2,), got {coords.shape}")
-
-        files = []
-        nmropt = 1 if state.restraints else 0
-        mdin = [
-            f"{tag}: RepEx MD phase",
-            " &cntrl",
-            "  imin = 0, irest = 1, ntx = 5,",
-            f"  nstlim = {params.n_steps}, dt = {params.integrator_params.dt},",
-            f"  ntt = 3, temp0 = {_fmt_float(state.temperature)}, gamma_ln = "
-            f"{_fmt_float(params.integrator_params.friction)},",
-            f"  ig = {seed},",
-            f"  ntpr = {max(1, params.sample_stride)}, ntwx = "
-            f"{max(1, params.sample_stride)},",
-            f"  igb = 1, saltcon = {_fmt_float(state.salt_molar)},",
-            f"  nmropt = {nmropt},",
-            " /",
-        ]
-        if state.restraints:
-            mdin.append(" &wt type='END' /")
-            mdin.append(f"DISANG={tag}.RST")
-        mdin_text = "\n".join(mdin) + "\n"
-        sandbox.write_text(f"{tag}.mdin", mdin_text)
-        files.append(f"{tag}.mdin")
-
-        self._write_coords(sandbox, f"{tag}.inpcrd", coords)
-        files.append(f"{tag}.inpcrd")
-
-        rst_text = None
-        if state.restraints:
-            rst_text = self._format_disang(state.restraints)
-            sandbox.write_text(f"{tag}.RST", rst_text)
-            files.append(f"{tag}.RST")
-        self._prime_mdin_cache(
-            sandbox, tag, mdin_text, rst_text, state, params, seed
+        ``{tag}.RST`` per task, rendering each distinct state's text once."""
+        rows = self._coord_rows(coords)
+        ip = params.integrator_params
+        stride = max(1, params.sample_stride)
+        friction = _fmt_float(ip.friction)
+        head = (
+            " &cntrl\n"
+            "  imin = 0, irest = 1, ntx = 5,\n"
+            f"  nstlim = {params.n_steps}, dt = {ip.dt},\n"
         )
+        phase_parse = self._mdin_phase_parse(params, friction)
+        rendered: Dict[int, tuple] = {}
+        cache = self._mdin_cache
+        sid = id(sandbox)
+        files = []
+        for tag, (phi, psi), state, seed in zip(tags, rows, states, seeds):
+            frag = rendered.get(id(state))
+            if frag is None:
+                frag = rendered[id(state)] = self._state_text(
+                    state, head, friction, stride, phase_parse
+                )
+            pre, post, rst, rst_bytes, parsed = frag
+            mdin = f"{tag}: RepEx MD phase\n{pre}  ig = {seed},\n{post}"
+            if rst is not None:
+                mdin += f"DISANG={tag}.RST\n"
+            crd = self._coords_text(phi, psi)
+            sandbox.write_text(f"{tag}.mdin", mdin)
+            sandbox.write_text(f"{tag}.inpcrd", crd)
+            task_files = [
+                (f"{tag}.mdin", len(mdin.encode())),
+                (f"{tag}.inpcrd", len(crd.encode())),
+            ]
+            if rst is not None:
+                sandbox.write_text(f"{tag}.RST", rst)
+                task_files.append((f"{tag}.RST", rst_bytes))
+            if parsed is not None:
+                cache[(sid, tag)] = (mdin, rst, parsed, int(seed))
+            files.append(task_files)
         return files
 
-    def _prime_mdin_cache(
-        self, sandbox, tag, mdin_text, rst_text, state, params, seed
-    ) -> None:
-        """Record what :meth:`_parse_mdin` will recover from ``mdin_text``.
+    def _state_text(self, state, head, friction, stride, phase_parse):
+        """One state's share of a group's inputs: the mdin text before and
+        after ``ig``, its DISANG text (None when unrestrained) and byte
+        length, and what a parse recovers (None when uncacheable)."""
+        temp0 = _fmt_float(state.temperature)
+        saltcon = _fmt_float(state.salt_molar)
+        pre = f"{head}  ntt = 3, temp0 = {temp0}, gamma_ln = {friction},\n"
+        post = (
+            f"  ntpr = {stride}, ntwx = {stride},\n"
+            f"  igb = 1, saltcon = {saltcon},\n"
+            f"  nmropt = {1 if state.restraints else 0},\n /\n"
+        )
+        rst = None
+        if state.restraints:
+            post += " &wt type='END' /\n"
+            rst = self._format_disang(state.restraints)
+        parsed = None
+        if (
+            phase_parse is not None
+            and math.isfinite(state.temperature)
+            and math.isfinite(state.salt_molar)
+        ):
+            # the round trips of the formatted tokens, restraints as the
+            # DISANG text carries them
+            restraints = tuple(
+                UmbrellaRestraint(
+                    angle=r.angle,
+                    center_deg=float(f"{r.center_deg:.1f}"),
+                    k=float(f"{r.k:.4f}"),
+                )
+                for r in state.restraints
+            )
+            parsed = phase_parse + (
+                ThermodynamicState(float(temp0), float(saltcon), restraints),
+            )
+        rst_bytes = len(rst.encode()) if rst is not None else 0
+        return pre, post, rst, rst_bytes, parsed
 
-        The values stored are the exact round-trips of the formatted tokens
-        (``float(_fmt_float(x))`` etc.), so a later parse of the unchanged
-        file returns identical values without running the regex scan.  The
-        cache entry is validated against the file text on every hit — a
-        rewritten or hand-edited file always falls back to the real parser.
-        Entries are skipped for inputs the namelist regex would not capture
-        verbatim (scientific-notation ``dt``, non-finite values).
-        """
-        dt = params.integrator_params.dt
-        dt_str = str(dt)
+    @staticmethod
+    def _mdin_phase_parse(params: MDParams, friction: str):
+        """What :meth:`_parse_mdin` recovers of ``params`` from an mdin:
+        ``(n_steps, stride, dt, friction)``, or None for inputs the
+        namelist regex would not capture verbatim (scientific-notation
+        ``dt``, a non-finite friction), which always take the real
+        parser."""
+        dt_str = str(params.integrator_params.dt)
         body = dt_str[1:] if dt_str.startswith("-") else dt_str
         if not body or not all(c.isdigit() or c == "." for c in body):
-            return
-        values = (
-            state.temperature,
-            state.salt_molar,
-            params.integrator_params.friction,
-        )
-        if not all(math.isfinite(v) for v in values):
-            return
-        restraints = tuple(
-            UmbrellaRestraint(
-                angle=r.angle,
-                center_deg=float(f"{r.center_deg:.1f}"),
-                k=float(f"{r.k:.4f}"),
-            )
-            for r in state.restraints
-        )
-        parsed_state = ThermodynamicState(
-            temperature=float(_fmt_float(state.temperature)),
-            salt_molar=float(_fmt_float(state.salt_molar)),
-            restraints=restraints,
-        )
-        cache = self.__dict__.setdefault("_mdin_cache", {})
-        cache[(id(sandbox), tag)] = (
-            mdin_text,
-            rst_text,
+            return None
+        if not math.isfinite(params.integrator_params.friction):
+            return None
+        return (
             params.n_steps,
             max(1, params.sample_stride),
             float(dt_str),
-            float(_fmt_float(params.integrator_params.friction)),
-            parsed_state,
-            int(seed),
+            float(friction),
         )
 
     @staticmethod
@@ -202,13 +219,15 @@ class AmberAdapter(EngineAdapter):
             )
         return restraints
 
-    def _write_coords(self, sandbox: Sandbox, name: str, coords: np.ndarray) -> None:
-        text = (
+    def _coords_text(self, phi: float, psi: float) -> str:
+        return (
             "ALA2 toy coordinates (phi, psi in radians)\n"
             f"{self.system.n_atoms:6d}\n"
-            f"{coords[0]: 12.7f}{coords[1]: 12.7f}\n"
+            f"{phi: 12.7f}{psi: 12.7f}\n"
         )
-        sandbox.write_text(name, text)
+
+    def _write_coords(self, sandbox: Sandbox, name: str, coords: np.ndarray) -> None:
+        sandbox.write_text(name, self._coords_text(coords[0], coords[1]))
 
     def _read_coords(self, sandbox: Sandbox, name: str) -> np.ndarray:
         lines = sandbox.read_text(name).splitlines()
@@ -217,31 +236,8 @@ class AmberAdapter(EngineAdapter):
         vals = lines[2].split()
         return np.array([float(vals[0]), float(vals[1])])
 
-    def _parse_mdin(self, sandbox: Sandbox, tag: str):
-        text = sandbox.read_text(f"{tag}.mdin")
-        cache = self.__dict__.get("_mdin_cache")
-        if cache is not None:
-            hit = cache.get((id(sandbox), tag))
-            if (
-                hit is not None
-                and text == hit[0]
-                and (
-                    hit[1] is None
-                    or sandbox.read_text(f"{tag}.RST") == hit[1]
-                )
-            ):
-                # Same file contents the cache was primed with: return the
-                # recorded round-trip values.  MDParams is mutable, so a
-                # fresh instance is built per call; the frozen state and
-                # restraint objects are shared.
-                params = MDParams(
-                    n_steps=hit[2],
-                    sample_stride=hit[3],
-                    integrator_params=IntegratorParams(
-                        dt=hit[4], friction=hit[5]
-                    ),
-                )
-                return params, hit[6], hit[7]
+    def _parse_mdin(self, sandbox: Sandbox, tag: str, text: str):
+        """Regex parse of ``{tag}.mdin`` (``text``) and its DISANG file."""
         kv: Dict[str, str] = {}
         for key, value in _MDIN_KV.findall(text):
             kv.setdefault(key, value)
@@ -277,61 +273,90 @@ class AmberAdapter(EngineAdapter):
         )
         return params, state, seed
 
-    def read_task(self, sandbox: Sandbox, tag: str):
-        """Parse ``{tag}.mdin`` (with its DISANG file) and ``{tag}.inpcrd``."""
-        params, state, seed = self._parse_mdin(sandbox, tag)
-        return params, state, seed, self._read_coords(sandbox, f"{tag}.inpcrd")
+    def read_tasks(self, sandbox, tags):
+        """Parse each ``{tag}.mdin`` (with its DISANG file) and
+        ``{tag}.inpcrd``."""
+        cache = self._mdin_cache
+        sid = id(sandbox)
+        tasks = []
+        for tag in tags:
+            text = sandbox.read_text(f"{tag}.mdin")
+            hit = cache.pop((sid, tag), None)
+            if (
+                hit is not None
+                and text == hit[0]
+                and (
+                    hit[1] is None
+                    or sandbox.read_text(f"{tag}.RST") == hit[1]
+                )
+            ):
+                # MDParams is mutable, so each task gets its own; the
+                # frozen state is shared.
+                n_steps, stride, dt, friction, state = hit[2]
+                params = MDParams(
+                    n_steps=n_steps,
+                    sample_stride=stride,
+                    integrator_params=IntegratorParams(
+                        dt=dt, friction=friction
+                    ),
+                )
+                seed = hit[3]
+            else:
+                params, state, seed = self._parse_mdin(sandbox, tag, text)
+            coords = self._read_coords(sandbox, f"{tag}.inpcrd")
+            tasks.append((params, state, seed, coords))
+        return tasks
 
     # ----------------------------------------------------------------- output
 
-    def write_outputs(self, sandbox: Sandbox, tag: str, result: MDResult) -> None:
-        """Simulated ``sander`` output: ``.mdinfo``, ``.rst`` and ``.mdcrd``."""
-        eamber = result.potential_energy - result.restraint_energy
-        text = (
-            f" NSTEP = {result.n_steps:8d}   TIME(PS) = "
-            f"{result.n_steps * 0.002:12.3f}  TEMP(K) = "
-            f"{result.temperature:8.2f}  PRESS =     0.0\n"
-            f" Etot   = {result.potential_energy:14.4f}  EKtot   = "
-            f"{0.0:14.4f}  EPtot      = {result.potential_energy:14.4f}\n"
-            f" RESTRAINT  = {result.restraint_energy:14.4f}\n"
-            f" EAMBER (non-restraint)  = {eamber:14.4f}\n"
-            f" TORSIONAL  = {result.torsional_energy:14.4f}  EBATH   = "
-            f"{result.bath_energy:14.4f}\n"
-        )
-        sandbox.write_text(self.info_file(tag), text)
-        fields = (
-            result.potential_energy,
-            result.restraint_energy,
-            result.torsional_energy,
-            result.bath_energy,
-            result.temperature,
-        )
-        if all(math.isfinite(v) for v in fields):
-            # What read_info will recover: the 4 (resp. 2 for TEMP) decimal
-            # round-trips of the formatted fields, in _MDINFO_FIELDS order.
-            cache = self.__dict__.setdefault("_info_cache", {})
-            cache[(id(sandbox), tag)] = (
-                text,
-                {
-                    "potential_energy": float(f"{fields[0]:.4f}"),
-                    "restraint_energy": float(f"{fields[1]:.4f}"),
-                    "torsional_energy": float(f"{fields[2]:.4f}"),
-                    "bath_energy": float(f"{fields[3]:.4f}"),
-                    "temperature": float(f"{fields[4]:.2f}"),
-                },
+    def write_outputs(self, sandbox, tags, results) -> None:
+        """Simulated ``sander`` output per task: ``.mdinfo``, ``.rst`` and
+        ``.mdcrd``."""
+        cache = self._info_cache
+        sid = id(sandbox)
+        for tag, result in zip(tags, results):
+            pe, re_, te, be, temp = (
+                result.potential_energy,
+                result.restraint_energy,
+                result.torsional_energy,
+                result.bath_energy,
+                result.temperature,
             )
-        self._write_coords(sandbox, self.restart_file(tag), result.final_coords)
-        lines = [f"{row[0]: 12.7f}{row[1]: 12.7f}" for row in result.trajectory]
-        sandbox.write_text(f"{tag}.mdcrd", "\n".join(lines) + "\n")
+            text = (
+                f" NSTEP = {result.n_steps:8d}   TIME(PS) = "
+                f"{result.n_steps * 0.002:12.3f}  TEMP(K) = "
+                f"{temp:8.2f}  PRESS =     0.0\n"
+                f" Etot   = {pe:14.4f}  EKtot   = "
+                f"{0.0:14.4f}  EPtot      = {pe:14.4f}\n"
+                f" RESTRAINT  = {re_:14.4f}\n"
+                f" EAMBER (non-restraint)  = {pe - re_:14.4f}\n"
+                f" TORSIONAL  = {te:14.4f}  EBATH   = {be:14.4f}\n"
+            )
+            sandbox.write_text(self.info_file(tag), text)
+            if all(math.isfinite(v) for v in (pe, re_, te, be, temp)):
+                # What _parse_info recovers: the 4 (resp. 2 for TEMP)
+                # decimal round trips of the formatted fields.
+                cache[(sid, tag)] = (
+                    text,
+                    {
+                        "potential_energy": float(f"{pe:.4f}"),
+                        "restraint_energy": float(f"{re_:.4f}"),
+                        "torsional_energy": float(f"{te:.4f}"),
+                        "bath_energy": float(f"{be:.4f}"),
+                        "temperature": float(f"{temp:.2f}"),
+                    },
+                )
+            phi, psi = result.final_coords.tolist()
+            sandbox.write_text(
+                self.restart_file(tag), self._coords_text(phi, psi)
+            )
+            lines = [
+                f"{a: 12.7f}{b: 12.7f}" for a, b in result.trajectory.tolist()
+            ]
+            sandbox.write_text(f"{tag}.mdcrd", "\n".join(lines) + "\n")
 
-    def read_info(self, sandbox: Sandbox, tag: str) -> Dict[str, float]:
-        """Parse ``{tag}.mdinfo`` (the exchange phase's input)."""
-        text = sandbox.read_text(self.info_file(tag))
-        cache = self.__dict__.get("_info_cache")
-        if cache is not None:
-            hit = cache.get((id(sandbox), tag))
-            if hit is not None and text == hit[0]:
-                return dict(hit[1])
+    @staticmethod
+    def _parse_info(text: str, tag: str) -> Dict[str, float]:
         out: Dict[str, float] = {}
         for out_key, key, pattern in _MDINFO_FIELDS:
             m = pattern.search(text)
@@ -340,9 +365,22 @@ class AmberAdapter(EngineAdapter):
             out[out_key] = float(m.group(1))
         return out
 
-    def read_restart(self, sandbox: Sandbox, tag: str) -> np.ndarray:
-        """Final (phi, psi) of the MD phase."""
-        return self._read_coords(sandbox, self.restart_file(tag))
+    def read_outputs(self, sandbox, tags):
+        """Parse each ``{tag}.mdinfo`` (the exchange phase's input) and
+        ``{tag}.rst``."""
+        cache = self._info_cache
+        sid = id(sandbox)
+        outputs = []
+        for tag in tags:
+            text = sandbox.read_text(self.info_file(tag))
+            hit = cache.pop((sid, tag), None)
+            if hit is not None and text == hit[0]:
+                energies = hit[1]
+            else:
+                energies = self._parse_info(text, tag)
+            coords = self._read_coords(sandbox, self.restart_file(tag))
+            outputs.append((energies, coords))
+        return outputs
 
     def read_trajectory(self, sandbox: Sandbox, tag: str) -> np.ndarray:
         """Sampled (phi, psi) trajectory of the MD phase, shape (n, 2)."""

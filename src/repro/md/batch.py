@@ -1,12 +1,13 @@
 """Batched MD execution: many replicas, one vectorised integration pass.
 
-Adapters own the file formats, this module owns the numerics.  A task is
-read through :meth:`EngineAdapter.read_task
-<repro.md.engine.EngineAdapter.read_task>` (parameters, state, seed and
-coordinates from the engine's own input files), integrated here, and its
-outputs written through :meth:`~repro.md.engine.EngineAdapter.write_outputs`
-— so Amber and NAMD tasks batch alike, and ``EngineAdapter.run_md`` is a
-batch of one.  Every MD submission site integrates its whole group in one
+Adapters own the file formats, this module owns the numerics.  A group's
+tasks are read through one :meth:`EngineAdapter.read_tasks
+<repro.md.engine.EngineAdapter.read_tasks>` call (parameters, state, seed
+and coordinates from the engine's own input files), integrated here, and
+their outputs written through one
+:meth:`~repro.md.engine.EngineAdapter.write_outputs` call — so Amber and
+NAMD tasks batch alike, and ``EngineAdapter.run_md`` is a batch of one.
+Every MD submission site integrates its whole group in one
 call (:func:`repro.core.execution_modes.precompute_md`): a synchronous
 phase in either execution mode, the deadline-bounded barrier's fan-out,
 and the asynchronous pattern's initial launch and its post-sweep,
@@ -23,8 +24,8 @@ pool-flush and post-checkpoint relaunch groups.  Within a call:
 * each replica keeps its *own* ``default_rng(seed)`` whose normal draws are
   pre-generated as one ``(n_steps, 2)`` block.
 
-Bit-identity with the scalar path (``read_task`` ->
-``ToyMD.run(..., default_rng(seed))`` -> ``write_outputs``) is a hard
+Bit-identity with the scalar path (read one task ->
+``ToyMD.run(..., default_rng(seed))`` -> write its outputs) is a hard
 contract, relied on by the differential suite in
 ``tests/perf/test_soa_equivalence.py``:
 
@@ -84,8 +85,8 @@ def run_md_batch(items: Sequence[MDWork]) -> List[MDResult]:
 
     Tasks are grouped by (adapter, sandbox) identity, then by integration
     compatibility; each compatible group integrates as one stacked walker
-    array.  Each task's output files are written by its adapter's
-    ``write_outputs``.
+    array.  Each group's output files are written by one call of its
+    adapter's ``write_outputs``.
     """
     results: List[MDResult] = [None] * len(items)  # type: ignore[list-item]
     groups: Dict[Tuple[int, int], List[int]] = {}
@@ -104,7 +105,7 @@ def run_md_batch(items: Sequence[MDWork]) -> List[MDResult]:
 def _run_adapter_batch(adapter, sandbox, tags: List[str]) -> List[MDResult]:
     # Read phase: every task's (params, state, seed, coords), hoisted out
     # of the integration loop.
-    tasks = [adapter.read_task(sandbox, tag) for tag in tags]
+    tasks = adapter.read_tasks(sandbox, tags)
 
     # Group by the step schedule and the restraint signature (which angle
     # each restraint slot acts on).  Temperature, salt, umbrella centres
@@ -141,8 +142,7 @@ def _run_adapter_batch(adapter, sandbox, tags: List[str]) -> List[MDResult]:
                 results[i] = result
 
     # Output phase: the adapter's own files and formats.
-    for tag, result in zip(tags, results):
-        adapter.write_outputs(sandbox, tag, result)
+    adapter.write_outputs(sandbox, tags, results)
     return results
 
 
@@ -152,7 +152,7 @@ def _integrate_brownian_group(
     """Overdamped Langevin for R walkers in one pass.
 
     ``tasks`` is ``[(params, ThermodynamicState, seed, coords (2,)), ...]``
-    as ``read_task`` returns them, all with the same step schedule and
+    as ``read_tasks`` returns them, all with the same step schedule and
     restraint signature.  Every arithmetic step below reproduces
     ``BrownianIntegrator.run`` + ``ToyMD.run`` per element: the per-replica
     noise scale, Debye screening factor and restraint operands are

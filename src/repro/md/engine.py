@@ -3,10 +3,11 @@
 The RepEx design principle is that the framework never reaches inside the
 MD engine: the AMM prepares *input files* and task descriptions, the RAM
 (running on the cluster) launches the executable and parses *output files*.
-An adapter therefore only knows its engine's native file formats:
-``write_input`` / ``read_task`` write a task's input files and parse them
-back, ``write_outputs`` / ``read_info`` / ``read_restart`` do the same for
-its output files.  The numerics in between belong to
+An adapter therefore only knows its engine's native file formats, and
+speaks them a submission group at a time: ``write_inputs`` / ``read_tasks``
+write the group's input files and parse them back, ``write_outputs`` /
+``read_outputs`` do the same for its output files.  A single task is a
+one-element group.  The numerics in between belong to
 :mod:`repro.md.batch`, which integrates tasks of either engine in one
 pass; ``run_md`` is a batch of one.
 
@@ -54,28 +55,30 @@ class EngineAdapter(abc.ABC):
     # -- input side (AMM / RAM build these) ----------------------------------
 
     @abc.abstractmethod
-    def write_input(
+    def write_inputs(
         self,
         sandbox: Sandbox,
-        tag: str,
-        coords: np.ndarray,
-        state: ThermodynamicState,
+        tags: Sequence[str],
+        coords: Sequence[np.ndarray],
+        states: Sequence[ThermodynamicState],
         params: MDParams,
-        seed: int,
-    ) -> List[str]:
-        """Write the engine's input files for one MD phase.
+        seeds: Sequence[int],
+    ) -> List[List[Tuple[str, int]]]:
+        """Write the engine's input files for a group of MD tasks.
 
-        Returns the list of file names written (all relative to the
-        sandbox).  ``tag`` uniquely names this task, e.g.
-        ``"md_r0042_c0003"``.
+        Task ``i`` is named ``tags[i]`` (e.g. ``"md_r0042_c0003"``) and
+        starts from ``coords[i]`` in ``states[i]`` with seed ``seeds[i]``;
+        every task of the group shares ``params``.  Returns, per task, the
+        ``(file name, byte length)`` of each file written, relative to the
+        sandbox.
         """
 
     @abc.abstractmethod
-    def read_task(
-        self, sandbox: Sandbox, tag: str
-    ) -> Tuple[MDParams, ThermodynamicState, int, np.ndarray]:
-        """Parse ``tag``'s input files (the single source of truth, as for
-        a real engine) into ``(params, state, seed, coords)``."""
+    def read_tasks(
+        self, sandbox: Sandbox, tags: Sequence[str]
+    ) -> List[Tuple[MDParams, ThermodynamicState, int, np.ndarray]]:
+        """Parse each tag's input files (the single source of truth, as for
+        a real engine) into ``(params, state, seed, coords)``, in order."""
 
     # -- execution (RAM calls this inside the compute unit) --------------------
 
@@ -91,21 +94,38 @@ class EngineAdapter(abc.ABC):
     # -- output side (exchange phase reads these) -------------------------------
 
     @abc.abstractmethod
-    def write_outputs(self, sandbox: Sandbox, tag: str, result: MDResult) -> None:
+    def write_outputs(
+        self,
+        sandbox: Sandbox,
+        tags: Sequence[str],
+        results: Sequence[MDResult],
+    ) -> None:
         """Write the native output files (info, restart, trajectory) of
-        ``tag``'s finished integration."""
+        each tag's finished integration."""
 
     @abc.abstractmethod
-    def read_info(self, sandbox: Sandbox, tag: str) -> Dict[str, float]:
-        """Parse the engine's info/energy output file for ``tag``.
+    def read_outputs(
+        self, sandbox: Sandbox, tags: Sequence[str]
+    ) -> List[Tuple[Dict[str, float], np.ndarray]]:
+        """Parse each tag's info file and restart coordinates, in order.
 
-        Returns at least ``potential_energy``, ``restraint_energy`` and
-        ``temperature``.
+        The energies hold at least ``potential_energy``,
+        ``restraint_energy`` and ``temperature``; the coordinates are the
+        final (phi, psi).
         """
 
-    @abc.abstractmethod
-    def read_restart(self, sandbox: Sandbox, tag: str) -> np.ndarray:
-        """Parse the final coordinates (phi, psi) written by ``tag``'s run."""
+    @staticmethod
+    def _coord_rows(coords: Sequence[np.ndarray]) -> List[List[float]]:
+        """Each task's starting (phi, psi) as floats, shape-checked."""
+        rows = []
+        for c in coords:
+            c = np.asarray(c, dtype=float)
+            if c.shape != (2,):
+                raise EngineError(
+                    f"coords must have shape (2,), got {c.shape}"
+                )
+            rows.append(c.tolist())
+        return rows
 
     # -- bookkeeping -----------------------------------------------------------
 

@@ -27,7 +27,7 @@ from repro.md.engine import EngineAdapter, EngineError, register_adapter
 from repro.md.forcefield import UmbrellaRestraint
 from repro.md.integrators import IntegratorParams
 from repro.md.sandbox import Sandbox
-from repro.md.toymd import MDParams, MDResult, ThermodynamicState
+from repro.md.toymd import MDParams, ThermodynamicState
 
 _ETITLE = (
     "ETITLE:      TS           POTENTIAL           RESTRAINT"
@@ -65,51 +65,70 @@ class NAMDAdapter(EngineAdapter):
 
     # ------------------------------------------------------------------ input
 
-    def write_input(
-        self,
-        sandbox: Sandbox,
-        tag: str,
-        coords: np.ndarray,
-        state: ThermodynamicState,
-        params: MDParams,
-        seed: int,
-    ) -> List[str]:
-        """Write ``{tag}.conf`` and ``{tag}.coor``."""
-        coords = np.asarray(coords, dtype=float)
-        if coords.shape != (2,):
-            raise EngineError(f"coords must have shape (2,), got {coords.shape}")
-        if state.salt_molar != 0.0:
-            raise EngineError(
-                "the NAMD adapter does not support salt concentration "
-                "(S-REMD runs use the Amber engine, as in the paper)"
+    def write_inputs(self, sandbox, tags, coords, states, params, seeds):
+        """Write ``{tag}.conf``, ``{tag}.coor`` and, if restrained,
+        ``{tag}.colvars`` per task, rendering each distinct state's text
+        once."""
+        rows = self._coord_rows(coords)
+        ip = params.integrator_params
+        stride = max(1, params.sample_stride)
+        structure = f"structure          {self.system.name}.psf\n"
+        mid = (
+            f"timestep           {ip.dt:.6f}\n"
+            f"outputEnergies     {stride}\n"
+            f"dcdfreq            {stride}\n"
+        )
+        run = f"run                {params.n_steps}\n"
+        rendered: Dict[int, tuple] = {}
+        files = []
+        for tag, (phi, psi), state, seed in zip(tags, rows, states, seeds):
+            frag = rendered.get(id(state))
+            if frag is None:
+                if state.salt_molar != 0.0:
+                    raise EngineError(
+                        "the NAMD adapter does not support salt concentration "
+                        "(S-REMD runs use the Amber engine, as in the paper)"
+                    )
+                temps = (
+                    f"set temperature    {state.temperature:.6f}\n"
+                    "langevin           on\n"
+                    f"langevinTemp       {state.temperature:.6f}\n"
+                    f"langevinDamping    {ip.friction:.6f}\n"
+                )
+                colvars = (
+                    self._format_colvars(state.restraints)
+                    if state.restraints
+                    else None
+                )
+                frag = rendered[id(state)] = (
+                    temps,
+                    colvars,
+                    len(colvars.encode()) if colvars is not None else 0,
+                )
+            temps, colvars, colvars_bytes = frag
+            conf = (
+                f"# {tag}: RepEx MD phase\n{structure}"
+                f"coordinates        {tag}.coor\n{temps}"
+                f"seed               {seed}\n{mid}"
+                f"outputname         {tag}\n"
             )
-
-        conf = [
-            f"# {tag}: RepEx MD phase",
-            f"structure          {self.system.name}.psf",
-            f"coordinates        {tag}.coor",
-            f"set temperature    {state.temperature:.6f}",
-            "langevin           on",
-            f"langevinTemp       {state.temperature:.6f}",
-            f"langevinDamping    {params.integrator_params.friction:.6f}",
-            f"seed               {seed}",
-            f"timestep           {params.integrator_params.dt:.6f}",
-            f"outputEnergies     {max(1, params.sample_stride)}",
-            f"dcdfreq            {max(1, params.sample_stride)}",
-            f"outputname         {tag}",
-        ]
-        if state.restraints:
-            conf.append("colvars            on")
-            conf.append(f"colvarsConfig      {tag}.colvars")
-            sandbox.write_text(
-                f"{tag}.colvars", self._format_colvars(state.restraints)
-            )
-        conf.append(f"run                {params.n_steps}")
-        sandbox.write_text(f"{tag}.conf", "\n".join(conf) + "\n")
-        self._write_coords(sandbox, f"{tag}.coor", coords)
-        files = [f"{tag}.conf", f"{tag}.coor"]
-        if state.restraints:
-            files.append(f"{tag}.colvars")
+            if colvars is not None:
+                conf += (
+                    "colvars            on\n"
+                    f"colvarsConfig      {tag}.colvars\n"
+                )
+                sandbox.write_text(f"{tag}.colvars", colvars)
+            conf += run
+            crd = self._coords_text(phi, psi)
+            sandbox.write_text(f"{tag}.conf", conf)
+            sandbox.write_text(f"{tag}.coor", crd)
+            task_files = [
+                (f"{tag}.conf", len(conf.encode())),
+                (f"{tag}.coor", len(crd.encode())),
+            ]
+            if colvars is not None:
+                task_files.append((f"{tag}.colvars", colvars_bytes))
+            files.append(task_files)
         return files
 
     @staticmethod
@@ -135,11 +154,11 @@ class NAMDAdapter(EngineAdapter):
             for m in _COLVARS_RE.finditer(text)
         ]
 
-    def _write_coords(self, sandbox: Sandbox, name: str, coords: np.ndarray) -> None:
-        sandbox.write_text(
-            name,
+    @staticmethod
+    def _coords_text(phi: float, psi: float) -> str:
+        return (
             "# NAMD toy coordinates (phi, psi radians)\n"
-            f"{coords[0]: 12.7f}{coords[1]: 12.7f}\n",
+            f"{phi: 12.7f}{psi: 12.7f}\n"
         )
 
     def _read_coords(self, sandbox: Sandbox, name: str) -> np.ndarray:
@@ -151,8 +170,7 @@ class NAMDAdapter(EngineAdapter):
             return np.array([float(vals[0]), float(vals[1])])
         raise EngineError(f"malformed coordinate file {name!r}")
 
-    def read_task(self, sandbox: Sandbox, tag: str):
-        """Parse ``{tag}.conf`` (with its colvars file) and ``{tag}.coor``."""
+    def _parse_conf(self, sandbox: Sandbox, tag: str):
         text = sandbox.read_text(f"{tag}.conf")
 
         def grab(key: str, default=None):
@@ -183,30 +201,43 @@ class NAMDAdapter(EngineAdapter):
         state = ThermodynamicState(
             temperature=temperature, restraints=tuple(restraints)
         )
-        return params, state, seed, self._read_coords(sandbox, f"{tag}.coor")
+        return params, state, seed
+
+    def read_tasks(self, sandbox, tags):
+        """Parse each ``{tag}.conf`` (with its colvars file) and
+        ``{tag}.coor``."""
+        return [
+            (*self._parse_conf(sandbox, tag),
+             self._read_coords(sandbox, f"{tag}.coor"))
+            for tag in tags
+        ]
 
     # ----------------------------------------------------------------- output
 
-    def write_outputs(self, sandbox: Sandbox, tag: str, result: MDResult) -> None:
-        """Simulated ``namd2`` output: ``.log``, ``.restart.coor`` and
-        ``.dcd.txt``."""
-        log = [
-            f"Info: NAMD 2.10 (simulated) for {self.system.name}",
-            _ETITLE,
-            (
-                f"ENERGY: {result.n_steps:8d} {result.potential_energy:19.4f} "
+    def write_outputs(self, sandbox, tags, results) -> None:
+        """Simulated ``namd2`` output per task: ``.log``, ``.restart.coor``
+        and ``.dcd.txt``."""
+        banner = (
+            f"Info: NAMD 2.10 (simulated) for {self.system.name}\n"
+            f"{_ETITLE}\n"
+        )
+        for tag, result in zip(tags, results):
+            sandbox.write_text(
+                f"{tag}.log",
+                f"{banner}ENERGY: {result.n_steps:8d} "
+                f"{result.potential_energy:19.4f} "
                 f"{result.restraint_energy:19.4f} {result.bath_energy:19.4f} "
-                f"{result.temperature:18.2f}"
-            ),
-            "WallClock: (simulated)",
-        ]
-        sandbox.write_text(f"{tag}.log", "\n".join(log) + "\n")
-        self._write_coords(sandbox, self.restart_file(tag), result.final_coords)
-        lines = ["# NAMD toy trajectory (phi psi radians per frame)"]
-        lines += [
-            f"{row[0]: 12.7f}{row[1]: 12.7f}" for row in result.trajectory
-        ]
-        sandbox.write_text(f"{tag}.dcd.txt", "\n".join(lines) + "\n")
+                f"{result.temperature:18.2f}\nWallClock: (simulated)\n",
+            )
+            phi, psi = result.final_coords.tolist()
+            sandbox.write_text(
+                self.restart_file(tag), self._coords_text(phi, psi)
+            )
+            lines = ["# NAMD toy trajectory (phi psi radians per frame)"]
+            lines += [
+                f"{a: 12.7f}{b: 12.7f}" for a, b in result.trajectory.tolist()
+            ]
+            sandbox.write_text(f"{tag}.dcd.txt", "\n".join(lines) + "\n")
 
     def read_trajectory(self, sandbox: Sandbox, tag: str) -> np.ndarray:
         """Sampled (phi, psi) trajectory of the MD phase, shape (n, 2)."""
@@ -218,9 +249,9 @@ class NAMDAdapter(EngineAdapter):
         ]
         return np.asarray(rows) if rows else np.empty((0, 2))
 
-    def read_info(self, sandbox: Sandbox, tag: str) -> Dict[str, float]:
-        """Parse the last ``ENERGY:`` line of ``{tag}.log``."""
-        text = sandbox.read_text(f"{tag}.log")
+    @staticmethod
+    def _parse_log(text: str, tag: str) -> Dict[str, float]:
+        """Energies of the last ``ENERGY:`` line of ``{tag}.log``."""
         energy_lines = [
             line for line in text.splitlines() if line.startswith("ENERGY:")
         ]
@@ -240,6 +271,12 @@ class NAMDAdapter(EngineAdapter):
             "temperature": float(cols[5]),
         }
 
-    def read_restart(self, sandbox: Sandbox, tag: str) -> np.ndarray:
-        """Final (phi, psi) of the MD phase."""
-        return self._read_coords(sandbox, self.restart_file(tag))
+    def read_outputs(self, sandbox, tags):
+        """Parse each ``{tag}.log`` and ``{tag}.restart.coor``."""
+        return [
+            (
+                self._parse_log(sandbox.read_text(f"{tag}.log"), tag),
+                self._read_coords(sandbox, self.restart_file(tag)),
+            )
+            for tag in tags
+        ]

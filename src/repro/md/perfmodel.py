@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -145,6 +145,30 @@ class PerformanceModel:
                 "known: sander, pmemd.MPI, pmemd.cuda, namd2"
             )
         return self._jittered(base, task_key)
+
+    def md_durations(
+        self,
+        executable: str,
+        system: MolecularSystem,
+        n_steps: int,
+        cores: Sequence[int],
+        task_keys: Sequence[str],
+    ) -> List[float]:
+        """:meth:`md_duration` for a submission group, one task per key.
+
+        The jitter-free base depends only on the core count, so it is
+        computed once per distinct count; each task keeps its own one-shot
+        jitter draw, so every value equals the per-task call's bit for bit.
+        """
+        bases: Dict[int, float] = {}
+        out = []
+        for n_cores, key in zip(cores, task_keys):
+            if n_cores not in bases:
+                bases[n_cores] = self.md_duration(
+                    executable, system, n_steps, n_cores
+                )
+            out.append(self._jittered(bases[n_cores], key))
+        return out
 
     # -- exchange-phase tasks -----------------------------------------------------
 

@@ -379,3 +379,27 @@ class TestAccounting:
         assert states["a-0"] is SessionState.FAILED
         assert states["a-1"] is SessionState.DONE
         assert audit_events(arb, "runner_error")
+
+
+class TestFinishCheck:
+    def test_done_reads_grow_linearly_with_sessions(self, monkeypatch):
+        """``run`` checks for the end after every event; it must not rescan
+        the sessions that already finished (quadratic on long campaigns)."""
+        from repro.campaign.arbiter import SessionRecord
+
+        reads = 0
+        done = SessionRecord.done.fget
+
+        def counted(record):
+            nonlocal reads
+            reads += 1
+            return done(record)
+
+        monkeypatch.setattr(SessionRecord, "done", property(counted))
+        arb = make_arbiter()
+        n_sessions = 160
+        for i in range(n_sessions):
+            arb.submit(req(f"{'ab'[i % 2]}-{i}"))
+        records = arb.run(stub_runner(default_s=10.0))
+        assert all(r.state is SessionState.DONE for r in records)
+        assert reads < 10 * n_sessions

@@ -80,7 +80,7 @@ class TestMDTask:
     def test_duration_matches_perf_anchor(self):
         amm = make_amm()
         rep = amm.create_replicas()[0]
-        desc = amm.md_task(rep, cycle=0)
+        desc = amm.md_tasks([rep], 0)[0]
         # supermic speed factor 1.0, sander anchor
         assert desc.duration == pytest.approx(139.6 + 1.5, abs=0.5)
 
@@ -88,13 +88,13 @@ class TestMDTask:
         cfg = small_tremd_config(resource=ResourceSpec("stampede", cores=4))
         amm = make_amm(cfg, cluster_name="stampede")
         rep = amm.create_replicas()[0]
-        desc = amm.md_task(rep, cycle=0)
+        desc = amm.md_tasks([rep], 0)[0]
         assert desc.duration == pytest.approx(1.18 * (139.6 + 1.5), abs=1.0)
 
     def test_input_files_written(self):
         amm = make_amm()
         rep = amm.create_replicas()[0]
-        amm.md_task(rep, cycle=0)
+        amm.md_tasks([rep], 0)
         tag = amm.md_tag(rep, 0)
         assert amm.sandbox.exists(f"{tag}.mdin")
         assert amm.sandbox.exists(f"{tag}.inpcrd")
@@ -102,27 +102,27 @@ class TestMDTask:
     def test_metadata(self):
         amm = make_amm()
         rep = amm.create_replicas()[2]
-        desc = amm.md_task(rep, cycle=3)
+        desc = amm.md_tasks([rep], 3)[0]
         assert desc.metadata == {"phase": "md", "rid": 2, "cycle": 3}
 
     def test_work_runs_engine(self):
         amm = make_amm()
         rep = amm.create_replicas()[0]
-        desc = amm.md_task(rep, cycle=0)
+        desc = amm.md_tasks([rep], 0)[0]
         result = desc.work()
         assert result.n_steps == amm.config.effective_numeric_steps
 
     def test_staging_directives_present(self):
         amm = make_amm()
         rep = amm.create_replicas()[0]
-        desc = amm.md_task(rep, cycle=0)
+        desc = amm.md_tasks([rep], 0)[0]
         assert len(desc.input_staging) >= 2
         assert len(desc.output_staging) == 2
 
 
 class TestProcessOutput:
     def _run_one(self, amm, rep, cycle=0):
-        desc = amm.md_task(rep, cycle)
+        desc = amm.md_tasks([rep], cycle)[0]
         unit = ComputeUnit(desc)
         # drive the unit through its states by hand
         from repro.pilot.unit import UnitState
@@ -141,8 +141,8 @@ class TestProcessOutput:
         rep = amm.create_replicas()[0]
         before = rep.coords.copy()
         unit = self._run_one(amm, rep)
-        ok = amm.process_md_output(rep, unit, 0, "temperature")
-        assert ok
+        ok = amm.process_md_outputs([rep], [unit], 0, "temperature")
+        assert ok == [True]
         assert not np.allclose(rep.coords, before)
         assert "potential_energy" in rep.last_energies
         assert rep.cycle == 1
@@ -152,7 +152,7 @@ class TestProcessOutput:
     def test_failure_keeps_coords(self):
         amm = make_amm()
         rep = amm.create_replicas()[0]
-        desc = amm.md_task(rep, 0)
+        desc = amm.md_tasks([rep], 0)[0]
         unit = ComputeUnit(desc)
         from repro.pilot.unit import UnitState
 
@@ -162,8 +162,8 @@ class TestProcessOutput:
         unit.advance(UnitState.EXECUTING, 0.3)
         unit.advance(UnitState.FAILED, 5.0)
         before = rep.coords.copy()
-        ok = amm.process_md_output(rep, unit, 0, "temperature")
-        assert not ok
+        ok = amm.process_md_outputs([rep], [unit], 0, "temperature")
+        assert ok == [False]
         assert np.allclose(rep.coords, before)
         assert rep.n_failures == 1
         assert rep.history[0].failed

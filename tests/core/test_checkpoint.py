@@ -1,6 +1,8 @@
 """Checkpoint capture, (de)serialization and validation."""
 
+import hashlib
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -10,8 +12,10 @@ from repro.core.checkpoint import (
     SUPPORTED_VERSIONS,
     Checkpoint,
     CheckpointError,
+    _json_default,
 )
 from repro.core.config import PatternSpec
+from repro.obs.metrics import NullRegistry
 from tests.conftest import small_tremd_config
 
 
@@ -169,6 +173,40 @@ class TestContentChecksum:
         repex, _ = checkpointed_run(tmp_path)
         data = json.loads(repex.checkpoints[0].to_json())
         assert data["checksum"] == Checkpoint._content_checksum(data)
+
+    @pytest.mark.parametrize("kind", ["sync", "async", "obs-off"])
+    def test_to_json_equals_the_two_dump_definition(self, tmp_path, kind):
+        """Encoding each field once writes exactly the text of the
+        definition: dump without ``checksum``, hash it, dump again with
+        the checksum added."""
+        if kind == "async":
+            repex, _ = async_checkpointed_run(tmp_path)
+        else:
+            kwargs = {"registry": NullRegistry()} if kind == "obs-off" else {}
+            config = small_tremd_config(n_cycles=4)
+            repex = RepEx(
+                config,
+                checkpoint_every=2,
+                checkpoint_dir=tmp_path / "ckpts",
+                **kwargs,
+            )
+            repex.run()
+        ckpt = repex.checkpoints[0]
+        assert (ckpt.obs is None) == (kind == "obs-off")
+        data = {f.name: getattr(ckpt, f.name) for f in fields(ckpt)}
+        del data["checksum"]
+        canonical = json.dumps(data, default=_json_default, sort_keys=True)
+        data["checksum"] = hashlib.sha256(canonical.encode()).hexdigest()
+        expected = json.dumps(data, default=_json_default, sort_keys=True)
+        text = ckpt.to_json()
+        assert text == expected
+        # and one flipped byte still fails the checksum
+        flipped = text.replace('"next_cycle": 2', '"next_cycle": 3', 1)
+        if kind == "async":
+            flipped = text.replace('"sweep": ', '"sweep": 1', 1)
+        assert flipped != text
+        with pytest.raises(CheckpointError, match="checksum mismatch"):
+            Checkpoint.from_json(flipped)
 
     def test_bit_flip_in_a_value_is_rejected(self, tmp_path):
         repex, _ = checkpointed_run(tmp_path)

@@ -1,5 +1,6 @@
 """Tests for heterogeneous replica performance (paper Sec. 2.1)."""
 
+import numpy as np
 import pytest
 
 from repro.core import RepEx
@@ -9,6 +10,8 @@ from repro.core.config import (
     PatternSpec,
     ResourceSpec,
 )
+
+from repro.utils.rng import RNGRegistry
 
 from tests.conftest import small_tremd_config
 
@@ -45,6 +48,37 @@ class TestReplicaSpeed:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ConfigError):
             het_config(-0.1)
+
+    def test_every_built_task_takes_the_next_draw(self):
+        """The multiplier is per task, not per replica: through
+        ``md_tasks``, replica 3's cycle-0 and cycle-1 tasks take draws 1 and
+        2 of its ``("replica-speed", 3)`` stream, and a relaunch of cycle 1
+        takes draw 3, whatever else shares the group."""
+        sigma = 0.5
+        amm = RepEx(het_config(sigma)).amm
+        reps = amm.create_replicas()
+        rep = reps[3]
+        stream = RNGRegistry(amm.config.seed).stream("replica-speed", rep.rid)
+        draws = [
+            float(np.exp(sigma * stream.standard_normal())) for _ in range(3)
+        ]
+        built = [
+            amm.md_tasks(reps, 0)[3],
+            amm.md_tasks([reps[0], rep], [1, 1])[1],
+            amm.md_tasks([rep], 1)[0],  # the relaunch
+        ]
+        assert [d.name for d in built] == [
+            amm.md_tag(rep, 0), amm.md_tag(rep, 1), amm.md_tag(rep, 1)
+        ]
+        for desc, speed in zip(built, draws):
+            base = amm.cluster.speed_factor * amm.perf.md_duration(
+                amm.executable,
+                amm.system,
+                amm.config.steps_per_cycle,
+                cores=rep.cores,
+                task_key=desc.name,
+            )
+            assert desc.duration == base * speed
 
 
 class TestBarrierEffect:

@@ -84,11 +84,12 @@ class TestMDExecution:
         adapter = AmberAdapter()
         sb = Sandbox()
         coords = np.radians([-63.0, -42.0])
-        adapter.write_input(
-            sb, "m0", coords, ThermodynamicState(), MDParams(n_steps=20), 3
+        params = MDParams(n_steps=20)
+        adapter.write_inputs(
+            sb, ["m0"], [coords], [ThermodynamicState()], params, [3]
         )
         result = ram.execute_md(adapter, sb, "m0")
-        energies, out_coords = ram.read_md_outputs(adapter, sb, "m0")
+        [(energies, out_coords)] = ram.read_md_outputs(adapter, sb, ["m0"])
         assert energies["potential_energy"] == pytest.approx(
             result.potential_energy, abs=0.01
         )

@@ -26,8 +26,10 @@ def write_basic(adapter, sandbox, tag="t0", **state_kwargs):
     state = ThermodynamicState(**state_kwargs)
     params = MDParams(n_steps=40, sample_stride=10)
     coords = np.radians([-63.0, -42.0])
-    files = adapter.write_input(sandbox, tag, coords, state, params, seed=99)
-    return files, state, params, coords
+    [files] = adapter.write_inputs(
+        sandbox, [tag], [coords], [state], params, [99]
+    )
+    return [name for name, _ in files], state, params, coords
 
 
 class TestInputFiles:
@@ -62,13 +64,13 @@ class TestInputFiles:
 
     def test_bad_coords_rejected(self, adapter, sandbox):
         with pytest.raises(EngineError):
-            adapter.write_input(
+            adapter.write_inputs(
                 sandbox,
-                "bad",
-                np.zeros(3),
-                ThermodynamicState(),
+                ["bad"],
+                [np.zeros(3)],
+                [ThermodynamicState()],
                 MDParams(),
-                1,
+                [1],
             )
 
 
@@ -85,7 +87,7 @@ class TestRoundTrip:
             salt_molar=0.4,
             restraints=restraints,
         )
-        params, state, seed = adapter._parse_mdin(sandbox, "t0")
+        [(params, state, seed, _)] = adapter.read_tasks(sandbox, ["t0"])
         assert params.n_steps == 40
         assert state.temperature == pytest.approx(350.0)
         assert state.salt_molar == pytest.approx(0.4)
@@ -115,7 +117,7 @@ class TestExecution:
     def test_read_info_matches_result(self, adapter, sandbox):
         write_basic(adapter, sandbox)
         result = adapter.run_md(sandbox, "t0")
-        info = adapter.read_info(sandbox, "t0")
+        [(info, _)] = adapter.read_outputs(sandbox, ["t0"])
         assert info["potential_energy"] == pytest.approx(
             result.potential_energy, abs=0.01
         )
@@ -124,7 +126,7 @@ class TestExecution:
     def test_read_restart_matches_result(self, adapter, sandbox):
         write_basic(adapter, sandbox)
         result = adapter.run_md(sandbox, "t0")
-        coords = adapter.read_restart(sandbox, "t0")
+        [(_, coords)] = adapter.read_outputs(sandbox, ["t0"])
         assert np.allclose(coords, result.final_coords, atol=1e-6)
 
     def test_trajectory_roundtrip(self, adapter, sandbox):
@@ -147,7 +149,7 @@ class TestExecution:
         write_basic(adapter, sb)
         result = adapter.run_md(sb, "t0")
         assert (tmp_path / "t0.mdinfo").is_file()
-        info = adapter.read_info(sb, "t0")
+        [(info, _)] = adapter.read_outputs(sb, ["t0"])
         assert info["potential_energy"] == pytest.approx(
             result.potential_energy, abs=0.01
         )
@@ -156,13 +158,15 @@ class TestExecution:
         """Only the Brownian integrator is batched: a task naming another
         fails instead of being integrated as Brownian."""
         write_basic(adapter, sandbox)
-        read_task = adapter.read_task
+        read_tasks = adapter.read_tasks
 
-        def baoab_task(sb, tag):
-            params, state, seed, coords = read_task(sb, tag)
-            return replace(params, integrator="baoab"), state, seed, coords
+        def baoab_tasks(sb, tags):
+            return [
+                (replace(params, integrator="baoab"), state, seed, coords)
+                for params, state, seed, coords in read_tasks(sb, tags)
+            ]
 
-        adapter.read_task = baoab_task
+        adapter.read_tasks = baoab_tasks
         with pytest.raises(EngineError, match="only the Brownian"):
             adapter.run_md(sandbox, "t0")
         assert not sandbox.exists("t0.mdinfo")

@@ -41,20 +41,17 @@ class TestRegistry:
             name = "fake-engine"
             executables = ("fake.x",)
 
-            def write_input(self, *a, **k):
+            def write_inputs(self, *a, **k):
                 return []
 
-            def read_task(self, *a, **k):
+            def read_tasks(self, *a, **k):
                 raise NotImplementedError
 
             def write_outputs(self, *a, **k):
                 raise NotImplementedError
 
-            def read_info(self, *a, **k):
-                return {}
-
-            def read_restart(self, *a, **k):
-                raise NotImplementedError
+            def read_outputs(self, *a, **k):
+                return []
 
         try:
             assert "fake-engine" in available_engines()

@@ -24,8 +24,10 @@ def write_basic(adapter, sandbox, tag="n0", **state_kwargs):
     state = ThermodynamicState(**state_kwargs)
     params = MDParams(n_steps=30, sample_stride=10)
     coords = np.radians([-120.0, 135.0])
-    files = adapter.write_input(sandbox, tag, coords, state, params, seed=5)
-    return files, state, params, coords
+    [files] = adapter.write_inputs(
+        sandbox, [tag], [coords], [state], params, [5]
+    )
+    return [name for name, _ in files], state, params, coords
 
 
 class TestInputFiles:
@@ -50,8 +52,13 @@ class TestInputFiles:
 
     def test_bad_coords_rejected(self, adapter, sandbox):
         with pytest.raises(EngineError):
-            adapter.write_input(
-                sandbox, "x", np.zeros(1), ThermodynamicState(), MDParams(), 1
+            adapter.write_inputs(
+                sandbox,
+                ["x"],
+                [np.zeros(1)],
+                [ThermodynamicState()],
+                MDParams(),
+                [1],
             )
 
 
@@ -61,7 +68,7 @@ class TestRoundTrip:
         _, _, _, written = write_basic(
             adapter, sandbox, temperature=340.0, restraints=restraints
         )
-        params, state, seed, coords = adapter.read_task(sandbox, "n0")
+        [(params, state, seed, coords)] = adapter.read_tasks(sandbox, ["n0"])
         assert params.n_steps == 30
         assert np.allclose(coords, written, atol=1e-6)
         assert state.temperature == pytest.approx(340.0)
@@ -80,7 +87,7 @@ class TestExecution:
         log = sandbox.read_text("n0.log")
         assert "ENERGY:" in log
         assert "ETITLE:" in log
-        info = adapter.read_info(sandbox, "n0")
+        [(info, _)] = adapter.read_outputs(sandbox, ["n0"])
         assert info["potential_energy"] == pytest.approx(
             result.potential_energy, abs=0.01
         )
@@ -91,7 +98,7 @@ class TestExecution:
     def test_read_restart(self, adapter, sandbox):
         write_basic(adapter, sandbox)
         result = adapter.run_md(sandbox, "n0")
-        coords = adapter.read_restart(sandbox, "n0")
+        [(_, coords)] = adapter.read_outputs(sandbox, ["n0"])
         assert np.allclose(coords, result.final_coords, atol=1e-6)
 
     def test_trajectory_roundtrip(self, adapter, sandbox):
@@ -109,7 +116,7 @@ class TestExecution:
     def test_missing_energy_lines_raise(self, adapter, sandbox):
         sandbox.write_text("empty.log", "Info: no energies here\n")
         with pytest.raises(EngineError, match="ENERGY"):
-            adapter.read_info(sandbox, "empty")
+            adapter.read_outputs(sandbox, ["empty"])
 
     def test_info_file_is_log(self, adapter):
         assert adapter.info_file("x") == "x.log"
@@ -126,8 +133,8 @@ class TestCrossEngineConsistency:
         state = ThermodynamicState(temperature=300.0)
         params = MDParams(n_steps=25, sample_stride=5)
         sb_a, sb_n = Sandbox(), Sandbox()
-        amber.write_input(sb_a, "a", coords, state, params, seed=123)
-        namd.write_input(sb_n, "n", coords, state, params, seed=123)
+        amber.write_inputs(sb_a, ["a"], [coords], [state], params, [123])
+        namd.write_inputs(sb_n, ["n"], [coords], [state], params, [123])
         res_a = amber.run_md(sb_a, "a")
         res_n = namd.run_md(sb_n, "n")
         assert np.allclose(res_a.final_coords, res_n.final_coords, atol=1e-9)

@@ -4,7 +4,7 @@ The structure-of-arrays timeline shortcut (``repro.pilot.soa``) and the
 batched MD integration (``repro.md.batch``, run once per submission group)
 are pure optimizations.  Running every phase on the reference submit/wait
 path (``try_fast_phase`` declined), or integrating every MD unit on the
-scalar path (``read_task`` -> ``ToyMD.run`` -> ``write_outputs``, defined
+scalar path (read one task -> ``ToyMD.run`` -> write its outputs, defined
 here as the oracle, since ``run_md`` itself is a batch of one), must
 produce the *same simulation*, bit for bit: replica trajectories and
 energies at full float precision, exchange decisions, manifests
@@ -243,11 +243,11 @@ def test_soa_matches_reference(name):
 def scalar_md(adapter, sandbox, tag):
     """The oracle: one task read, integrated by ``ToyMD.run`` with its own
     ``default_rng(seed)``, and written, exactly as a per-unit engine would."""
-    params, state, seed, coords = adapter.read_task(sandbox, tag)
+    [(params, state, seed, coords)] = adapter.read_tasks(sandbox, [tag])
     result = adapter.toymd.run(
         coords, state, params, np.random.default_rng(seed)
     )
-    adapter.write_outputs(sandbox, tag, result)
+    adapter.write_outputs(sandbox, [tag], [result])
     return result
 
 
@@ -489,7 +489,7 @@ def _write_units(adapter, sandbox, specs):
             integrator_params=IntegratorParams(),
         )
         coords = np.array([-1.1 + 0.13 * i, -0.7 + 0.21 * i])
-        adapter.write_input(sandbox, tag, coords, state, params, seed)
+        adapter.write_inputs(sandbox, [tag], [coords], [state], params, [seed])
         tags.append(tag)
     return tags
 
@@ -704,7 +704,8 @@ def test_mdin_write_cache_matches_regex_parse(
     temp, salt, n_steps, stride, seed, restraints
 ):
     """The write-side parse cache returns exactly what the regex reference
-    extracts from the same bytes."""
+    extracts from the same bytes, and the read that uses an entry
+    removes it."""
     adapter = AmberAdapter()
     sandbox = Sandbox()
     state = ThermodynamicState(
@@ -715,14 +716,15 @@ def test_mdin_write_cache_matches_regex_parse(
         sample_stride=stride,
         integrator_params=IntegratorParams(),
     )
-    adapter.write_input(
-        sandbox, "t", np.array([0.3, -0.4]), state, params, seed
+    adapter.write_inputs(
+        sandbox, ["t"], [np.array([0.3, -0.4])], [state], params, [seed]
     )
-    cached = adapter._parse_mdin(sandbox, "t")
-    adapter.__dict__.pop("_mdin_cache", None)  # force the regex path
-    reference = adapter._parse_mdin(sandbox, "t")
-    c_params, c_state, c_seed = cached
-    r_params, r_state, r_seed = reference
+    assert len(adapter._mdin_cache) == 1
+    [cached] = adapter.read_tasks(sandbox, ["t"])
+    assert not adapter._mdin_cache  # so the second read is the regex path
+    [reference] = adapter.read_tasks(sandbox, ["t"])
+    c_params, c_state, c_seed, _ = cached
+    r_params, r_state, r_seed, _ = reference
     assert c_seed == r_seed
     assert c_state == r_state
     assert (c_params.n_steps, c_params.sample_stride) == (
@@ -733,22 +735,22 @@ def test_mdin_write_cache_matches_regex_parse(
 
 
 def test_mdin_cache_rejects_foreign_bytes():
-    """Editing the file after write_input must void the cache, not serve
-    stale values."""
+    """Editing the file after it was written must void the cache, not
+    serve stale values."""
     adapter = AmberAdapter()
     sandbox = Sandbox()
     params = MDParams(n_steps=10, sample_stride=0)
-    adapter.write_input(
+    adapter.write_inputs(
         sandbox,
-        "t",
-        np.array([0.1, 0.2]),
-        ThermodynamicState(temperature=300.0),
+        ["t"],
+        [np.array([0.1, 0.2])],
+        [ThermodynamicState(temperature=300.0)],
         params,
-        seed=1,
+        [1],
     )
     text = sandbox.read_text("t.mdin")
     edited = text.replace("temp0 = 300.000000", "temp0 = 355.000000")
     assert edited != text
     sandbox.write_text("t.mdin", edited)
-    _params, state, _seed = adapter._parse_mdin(sandbox, "t")
+    [(_params, state, _seed, _coords)] = adapter.read_tasks(sandbox, ["t"])
     assert state.temperature == 355.0

@@ -63,8 +63,10 @@ seeds = st.integers(min_value=0, max_value=2**31 - 1)
 def test_amber_mdin_roundtrip(state, params, coords, seed):
     adapter = AmberAdapter()
     sb = Sandbox()
-    adapter.write_input(sb, "f", coords, state, params, seed)
-    parsed_params, parsed_state, parsed_seed = adapter._parse_mdin(sb, "f")
+    adapter.write_inputs(sb, ["f"], [coords], [state], params, [seed])
+    [(parsed_params, parsed_state, parsed_seed, back_coords)] = (
+        adapter.read_tasks(sb, ["f"])
+    )
     assert parsed_params.n_steps == params.n_steps
     assert parsed_seed == seed
     assert parsed_state.temperature == pytest.approx(
@@ -78,7 +80,6 @@ def test_amber_mdin_roundtrip(state, params, coords, seed):
         assert back.angle == orig.angle
         assert back.center_deg == pytest.approx(orig.center_deg, abs=0.1)
         assert back.k == pytest.approx(orig.k, abs=1e-4)
-    back_coords = adapter._read_coords(sb, "f.inpcrd")
     assert np.allclose(back_coords, coords, atol=1e-6)
 
 
@@ -92,9 +93,9 @@ def test_amber_mdin_roundtrip(state, params, coords, seed):
 def test_namd_conf_roundtrip(state, params, coords, seed):
     adapter = NAMDAdapter()
     sb = Sandbox()
-    adapter.write_input(sb, "f", coords, state, params, seed)
-    parsed_params, parsed_state, parsed_seed, back_coords = adapter.read_task(
-        sb, "f"
+    adapter.write_inputs(sb, ["f"], [coords], [state], params, [seed])
+    [(parsed_params, parsed_state, parsed_seed, back_coords)] = (
+        adapter.read_tasks(sb, ["f"])
     )
     assert parsed_params.n_steps == params.n_steps
     assert parsed_seed == seed
@@ -141,11 +142,10 @@ def test_amber_info_file_reports_run_energies(state, seed):
     adapter = AmberAdapter()
     sb = Sandbox()
     coords = np.radians([-63.0, -42.0])
-    adapter.write_input(
-        sb, "r", coords, state, MDParams(n_steps=5, sample_stride=1), seed
-    )
+    params = MDParams(n_steps=5, sample_stride=1)
+    adapter.write_inputs(sb, ["r"], [coords], [state], params, [seed])
     result = adapter.run_md(sb, "r")
-    info = adapter.read_info(sb, "r")
+    [(info, _)] = adapter.read_outputs(sb, ["r"])
     assert info["potential_energy"] == pytest.approx(
         result.potential_energy, abs=0.01
     )
