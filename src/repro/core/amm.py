@@ -323,7 +323,7 @@ class ApplicationManager:
             for dim in ph_dims:
                 ph = float(dim.value(replica.window(dim.name)))
                 occ = dim.protonation_occupancy(
-                    ph, self.rng.stream("protonation", replica.rid, cycle)
+                    ph, self.rng.transient("protonation", replica.rid, cycle)
                 )
                 replica.last_energies["protonation"] = float(occ)
             record.potential_energy = energies["potential_energy"]
@@ -361,7 +361,7 @@ class ApplicationManager:
         groups = exchange_groups(active, dimension)
         states = self.states_of(active)
         attempt = self.exchange_attempt_index(cycle)
-        rng = self.rng.stream("exchange", dimension.name, cycle)
+        rng = self.rng.transient("exchange", dimension.name, cycle)
         selector = self.selector
 
         def work():

@@ -1,18 +1,31 @@
 """Checkpoint/restart for REMD runs: cycle boundaries and quiesce points.
 
-A checkpoint is a versioned JSON snapshot of everything an EMM needs to
-continue a simulation exactly where it stopped:
+A checkpoint is two files in its directory: a small versioned JSON
+snapshot whose size is fixed by the number of replicas, and a prefix of
+the run's append-only journal (``journal.jsonl``), which holds everything
+that only grows.  The snapshot holds, inline:
 
-* full replica state — coordinates, window indices, per-cycle history
-  (including sampled trajectories), failure counts;
-* exchange statistics, accumulated cycle timings and swap proposals;
-* core-second accounting (MD + exchange) and failure/relaunch totals;
+* replica scalars — coordinates, window indices, failure counts — plus
+  each replica's *last* history record, the only one an exchange can
+  still change;
+* exchange statistics and core-second accounting (MD + exchange,
+  failure/relaunch totals);
 * the state of every named RNG stream (AMM registry, failure injector,
-  transient staging faults), so the continued run draws the exact random
-  sequences the uninterrupted run would have;
-* the observability state (metric values, raw histogram samples, finished
-  spans, the unit trace, recorded fault events), so a resumed run's
-  manifest diffs all-zero against the uninterrupted run's.
+  transient staging faults, hangs, watchdog backoff), so the continued
+  run draws the exact random sequences the uninterrupted run would have;
+* the asynchronous ``async_state``, the watchdog's state and how far the
+  fault schedule had fired;
+* the metric registry's counters, gauges and span counter, and the
+  ladder walk state;
+* the journal prefix it depends on: its byte length and sha256.
+
+Each capture appends one journal line with what grew since the capture
+before it, so every item is written once: the other history records
+(sampled trajectories included), cycle timings, swap proposals, changes
+to the staging area's file ledger, and the observability records (unit
+trace rows, raw histogram samples, finished spans, fault events).
+Together they let a resumed run's manifest diff all-zero against the
+uninterrupted run's.
 
 Restart rebuilds the stack from the same configuration (enforced via the
 config hash), drives the fresh pilot through activation, replays the
@@ -21,7 +34,8 @@ after which the resumed run is bit-identical to the uninterrupted one
 (asserted by ``tests/integration/test_resume.py``).  The event-clock
 replay works because a checkpoint is taken at a quiet point: no units are
 in flight, so the only pending events (walltime expiry, the deterministic
-fault schedule) regenerate identically from the seed.
+fault schedule, the watchdog heartbeat) regenerate identically from the
+seed and the snapshot.
 
 Two kinds of quiet point exist, one per execution pattern:
 
@@ -43,7 +57,7 @@ import json
 import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -54,14 +68,16 @@ from repro.core.exchange.base import SwapProposal
 from repro.obs.manifest import config_hash
 
 #: Bump on any incompatible change to the checkpoint layout.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: Versions :func:`Checkpoint.from_json` can read.
 SUPPORTED_VERSIONS = (SCHEMA_VERSION,)
 
-#: characters hashed per piece when stamping the checksum (bounds the
-#: transient copy; any size gives the same digest)
-_HASH_CHUNK = 1 << 16
+#: the run's journal, beside its snapshots in the checkpoint directory
+JOURNAL_NAME = "journal.jsonl"
+
+#: the always-current snapshot in a checkpoint directory
+LATEST_NAME = "latest.json"
 
 
 class CheckpointError(RuntimeError):
@@ -79,6 +95,54 @@ def _json_default(obj):
     raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
 
 
+def _dumps(obj) -> str:
+    """The canonical JSON text of snapshots and journal lines."""
+    return json.dumps(obj, default=_json_default, sort_keys=True)
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` under a temporary name, then move it into place."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
+
+
+def _record_to_dict(rec: CycleRecord) -> Dict:
+    return {
+        "cycle": rec.cycle,
+        "dimension": rec.dimension,
+        "param_indices": dict(rec.param_indices),
+        "potential_energy": rec.potential_energy,
+        "restraint_energy": rec.restraint_energy,
+        "torsional_energy": rec.torsional_energy,
+        "partner": rec.partner,
+        "accepted": rec.accepted,
+        "failed": rec.failed,
+        "trajectory": (
+            rec.trajectory.tolist() if rec.trajectory is not None else None
+        ),
+    }
+
+
+def _record_from_dict(raw: Dict) -> CycleRecord:
+    return CycleRecord(
+        cycle=int(raw["cycle"]),
+        dimension=raw["dimension"],
+        param_indices={str(k): int(v) for k, v in raw["param_indices"].items()},
+        potential_energy=float(raw["potential_energy"]),
+        restraint_energy=float(raw["restraint_energy"]),
+        torsional_energy=float(raw["torsional_energy"]),
+        partner=raw["partner"],
+        accepted=bool(raw["accepted"]),
+        failed=bool(raw["failed"]),
+        trajectory=(
+            np.array(raw["trajectory"], dtype=float)
+            if raw["trajectory"] is not None
+            else None
+        ),
+    )
+
+
 def _replica_to_dict(rep: Replica) -> Dict:
     return {
         "rid": rep.rid,
@@ -89,29 +153,14 @@ def _replica_to_dict(rep: Replica) -> Dict:
         "last_energies": {k: float(v) for k, v in rep.last_energies.items()},
         "n_failures": rep.n_failures,
         "cores": rep.cores,
-        "history": [
-            {
-                "cycle": rec.cycle,
-                "dimension": rec.dimension,
-                "param_indices": dict(rec.param_indices),
-                "potential_energy": rec.potential_energy,
-                "restraint_energy": rec.restraint_energy,
-                "torsional_energy": rec.torsional_energy,
-                "partner": rec.partner,
-                "accepted": rec.accepted,
-                "failed": rec.failed,
-                "trajectory": (
-                    rec.trajectory.tolist()
-                    if rec.trajectory is not None
-                    else None
-                ),
-            }
-            for rec in rep.history
-        ],
+        # the only record an exchange can still change (``apply_proposals``
+        # touches ``history[-1]``); the others are journaled
+        "last": _record_to_dict(rep.history[-1]) if rep.history else None,
     }
 
 
-def _replica_from_dict(data: Dict) -> Replica:
+def _replica_from_dict(data: Dict, history: Sequence[Dict] = ()) -> Replica:
+    """The replica of a snapshot entry, its journaled ``history`` first."""
     rep = Replica(
         rid=int(data["rid"]),
         coords=np.array(data["coords"], dtype=float),
@@ -124,28 +173,219 @@ def _replica_from_dict(data: Dict) -> Replica:
         n_failures=int(data["n_failures"]),
         cores=int(data["cores"]),
     )
-    for raw in data["history"]:
-        rep.history.append(
-            CycleRecord(
-                cycle=int(raw["cycle"]),
-                dimension=raw["dimension"],
-                param_indices={
-                    str(k): int(v) for k, v in raw["param_indices"].items()
-                },
-                potential_energy=float(raw["potential_energy"]),
-                restraint_energy=float(raw["restraint_energy"]),
-                torsional_energy=float(raw["torsional_energy"]),
-                partner=raw["partner"],
-                accepted=bool(raw["accepted"]),
-                failed=bool(raw["failed"]),
-                trajectory=(
-                    np.array(raw["trajectory"], dtype=float)
-                    if raw["trajectory"] is not None
-                    else None
-                ),
-            )
-        )
+    rep.history = [_record_from_dict(raw) for raw in history]
+    if data["last"] is not None:
+        rep.history.append(_record_from_dict(data["last"]))
     return rep
+
+
+class Journal:
+    """A run's append-only checkpoint journal.
+
+    Each capture appends one line: a JSON object of what grew since the
+    capture before it.  Lines stay encoded, so the journal costs its byte
+    size in memory, and the sha256 of their concatenation is kept
+    running, so stamping a snapshot's prefix digest never re-reads
+    anything.  ``marks`` and ``staged`` record how far the lines reach
+    into each growing item.
+    """
+
+    def __init__(self, lines: Sequence[bytes] = ()):
+        self.lines: List[bytes] = list(lines)
+        self.size = sum(len(line) for line in self.lines)
+        self._sha = hashlib.sha256(b"".join(self.lines))
+        #: :func:`_marks` of the run at the last line
+        self.marks: Dict[str, object] = _NO_MARKS
+        #: the staging ledger as journaled
+        self.staged: Dict[str, float] = {}
+        #: resolved journal file -> lines of this journal it holds
+        self._files: Dict[str, int] = {}
+        #: (resolved file, lines) the journal was read from: that file
+        #: held its first ``lines`` lines, maybe followed by more bytes
+        self.origin: Optional[tuple] = None
+        #: the snapshot a resumed run's journal continues from
+        self.base: Optional["Checkpoint"] = None
+
+    @property
+    def sha256(self) -> str:
+        """Hex digest of every line so far."""
+        return self._sha.hexdigest()
+
+    def append(self, entry: Dict) -> None:
+        """Encode ``entry`` as the next line, compactly: a line is hashed
+        as written and never re-encoded, unlike the snapshot's checksum
+        definition."""
+        text = json.dumps(
+            entry, default=_json_default, sort_keys=True, separators=(",", ":")
+        )
+        line = (text + "\n").encode()
+        self.lines.append(line)
+        self.size += len(line)
+        self._sha.update(line)
+
+    def fork(self, ckpt: "Checkpoint") -> "Journal":
+        """A copy of ``ckpt``'s prefix for a run resuming from it.
+
+        The resumed run appends to the copy, so neither ``ckpt`` nor the
+        run that took it ever sees what the resumed run journals.
+        """
+        child = Journal(self.lines[: ckpt._n_lines])
+        child.origin = self.origin
+        child.base = ckpt
+        return child
+
+    def sync(self, path: Path, n_lines: int) -> None:
+        """Make the journal file ``path`` start with the first
+        ``n_lines`` lines, writing only the ones not there yet.
+
+        A file this journal never wrote is rewritten from the first line,
+        except the one it was read from: that keeps the prefix it was
+        verified to hold.  A resumed run cuts what follows that prefix —
+        the later snapshots of the run it resumed, or bytes a kill left
+        between a journal append and its snapshot write — before
+        appending, and first points ``latest.json`` beside it at the
+        snapshot it resumed from, so ``latest.json`` stays loadable at
+        every instant.
+        """
+        key = os.path.realpath(path)
+        done = self._files.get(key)
+        if done is None:
+            done = self._claim(path, key)
+        if done < n_lines:
+            with open(path, "ab") as f:
+                f.writelines(self.lines[done:n_lines])
+            done = n_lines
+        self._files[key] = done
+
+    def _claim(self, path: Path, key: str) -> int:
+        """Take the file ``path`` over; returns the lines it holds."""
+        if self.origin is not None and self.origin[0] == key:
+            n_lines = self.origin[1]
+            size = sum(len(line) for line in self.lines[:n_lines])
+            on_disk = path.stat().st_size if path.exists() else -1
+            if on_disk > size and self.base is not None:
+                _write_atomic(path.with_name(LATEST_NAME), self.base.to_json())
+                os.truncate(path, size)
+                on_disk = size
+            if on_disk >= size:
+                return n_lines
+        path.write_bytes(b"")
+        return 0
+
+    @classmethod
+    def read(cls, path: Path, record: Dict[str, object]) -> "Journal":
+        """The prefix of the journal file ``path`` a snapshot depends on
+        (``record``: its byte length and sha256), verified."""
+        n_bytes = int(record["bytes"])
+        try:
+            with open(path, "rb") as f:
+                data = f.read(n_bytes)
+        except OSError as exc:
+            raise CheckpointError(f"cannot read journal: {exc}") from None
+        if len(data) < n_bytes:
+            raise CheckpointError(
+                f"journal {path} holds {len(data)} bytes but the snapshot "
+                f"depends on its first {n_bytes}"
+            )
+        journal = cls([line + b"\n" for line in data.split(b"\n")[:-1]])
+        if journal.size != n_bytes or journal.sha256 != record["sha256"]:
+            raise CheckpointError(
+                f"journal {path} does not match the snapshot: its first "
+                f"{n_bytes} bytes hash to {journal.sha256[:12]}…, the "
+                f"snapshot recorded {str(record['sha256'])[:12]}…"
+            )
+        journal.origin = (os.path.realpath(path), len(journal.lines))
+        return journal
+
+
+def _fault_events(emm) -> list:
+    fault_domain = getattr(emm.session, "fault_domain", None)
+    return fault_domain.events if fault_domain is not None else []
+
+
+#: the marks of a run that has journaled nothing yet
+_NO_MARKS = {
+    "history": {},
+    "timings": 0,
+    "proposals": 0,
+    "rows": 0,
+    "samples": {},
+    "spans": 0,
+    "faults": 0,
+}
+
+
+def _marks(emm) -> Dict[str, object]:
+    """How far each growing item of ``emm``'s run reaches (the history
+    of a replica stops short of its last record, which stays inline: an
+    exchange may still change it)."""
+    tracer = emm.session.tracer
+    return {
+        "history": {r.rid: max(len(r.history) - 1, 0) for r in emm.replicas},
+        "timings": len(emm.timings),
+        "proposals": len(emm.proposals),
+        "rows": len(tracer.records) if tracer is not None else 0,
+        "samples": emm.metrics.state_dict()["histograms"],
+        "spans": len(emm.metrics.spans),
+        "faults": len(_fault_events(emm)),
+    }
+
+
+def _journal_entry(emm, journal: Journal) -> Dict[str, object]:
+    """What grew in ``emm``'s run since ``journal``'s last line."""
+    old, new = journal.marks, _marks(emm)
+    journal.marks = new
+    tracer = emm.session.tracer
+    samples, spans = emm.metrics.records_since(old["samples"], old["spans"])
+    history = {}
+    for rep in emm.replicas:
+        done, final = old["history"].get(rep.rid, 0), new["history"][rep.rid]
+        if final > done:
+            history[str(rep.rid)] = [
+                _record_to_dict(rec) for rec in rep.history[done:final]
+            ]
+    return {
+        "history": history,
+        "timings": [asdict(t) for t in emm.timings[old["timings"] :]],
+        "proposals": [
+            [p.rid_i, p.rid_j, p.dimension, p.delta, p.accepted]
+            for p in emm.proposals[old["proposals"] :]
+        ],
+        "rows": tracer.state_dict(old["rows"]) if tracer is not None else [],
+        "samples": samples,
+        "spans": spans,
+        "faults": [e.to_dict() for e in _fault_events(emm)[old["faults"] :]],
+        "staging": emm.session.staging_area.changes_since(journal.staged),
+    }
+
+
+def _read_entries(lines: Sequence[bytes]) -> Dict[str, object]:
+    """Concatenate journal lines back into the grown state they hold:
+    ``history`` (rid -> records), staging ``files``, ``samples`` (name
+    -> values) and the lists ``timings``, ``proposals``, ``rows``,
+    ``spans`` and ``faults``."""
+    lists = ("timings", "proposals", "rows", "spans", "faults")
+    grown: Dict[str, object] = {key: [] for key in lists}
+    history = grown["history"] = {}
+    samples = grown["samples"] = {}
+    files = grown["files"] = {}
+    try:
+        for line in lines:
+            entry = json.loads(line)
+            for key in lists:
+                grown[key].extend(entry[key])
+            for rid, records in entry["history"].items():
+                history.setdefault(int(rid), []).extend(records)
+            for name, values in entry["samples"].items():
+                samples.setdefault(name, []).extend(values)
+            files.update(entry["staging"]["put"])
+            for path in entry["staging"]["removed"]:
+                del files[path]
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise CheckpointError(
+            f"corrupted journal: {type(exc).__name__}: {exc}"
+        ) from None
+    return grown
 
 
 def _capture_rng(emm) -> Dict[str, object]:
@@ -168,24 +408,14 @@ def _capture_rng(emm) -> Dict[str, object]:
 
 
 def _capture_obs(emm) -> Optional[Dict[str, object]]:
-    """Observability state: metrics, spans, unit trace, fault log.
+    """Fixed-size observability state: the registry and the ladder.
 
     None when the registry is disabled (``REPRO_OBS=0``) — restoring then
     degrades gracefully to EMM-state-only resume.
     """
     if not emm.metrics.enabled:
         return None
-    tracer = emm.session.tracer
-    fault_domain = getattr(emm.session, "fault_domain", None)
-    blob = {
-        "registry": emm.metrics.state_dict(),
-        "tracer": tracer.state_dict() if tracer is not None else [],
-        "fault_events": (
-            [e.to_dict() for e in fault_domain.events]
-            if fault_domain is not None
-            else []
-        ),
-    }
+    blob = {"registry": emm.metrics.state_dict()}
     ladder = getattr(emm, "ladder", None)
     if ladder is not None:
         blob["ladder"] = ladder.state_dict()
@@ -212,7 +442,8 @@ def _capture_accounting(emm) -> Dict[str, float]:
 
 @dataclass
 class Checkpoint:
-    """One quiet-point snapshot of a run (cycle boundary or quiesce)."""
+    """One quiet-point snapshot of a run (cycle boundary or quiesce),
+    with the journal prefix it depends on."""
 
     config_hash: str
     title: str
@@ -225,41 +456,57 @@ class Checkpoint:
     t_now: float
     replicas: List[Dict] = field(default_factory=list)
     exchange_stats: Dict[str, Dict] = field(default_factory=dict)
-    timings: List[Dict] = field(default_factory=list)
-    proposals: List[Dict] = field(default_factory=list)
     accounting: Dict[str, float] = field(default_factory=dict)
     rng: Dict[str, object] = field(default_factory=dict)
+    #: staging transfer totals (the file ledger is journaled)
     staging: Dict[str, object] = field(default_factory=dict)
     #: which EMM took the snapshot: "synchronous" | "asynchronous"
     pattern: str = "synchronous"
     #: async event-loop state (quiesce snapshots only), as
     #: :meth:`AsyncState.to_dict <repro.core.emm.AsyncState.to_dict>` wrote it
     async_state: Optional[Dict[str, object]] = None
-    #: observability state (metrics/spans/trace/faults); None when obs off
+    #: fixed-size observability state (registry, ladder); None when obs off
     obs: Optional[Dict[str, object]] = None
-    #: watchdog supervision state (learned cohort durations); None when
-    #: the watchdog is disabled
+    #: watchdog supervision state (learned cohort durations, heartbeat
+    #: phase); None when the watchdog is disabled
     watchdog_state: Optional[Dict[str, object]] = None
+    #: scheduled crash/preemption events fired by the quiet point; those
+    #: at exactly ``t_now`` may or may not have fired before the capture
+    faults_fired: int = 0
+    #: the journal prefix this snapshot depends on: ``bytes`` and ``sha256``
+    journal: Dict[str, object] = field(default_factory=dict)
     #: sha256 over the canonical JSON dump (sans this field); verified on
     #: load so silent on-disk corruption fails loudly instead of
-    #: resuming from garbage.  None in pre-checksum snapshots.
+    #: resuming from garbage
     checksum: Optional[str] = None
     schema_version: int = SCHEMA_VERSION
+
+    # Not fields, so never serialized: the journal holding this snapshot's
+    # prefix (None for a bare :meth:`from_json` parse), and the prefix's
+    # line count.
+    _journal = None
+    _n_lines = 0
 
     # -- capture -------------------------------------------------------------
 
     @classmethod
     def capture(cls, emm) -> "Checkpoint":
-        """Snapshot ``emm`` at a quiet point.
+        """Snapshot ``emm`` at a quiet point, journaling what grew since
+        its previous capture.
 
         A synchronous EMM is at a cycle boundary (its ``next_cycle`` not
         yet run); an asynchronous one at a quiesce point — nothing in
         flight, no exchange in progress — so the clock replay on restore
         sees the same pending-event picture the capture did.
         """
+        if emm.journal is None:
+            emm.journal = Journal()
+        journal = emm.journal
+        journal.append(_journal_entry(emm, journal))
         pattern = emm.config.pattern.kind
         state = emm.state if pattern == "asynchronous" else None
-        return cls(
+        fault_domain = getattr(emm.session, "fault_domain", None)
+        ckpt = cls(
             config_hash=config_hash(emm.config),
             title=emm.config.title,
             next_cycle=emm.next_cycle if state is None else state.next_cycle,
@@ -270,8 +517,6 @@ class Checkpoint:
                 name: {"attempted": s.attempted, "accepted": s.accepted}
                 for name, s in emm.amm.exchange_stats.items()
             },
-            timings=[asdict(t) for t in emm.timings],
-            proposals=[asdict(p) for p in emm.proposals],
             accounting=_capture_accounting(emm),
             rng=_capture_rng(emm),
             staging=emm.session.staging_area.snapshot(),
@@ -279,7 +524,14 @@ class Checkpoint:
             async_state=state.to_dict() if state is not None else None,
             obs=_capture_obs(emm),
             watchdog_state=_capture_watchdog(emm),
+            faults_fired=(
+                fault_domain.n_fired if fault_domain is not None else 0
+            ),
+            journal={"bytes": journal.size, "sha256": journal.sha256},
         )
+        ckpt._journal = journal
+        ckpt._n_lines = len(journal.lines)
+        return ckpt
 
     # -- (de)serialization ---------------------------------------------------
 
@@ -287,46 +539,21 @@ class Checkpoint:
     def _content_checksum(data: Dict[str, object]) -> str:
         """sha256 of the canonical dump with the checksum field removed."""
         blob = {k: v for k, v in data.items() if k != "checksum"}
-        return hashlib.sha256(
-            json.dumps(blob, default=_json_default, sort_keys=True).encode()
-        ).hexdigest()
+        return hashlib.sha256(_dumps(blob).encode()).hexdigest()
 
     def to_json(self) -> str:
-        """JSON text form (floats at full ``repr`` precision, so times and
-        coordinates round-trip bit-exactly), stamped with the content
-        checksum.
-
-        The snapshot is encoded once, with a placeholder digest.  Sorted
-        keys put the ``"checksum": …, `` member right after the members
-        whose keys sort before it, so the canonical text
-        :meth:`_content_checksum` hashes is this text without that member;
-        it is hashed in pieces, never copied whole, and the placeholder is
-        then replaced by the digest.
-        """
-        # Shallow: every field already holds plain JSON-able containers,
-        # so the deep copy ``asdict`` makes is pure overhead.
+        """The snapshot's JSON text (floats at full ``repr`` precision, so
+        times and coordinates round-trip bit-exactly), stamped with the
+        content checksum."""
         data = {f.name: getattr(self, f.name) for f in fields(self)}
-        data["checksum"] = "0" * 64  # a sha256 hexdigest's length
-        text = json.dumps(data, default=_json_default, sort_keys=True)
-        member = f'"checksum": "{data["checksum"]}", '
-        # "{", the members sorting before it, then ", ": the length of
-        # those members dumped on their own, plus one
-        head = {k: v for k, v in data.items() if k < "checksum"}
-        at = 1
-        if head:
-            at += len(json.dumps(head, default=_json_default, sort_keys=True))
-        assert text.startswith(member, at)
-        digest = hashlib.sha256(text[:at].encode())
-        for i in range(at + len(member), len(text), _HASH_CHUNK):
-            digest.update(text[i : i + _HASH_CHUNK].encode())
-        # no member before it can hold the placeholder, so the first
-        # occurrence is the one at ``at``
-        return text.replace(
-            member, f'"checksum": "{digest.hexdigest()}", ', 1
-        )
+        data["checksum"] = self._content_checksum(data)
+        return _dumps(data)
 
     @classmethod
     def from_json(cls, text: str) -> "Checkpoint":
+        """Parse and verify snapshot text; the result has no journal, so
+        it can be inspected and checked against a config but not
+        restored (:meth:`load` reads both)."""
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -348,20 +575,19 @@ class Checkpoint:
         # Verified last: structural damage gets its specific error above;
         # the checksum catches the silent kind — a flipped bit in a
         # coordinate or RNG word that still parses and validates.
-        if ckpt.checksum is not None:
-            expected = cls._content_checksum(data)
-            if ckpt.checksum != expected:
-                recorded = (
-                    f"{ckpt.checksum[:12]}…"
-                    if isinstance(ckpt.checksum, str)
-                    else repr(ckpt.checksum)
-                )
-                raise CheckpointError(
-                    f"checkpoint content checksum mismatch (recorded "
-                    f"{recorded}, content hashes to "
-                    f"{expected[:12]}…) — the file was corrupted after it "
-                    f"was written"
-                )
+        expected = cls._content_checksum(data)
+        if ckpt.checksum != expected:
+            recorded = (
+                f"{ckpt.checksum[:12]}…"
+                if isinstance(ckpt.checksum, str)
+                else repr(ckpt.checksum)
+            )
+            raise CheckpointError(
+                f"checkpoint content checksum mismatch (recorded "
+                f"{recorded}, content hashes to "
+                f"{expected[:12]}…) — the file was corrupted after it "
+                f"was written"
+            )
         return ckpt
 
     def validate(self) -> None:
@@ -376,10 +602,6 @@ class Checkpoint:
                 raise ValueError(f"unknown pattern {self.pattern!r}")
             for d in self.replicas:
                 _replica_from_dict(d)
-            for d in self.timings:
-                CycleTiming(**d)
-            for d in self.proposals:
-                SwapProposal(**d)
             for name, counts in self.exchange_stats.items():
                 int(counts["attempted"])
                 int(counts["accepted"])
@@ -388,14 +610,21 @@ class Checkpoint:
                 "exchange_core_seconds",
                 "n_failures",
                 "n_relaunches",
+                "n_retired",
+                "n_spawned",
             ):
                 float(self.accounting[key])
             if not isinstance(self.rng, dict) or "amm" not in self.rng:
                 raise KeyError("rng['amm']")
-            if not isinstance(self.staging, dict):
-                raise TypeError("staging block must be an object")
+            for key in ("bytes_in_mb", "bytes_out_mb", "n_transfers"):
+                float(self.staging[key])
             float(self.t_start)
             float(self.t_now)
+            int(self.faults_fired)
+            if int(self.journal["bytes"]) < 0:
+                raise ValueError("journal prefix length is negative")
+            if not isinstance(self.journal["sha256"], str):
+                raise TypeError("journal sha256 must be a string")
             if self.pattern == "asynchronous":
                 # parsing alone: the cycle target only feeds the done count
                 AsyncState.from_dict(self.async_state, n_cycles=0)
@@ -428,41 +657,65 @@ class Checkpoint:
                 f"all {config.n_cycles} cycles)"
             )
 
-    def save(self, path, text: Optional[str] = None) -> str:
-        """Write the checkpoint to ``path`` atomically; returns the text.
+    def journaled(self) -> Dict[str, object]:
+        """The journaled part of the run at this snapshot, read back from
+        its journal prefix: ``history`` (rid -> records before the last),
+        ``timings``, ``proposals``, staging ``files``, and the obs
+        ``rows``, ``samples``, ``spans`` and ``faults``."""
+        if self._journal is None:
+            raise CheckpointError(
+                "checkpoint has no journal: load it with Checkpoint.load "
+                "from its directory"
+            )
+        return _read_entries(self._journal.lines[: self._n_lines])
 
-        The snapshot lands under a temporary name and is moved into place
-        with ``os.replace``, so a kill mid-write can never leave a
+    def save(self, path, text: Optional[str] = None) -> str:
+        """Write the snapshot to ``path``; returns its text.
+
+        First the journal beside it (``journal.jsonl``) is brought up to
+        this snapshot's prefix — appending only lines not yet there —
+        then the snapshot lands under a temporary name and is moved into
+        place with ``os.replace``, so a kill mid-write can never leave a
         half-written file where a loadable checkpoint used to be.  Pass a
         previous call's return value as ``text`` to write the same
         snapshot under another name without serializing it again.
         """
+        if self._journal is None:
+            raise CheckpointError("checkpoint has no journal to save with")
+        path = Path(path)
+        self._journal.sync(path.with_name(JOURNAL_NAME), self._n_lines)
         if text is None:
             text = self.to_json()
-        path = Path(path)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(text)
-        os.replace(tmp, path)
+        _write_atomic(path, text)
         return text
 
     @classmethod
     def load(cls, path) -> "Checkpoint":
-        """Read a checkpoint from ``path``.
+        """Read a snapshot from ``path`` and its journal prefix from the
+        ``journal.jsonl`` beside it.
 
-        Truncated, bit-flipped or otherwise mangled files fail here with
-        a ``corrupt checkpoint at <path>`` error naming the file, rather
-        than surfacing as a confusing failure deep inside restore.
+        Truncated, bit-flipped or otherwise mangled files — the snapshot
+        or the prefix it depends on, or a missing journal — fail here
+        with a ``corrupt checkpoint at <path>`` error naming the file,
+        rather than surfacing as a confusing failure deep inside restore
+        or a resume from the wrong data.  Journal bytes past the prefix
+        are ignored.
         """
+        path = Path(path)
         try:
-            text = Path(path).read_text()
+            text = path.read_text()
         except OSError as exc:
             raise CheckpointError(f"cannot read checkpoint: {exc}") from None
         try:
-            return cls.from_json(text)
+            ckpt = cls.from_json(text)
+            journal = Journal.read(path.with_name(JOURNAL_NAME), ckpt.journal)
         except CheckpointError as exc:
             raise CheckpointError(
                 f"corrupt checkpoint at {path}: {exc}"
             ) from None
+        ckpt._journal = journal
+        ckpt._n_lines = len(journal.lines)
+        return ckpt
 
 
 def restore(emm, ckpt: Checkpoint) -> None:
@@ -471,15 +724,22 @@ def restore(emm, ckpt: Checkpoint) -> None:
     Must be called after the pilot is ACTIVE and before the run loop
     starts, with a snapshot :meth:`Checkpoint.check_resumes` accepted for
     this run.  Sets the replicas, stats, accounting, RNG, staging and obs
-    state, plus the EMM's ``t_start``, ``timings``, ``proposals`` and its
-    position: ``next_cycle`` (synchronous) or ``state``, an
+    state, plus the EMM's ``t_start``, ``timings``, ``proposals``, its
+    ``journal`` (a copy of the snapshot's prefix) and its position:
+    ``next_cycle`` (synchronous) or ``state``, an
     :class:`~repro.core.emm.AsyncState` (asynchronous).  The virtual
-    clock is replayed to the checkpoint time: events strictly before it
-    fire (re-arming deterministic fault schedules, re-quarantining
-    crashed nodes), events at or after it stay pending, exactly as at the
-    original quiet point.
+    clock is replayed to the checkpoint time: events before it fire
+    (re-arming deterministic fault schedules, re-quarantining crashed
+    nodes), and of those at exactly that time only the fault-schedule
+    events the capturing run had fired; the rest stay pending, exactly as
+    at the original quiet point.
     """
-    emm.replicas = [_replica_from_dict(d) for d in ckpt.replicas]
+    grown = ckpt.journaled()
+    history = grown["history"]
+    emm.replicas = [
+        _replica_from_dict(d, history.get(int(d["rid"]), ()))
+        for d in ckpt.replicas
+    ]
     for name, counts in ckpt.exchange_stats.items():
         if name not in emm.amm.exchange_stats:
             raise CheckpointError(
@@ -495,8 +755,8 @@ def restore(emm, ckpt: Checkpoint) -> None:
     emm.exchange_core_seconds = float(acct["exchange_core_seconds"])
     emm.n_failures = int(acct["n_failures"])
     emm.n_relaunches = int(acct["n_relaunches"])
-    emm.n_retired = int(acct.get("n_retired", 0))
-    emm.n_spawned = int(acct.get("n_spawned", 0))
+    emm.n_retired = int(acct["n_retired"])
+    emm.n_spawned = int(acct["n_spawned"])
 
     emm.amm.rng.load_state(ckpt.rng["amm"])
     failure_model = emm.session.failure_model
@@ -516,45 +776,58 @@ def restore(emm, ckpt: Checkpoint) -> None:
     ):
         fault_domain._hang_rng.bit_generator.state = ckpt.rng["hangs"]
     watchdog = getattr(emm.session, "watchdog", None)
-    if watchdog is not None:
-        if "watchdog_backoff" in ckpt.rng and watchdog.retry.rng is not None:
-            watchdog.retry.rng.bit_generator.state = ckpt.rng[
-                "watchdog_backoff"
-            ]
-        if ckpt.watchdog_state is not None:
-            watchdog.load_state(ckpt.watchdog_state)
+    if (
+        watchdog is not None
+        and "watchdog_backoff" in ckpt.rng
+        and watchdog.retry.rng is not None
+    ):
+        watchdog.retry.rng.bit_generator.state = ckpt.rng["watchdog_backoff"]
 
-    emm.session.staging_area.restore(ckpt.staging)
+    emm.session.staging_area.restore(ckpt.staging, grown["files"])
 
-    _replay_clock(emm.session, ckpt.t_now)
-    _restore_obs(emm, ckpt.obs)
+    _replay_clock(emm.session, ckpt.t_now, ckpt.faults_fired)
+    # after the replay: it re-arms the heartbeat at its captured time
+    if watchdog is not None and ckpt.watchdog_state is not None:
+        watchdog.load_state(ckpt.watchdog_state)
+    _restore_obs(emm, ckpt.obs, grown)
 
     emm.t_start = ckpt.t_start
-    emm.timings = [CycleTiming(**d) for d in ckpt.timings]
-    emm.proposals = [SwapProposal(**d) for d in ckpt.proposals]
+    emm.timings = [CycleTiming(**d) for d in grown["timings"]]
+    emm.proposals = [SwapProposal(*p) for p in grown["proposals"]]
     if ckpt.pattern == "asynchronous":
         emm.state = AsyncState.from_dict(ckpt.async_state, emm.config.n_cycles)
     else:
         emm.next_cycle = ckpt.next_cycle
 
+    journal = emm.journal = ckpt._journal.fork(ckpt)
+    journal.marks = _marks(emm)
+    journal.staged = dict(grown["files"])
 
-def _replay_clock(session, t_now: float) -> None:
+
+def _replay_clock(session, t_now: float, faults_fired: int) -> None:
     """Replay the virtual clock to the quiet point.
 
     Deterministic periodic events (fault schedule) refire harmlessly
-    against the still-empty scheduler; anything at exactly ``t_now``
+    against the still-empty scheduler.  At exactly ``t_now`` the fault
+    schedule fires on until ``faults_fired`` of its events have (a crash
+    can strike at the very instant a drain ends); anything else there
     stays pending, as at the original quiet point.
     """
     clock = session.clock
+    fault_domain = getattr(session, "fault_domain", None)
     while True:
-        upcoming = [t for t, _, e in clock._heap if not e.cancelled]
-        if not upcoming or min(upcoming) >= t_now:
+        t = clock.next_event_time()
+        if t is None or t > t_now:
+            break
+        if t == t_now and (
+            fault_domain is None or fault_domain.n_fired >= faults_fired
+        ):
             break
         clock.step()
     clock.advance_to(t_now)
 
 
-def _restore_obs(emm, obs: Optional[Dict[str, object]]) -> None:
+def _restore_obs(emm, obs: Optional[Dict[str, object]], grown) -> None:
     """Swap the replayed observability state for the captured one.
 
     Must run *after* :func:`_replay_clock`: the replay re-increments
@@ -565,15 +838,15 @@ def _restore_obs(emm, obs: Optional[Dict[str, object]]) -> None:
     if not obs:
         return
     if emm.metrics.enabled:
-        emm.metrics.load_state(obs.get("registry", {}))
+        emm.metrics.load_state(
+            obs["registry"], grown["samples"], grown["spans"]
+        )
     tracer = emm.session.tracer
     if tracer is not None:
-        tracer.load_state(obs.get("tracer", []))
+        tracer.load_state(grown["rows"])
     fault_domain = getattr(emm.session, "fault_domain", None)
     if fault_domain is not None:
-        fault_domain.load_events(obs.get("fault_events", []))
+        fault_domain.load_events(grown["faults"])
     ladder = getattr(emm, "ladder", None)
-    # tolerant .get(): pre-v3 checkpoints have no ladder blob and resume
-    # with fresh walk state rather than failing
-    if ladder is not None and obs.get("ladder") is not None:
+    if ladder is not None:
         ladder.load_state(obs["ladder"])

@@ -162,6 +162,9 @@ class ExecutionManagerBase:
         self.mode = mode or make_mode(config.effective_mode)
         self.policy: FaultPolicy = policy_from_spec(config.failure)
         self.replicas: List[Replica] = []
+        #: the run's checkpoint journal, made by its first capture (a
+        #: :class:`~repro.core.checkpoint.Journal`)
+        self.journal = None
         #: checkpoint every N completed cycles (0 = never); snapshots go to
         #: ``checkpoint_sink`` (set by the framework facade)
         self.checkpoint_every = 0
@@ -241,6 +244,7 @@ class ExecutionManagerBase:
         self.t_start = self.session.now
         self.timings = []
         self.proposals = []
+        self.journal = None
         if self.ladder is not None:
             self.ladder.reset()
             self.ladder.observe_all(self.t_start, self.replicas)

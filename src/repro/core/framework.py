@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import List, Optional, Union
 
 from repro.core.amm import ApplicationManager
-from repro.core.checkpoint import Checkpoint, CheckpointError
+from repro.core.checkpoint import LATEST_NAME, Checkpoint, CheckpointError
 from repro.core.config import SimulationConfig
 from repro.core.emm import AsynchronousEMM, SynchronousEMM
 from repro.core.execution_modes import ExecutionMode, make_mode
@@ -59,7 +59,8 @@ class RepEx:
         Snapshot the run every N completed cycles (synchronous pattern
         only; 0 disables).  Checkpoints are collected in
         :attr:`checkpoints` and, when ``checkpoint_dir`` is set, written
-        as ``cycle_NNNN.json`` plus an always-current ``latest.json``.
+        as ``cycle_NNNN.json`` plus an always-current ``latest.json``,
+        beside the run's append-only ``journal.jsonl``.
     checkpoint_every_s:
         Asynchronous pattern: quiesce (stop launching, drain in-flight
         units) and snapshot every N virtual seconds (0 disables).  On
@@ -67,9 +68,9 @@ class RepEx:
         ``latest.json``.
     checkpoint_keep:
         Retain only the newest N numbered snapshots in
-        ``checkpoint_dir`` (0 keeps all).  Pruning is
-        write-new-then-delete, so at least one loadable checkpoint exists
-        at every instant.
+        ``checkpoint_dir`` (0 keeps all; the journal is never pruned).
+        Pruning is write-new-then-delete, so at least one loadable
+        checkpoint exists at every instant.
     resume_from:
         A :class:`~repro.core.checkpoint.Checkpoint` (or a path to one)
         to continue from; the resumed run is bit-identical to the
@@ -335,7 +336,7 @@ class RepEx:
             else:
                 name = f"quiesce_{self.emm.state.n_quiesces:04d}.json"
             text = ckpt.save(self.checkpoint_dir / name)
-            ckpt.save(self.checkpoint_dir / "latest.json", text)
+            ckpt.save(self.checkpoint_dir / LATEST_NAME, text)
             self._prune_checkpoints()
 
     def _prune_checkpoints(self) -> None:

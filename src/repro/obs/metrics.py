@@ -16,7 +16,7 @@ Metric names are dotted strings; the taxonomy is documented in
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Dict, Iterator, List, Optional, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.obs.spans import Span, SpanRecord
 
@@ -297,28 +297,45 @@ class MetricsRegistry:
     # -- checkpointing -------------------------------------------------------
 
     def state_dict(self) -> Dict[str, object]:
-        """Exact JSON-safe state: instruments, raw samples, spans, seq.
+        """The registry's fixed-size state: counter and gauge values, each
+        histogram's sample count, and the span-id counter.
 
-        Unlike :meth:`snapshot` (summary statistics for reporting), this
-        captures everything needed to continue recording mid-run without
-        any observable difference — raw histogram samples in observation
-        order, every finished span, and the span-id counter — so a
-        resumed run's manifest is byte-comparable to an uninterrupted
-        one's.
+        The growing part — raw samples and finished spans, both only
+        ever appended — is read incrementally with :meth:`records_since`.
+        Together they are everything needed to continue recording mid-run
+        without any observable difference, so a resumed run's manifest is
+        byte-comparable to an uninterrupted one's.
         """
         return {
             "counters": {n: c.value for n, c in sorted(self._counters.items())},
             "gauges": {n: g.value for n, g in sorted(self._gauges.items())},
             "histograms": {
-                n: list(h._samples)
-                for n, h in sorted(self._histograms.items())
+                n: len(h._samples) for n, h in sorted(self._histograms.items())
             },
-            "spans": [s.to_dict() for s in self.spans],
             "span_seq": self._span_seq,
         }
 
-    def load_state(self, state: Dict[str, object]) -> None:
-        """Restore :meth:`state_dict` output, mutating instruments in place.
+    def records_since(
+        self, counts: Dict[str, int], n_spans: int
+    ) -> Tuple[Dict[str, List[float]], List[Dict[str, object]]]:
+        """Histogram samples past ``counts`` (name -> samples already
+        read; :meth:`state_dict`'s ``histograms`` of an earlier call) and
+        finished spans past the first ``n_spans``, JSON-safe."""
+        samples = {
+            n: h._samples[counts.get(n, 0):]
+            for n, h in sorted(self._histograms.items())
+            if len(h._samples) > counts.get(n, 0)
+        }
+        return samples, [s.to_dict() for s in self.spans[n_spans:]]
+
+    def load_state(
+        self,
+        state: Dict[str, object],
+        samples: Dict[str, List[float]],
+        spans: List[Dict[str, object]],
+    ) -> None:
+        """Restore :meth:`state_dict` output plus every sample and span
+        :meth:`records_since` ever returned, mutating instruments in place.
 
         Cached instrument references held by live components stay valid
         (the same guarantee :meth:`reset` gives), and the span-id counter
@@ -327,17 +344,15 @@ class MetricsRegistry:
         """
         if not self.enabled:
             return
-        for name, value in state.get("counters", {}).items():
+        for name, value in state["counters"].items():
             self.counter(name).value = float(value)
-        for name, value in state.get("gauges", {}).items():
+        for name, value in state["gauges"].items():
             self.gauge(name).value = float(value)
-        for name, samples in state.get("histograms", {}).items():
+        for name in state["histograms"]:
             hist = self.histogram(name)
-            hist._samples[:] = [float(s) for s in samples]
-        self.spans[:] = [
-            SpanRecord.from_dict(d) for d in state.get("spans", [])
-        ]
-        self._span_seq = int(state.get("span_seq", len(self.spans)))
+            hist._samples[:] = [float(s) for s in samples.get(name, [])]
+        self.spans[:] = [SpanRecord.from_dict(d) for d in spans]
+        self._span_seq = int(state["span_seq"])
 
 
 class _NullInstrument:

@@ -236,6 +236,10 @@ class FaultDomainModel:
         self.events: List[FaultEvent] = []
         self._sinks: List[Callable[[FaultEvent], None]] = []
         self._armed = False
+        #: scheduled crash/preemption events fired so far, in schedule
+        #: order; a checkpoint records it so a restore replays exactly
+        #: those that fired before its quiet point
+        self.n_fired = 0
         registry = get_registry()
         self._c_crashes = registry.counter("fault.node_crashes")
         self._c_killed = registry.counter("fault.units_killed")
@@ -434,6 +438,7 @@ class FaultDomainModel:
     def _fire_crash(self, pilot, clock, node: int) -> None:
         from repro.pilot.pilot import PilotState
 
+        self.n_fired += 1
         if pilot.state is not PilotState.ACTIVE or pilot.scheduler is None:
             return
         if node >= pilot.scheduler.n_nodes:
@@ -452,6 +457,7 @@ class FaultDomainModel:
     def _fire_preempt(self, pilot, clock) -> None:
         from repro.pilot.pilot import PilotState
 
+        self.n_fired += 1
         if pilot.state is not PilotState.ACTIVE:
             return
         killed = pilot.preempt(requeue=self.requeue)

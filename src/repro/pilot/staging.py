@@ -108,22 +108,41 @@ class StagingArea:
     # -- checkpointing -------------------------------------------------------
 
     def snapshot(self) -> Dict[str, object]:
-        """JSON-safe snapshot of the area (files + transfer totals)."""
+        """JSON-safe transfer totals (the file ledger travels as
+        :meth:`changes_since` deltas)."""
         return {
-            "files": dict(self._files),
             "bytes_in_mb": self.bytes_in_mb,
             "bytes_out_mb": self.bytes_out_mb,
             "n_transfers": self.n_transfers,
         }
 
-    def restore(self, snapshot: Dict[str, object]) -> None:
-        """Restore a :meth:`snapshot`, bypassing the transfer counters.
+    def changes_since(self, seen: Dict[str, float]) -> Dict[str, object]:
+        """The ledger changes since ``seen`` (the files as last recorded),
+        which is brought up to date in place.
+
+        ``put`` holds every file added or overwritten with a new size,
+        ``removed`` every file deleted, both sorted.  Computed by diffing
+        at the call, so :meth:`put` carries no bookkeeping for it.
+        """
+        files = self._files
+        put = dict(sorted(files.items() - seen.items()))
+        removed = sorted(seen.keys() - files.keys())
+        seen.update(put)
+        for path in removed:
+            del seen[path]
+        return {"put": put, "removed": removed}
+
+    def restore(
+        self, snapshot: Dict[str, object], files: Dict[str, float]
+    ) -> None:
+        """Restore :meth:`snapshot` totals and the ``files`` ledger,
+        bypassing the transfer counters.
 
         Restoration re-materializes bookkeeping, it does not move data, so
         neither the ``staging.*`` metrics nor the byte totals are charged;
         the totals are set to the snapshotted values instead.
         """
-        self._files = {str(k): float(v) for k, v in snapshot["files"].items()}
+        self._files = {str(k): float(v) for k, v in files.items()}
         self.bytes_in_mb = float(snapshot["bytes_in_mb"])
         self.bytes_out_mb = float(snapshot["bytes_out_mb"])
         self.n_transfers = int(snapshot["n_transfers"])

@@ -20,6 +20,7 @@ their own workloads.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -223,25 +224,35 @@ class Tracer:
 
     # -- checkpointing --------------------------------------------------------
 
-    def state_dict(self) -> List[Dict]:
-        """JSON-safe dump of every record, in insertion (creation) order.
+    def state_dict(self, start: int = 0) -> List[Dict]:
+        """JSON-safe dump of the records from the ``start``-th on, in
+        insertion (creation) order.
 
-        Uids are excluded: they come from a process-global counter and
-        would collide on restore into a fresh process.
+        A row is written once and never revised, so every dumped unit
+        must already be final; a live one raises ``RuntimeError``.  Uids
+        are excluded: they come from a process-global counter and would
+        collide on restore into a fresh process.
         """
-        return [
-            {
-                "name": rec.name,
-                "cores": rec.cores,
-                "metadata": {
-                    k: v
-                    for k, v in rec.metadata.items()
-                    if isinstance(v, (str, int, float, bool, type(None)))
-                },
-                "transitions": [[s, t] for s, t in rec.transitions],
-            }
-            for rec in self.records.values()
-        ]
+        rows = []
+        for rec in itertools.islice(self.records.values(), start, None):
+            if rec.final_state is None:
+                raise RuntimeError(
+                    f"unit {rec.name!r} is not final; only final units "
+                    f"can be dumped"
+                )
+            rows.append(
+                {
+                    "name": rec.name,
+                    "cores": rec.cores,
+                    "metadata": {
+                        k: v
+                        for k, v in rec.metadata.items()
+                        if isinstance(v, (str, int, float, bool, type(None)))
+                    },
+                    "transitions": rec.transitions,
+                }
+            )
+        return rows
 
     def load_state(self, records: List[Dict]) -> None:
         """Restore :meth:`state_dict` output under fresh ``ckpt.*`` uids.

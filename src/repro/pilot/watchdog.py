@@ -90,7 +90,8 @@ class Watchdog:
         self._history: Deque[float] = deque()
         #: the same samples kept sorted, for the cohort median
         self._sorted: List[float] = []
-        self._tick_armed = False
+        #: the pending heartbeat; None while disarmed
+        self._tick_event = None
         if registry is None:
             registry = get_registry()
         self._c_checks = registry.counter("watchdog.checks")
@@ -146,9 +147,10 @@ class Watchdog:
             self._deadline_for(expected),
             lambda: self._on_deadline(unit, attempt),
         )
-        if not self._tick_armed:
-            self._tick_armed = True
-            self._clock.schedule(self.spec.check_interval_s, self._tick)
+        if self._tick_event is None:
+            self._tick_event = self._clock.schedule(
+                self.spec.check_interval_s, self._tick
+            )
 
     def on_execution_finish(self, unit, from_shadow: bool = False) -> None:
         """The unit's execution completed (exactly once); stand down."""
@@ -272,7 +274,7 @@ class Watchdog:
         if not self._watched:
             # Nothing supervised; disarm — the next execution start
             # re-arms, so an idle watchdog costs no events.
-            self._tick_armed = False
+            self._tick_event = None
             return
         self._c_checks.inc()
         median = self._cohort_median()
@@ -301,20 +303,36 @@ class Watchdog:
                             "speculative_launch",
                             unit=unit.description.name,
                         )
-        self._clock.schedule(self.spec.check_interval_s, self._tick)
+        self._tick_event = self._clock.schedule(
+            self.spec.check_interval_s, self._tick
+        )
 
     # -- checkpoint ----------------------------------------------------------
 
     def state_dict(self) -> Dict[str, object]:
-        """Serializable supervision state (the cohort history).
+        """Serializable supervision state: the cohort history and the
+        fire time of the pending heartbeat (None while disarmed).
 
         Per-unit entries are *not* captured: a checkpoint is taken at a
-        quiesced barrier, when nothing is executing — only the learned
-        cohort durations survive the restart.
+        quiesced barrier, when nothing is executing.  The heartbeat can
+        still be armed there, and its phase decides when the next cycle's
+        stragglers are scored.
         """
-        return {"history": [float(d) for d in self._history]}
+        tick = self._tick_event
+        return {
+            "history": [float(d) for d in self._history],
+            "tick_t": tick.time if tick is not None else None,
+        }
 
     def load_state(self, state: Dict[str, object]) -> None:
-        """Restore :meth:`state_dict` output."""
-        self._history = deque(float(d) for d in state.get("history", []))
+        """Restore :meth:`state_dict` output, re-arming the heartbeat at
+        its captured time (the clock must not be past it)."""
+        self._history = deque(float(d) for d in state["history"])
         self._sorted = sorted(self._history)
+        if self._tick_event is not None:
+            self._tick_event.cancel()
+            self._tick_event = None
+        if state["tick_t"] is not None:
+            self._tick_event = self._clock.schedule_at(
+                float(state["tick_t"]), self._tick
+            )

@@ -54,25 +54,36 @@ class RNGRegistry:
         the seed material so that distinct keys yield independent streams.
         """
         if key not in self._streams:
-            entropy = [self._seed]
-            for part in key:
-                if isinstance(part, str):
-                    # Stable string -> int digest independent of PYTHONHASHSEED.
-                    acc = 0
-                    for ch in part:
-                        acc = (acc * 131 + ord(ch)) % (2**32)
-                    entropy.append(acc)
-                elif isinstance(part, (int, np.integer)):
-                    entropy.append(int(part) % (2**32))
-                else:
-                    raise TypeError(
-                        f"RNG key components must be str or int, got {type(part).__name__}"
-                    )
-            seq = np.random.SeedSequence(entropy)
-            # Generator(PCG64(seq)) == default_rng(seq), minus the errstate
-            # wrapper default_rng carries — this runs once per replica.
-            self._streams[key] = np.random.Generator(np.random.PCG64(seq))
+            self._streams[key] = self.transient(*key)
         return self._streams[key]
+
+    def transient(self, *key) -> np.random.Generator:
+        """A fresh generator for ``key`` that the registry does not keep.
+
+        For per-cycle consumers (one exchange sweep, one replica's
+        protonation draw) that request their key once and finish drawing
+        before the next quiet point: a checkpoint never needs their
+        state, so it does not carry one per cycle.  Draws equal those of
+        :meth:`stream` for a key requested once.
+        """
+        entropy = [self._seed]
+        for part in key:
+            if isinstance(part, str):
+                # Stable string -> int digest independent of PYTHONHASHSEED.
+                acc = 0
+                for ch in part:
+                    acc = (acc * 131 + ord(ch)) % (2**32)
+                entropy.append(acc)
+            elif isinstance(part, (int, np.integer)):
+                entropy.append(int(part) % (2**32))
+            else:
+                raise TypeError(
+                    f"RNG key components must be str or int, got {type(part).__name__}"
+                )
+        seq = np.random.SeedSequence(entropy)
+        # Generator(PCG64(seq)) == default_rng(seq), minus the errstate
+        # wrapper default_rng carries — this runs once per replica.
+        return np.random.Generator(np.random.PCG64(seq))
 
     # -- checkpointing -------------------------------------------------------
 

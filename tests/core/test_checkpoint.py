@@ -8,6 +8,7 @@ import pytest
 
 from repro.core import RepEx
 from repro.core.checkpoint import (
+    JOURNAL_NAME,
     SCHEMA_VERSION,
     SUPPORTED_VERSIONS,
     Checkpoint,
@@ -50,8 +51,11 @@ class TestCapture:
         assert ckpt.title == "test-tremd"
         assert ckpt.schema_version == SCHEMA_VERSION
         assert len(ckpt.replicas) == 4
-        # two cycles of history captured per replica
-        assert all(len(r["history"]) == 2 for r in ckpt.replicas)
+        # two cycles of history captured per replica: the first in the
+        # journal, the last (an exchange may still change it) inline
+        history = ckpt.journaled()["history"]
+        assert all(len(history[r["rid"]]) == 1 for r in ckpt.replicas)
+        assert all(r["last"]["cycle"] == 1 for r in ckpt.replicas)
         assert 0 < ckpt.t_now <= result.t_end
 
     def test_files_written(self, tmp_path):
@@ -96,8 +100,8 @@ class TestValidation:
     def test_rejects_other_schema_version(self, tmp_path):
         repex, _ = checkpointed_run(tmp_path)
         data = json.loads(repex.checkpoints[0].to_json())
-        # schema 1 included: its upgrade path is gone
-        for version in (1, SCHEMA_VERSION + 1):
+        # schemas 1 and 2 included: neither has an upgrade path
+        for version in (1, 2, SCHEMA_VERSION + 1):
             data["schema_version"] = version
             with pytest.raises(CheckpointError, match="schema version"):
                 Checkpoint.from_json(json.dumps(data))
@@ -238,14 +242,14 @@ class TestContentChecksum:
         ):
             Checkpoint.load(path)
 
-    def test_checksumless_v2_file_still_loads(self, tmp_path):
-        # snapshots written before the checksum existed have no field to
-        # verify; they load on trust like they always did
+    def test_checksumless_file_is_rejected(self, tmp_path):
+        # every schema-3 snapshot is written with a checksum; one without
+        # cannot vouch for its content or its journal prefix
         repex, _ = checkpointed_run(tmp_path)
         data = json.loads(repex.checkpoints[0].to_json())
         del data["checksum"]
-        ckpt = Checkpoint.from_json(json.dumps(data))
-        assert ckpt.checksum is None
+        with pytest.raises(CheckpointError, match="checksum mismatch"):
+            Checkpoint.from_json(json.dumps(data))
 
 
 class TestAsyncCheckpoint:
@@ -312,15 +316,17 @@ class TestAsyncCheckpoint:
         obs = repex.checkpoints[0].obs
         assert obs is not None
         assert obs["registry"]["counters"]["checkpoint.captured"] == 1.0
-        assert obs["tracer"], "unit trace must be captured"
+        assert repex.checkpoints[0].journaled()["rows"], (
+            "unit trace must be captured"
+        )
 
 
 class TestSchemaV1Upgrade:
-    """Schema v1 no longer loads (see test_rejects_other_schema_version)."""
+    """Only schema 3 loads (see test_rejects_other_schema_version)."""
 
     def test_supported_versions_documented(self):
-        assert SUPPORTED_VERSIONS == (2,)
-        assert SCHEMA_VERSION == 2
+        assert SUPPORTED_VERSIONS == (3,)
+        assert SCHEMA_VERSION == 3
 
 
 class TestAtomicSave:
@@ -346,3 +352,79 @@ class TestAtomicSave:
         # the half-written data never reached the real name
         assert target.read_text() == before
         Checkpoint.load(target)
+
+
+class TestJournal:
+    """The snapshot stays small; what grows is journaled exactly once."""
+
+    def test_snapshot_records_its_journal_prefix(self, tmp_path):
+        checkpointed_run(tmp_path)
+        ckpt_dir = tmp_path / "ckpts"
+        journal = (ckpt_dir / JOURNAL_NAME).read_bytes()
+        data = json.loads((ckpt_dir / "latest.json").read_text())
+        assert data["journal"] == {
+            "bytes": len(journal),
+            "sha256": hashlib.sha256(journal).hexdigest(),
+        }
+
+    @pytest.mark.parametrize("damage", ["flip", "truncate", "delete"])
+    def test_damaged_prefix_fails_naming_the_journal(self, tmp_path, damage):
+        ckpt_dir = tmp_path / "ckpts"
+        RepEx(
+            small_tremd_config(n_cycles=4),
+            checkpoint_every=1,
+            checkpoint_dir=ckpt_dir,
+        ).run()
+        path = ckpt_dir / "cycle_0002.json"
+        journal = ckpt_dir / JOURNAL_NAME
+        prefix = json.loads(path.read_text())["journal"]["bytes"]
+        data = bytearray(journal.read_bytes())
+        assert len(data) > prefix
+        if damage == "flip":
+            data[prefix // 2] ^= 0x01
+            journal.write_bytes(bytes(data))
+        elif damage == "truncate":
+            journal.write_bytes(bytes(data[: prefix - 1]))
+        else:
+            journal.unlink()
+        with pytest.raises(CheckpointError, match=JOURNAL_NAME):
+            Checkpoint.load(path)
+        with pytest.raises(CheckpointError, match=JOURNAL_NAME):
+            RepEx(small_tremd_config(n_cycles=4), resume_from=path)
+
+    def test_snapshot_without_its_journal_cannot_resume(self, tmp_path):
+        repex, _ = checkpointed_run(tmp_path)
+        bare = Checkpoint.from_json(repex.checkpoints[0].to_json())
+        with pytest.raises(CheckpointError, match="no journal"):
+            RepEx(small_tremd_config(n_cycles=4), resume_from=bare).run()
+
+    def test_snapshots_stay_flat_while_the_journal_grows(self, tmp_path):
+        repex = RepEx(
+            small_tremd_config(n_cycles=8),
+            checkpoint_every=1,
+            checkpoint_dir=tmp_path,
+        )
+        repex.run()
+        first = (tmp_path / "cycle_0001.json").stat().st_size
+        last = (tmp_path / "cycle_0007.json").stat().st_size
+        assert last <= 1.10 * first
+        prefixes = [c.journal["bytes"] for c in repex.checkpoints]
+        assert prefixes == sorted(set(prefixes))
+        assert (tmp_path / JOURNAL_NAME).stat().st_size == prefixes[-1]
+
+    def test_each_item_is_journaled_once(self, tmp_path):
+        """Seven captures journal what one capture at the same point
+        would, give or take per-line framing."""
+        config = small_tremd_config(n_cycles=8)
+        every = RepEx(config, checkpoint_every=1)
+        every.run()
+        once = RepEx(config, checkpoint_every=7)
+        once.run()
+        assert [c.next_cycle for c in once.checkpoints] == [7]
+        assert every.checkpoints[-1].journaled() == once.checkpoints[
+            0
+        ].journaled()
+        assert (
+            every.checkpoints[-1].journal["bytes"]
+            <= 1.10 * once.checkpoints[0].journal["bytes"]
+        )

@@ -300,6 +300,35 @@ class TestCrashResumeFlags:
         assert rc == 2
         assert "different configuration" in capsys.readouterr().err
 
+    def test_unusable_checkpoint_exits_2(self, config_file, tmp_path, capsys):
+        """A schema-2 snapshot, or a snapshot copied without its journal,
+        is a bad input file: exit 2 naming the problem."""
+        ckpt_dir = tmp_path / "ck"
+        assert main(
+            [
+                "run", str(config_file),
+                "--checkpoint-every", "1",
+                "--checkpoint-dir", str(ckpt_dir),
+                "--stop-after-cycle", "1",
+            ]
+        ) == 0
+        data = json.loads((ckpt_dir / "latest.json").read_text())
+        data["schema_version"] = 2
+        (tmp_path / "v2.json").write_text(json.dumps(data))
+        alone = tmp_path / "alone"
+        alone.mkdir()
+        (alone / "latest.json").write_text(
+            (ckpt_dir / "latest.json").read_text()
+        )
+        for path, message in (
+            (tmp_path / "v2.json", "schema version 2"),
+            (alone / "latest.json", "journal.jsonl"),
+        ):
+            capsys.readouterr()
+            rc = main(["run", str(config_file), "--resume", str(path)])
+            assert rc == 2
+            assert message in capsys.readouterr().err
+
 
 class TestCheck:
     def test_valid_config(self, config_file, capsys):

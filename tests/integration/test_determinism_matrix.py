@@ -214,3 +214,71 @@ def test_crash_resume_is_bit_identical(name, tmp_path):
         # fault injection races the drain, so the manifest's fault log
         # may shift in time; clean cells must diff all-zero
         assert diff_manifests(golden.manifest, resumed.manifest).identical
+
+
+# -- resume from a stop at a quiet point ------------------------------------
+#
+# Two restore paths the kill matrix above never reached: a pending event
+# whose effect the snapshot already holds, and one it must re-arm.
+
+from repro.core.config import SimulationConfig  # noqa: E402
+
+#: name -> (config, checkpoint cadence, where the first run stops)
+STOP_RESUME_CELLS = {
+    # the node crash strikes at t_start + 300 s, the very instant the
+    # first quiesce drain ends: it fired before the capture at that same
+    # virtual time, so the resumed replay must not fire it again
+    "async/node-crash-at-capture": (
+        {
+            "title": "bug1",
+            "engine": {"name": "namd", "system": "ala2"},
+            "resource": {"name": "supermic", "cores": 40},
+            "pattern": {"kind": "asynchronous"},
+            "dimensions": [
+                {"kind": "temperature", "n_windows": 3,
+                 "min_value": 280.0, "max_value": 360.0},
+            ],
+            "n_cycles": 3,
+            "numeric_steps": 1,
+            "seed": 657805,
+            "failure": {"node_crashes": [[300.0, 0]]},
+        },
+        {"checkpoint_every_s": 100.0},
+        {"stop_after_checkpoint": 1},
+    ),
+    # hangs plus speculative duplicates: the watchdog heartbeat is still
+    # armed at the cycle-1 boundary and must resume in the same phase
+    "sync/hangs-speculative": (
+        {
+            "title": "bug2",
+            "engine": {"name": "amber", "system": "ala2"},
+            "resource": {"name": "stampede", "cores": 2},
+            "execution_mode": "II",
+            "dimensions": [
+                {"kind": "temperature", "n_windows": 3,
+                 "min_value": 280.0, "max_value": 360.0},
+            ],
+            "n_cycles": 2,
+            "numeric_steps": 5,
+            "seed": 383113,
+            "failure": {"hang_probability": 0.1},
+            "watchdog": {"enabled": True, "speculative": True},
+        },
+        {"checkpoint_every": 1},
+        {"stop_after_cycle": 1},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STOP_RESUME_CELLS))
+def test_stop_resume_is_bit_identical(name, tmp_path):
+    raw, cadence, stop = STOP_RESUME_CELLS[name]
+    config = SimulationConfig.from_dict(raw)
+    golden = RepEx(config, **cadence).run()
+    partial = RepEx(config, checkpoint_dir=tmp_path, **cadence, **stop).run()
+    assert partial.interrupted
+    resumed = RepEx(
+        config, resume_from=tmp_path / "latest.json", **cadence
+    ).run()
+    assert resumed.fingerprint() == golden.fingerprint()
+    assert diff_manifests(golden.manifest, resumed.manifest).identical

@@ -15,12 +15,14 @@ the killed+resumed pair did.
 """
 
 import json
+import os
+import shutil
 from pathlib import Path
 
 import pytest
 
 from repro.core import RepEx
-from repro.core.checkpoint import Checkpoint
+from repro.core.checkpoint import JOURNAL_NAME, Checkpoint, CheckpointError
 from repro.core.config import (
     DimensionSpec,
     FailureSpec,
@@ -28,6 +30,7 @@ from repro.core.config import (
     ResourceSpec,
 )
 from repro.obs.diff import diff_manifests
+from repro.obs.metrics import MetricsRegistry
 from repro.pilot.events import SimulatedCrash
 from tests.conftest import small_tremd_config
 
@@ -485,3 +488,157 @@ class TestCompaction:
         # nothing was actually deleted, and everything still loads
         assert len(list(tmp_path.glob("cycle_*.json"))) == 3
         Checkpoint.load(tmp_path / "latest.json")
+
+
+# -- the journal: any snapshot, any directory -------------------------------
+
+
+def _tree(path):
+    if not path.exists():
+        return {}
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+class TestAnySnapshotAnyDirectory:
+    """Every retained snapshot resumes to the golden, into its own
+    directory or a fresh one, and the directory it leaves behind is the
+    golden's byte for byte, journal included.
+
+    Each run gets a private registry: a run in the shared default one
+    starts with the instruments earlier runs created (zeroed), which a
+    snapshot lists.
+    """
+
+    @pytest.mark.parametrize("where", ["same-dir", "fresh-dir"])
+    @pytest.mark.parametrize("pattern", ["synchronous", "asynchronous"])
+    def test_every_snapshot_resumes_to_the_golden(
+        self, tmp_path, pattern, where
+    ):
+        if pattern == "synchronous":
+            config, cadence, prefix = make_config(), {"checkpoint_every": 1}, "cycle_"
+        else:
+            config = async_config()
+            cadence, prefix = {"checkpoint_every_s": CADENCE}, "quiesce_"
+        golden_dir = tmp_path / "golden"
+        golden = RepEx(
+            config,
+            checkpoint_dir=golden_dir,
+            registry=MetricsRegistry(),
+            **cadence,
+        ).run()
+        snapshots = sorted(golden_dir.glob(prefix + "*.json"))
+        assert len(snapshots) >= 2
+        for snap in snapshots:
+            if where == "same-dir":
+                out = tmp_path / f"same-{snap.stem}"
+                shutil.copytree(golden_dir, out)
+                source = out / snap.name
+            else:
+                out, source = tmp_path / f"fresh-{snap.stem}", snap
+            resumed = RepEx(
+                config,
+                checkpoint_dir=out,
+                resume_from=source,
+                registry=MetricsRegistry(),
+                **cadence,
+            ).run()
+            equivalent(golden, resumed)
+            expected = _tree(golden_dir)
+            if where == "fresh-dir":
+                # only what the resumed run wrote: the later snapshots,
+                # and with them latest.json and its own journal copy
+                later = [
+                    name
+                    for name in expected
+                    if name.startswith(prefix) and name > snap.name
+                ]
+                expected = {
+                    name: data
+                    for name, data in expected.items()
+                    if later
+                    and (name in later or not name.startswith(prefix))
+                }
+            assert _tree(out) == expected, snap.name
+
+    def test_truncating_resume_keeps_latest_loadable(
+        self, tmp_path, monkeypatch
+    ):
+        """Resuming an older snapshot in place cuts the journal bytes of
+        the later ones; ``latest.json`` points at the resumed snapshot
+        before they go, so it loads at every instant."""
+        RepEx(make_config(), checkpoint_every=1, checkpoint_dir=tmp_path).run()
+        real_truncate = os.truncate
+        seen = []
+
+        def checked_truncate(path, length):
+            seen.append(Checkpoint.load(tmp_path / "latest.json").next_cycle)
+            real_truncate(path, length)
+            seen.append(Checkpoint.load(tmp_path / "latest.json").next_cycle)
+
+        monkeypatch.setattr(os, "truncate", checked_truncate)
+        RepEx(
+            make_config(),
+            checkpoint_every=1,
+            checkpoint_dir=tmp_path,
+            resume_from=tmp_path / "cycle_0001.json",
+            stop_after_cycle=2,
+        ).run()
+        assert seen == [1, 1]
+        assert Checkpoint.load(tmp_path / "latest.json").next_cycle == 2
+        # the snapshot whose bytes were cut fails loudly, never resumes
+        # from the wrong data
+        with pytest.raises(CheckpointError, match=JOURNAL_NAME):
+            Checkpoint.load(tmp_path / "cycle_0003.json")
+
+    def test_bytes_past_the_prefix_are_ignored(self, tmp_path):
+        """A kill between a journal append and its snapshot write leaves
+        a torn line past the last snapshot's prefix."""
+        baseline = RepEx(make_config()).run()
+        RepEx(
+            make_config(),
+            checkpoint_every=1,
+            checkpoint_dir=tmp_path,
+            stop_after_cycle=2,
+        ).run()
+        journal = tmp_path / JOURNAL_NAME
+        intact = journal.read_bytes()
+        journal.write_bytes(intact + b'{"history": {"0": [')
+        latest = Checkpoint.load(tmp_path / "latest.json")
+        assert latest.journal["bytes"] == len(intact)
+        resumed = RepEx(
+            make_config(),
+            checkpoint_every=1,
+            checkpoint_dir=tmp_path,
+            resume_from=tmp_path / "latest.json",
+        ).run()
+        assert fingerprint(resumed) == fingerprint(baseline)
+        assert journal.read_bytes().startswith(intact + b"{")
+        Checkpoint.load(tmp_path / "cycle_0003.json")
+
+    def test_in_memory_resume_leaves_the_source_journal_alone(self):
+        baseline = RepEx(make_config()).run()
+        first = RepEx(make_config(), checkpoint_every=1, stop_after_cycle=3)
+        first.run()
+        lines = list(first.emm.journal.lines)
+        for _ in range(2):
+            resumed = RepEx(
+                make_config(),
+                checkpoint_every=1,
+                resume_from=first.checkpoints[0],
+            ).run()
+            assert fingerprint(resumed) == fingerprint(baseline)
+        assert first.emm.journal.lines == lines
+
+    def test_keep_never_prunes_the_journal(self, tmp_path):
+        RepEx(
+            make_config(),
+            checkpoint_every=1,
+            checkpoint_dir=tmp_path,
+            checkpoint_keep=1,
+        ).run()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "cycle_0003.json",
+            JOURNAL_NAME,
+            "latest.json",
+        ]
+        Checkpoint.load(tmp_path / "cycle_0003.json")

@@ -22,8 +22,8 @@ from tests.conftest import small_tremd_config
 
 
 @lru_cache(maxsize=None)
-def checkpoint_text(kind: str) -> str:
-    """The JSON of a real checkpoint of each pattern (computed once)."""
+def checkpoint(kind: str) -> Checkpoint:
+    """A real checkpoint of each pattern (computed once)."""
     if kind == "sync":
         repex = RepEx(small_tremd_config(), checkpoint_every=1)
     else:
@@ -38,7 +38,12 @@ def checkpoint_text(kind: str) -> str:
         repex = RepEx(config, checkpoint_every_s=120.0)
     repex.run()
     assert repex.checkpoints, f"no checkpoint captured for {kind}"
-    return repex.checkpoints[0].to_json()
+    return repex.checkpoints[0]
+
+
+def checkpoint_text(kind: str) -> str:
+    """The snapshot JSON of :func:`checkpoint`."""
+    return checkpoint(kind).to_json()
 
 
 KINDS = ("sync", "async", "async16")
@@ -154,12 +159,14 @@ def test_required_blocks_raise_with_clear_messages(kind):
 
 
 def test_wrong_config_hash_is_rejected_at_restore(tmp_path):
-    data = json.loads(checkpoint_text("sync"))
+    path = tmp_path / "foreign.json"
+    # written with its journal beside it, then re-hashed for another
+    # config
+    data = json.loads(checkpoint("sync").save(path))
     data["config_hash"] = "0" * len(data["config_hash"])
     # a genuinely foreign checkpoint is internally consistent: re-stamp
     # the content checksum so tamper detection doesn't fire first
     data["checksum"] = Checkpoint._content_checksum(data)
-    path = tmp_path / "foreign.json"
     path.write_text(json.dumps(data))
     with pytest.raises(CheckpointError, match="different configuration"):
         RepEx(small_tremd_config(), resume_from=path)
