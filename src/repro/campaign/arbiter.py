@@ -591,13 +591,7 @@ class Arbiter:
             for name, tenant in self._tenants.items()
         }
 
-    #: optional live sink: called with each audit entry as it is
-    #: appended (the telemetry plane publishes these on the event bus)
-    audit_sink = None
-
     def _audit(self, event: str, **fields) -> None:
         entry = {"t": self.clock.now, "event": event}
         entry.update(fields)
         self.audit.append(entry)
-        if self.audit_sink is not None:
-            self.audit_sink(entry)

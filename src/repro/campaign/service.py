@@ -180,24 +180,11 @@ def _aggregate_metrics(
     return {"counters": counters, "gauges": gauges, "histograms": {}}
 
 
-def live_metrics(spec: CampaignSpec, arbiter: Arbiter) -> Dict[str, Dict]:
-    """Registry-shaped snapshot of a campaign that may still be in flight.
-
-    The same aggregation :func:`run_campaign` embeds in its final report,
-    evaluated over whatever the arbiter has recorded so far — sessions
-    without an outcome yet simply contribute nothing.  Because the two
-    share one code path, a live ``/metrics`` scrape taken after the last
-    session completes is byte-identical to the end-of-run exposition.
-    """
-    return _aggregate_metrics(spec, list(arbiter.records), arbiter)
-
-
 def run_campaign(
     spec: CampaignSpec,
     *,
     runner: Optional[Callable[[SessionRequest], SessionOutcome]] = None,
     manifest_dir: Optional[Union[str, Path]] = None,
-    on_arbiter: Optional[Callable[[Arbiter], None]] = None,
 ) -> CampaignReport:
     """Expand, arbitrate and execute one campaign; return its report.
 
@@ -205,11 +192,7 @@ def run_campaign(
     same audit log, the same per-tenant manifests on disk, and the same
     OpenMetrics bytes.  ``runner`` defaults to the real
     :func:`~repro.campaign.runner.repex_runner`; property and scale
-    tests inject stubs.  ``on_arbiter`` (if given) is called with the
-    freshly built arbiter before any session is submitted — the
-    telemetry CLI uses it to attach an audit sink and a live
-    :func:`live_metrics` snapshot without the service depending on the
-    HTTP layer.
+    tests inject stubs.
     """
     if runner is None:
         from repro.campaign.runner import repex_runner
@@ -223,8 +206,6 @@ def run_campaign(
         relaunch_limit=spec.relaunch_limit,
         seed=spec.seed,
     )
-    if on_arbiter is not None:
-        on_arbiter(arbiter)
     # Install the runner before submission so sessions start (and free
     # queue slots) while the backlog is still being admitted.
     arbiter.prepare(runner)

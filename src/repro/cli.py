@@ -6,13 +6,10 @@ specified by configuration files"; this module makes that literal:
 .. code-block:: console
 
     $ python -m repro run examples/configs/tremd.json --manifest run.jsonl
-    $ python -m repro run examples/configs/tremd.json --serve-metrics 8765 --alerts default
     $ python -m repro check examples/configs/tremd.json
     $ python -m repro campaign examples/configs/campaign.json --metrics-out metrics.txt
-    $ python -m repro campaign examples/configs/campaign.json --serve-metrics 8765
     $ python -m repro obs summary run.jsonl --format json
     $ python -m repro obs timeline run.jsonl
-    $ python -m repro obs tail http://127.0.0.1:8765
     $ python -m repro obs export run.jsonl --format chrome -o run.trace.json
     $ python -m repro obs critical-path run.jsonl
     $ python -m repro obs diff before.jsonl after.jsonl
@@ -31,7 +28,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 from typing import List, Optional
 
@@ -52,6 +48,9 @@ def _load_config(path: str) -> SimulationConfig:
 
 def cmd_run(args: argparse.Namespace) -> int:
     """Run a simulation from a JSON configuration file."""
+    if args.stream and not args.manifest:
+        print("error: --stream requires --manifest", file=sys.stderr)
+        return 2
     try:
         config = _load_config(args.config)
     except (OSError, ConfigError) as exc:
@@ -82,7 +81,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         repex_kwargs["stop_after_checkpoint"] = args.stop_after_checkpoint
     if args.crash_at_time is not None:
         repex_kwargs["crash_at_time"] = args.crash_at_time
-    if args.stream and args.manifest:
+    if args.stream:
         repex_kwargs["manifest_path"] = args.manifest
     if args.alerts:
         from repro.obs.alerts import AlertError, default_rules, load_rules
@@ -97,64 +96,23 @@ def cmd_run(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         repex_kwargs["alert_rules"] = rules
-    bus = None
-    if args.serve_metrics is not None:
-        from repro.obs.stream import EventBus
-
-        bus = EventBus()
-        repex_kwargs["event_bus"] = bus
     try:
         repex = RepEx(config, **repex_kwargs)
     except CheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    server = None
-    if args.serve_metrics is not None:
-        from repro.obs.server import MetricsServer, TelemetrySource
-
-        source = TelemetrySource(
-            snapshot=repex.registry.snapshot,
-            runs=lambda: [
-                {
-                    "title": config.title,
-                    "pattern": config.pattern.kind,
-                    "n_replicas": config.n_replicas,
-                    "virtual_t": round(repex.session.now, 3),
-                }
-            ],
-            health=lambda: {
-                "run": config.title,
-                "virtual_t": round(repex.session.now, 3),
-            },
-            bus=bus,
-        )
-        server = MetricsServer(source, port=args.serve_metrics)
-        try:
-            server.start()
-        except OSError as exc:
-            print(f"error: cannot serve metrics: {exc}", file=sys.stderr)
-            return 2
-        print(f"live telemetry on {server.url}/metrics", file=sys.stderr)
     try:
-        try:
-            result = repex.run()
-        except SimulatedCrash as exc:
-            ckpt_dir = repex.checkpoint_dir
-            hint = (
-                f"resume with --resume {ckpt_dir / 'latest.json'}"
-                if ckpt_dir is not None
-                and (ckpt_dir / "latest.json").exists()
-                else "no checkpoint on disk — nothing to resume from"
-            )
-            print(f"crashed: {exc}; {hint}", file=sys.stderr)
-            return 3
-    finally:
-        if server is not None:
-            if args.serve_hold > 0:
-                time.sleep(args.serve_hold)
-            server.stop()
-        if bus is not None:
-            bus.close()
+        result = repex.run()
+    except SimulatedCrash as exc:
+        ckpt_dir = repex.checkpoint_dir
+        hint = (
+            f"resume with --resume {ckpt_dir / 'latest.json'}"
+            if ckpt_dir is not None
+            and (ckpt_dir / "latest.json").exists()
+            else "no checkpoint on disk — nothing to resume from"
+        )
+        print(f"crashed: {exc}; {hint}", file=sys.stderr)
+        return 3
     if result.interrupted:
         flag = (
             "--stop-after-cycle"
@@ -399,7 +357,8 @@ def cmd_obs_validate(args: argparse.Namespace) -> int:
 
     ``--format chrome`` (default) validates a Chrome trace JSON file;
     ``--format openmetrics`` validates an OpenMetrics text exposition
-    (a ``--metrics-out`` file or a curled ``/metrics`` payload).
+    (a ``--metrics-out`` file or an ``obs export --format openmetrics``
+    file).
     """
     if args.format == "openmetrics":
         from repro.obs.export import validate_openmetrics
@@ -420,42 +379,6 @@ def cmd_obs_validate(args: argparse.Namespace) -> int:
         print(f"invalid: {args.trace}: {exc}", file=sys.stderr)
         return 2
     print(f"ok: {args.trace}: {n_events} events")
-    return 0
-
-
-def cmd_obs_tail(args: argparse.Namespace) -> int:
-    """Render a live event stream as a per-tenant / per-phase table.
-
-    ``source`` is either the base URL of a ``--serve-metrics`` server
-    (its ``/events`` NDJSON stream is followed) or the path of a
-    streamed manifest JSONL file (optionally followed as it grows).
-    """
-    from repro.obs.tail import TailTable, iter_file_records, iter_http_records
-
-    if args.source.startswith(("http://", "https://")):
-        records = iter_http_records(
-            args.source, limit=args.limit, timeout_s=args.timeout
-        )
-    else:
-        if not Path(args.source).exists():
-            print(f"error: no such file: {args.source}", file=sys.stderr)
-            return 2
-        records = iter_file_records(
-            args.source, follow=args.follow, max_idle_s=args.timeout
-        )
-    table = TailTable()
-    try:
-        for record in records:
-            table.ingest(record)
-            if args.every and table.n_records % args.every == 0:
-                print(table.render())
-                print("--")
-    except KeyboardInterrupt:
-        pass
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(table.render())
     return 0
 
 
@@ -577,58 +500,11 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             )
         return 0
 
-    server = None
-    bus = None
-    on_arbiter = None
-    if args.serve_metrics is not None:
-        from repro.campaign.service import live_metrics
-        from repro.obs.server import MetricsServer, TelemetrySource
-        from repro.obs.stream import EventBus
-
-        bus = EventBus()
-        source = TelemetrySource(
-            health=lambda: {"campaign": spec.title}, bus=bus
-        )
-
-        def on_arbiter(arbiter):
-            # rebind once the arbiter exists: /metrics shares the exact
-            # aggregation path the end-of-run report uses, so a scrape
-            # after the last session matches --metrics-out byte for byte
-            source.snapshot = lambda: live_metrics(spec, arbiter)
-            source.runs = lambda: [
-                {
-                    "uid": r.request.uid,
-                    "tenant": r.request.tenant,
-                    "state": r.state.value,
-                }
-                for r in list(arbiter.records)
-            ]
-            arbiter.audit_sink = lambda entry: bus.publish(
-                {"kind": "campaign", **entry}
-            )
-
-        server = MetricsServer(source, port=args.serve_metrics)
-        try:
-            server.start()
-        except OSError as exc:
-            print(f"error: cannot serve metrics: {exc}", file=sys.stderr)
-            return 2
-        print(f"live telemetry on {server.url}/metrics", file=sys.stderr)
-
     try:
-        report = run_campaign(
-            spec, manifest_dir=args.out, on_arbiter=on_arbiter
-        )
+        report = run_campaign(spec, manifest_dir=args.out)
     except CampaignError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if server is not None:
-            if args.serve_hold > 0:
-                time.sleep(args.serve_hold)
-            server.stop()
-        if bus is not None:
-            bus.close()
 
     rows = [
         [
@@ -771,16 +647,6 @@ def build_parser() -> argparse.ArgumentParser:
              "recovery points)",
     )
     p_run.add_argument(
-        "--serve-metrics", type=int, default=None, metavar="PORT",
-        help="serve live telemetry over HTTP while the run is in flight "
-             "(/metrics, /healthz, /runs, /events; 0 picks a free port)",
-    )
-    p_run.add_argument(
-        "--serve-hold", type=float, default=0.0, metavar="SECONDS",
-        help="keep the telemetry server up this many host seconds after "
-             "the run finishes (lets scrapers catch the final state)",
-    )
-    p_run.add_argument(
         "--alerts", metavar="FILE",
         help="evaluate alert rules on the virtual clock during the run: "
              "a JSON rule file, or 'default' for the stock "
@@ -888,35 +754,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_obs_val.add_argument(
         "--format", choices=("chrome", "openmetrics"), default="chrome",
         help="chrome: trace-event JSON (default); openmetrics: text "
-             "exposition as served by /metrics or --metrics-out",
+             "exposition as written by --metrics-out or obs export",
     )
     p_obs_val.set_defaults(func=cmd_obs_validate)
-    p_obs_tail = obs_sub.add_parser(
-        "tail", help="render a live event stream as a status table"
-    )
-    p_obs_tail.add_argument(
-        "source",
-        help="base URL of a --serve-metrics server (its /events stream "
-             "is followed) or a streamed manifest JSONL path",
-    )
-    p_obs_tail.add_argument(
-        "-n", "--limit", type=int, default=0,
-        help="stop after N records (HTTP source; 0 = until idle timeout)",
-    )
-    p_obs_tail.add_argument(
-        "--timeout", type=float, default=30.0, metavar="SECONDS",
-        help="idle timeout before the stream is considered over",
-    )
-    p_obs_tail.add_argument(
-        "--follow", action="store_true",
-        help="with a file source: keep tailing as the file grows",
-    )
-    p_obs_tail.add_argument(
-        "--every", type=int, default=0, metavar="N",
-        help="also print an intermediate table every N records "
-             "(0 = only the final table)",
-    )
-    p_obs_tail.set_defaults(func=cmd_obs_tail)
 
     p_bench = sub.add_parser(
         "bench", help="run the perf scenarios or compare two result files"
@@ -984,17 +824,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp.add_argument(
         "--json", action="store_true",
         help="print the full JSON report to stdout",
-    )
-    p_camp.add_argument(
-        "--serve-metrics", type=int, default=None, metavar="PORT",
-        help="serve live campaign telemetry over HTTP (/metrics matches "
-             "--metrics-out once the campaign finishes; 0 picks a free "
-             "port)",
-    )
-    p_camp.add_argument(
-        "--serve-hold", type=float, default=0.0, metavar="SECONDS",
-        help="keep the telemetry server up this many host seconds after "
-             "the campaign finishes",
     )
     p_camp.set_defaults(func=cmd_campaign)
 

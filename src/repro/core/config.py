@@ -282,10 +282,6 @@ class FailureSpec:
     #: every execution and staging operation placed on that node runs
     #: ``factor`` times longer (factor > 1), silently
     slow_nodes: List[List[float]] = field(default_factory=list)
-    #: chance each node is independently drawn slow at pilot activation
-    slow_node_probability: float = 0.0
-    #: dilation factor applied to randomly drawn slow nodes
-    slow_factor: float = 1.0
     #: chance each MD execution hangs forever (never completes on its
     #: own); detection/recovery requires the watchdog
     hang_probability: float = 0.0
@@ -363,20 +359,6 @@ class FailureSpec:
                     "slow_nodes entries must be [node >= 0, factor > 1], "
                     f"got {entry!r}"
                 )
-        if not (0.0 <= self.slow_node_probability <= 1.0):
-            raise ConfigError(
-                "slow_node_probability must be in [0,1], got "
-                f"{self.slow_node_probability}"
-            )
-        if self.slow_factor < 1:
-            raise ConfigError(
-                f"slow_factor must be >= 1, got {self.slow_factor}"
-            )
-        if self.slow_node_probability > 0 and self.slow_factor == 1:
-            raise ConfigError(
-                "slow_node_probability > 0 needs slow_factor > 1 "
-                "(a factor of 1 is not a slowdown)"
-            )
         if not (0.0 <= self.hang_probability <= 1.0):
             raise ConfigError(
                 f"hang_probability must be in [0,1], got "
@@ -386,11 +368,7 @@ class FailureSpec:
     @property
     def wants_gray_faults(self) -> bool:
         """True when any slowdown or hang injection is enabled."""
-        return (
-            bool(self.slow_nodes)
-            or self.slow_node_probability > 0
-            or self.hang_probability > 0
-        )
+        return bool(self.slow_nodes) or self.hang_probability > 0
 
     @property
     def wants_fault_domain(self) -> bool:
@@ -423,8 +401,6 @@ class WatchdogSpec:
     enabled: bool = False
     #: deadline = deadline_factor x expected runtime (perf model)
     deadline_factor: float = 3.0
-    #: floor on the per-unit deadline (seconds)
-    min_deadline_s: float = 1.0
     #: heartbeat cadence of the straggler scan (virtual seconds)
     check_interval_s: float = 30.0
     #: a running unit is a straggler when its elapsed execution time
@@ -447,10 +423,6 @@ class WatchdogSpec:
         if self.deadline_factor <= 1:
             raise ConfigError(
                 f"deadline_factor must be > 1, got {self.deadline_factor}"
-            )
-        if self.min_deadline_s < 0:
-            raise ConfigError(
-                f"min_deadline_s must be >= 0, got {self.min_deadline_s}"
             )
         if self.check_interval_s <= 0:
             raise ConfigError(

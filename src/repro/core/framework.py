@@ -33,7 +33,6 @@ from repro.md.perfmodel import PerformanceModel
 from repro.md.sandbox import Sandbox
 from repro.obs.alerts import AlertManager, AlertRule
 from repro.obs.manifest import ManifestStream, RunManifest
-from repro.obs.stream import EventBus
 from repro.obs.metrics import get_registry, using_registry
 from repro.pilot.cluster import get_cluster
 from repro.pilot.failures import FailureModel
@@ -96,20 +95,19 @@ class RepEx:
     alert_rules:
         A list of :class:`~repro.obs.alerts.AlertRule` to evaluate at
         cycle/sweep boundaries on the virtual clock; firing/resolved
-        transitions land in the manifest (and on the event bus).  None
-        (the default) skips alert evaluation entirely.
-    event_bus:
-        A live :class:`~repro.obs.stream.EventBus` receiving every unit
-        transition, fault event and alert transition as it happens —
-        the feed behind ``--serve-metrics`` and ``repro obs tail``.
-        None (the default) publishes nothing.
+        transitions land in the manifest.  None (the default) skips
+        alert evaluation entirely.
     registry:
         A private :class:`~repro.obs.metrics.MetricsRegistry` for this
         run.  The whole stack is constructed — and :meth:`run` executes —
         with it installed as the process default, so every instrument,
         span and manifest of this run lands there and nowhere else.
         Omitted, the process-local registry is used (the historical
-        single-run behaviour).  This is what makes a ``RepEx`` a value
+        single-run behaviour).  Unless a ``session`` was injected, the
+        registry is emptied before the stack is built, so a run's
+        manifest never lists instruments an earlier run created in it;
+        two ``RepEx`` sharing a registry must therefore be built and run
+        one after the other.  This is what makes a ``RepEx`` a value
         several of which can coexist in one process: the campaign
         arbiter gives every tenant session its own registry and the
         sessions cannot clobber each other's metrics (``run()`` resets
@@ -136,7 +134,6 @@ class RepEx:
         manifest_path: Optional[Union[str, Path]] = None,
         registry=None,
         alert_rules: Optional[List[AlertRule]] = None,
-        event_bus: Optional[EventBus] = None,
     ):
         self.config = config
         self.cluster = get_cluster(config.resource.name)
@@ -153,6 +150,10 @@ class RepEx:
                 else get_registry()
             )
         self.registry = registry
+        if session is None:
+            # reset() only zeroes: without this, instruments an earlier
+            # run created here would reach this run's manifest
+            registry.clear()
 
         with using_registry(self.registry):
             self._build(config, adapter, perf, sandbox, session, mode)
@@ -169,7 +170,6 @@ class RepEx:
             crash_at_time,
         )
         self.manifest_path = manifest_path
-        self.event_bus = event_bus
         if alert_rules:
             self.emm.alerts = AlertManager(alert_rules, self.registry)
 
@@ -386,30 +386,6 @@ class RepEx:
         alerts = getattr(self.emm, "alerts", None)
         if alerts is not None and stream is not None:
             alerts.add_sink(stream.on_alert)
-        bus = self.event_bus
-        if bus is not None:
-            if self.tracer is not None:
-                self.tracer.add_sink(
-                    lambda unit, state, t: bus.publish(
-                        {
-                            "kind": "event",
-                            "t": round(t, 6),
-                            "unit": unit,
-                            "state": state,
-                        }
-                    )
-                )
-            if self.fault_domain is not None:
-                self.fault_domain.add_sink(
-                    lambda e: bus.publish({"kind": "fault", **e.to_dict()})
-                )
-            if alerts is not None:
-                alerts.add_sink(
-                    lambda rec: bus.publish({"kind": "alert", **rec})
-                )
-            bus.publish(
-                {"kind": "run", "state": "started", "title": self.config.title}
-            )
         if self.crash_at_time is not None:
             self.session.schedule_crash(self.crash_at_time)
         try:
@@ -441,15 +417,6 @@ class RepEx:
         )
         if stream is not None:
             stream.finalize(result.manifest)
-        if bus is not None:
-            bus.publish(
-                {
-                    "kind": "run",
-                    "state": "finished",
-                    "title": self.config.title,
-                    "t": result.t_end,
-                }
-            )
         return result
 
 

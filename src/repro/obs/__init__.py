@@ -18,11 +18,6 @@ them as first-class data rather than ad-hoc prints:
   phase-decomposition analytics,
 * :mod:`repro.obs.diff` — run-to-run manifest comparison for perf- and
   chaos-regression triage,
-* :mod:`repro.obs.stream` — in-process event bus fanning manifest
-  records out to bounded-queue subscribers (the live telemetry plane),
-* :mod:`repro.obs.server` — background-thread HTTP server exposing
-  ``/metrics``, ``/healthz``, ``/runs`` and ``/events`` while a run or
-  campaign is in flight,
 * :mod:`repro.obs.ladder` — per-replica ladder occupancy and round-trip
   time tracking (exchange dynamics),
 * :mod:`repro.obs.alerts` — declarative threshold alert rules evaluated
@@ -80,7 +75,6 @@ from repro.obs.metrics import (
     using_registry,
 )
 from repro.obs.spans import Span, SpanRecord
-from repro.obs.stream import EventBus, Subscription
 
 __all__ = [
     "AlertError",
@@ -89,7 +83,6 @@ __all__ = [
     "Counter",
     "CyclePath",
     "Delta",
-    "EventBus",
     "Gauge",
     "Histogram",
     "LadderTracker",
@@ -104,7 +97,6 @@ __all__ = [
     "Segment",
     "Span",
     "SpanRecord",
-    "Subscription",
     "chrome_trace",
     "config_hash",
     "critical_paths",

@@ -8,10 +8,10 @@ names in the active registry — and evaluated *deterministically on the
 virtual clock* at cycle/sweep boundaries, so the same seeded run always
 produces the same firing/resolved transitions.
 
-Each transition is recorded as a manifest ``alert`` record (schema v3),
-published on the live event bus when one is wired, and mirrored as a
-labelled gauge ``alerts.firing{rule=...}`` (1 while firing) so the
-``/metrics`` endpoint shows alert state without parsing the manifest.
+Each transition is recorded as a manifest ``alert`` record (schema v3)
+and mirrored as a labelled gauge ``alerts.firing{rule=...}`` (1 while
+firing) so an OpenMetrics export shows alert state without parsing the
+alert records.
 
 Rule semantics (``kind``):
 
@@ -222,7 +222,7 @@ class AlertManager:
         self.transitions: List[Dict] = []
         self._state = {r.name: _RuleState() for r in self.rules}
         self._sinks: List[Callable[[Dict], None]] = []
-        # Pre-create the labelled gauges so /metrics shows 0 (healthy)
+        # Pre-create the labelled gauges so an export shows 0 (healthy)
         # rather than omitting the series until the first firing.
         self._gauges = {
             r.name: registry.gauge(f"alerts.firing{{rule={r.name}}}")

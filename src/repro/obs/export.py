@@ -491,7 +491,7 @@ _VALID_TYPES = frozenset(
 
 
 def validate_openmetrics(text: str) -> int:
-    """Validate an OpenMetrics text exposition (the ``/metrics`` payload).
+    """Validate an OpenMetrics text exposition.
 
     Checks the structural rules consumers depend on: every ``# TYPE``
     line declares a valid name and type, every sample line has a valid

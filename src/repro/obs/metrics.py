@@ -161,7 +161,8 @@ class MetricsRegistry:
     Instruments are created on first use and *zeroed in place* by
     :meth:`reset`, so components may cache instrument references at
     construction (the scheduler does, for its per-event hot path) and
-    keep them across session boundaries.
+    keep them across session boundaries.  :meth:`clear` drops them, for
+    use before such components are built.
     """
 
     enabled: bool = True
@@ -281,6 +282,17 @@ class MetricsRegistry:
         for store in (self._counters, self._gauges, self._histograms):
             for inst in store.values():
                 inst.reset()
+        self.spans.clear()
+        self._span_seq = 0
+
+    def clear(self) -> None:
+        """Drop every instrument and recorded span and rewind span ids.
+
+        Unlike :meth:`reset` this orphans cached instrument references,
+        so call it only before building the components that cache them.
+        """
+        for store in (self._counters, self._gauges, self._histograms):
+            store.clear()
         self.spans.clear()
         self._span_seq = 0
 

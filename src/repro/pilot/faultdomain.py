@@ -18,10 +18,10 @@ level and injects them on the discrete-event clock:
   either re-enters the batch queue (requeue) or fails outright.
 * **staging** — a :class:`TransientFaultModel` consulted per staging
   operation; the scheduler retries with exponential backoff + jitter.
-* **slowdown** (gray) — nodes marked slow, explicitly or by a seeded
-  per-node draw at first activation, silently dilate every execution and
-  staging operation placed on them by a multiplicative factor.  Nothing
-  errors; only the watchdog's deadlines and straggler scoring notice.
+* **slowdown** (gray) — nodes the configuration names slow silently
+  dilate every execution and staging operation placed on them by their
+  multiplicative factor.  Nothing errors; only the watchdog's deadlines
+  and straggler scoring notice.
 * **hang** (gray) — a seeded per-execution draw that makes a unit never
   complete on its own; the watchdog's deadline kill-and-relaunch is the
   only way out, which is why configuration validation refuses hangs
@@ -177,10 +177,7 @@ class FaultDomainModel:
         staging: Optional[TransientFaultModel] = None,
         schedule_rng: Optional[np.random.Generator] = None,
         slow_nodes: Optional[List[Tuple[int, float]]] = None,
-        slow_node_probability: float = 0.0,
-        slow_factor: float = 1.0,
         hang_probability: float = 0.0,
-        slowdown_rng: Optional[np.random.Generator] = None,
         hang_rng: Optional[np.random.Generator] = None,
     ):
         if node_crash_rate < 0:
@@ -216,19 +213,11 @@ class FaultDomainModel:
                     f"slow_nodes entries must be (node >= 0, factor > 1), "
                     f"got ({node}, {factor})"
                 )
-        if not (0.0 <= slow_node_probability <= 1.0):
-            raise ValueError(
-                f"slow_node_probability must be in [0, 1], "
-                f"got {slow_node_probability}"
-            )
         if not (0.0 <= hang_probability <= 1.0):
             raise ValueError(
                 f"hang_probability must be in [0, 1], got {hang_probability}"
             )
-        self.slow_node_probability = float(slow_node_probability)
-        self.slow_factor = float(slow_factor)
         self.hang_probability = float(hang_probability)
-        self._slowdown_rng = slowdown_rng
         self._hang_rng = hang_rng
         #: node index -> dilation factor, resolved at first activation
         self.node_dilation: Dict[int, float] = {}
@@ -251,11 +240,7 @@ class FaultDomainModel:
     @property
     def wants_gray(self) -> bool:
         """True when any slowdown or hang injection is configured."""
-        return (
-            bool(self.slow_nodes)
-            or self.slow_node_probability > 0
-            or self.hang_probability > 0
-        )
+        return bool(self.slow_nodes) or self.hang_probability > 0
 
     @classmethod
     def from_spec(cls, spec, rng_registry) -> Optional["FaultDomainModel"]:
@@ -278,9 +263,6 @@ class FaultDomainModel:
                 max_retries=spec.staging_max_retries,
                 backoff_base_s=spec.staging_backoff_s,
             )
-        slowdown_rng = None
-        if spec.slow_node_probability > 0:
-            slowdown_rng = rng_registry.stream("slowdown-nodes")
         hang_rng = None
         if spec.hang_probability > 0:
             hang_rng = rng_registry.stream("hang-faults")
@@ -292,10 +274,7 @@ class FaultDomainModel:
             staging=staging,
             schedule_rng=rng_registry.stream("fault-schedule"),
             slow_nodes=[tuple(e) for e in spec.slow_nodes],
-            slow_node_probability=spec.slow_node_probability,
-            slow_factor=spec.slow_factor,
             hang_probability=spec.hang_probability,
-            slowdown_rng=slowdown_rng,
             hang_rng=hang_rng,
         )
 
@@ -380,12 +359,10 @@ class FaultDomainModel:
     def _resolve_slow_nodes(self, n_nodes: int, clock) -> None:
         """Fix each node's dilation factor at first activation.
 
-        Explicit ``slow_nodes`` entries win; the remaining nodes each get
-        one Bernoulli draw at ``slow_node_probability`` (from the
-        dedicated ``slowdown-nodes`` stream, so enabling slowdowns never
-        perturbs the crash schedule).  Re-running this after a checkpoint
-        restore reproduces the same dilation map — the draws are a pure
-        function of the seed.
+        A node listed more than once in ``slow_nodes`` takes its largest
+        factor; entries past the pilot's node count are ignored.
+        Re-running this after a checkpoint restore reproduces the same
+        dilation map.
         """
         self.node_dilation = {}
         for node, factor in self.slow_nodes:
@@ -393,13 +370,6 @@ class FaultDomainModel:
                 self.node_dilation[node] = max(
                     factor, self.node_dilation.get(node, 1.0)
                 )
-        if self.slow_node_probability > 0 and self._slowdown_rng is not None:
-            draws = self._slowdown_rng.random(n_nodes)
-            for node in range(n_nodes):
-                if node in self.node_dilation:
-                    continue
-                if draws[node] < self.slow_node_probability:
-                    self.node_dilation[node] = self.slow_factor
         for node in sorted(self.node_dilation):
             self._c_slow.inc()
             self.record(

@@ -8,7 +8,7 @@ forever on them.  The :class:`Watchdog` is that supervision, running
 entirely on the discrete-event clock:
 
 * **Deadlines** — every execution attempt gets a completion deadline of
-  ``max(min_deadline_s, deadline_factor * expected_runtime)``, where the
+  ``max(1 s, deadline_factor * expected_runtime)``, where the
   expected runtime comes from the performance model (the unit's nominal
   duration).  A missed deadline is a *verdict*: the attempt is declared
   dead (hung or hopelessly slow) and fed to the
@@ -49,6 +49,9 @@ from repro.obs.metrics import get_registry
 
 #: Completed-duration samples kept for the straggler cohort median.
 _HISTORY_CAP = 256
+
+#: Floor on every per-attempt deadline (virtual seconds).
+_MIN_DEADLINE_S = 1.0
 
 
 class Watchdog:
@@ -122,9 +125,7 @@ class Watchdog:
             self.fault_domain.record(self._clock.now, kind, **detail)
 
     def _deadline_for(self, expected: float) -> float:
-        return max(
-            self.spec.min_deadline_s, self.spec.deadline_factor * expected
-        )
+        return max(_MIN_DEADLINE_S, self.spec.deadline_factor * expected)
 
     # -- scheduler callbacks -------------------------------------------------
 

@@ -140,6 +140,11 @@ class TestRun:
         rc = main(["run", str(bad)])
         assert rc == 2
 
+    def test_stream_without_manifest_exits_2(self, config_file, capsys):
+        rc = main(["run", str(config_file), "--stream"])
+        assert rc == 2
+        assert "--stream requires --manifest" in capsys.readouterr().err
+
 
 @pytest.fixture
 def async_config_file(tmp_path):

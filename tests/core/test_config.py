@@ -105,10 +105,16 @@ class TestGraySpecs:
                 FailureSpec(slow_nodes=bad)
         FailureSpec(slow_nodes=[[0, 2.0], [3, 1.5]])  # valid
 
-    def test_random_slowdowns_need_a_real_factor(self):
-        with pytest.raises(ConfigError, match="slow_factor"):
-            FailureSpec(slow_node_probability=0.2, slow_factor=1.0)
-        FailureSpec(slow_node_probability=0.2, slow_factor=3.0)
+    def test_removed_gray_knobs_are_unknown_keys(self):
+        for section, key in (
+            ("failure", "slow_node_probability"),
+            ("failure", "slow_factor"),
+            ("watchdog", "min_deadline_s"),
+        ):
+            data = minimal().to_dict()
+            data[section] = {key: 2.0}
+            with pytest.raises(ConfigError, match=f"bad '{section}' section"):
+                SimulationConfig.from_dict(data)
 
     def test_hang_probability_bounds(self):
         with pytest.raises(ConfigError, match="hang_probability"):

@@ -9,6 +9,7 @@ import pytest
 from repro.core import RepEx
 from repro.core.config import PatternSpec
 from repro.obs.metrics import MetricsRegistry, using_registry
+from repro.pilot.session import Session
 from tests.conftest import small_tremd_config
 
 
@@ -95,3 +96,25 @@ class TestStagingInstrumentation:
         counters = registry.snapshot()["counters"]
         assert counters["staging.transfers"] > 0
         assert counters["staging.bytes_mb"] > 0.0
+
+
+class TestRegistryIsolation:
+    def test_earlier_run_leaves_no_instruments_behind(self):
+        deadline = small_tremd_config(
+            pattern=PatternSpec(kind="synchronous", barrier_deadline_s=50.0)
+        )
+        with using_registry(MetricsRegistry()):
+            first = RepEx(small_tremd_config()).run().manifest
+        with using_registry(MetricsRegistry()) as registry:
+            RepEx(deadline).run()
+            assert "emm.barrier_deadline_fires" in registry.snapshot()["counters"]
+            after = RepEx(small_tremd_config()).run().manifest
+        assert "emm.barrier_deadline_fires" not in after.metrics["counters"]
+        assert after.to_jsonl() == first.to_jsonl()
+
+    def test_injected_session_keeps_its_registry(self):
+        registry = MetricsRegistry()
+        registry.counter("caller.owned").inc()
+        session = Session(registry=registry)
+        RepEx(small_tremd_config(), session=session)
+        assert registry.snapshot()["counters"]["caller.owned"] == 1.0
