@@ -83,19 +83,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         repex_kwargs["crash_at_time"] = args.crash_at_time
     if args.stream:
         repex_kwargs["manifest_path"] = args.manifest
-    if args.alerts:
-        from repro.obs.alerts import AlertError, default_rules, load_rules
-
-        try:
-            rules = (
-                default_rules()
-                if args.alerts == "default"
-                else load_rules(Path(args.alerts).read_text())
-            )
-        except (OSError, AlertError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        repex_kwargs["alert_rules"] = rules
     try:
         repex = RepEx(config, **repex_kwargs)
     except CheckpointError as exc:
@@ -153,10 +140,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"failures           : {result.n_failures} "
             f"({result.n_relaunches} relaunched)"
         )
-    alerts_mgr = getattr(repex.emm, "alerts", None)
-    if alerts_mgr is not None:
-        for name in alerts_mgr.firing():
-            print(f"alert firing at end of run: {name}", file=sys.stderr)
 
     if args.output:
         summary = {
@@ -645,12 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="inject a hard kill at this virtual time (crash/resume "
              "testing; exits 3, leaving on-disk checkpoints as the "
              "recovery points)",
-    )
-    p_run.add_argument(
-        "--alerts", metavar="FILE",
-        help="evaluate alert rules on the virtual clock during the run: "
-             "a JSON rule file, or 'default' for the stock "
-             "service-health rules (transitions land in the manifest)",
     )
     p_run.set_defaults(func=cmd_run)
 

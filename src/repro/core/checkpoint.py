@@ -21,9 +21,9 @@ that only grows.  The snapshot holds, inline:
 
 Each capture appends one journal line with what grew since the capture
 before it, so every item is written once: the other history records
-(sampled trajectories included), cycle timings, swap proposals, changes
-to the staging area's file ledger, and the observability records (unit
-trace rows, raw histogram samples, finished spans, fault events).
+(sampled trajectories included), cycle timings, swap proposals, and the
+observability records (unit trace rows, raw histogram samples, finished
+spans, fault events).
 Together they let a resumed run's manifest diff all-zero against the
 uninterrupted run's.
 
@@ -68,7 +68,7 @@ from repro.core.exchange.base import SwapProposal
 from repro.obs.manifest import config_hash
 
 #: Bump on any incompatible change to the checkpoint layout.
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 #: Versions :func:`Checkpoint.from_json` can read.
 SUPPORTED_VERSIONS = (SCHEMA_VERSION,)
@@ -186,8 +186,8 @@ class Journal:
     capture before it.  Lines stay encoded, so the journal costs its byte
     size in memory, and the sha256 of their concatenation is kept
     running, so stamping a snapshot's prefix digest never re-reads
-    anything.  ``marks`` and ``staged`` record how far the lines reach
-    into each growing item.
+    anything.  ``marks`` records how far the lines reach into each
+    growing item.
     """
 
     def __init__(self, lines: Sequence[bytes] = ()):
@@ -196,8 +196,6 @@ class Journal:
         self._sha = hashlib.sha256(b"".join(self.lines))
         #: :func:`_marks` of the run at the last line
         self.marks: Dict[str, object] = _NO_MARKS
-        #: the staging ledger as journaled
-        self.staged: Dict[str, float] = {}
         #: resolved journal file -> lines of this journal it holds
         self._files: Dict[str, int] = {}
         #: (resolved file, lines) the journal was read from: that file
@@ -355,20 +353,18 @@ def _journal_entry(emm, journal: Journal) -> Dict[str, object]:
         "samples": samples,
         "spans": spans,
         "faults": [e.to_dict() for e in _fault_events(emm)[old["faults"] :]],
-        "staging": emm.session.staging_area.changes_since(journal.staged),
     }
 
 
 def _read_entries(lines: Sequence[bytes]) -> Dict[str, object]:
     """Concatenate journal lines back into the grown state they hold:
-    ``history`` (rid -> records), staging ``files``, ``samples`` (name
-    -> values) and the lists ``timings``, ``proposals``, ``rows``,
-    ``spans`` and ``faults``."""
+    ``history`` (rid -> records), ``samples`` (name -> values) and the
+    lists ``timings``, ``proposals``, ``rows``, ``spans`` and
+    ``faults``."""
     lists = ("timings", "proposals", "rows", "spans", "faults")
     grown: Dict[str, object] = {key: [] for key in lists}
     history = grown["history"] = {}
     samples = grown["samples"] = {}
-    files = grown["files"] = {}
     try:
         for line in lines:
             entry = json.loads(line)
@@ -378,9 +374,6 @@ def _read_entries(lines: Sequence[bytes]) -> Dict[str, object]:
                 history.setdefault(int(rid), []).extend(records)
             for name, values in entry["samples"].items():
                 samples.setdefault(name, []).extend(values)
-            files.update(entry["staging"]["put"])
-            for path in entry["staging"]["removed"]:
-                del files[path]
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise CheckpointError(
             f"corrupted journal: {type(exc).__name__}: {exc}"
@@ -458,8 +451,6 @@ class Checkpoint:
     exchange_stats: Dict[str, Dict] = field(default_factory=dict)
     accounting: Dict[str, float] = field(default_factory=dict)
     rng: Dict[str, object] = field(default_factory=dict)
-    #: staging transfer totals (the file ledger is journaled)
-    staging: Dict[str, object] = field(default_factory=dict)
     #: which EMM took the snapshot: "synchronous" | "asynchronous"
     pattern: str = "synchronous"
     #: async event-loop state (quiesce snapshots only), as
@@ -519,7 +510,6 @@ class Checkpoint:
             },
             accounting=_capture_accounting(emm),
             rng=_capture_rng(emm),
-            staging=emm.session.staging_area.snapshot(),
             pattern=pattern,
             async_state=state.to_dict() if state is not None else None,
             obs=_capture_obs(emm),
@@ -616,8 +606,6 @@ class Checkpoint:
                 float(self.accounting[key])
             if not isinstance(self.rng, dict) or "amm" not in self.rng:
                 raise KeyError("rng['amm']")
-            for key in ("bytes_in_mb", "bytes_out_mb", "n_transfers"):
-                float(self.staging[key])
             float(self.t_start)
             float(self.t_now)
             int(self.faults_fired)
@@ -660,8 +648,8 @@ class Checkpoint:
     def journaled(self) -> Dict[str, object]:
         """The journaled part of the run at this snapshot, read back from
         its journal prefix: ``history`` (rid -> records before the last),
-        ``timings``, ``proposals``, staging ``files``, and the obs
-        ``rows``, ``samples``, ``spans`` and ``faults``."""
+        ``timings``, ``proposals``, and the obs ``rows``, ``samples``,
+        ``spans`` and ``faults``."""
         if self._journal is None:
             raise CheckpointError(
                 "checkpoint has no journal: load it with Checkpoint.load "
@@ -723,8 +711,8 @@ def restore(emm, ckpt: Checkpoint) -> None:
 
     Must be called after the pilot is ACTIVE and before the run loop
     starts, with a snapshot :meth:`Checkpoint.check_resumes` accepted for
-    this run.  Sets the replicas, stats, accounting, RNG, staging and obs
-    state, plus the EMM's ``t_start``, ``timings``, ``proposals``, its
+    this run.  Sets the replicas, stats, accounting, RNG and obs state,
+    plus the EMM's ``t_start``, ``timings``, ``proposals``, its
     ``journal`` (a copy of the snapshot's prefix) and its position:
     ``next_cycle`` (synchronous) or ``state``, an
     :class:`~repro.core.emm.AsyncState` (asynchronous).  The virtual
@@ -783,8 +771,6 @@ def restore(emm, ckpt: Checkpoint) -> None:
     ):
         watchdog.retry.rng.bit_generator.state = ckpt.rng["watchdog_backoff"]
 
-    emm.session.staging_area.restore(ckpt.staging, grown["files"])
-
     _replay_clock(emm.session, ckpt.t_now, ckpt.faults_fired)
     # after the replay: it re-arms the heartbeat at its captured time
     if watchdog is not None and ckpt.watchdog_state is not None:
@@ -801,7 +787,6 @@ def restore(emm, ckpt: Checkpoint) -> None:
 
     journal = emm.journal = ckpt._journal.fork(ckpt)
     journal.marks = _marks(emm)
-    journal.staged = dict(grown["files"])
 
 
 def _replay_clock(session, t_now: float, faults_fired: int) -> None:

@@ -191,7 +191,6 @@ class ResourceSpec:
 
     name: str = "supermic"
     cores: int = 64
-    walltime_minutes: float = 24 * 60.0
     #: GPUs requested with the pilot (for pmemd.cuda replicas)
     gpus: int = 0
 
@@ -403,11 +402,6 @@ class WatchdogSpec:
     deadline_factor: float = 3.0
     #: heartbeat cadence of the straggler scan (virtual seconds)
     check_interval_s: float = 30.0
-    #: a running unit is a straggler when its elapsed execution time
-    #: exceeds this multiple of the cohort's running median
-    straggler_factor: float = 2.0
-    #: completed executions required before straggler scoring starts
-    min_cohort: int = 3
     #: deadline-triggered kill-and-relaunch attempts per unit before the
     #: unit fails for good (and the EMM failure policy takes over)
     max_retries: int = 2
@@ -427,14 +421,6 @@ class WatchdogSpec:
         if self.check_interval_s <= 0:
             raise ConfigError(
                 f"check_interval_s must be > 0, got {self.check_interval_s}"
-            )
-        if self.straggler_factor <= 1:
-            raise ConfigError(
-                f"straggler_factor must be > 1, got {self.straggler_factor}"
-            )
-        if self.min_cohort < 1:
-            raise ConfigError(
-                f"min_cohort must be >= 1, got {self.min_cohort}"
             )
         if self.max_retries < 0:
             raise ConfigError(

@@ -219,10 +219,6 @@ class ExecutionManagerBase:
                 {d.name: d.n_windows for d in amm.dimensions},
                 registry=self.metrics,
             )
-        #: optional :class:`~repro.obs.alerts.AlertManager`, evaluated at
-        #: cycle ends (sync) and sweep completions (async); installed by
-        #: the framework facade when alert rules are configured
-        self.alerts = None
 
     # -- helpers ---------------------------------------------------------------
 
@@ -633,8 +629,6 @@ class SynchronousEMM(ExecutionManagerBase):
             cycle_span.end()
             self._c_cycles.inc()
             self._h_cycle_span.observe(self.session.now - cycle_start)
-            if self.alerts is not None:
-                self.alerts.evaluate(self.session.now)
 
             self.next_cycle = completed = cycle + 1
             if (
@@ -930,8 +924,6 @@ class AsynchronousEMM(ExecutionManagerBase):
         now = self.session.now
         if self.ladder is not None:
             self.ladder.observe_all(now, ready)
-        if self.alerts is not None:
-            self.alerts.evaluate(now)
         # RepEx task preparation for the resubmitted MD phases is charged
         # here, exactly as the sync pattern charges it per cycle; replicas
         # idle during preparation.

@@ -31,7 +31,6 @@ from repro.core.results import SimulationResult
 from repro.md.engine import EngineAdapter
 from repro.md.perfmodel import PerformanceModel
 from repro.md.sandbox import Sandbox
-from repro.obs.alerts import AlertManager, AlertRule
 from repro.obs.manifest import ManifestStream, RunManifest
 from repro.obs.metrics import get_registry, using_registry
 from repro.pilot.cluster import get_cluster
@@ -92,11 +91,6 @@ class RepEx:
         Stream an incrementally flushed JSONL manifest to this path
         while the run is in flight (see
         :class:`~repro.obs.manifest.ManifestStream`).
-    alert_rules:
-        A list of :class:`~repro.obs.alerts.AlertRule` to evaluate at
-        cycle/sweep boundaries on the virtual clock; firing/resolved
-        transitions land in the manifest.  None (the default) skips
-        alert evaluation entirely.
     registry:
         A private :class:`~repro.obs.metrics.MetricsRegistry` for this
         run.  The whole stack is constructed — and :meth:`run` executes —
@@ -107,11 +101,12 @@ class RepEx:
         registry is emptied before the stack is built, so a run's
         manifest never lists instruments an earlier run created in it;
         two ``RepEx`` sharing a registry must therefore be built and run
-        one after the other.  This is what makes a ``RepEx`` a value
-        several of which can coexist in one process: the campaign
-        arbiter gives every tenant session its own registry and the
-        sessions cannot clobber each other's metrics (``run()`` resets
-        only its own registry).
+        one after the other: :meth:`run` raises :class:`RuntimeError`
+        when the registry was emptied again since this ``RepEx`` was
+        built.  This is what makes a ``RepEx`` a value several of which
+        can coexist in one process: the campaign arbiter gives every
+        tenant session its own registry and the sessions cannot clobber
+        each other's metrics (``run()`` resets only its own registry).
     """
 
     def __init__(
@@ -133,7 +128,6 @@ class RepEx:
         crash_at_time: Optional[float] = None,
         manifest_path: Optional[Union[str, Path]] = None,
         registry=None,
-        alert_rules: Optional[List[AlertRule]] = None,
     ):
         self.config = config
         self.cluster = get_cluster(config.resource.name)
@@ -154,6 +148,7 @@ class RepEx:
             # reset() only zeroes: without this, instruments an earlier
             # run created here would reach this run's manifest
             registry.clear()
+        self._generation = registry.generation
 
         with using_registry(self.registry):
             self._build(config, adapter, perf, sandbox, session, mode)
@@ -170,8 +165,6 @@ class RepEx:
             crash_at_time,
         )
         self.manifest_path = manifest_path
-        if alert_rules:
-            self.emm.alerts = AlertManager(alert_rules, self.registry)
 
     def _build(
         self,
@@ -238,7 +231,6 @@ class RepEx:
                 resource=self.cluster,
                 cores=config.resource.cores,
                 gpus=config.resource.gpus,
-                walltime_minutes=config.resource.walltime_minutes,
             )
         )
         self._is_sync = config.pattern.kind == "synchronous"
@@ -368,8 +360,14 @@ class RepEx:
         manifest attached to the result reflects this run alone, and is
         installed as the process default for the duration of the run so
         call-site instrumentation (e.g. the Metropolis counters) lands in
-        it.
+        it.  Raises :class:`RuntimeError` if another ``RepEx`` emptied
+        the registry after this one was built.
         """
+        if self.registry.generation != self._generation:
+            raise RuntimeError(
+                "this RepEx's registry was emptied by a later RepEx built "
+                "on it; build and run each RepEx before building the next"
+            )
         with using_registry(self.registry):
             return self._run()
 
@@ -383,9 +381,6 @@ class RepEx:
                 self.tracer.add_sink(stream.on_transition)
             if self.fault_domain is not None:
                 self.fault_domain.add_sink(stream.on_fault)
-        alerts = getattr(self.emm, "alerts", None)
-        if alerts is not None and stream is not None:
-            alerts.add_sink(stream.on_alert)
         if self.crash_at_time is not None:
             self.session.schedule_crash(self.crash_at_time)
         try:
@@ -413,7 +408,6 @@ class RepEx:
                 else None
             ),
             ladder=ladder.records() if ladder is not None else None,
-            alerts=list(alerts.transitions) if alerts is not None else None,
         )
         if stream is not None:
             stream.finalize(result.manifest)

@@ -19,9 +19,7 @@ them as first-class data rather than ad-hoc prints:
 * :mod:`repro.obs.diff` — run-to-run manifest comparison for perf- and
   chaos-regression triage,
 * :mod:`repro.obs.ladder` — per-replica ladder occupancy and round-trip
-  time tracking (exchange dynamics),
-* :mod:`repro.obs.alerts` — declarative threshold alert rules evaluated
-  on the virtual clock.
+  time tracking (exchange dynamics).
 
 Host (wall-clock) time is measured from outside the program:
 ``benchmarks/e2e/run.py --trace 1`` splits it per layer, and
@@ -36,13 +34,6 @@ from repro.obs.critical_path import (
     critical_paths,
     decomposition,
     render_report,
-)
-from repro.obs.alerts import (
-    AlertError,
-    AlertManager,
-    AlertRule,
-    default_rules,
-    load_rules,
 )
 from repro.obs.diff import Delta, ManifestDiff, diff_manifests, render_diff
 from repro.obs.export import (
@@ -77,9 +68,6 @@ from repro.obs.metrics import (
 from repro.obs.spans import Span, SpanRecord
 
 __all__ = [
-    "AlertError",
-    "AlertManager",
-    "AlertRule",
     "Counter",
     "CyclePath",
     "Delta",
@@ -101,12 +89,10 @@ __all__ = [
     "config_hash",
     "critical_paths",
     "decomposition",
-    "default_rules",
     "diff_manifests",
     "escape_label_value",
     "format_label",
     "get_registry",
-    "load_rules",
     "null_registry",
     "openmetrics",
     "phase_totals",

@@ -35,8 +35,9 @@ from repro.pilot.unit import FINAL_STATES, UnitState
 #:     ``span_id``/``parent_id``/``unit`` fields on span records; v1
 #:     manifests still load (the additions are strictly optional).
 #: v3: adds per-dimension ``ladder`` records (occupancy, up/down
-#:     walkers, round-trip times) and ``alert`` transition records;
-#:     both are strictly optional, so v2/v1 manifests still load.
+#:     walkers, round-trip times); strictly optional, so v2/v1
+#:     manifests still load.  v3 ``alert`` records are no longer read:
+#:     a file holding one loads only with recovery.
 #: v4: a ``unit`` record carries its transitions as ``t``, the entry
 #:     time of every state of :data:`STATE_ORDER` (null where not
 #:     entered), and a dump holds no ``event`` records.  A streamed file
@@ -73,7 +74,6 @@ _REQUIRED = {
     "fault": {},
     "unit": {"name": str},
     "ladder": {},
-    "alert": {},
 }
 
 #: ``json.dumps(record, sort_keys=True)`` without building an encoder
@@ -245,9 +245,6 @@ class RunManifest:
     #: :meth:`LadderTracker.records() <repro.obs.ladder.LadderTracker.records>`;
     #: empty in pre-v3 manifests and under a null registry
     ladder: List[Dict] = field(default_factory=list)
-    #: alert firing/resolved transition records from
-    #: :class:`~repro.obs.alerts.AlertManager`; empty when no rules ran
-    alerts: List[Dict] = field(default_factory=list)
     #: True when this manifest was loaded from an unfinalised stream
     #: (the run died before :meth:`ManifestStream.finalize`)
     partial: bool = False
@@ -270,7 +267,6 @@ class RunManifest:
         registry: MetricsRegistry,
         fault_events: Optional[List[Dict]] = None,
         ladder: Optional[List[Dict]] = None,
-        alerts: Optional[List[Dict]] = None,
     ) -> "RunManifest":
         """Assemble the manifest for a finished run.
 
@@ -278,9 +274,8 @@ class RunManifest:
         SimulationResult) so this module stays import-light; ``tracer``
         may be None under a null registry, which yields an identity-only
         manifest.  ``fault_events`` is the fault domain's event list in
-        dict form, when fault injection was active; ``ladder`` and
-        ``alerts`` are the v3 exchange-dynamics and alert-transition
-        record lists, when those subsystems ran.
+        dict form, when fault injection was active; ``ladder`` is the v3
+        exchange-dynamics record list, when the ladder tracker ran.
         """
         manifest = cls(
             title=result.title,
@@ -303,8 +298,6 @@ class RunManifest:
             manifest.fault_events = list(fault_events)
         if ladder:
             manifest.ladder = list(ladder)
-        if alerts:
-            manifest.alerts = list(alerts)
         return manifest
 
     # -- derived -------------------------------------------------------------
@@ -380,8 +373,6 @@ class RunManifest:
             yield _encode({"kind": "fault", **event}) + "\n"
         for entry in self.ladder:
             yield _encode({"kind": "ladder", **entry}) + "\n"
-        for entry in self.alerts:
-            yield _encode({"kind": "alert", **entry}) + "\n"
         # transitions only a loaded streamed or pre-v4 file carries
         for t, unit, state in self.events:
             yield _encode(
@@ -414,7 +405,6 @@ class RunManifest:
         fault_events: List[Dict] = []
         units: List[Dict] = []
         ladder: List[Dict] = []
-        alerts: List[Dict] = []
         warnings: List[str] = []
         for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
@@ -453,10 +443,8 @@ class RunManifest:
                 fault_events.append(record)
             elif kind == "unit":
                 units.append(record)
-            elif kind == "ladder":
-                ladder.append(record)
             else:
-                alerts.append(record)
+                ladder.append(record)
         if header is None:
             raise ManifestError("no 'run' header record found")
         return cls(
@@ -478,7 +466,6 @@ class RunManifest:
             fault_events=fault_events,
             units=units,
             ladder=ladder,
-            alerts=alerts,
             partial=header.get("partial", False) or bool(warnings),
             recovered=warnings,
             schema_version=header.get("schema_version", SCHEMA_VERSION),
@@ -530,14 +517,6 @@ class RunManifest:
                     f"up/down walkers {walkers.get('up', 0)}/"
                     f"{walkers.get('down', 0)}"
                 )
-        if self.alerts:
-            n_firing = sum(
-                1 for a in self.alerts if a.get("state") == "firing"
-            ) - sum(1 for a in self.alerts if a.get("state") == "resolved")
-            lines.append(
-                f"alerts: {len(self.alerts)} transitions, "
-                f"{max(0, n_firing)} still firing at end of run"
-            )
         lines.append(
             f"spans: {len(self.spans)}, timeline events: "
             f"{len(self.timeline)}, units: {self.n_units}"
@@ -570,7 +549,6 @@ class RunManifest:
             "phase_totals": dict(self.phase_totals),
             "counters": dict(self.metrics.get("counters", {})),
             "ladder": [dict(rec) for rec in self.ladder],
-            "alerts": [dict(rec) for rec in self.alerts],
             "n_spans": len(self.spans),
             "n_timeline_events": len(self.timeline),
             "n_units": self.n_units,
@@ -600,7 +578,6 @@ class ManifestStream:
         self.path = Path(path)
         self._fh = self.path.open("w")
         self._closed = False
-        self._n_alerts_streamed = 0
         self._write(
             {
                 "kind": "run",
@@ -642,17 +619,6 @@ class ManifestStream:
         record.update(event.to_dict())
         self._write(record)
 
-    def on_alert(self, transition: Dict) -> None:
-        """Alert-manager sink: flush one alert transition line.
-
-        Streamed transitions are counted so :meth:`finalize` appends
-        only the remainder, never duplicates.
-        """
-        record = {"kind": "alert"}
-        record.update(transition)
-        self._write(record)
-        self._n_alerts_streamed += 1
-
     # -- lifecycle -----------------------------------------------------------
 
     def finalize(self, manifest: RunManifest) -> None:
@@ -676,10 +642,6 @@ class ManifestStream:
             self._write(record)
         for entry in manifest.ladder:
             record = {"kind": "ladder"}
-            record.update(entry)
-            self._write(record)
-        for entry in manifest.alerts[self._n_alerts_streamed:]:
-            record = {"kind": "alert"}
             record.update(entry)
             self._write(record)
         self._write(

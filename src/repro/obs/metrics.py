@@ -178,6 +178,9 @@ class MetricsRegistry:
         # counter, so ids are deterministic for a seeded workload and the
         # parent/child links survive the manifest round-trip.
         self._span_seq = 0
+        #: bumped by every :meth:`clear`, so a holder of cached
+        #: instruments can tell they were orphaned
+        self.generation = 0
 
     # -- clock ---------------------------------------------------------------
 
@@ -277,7 +280,7 @@ class MetricsRegistry:
 
         Cached instrument references held by live components remain valid
         — this is what lets ``RepEx.run()`` start each run from a clean
-        slate without re-wiring the scheduler or staging area.
+        slate without re-wiring the scheduler.
         """
         for store in (self._counters, self._gauges, self._histograms):
             for inst in store.values():
@@ -289,12 +292,14 @@ class MetricsRegistry:
         """Drop every instrument and recorded span and rewind span ids.
 
         Unlike :meth:`reset` this orphans cached instrument references,
-        so call it only before building the components that cache them.
+        so call it only before building the components that cache them;
+        :attr:`generation` counts the calls.
         """
         for store in (self._counters, self._gauges, self._histograms):
             store.clear()
         self.spans.clear()
         self._span_seq = 0
+        self.generation += 1
 
     def snapshot(self) -> Dict[str, Dict]:
         """JSON-serializable dump of every instrument's current value."""

@@ -29,7 +29,6 @@ from repro.pilot.session import PilotManager, Session, UnitManager
 from repro.pilot.trace import TraceRecord, Tracer
 from repro.pilot.staging import (
     StagingAction,
-    StagingArea,
     StagingDirective,
     total_staging_size,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "Session",
     "SimulationError",
     "StagingAction",
-    "StagingArea",
     "StagingDirective",
     "TraceRecord",
     "Tracer",

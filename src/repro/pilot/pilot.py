@@ -19,7 +19,6 @@ from repro.pilot.cluster import ClusterSpec, get_cluster
 from repro.pilot.events import EventQueue
 from repro.pilot.failures import FailureModel
 from repro.pilot.scheduler import AgentScheduler, SchedulerError
-from repro.pilot.staging import StagingArea
 from repro.pilot.unit import ComputeUnit, UnitDescription
 
 _pilot_counter = itertools.count()
@@ -83,7 +82,6 @@ class Pilot:
         self,
         description: PilotDescription,
         clock: EventQueue,
-        staging_area: Optional[StagingArea] = None,
         failure_model: Optional[FailureModel] = None,
         fault_domain=None,
         watchdog=None,
@@ -115,7 +113,6 @@ class Pilot:
         self.state = PilotState.NEW
         self.timestamps = {PilotState.NEW: clock.now}
         self.scheduler: Optional[AgentScheduler] = None
-        self._staging_area = staging_area if staging_area is not None else StagingArea()
         self._failure_model = failure_model
         #: correlated-fault injector (node crashes, preemption, staging
         #: transients); None when faults are disabled
@@ -145,7 +142,6 @@ class Pilot:
             clock=self._clock,
             cluster=self.cluster,
             capacity=self.description.cores,
-            staging_area=self._staging_area,
             failure_model=self._failure_model,
             gpu_capacity=self.description.gpus,
             fault_domain=self.fault_domain,
@@ -243,8 +239,3 @@ class Pilot:
             # NEW -> SCHEDULING itself.
             self._pre_active_queue.extend(units)
         return units
-
-    @property
-    def staging_area(self) -> StagingArea:
-        """The shared staging area units of this pilot read/write."""
-        return self._staging_area

@@ -39,7 +39,7 @@ from repro.obs.metrics import get_registry
 from repro.pilot.cluster import ClusterSpec
 from repro.pilot.events import EventQueue
 from repro.pilot.failures import FailureModel, NO_FAILURES, UnitFailure
-from repro.pilot.staging import StagingAction, StagingArea
+from repro.pilot.staging import StagingAction
 from repro.pilot.unit import ComputeUnit, UnitState
 
 
@@ -55,7 +55,6 @@ class AgentScheduler:
         clock: EventQueue,
         cluster: ClusterSpec,
         capacity: int,
-        staging_area: Optional[StagingArea] = None,
         failure_model: Optional[FailureModel] = None,
         gpu_capacity: int = 0,
         fault_domain=None,
@@ -72,7 +71,6 @@ class AgentScheduler:
         self.free_cores = capacity
         self.gpu_capacity = gpu_capacity
         self.free_gpus = gpu_capacity
-        self.staging_area = staging_area if staging_area is not None else StagingArea()
         self.failure_model = failure_model or NO_FAILURES
         #: fault-domain model (node crashes / staging transients); None when
         #: correlated faults are disabled
@@ -145,6 +143,8 @@ class AgentScheduler:
         self._m_failed = registry.counter("scheduler.failed")
         self._m_canceled = registry.counter("scheduler.canceled")
         self._m_retries = registry.counter("staging.retries")
+        self._m_staged_mb = registry.counter("staging.bytes_mb")
+        self._m_transfers = registry.counter("staging.transfers")
         self._m_staging_faults = registry.counter("fault.staging_transients")
         self._g_queue_depth = registry.gauge("scheduler.queue_depth")
         self._g_used_cores = registry.gauge("scheduler.used_cores")
@@ -504,6 +504,13 @@ class AgentScheduler:
             return
         on_done()
 
+    def _count_staged(self, directives) -> None:
+        """Count a settled staging step: each file's size into
+        ``staging.bytes_mb`` and one transfer into ``staging.transfers``."""
+        for d in directives:
+            self._m_staged_mb.inc(d.size_mb)
+            self._m_transfers.inc()
+
     def _run_staging(
         self, unit: ComputeUnit, directives, on_done, attempt: int = 1,
         model=None,
@@ -522,11 +529,7 @@ class AgentScheduler:
         directives = unit.description.input_staging
 
         def _staged():
-            for d in directives:
-                if d.target not in self.staging_area:
-                    self.staging_area.put(d.target, d.size_mb)
-                else:
-                    self.staging_area.get(d.target)
+            self._count_staged(directives)
             self._begin_launch(unit)
 
         pair = self._staging_event(unit, directives, _staged)
@@ -728,8 +731,7 @@ class AgentScheduler:
         directives = unit.description.output_staging
 
         def _staged():
-            for d in directives:
-                self.staging_area.put(d.target, d.size_mb)
+            self._count_staged(directives)
             unit.advance(UnitState.DONE, self._clock.now)
             self._m_completed.inc()
             self._release(unit)

@@ -23,13 +23,12 @@ from repro.obs.metrics import get_registry
 from repro.pilot.events import EventQueue, SimulatedCrash, SimulationError
 from repro.pilot.failures import FailureModel
 from repro.pilot.pilot import Pilot, PilotDescription, PilotState
-from repro.pilot.staging import StagingArea
 from repro.pilot.trace import Tracer
 from repro.pilot.unit import ComputeUnit, UnitDescription
 
 
 class Session:
-    """Owns the virtual clock, the staging area, and all pilots.
+    """Owns the virtual clock and all pilots.
 
     Parameters
     ----------
@@ -57,7 +56,6 @@ class Session:
         #: the registry this session's stack records into; resolved once
         #: at construction so it is stable for the session's lifetime
         self.registry = registry if registry is not None else get_registry()
-        self.staging_area = StagingArea(registry=self.registry)
         self.failure_model = failure_model
         #: correlated-fault injector handed to every pilot (None = off)
         self.fault_domain = fault_domain
@@ -92,7 +90,6 @@ class Session:
         pilot = Pilot(
             description,
             clock=self.clock,
-            staging_area=self.staging_area,
             failure_model=self.failure_model,
             fault_domain=self.fault_domain,
             watchdog=self.watchdog,

@@ -202,11 +202,10 @@ def try_fast_phase(
     if session.tracer is not None:
         session.tracer.watch_all(units)
 
-    area = sched.staging_area
     clock.account_batch(0, t0, peak=peak)
     # Transition-accurate replay: every event fires through
     # ComputeUnit.advance at its exact virtual time, in fired order (the
-    # staging ledger's float accumulation order is part of the contract).
+    # staging counters' float accumulation order is part of the contract).
     i = 0
     n_fired = len(fired)
     while i < n_fired:
@@ -220,11 +219,7 @@ def try_fast_phase(
             u = units[k]
             d = descriptions[k]
             if kind == _STAGED_IN:
-                for dirv in d.input_staging:
-                    if dirv.target not in area:
-                        area.put(dirv.target, dirv.size_mb)
-                    else:
-                        area.get(dirv.target)
+                sched._count_staged(d.input_staging)
                 u.advance(UnitState.AGENT_EXECUTING_PENDING, t)
             elif kind == _LAUNCHED:
                 u.advance(UnitState.EXECUTING, t)
@@ -233,8 +228,7 @@ def try_fast_phase(
             elif kind == _FINISHED:
                 u.advance(UnitState.STAGING_OUTPUT, t)
             else:
-                for dirv in d.output_staging:
-                    area.put(dirv.target, dirv.size_mb)
+                sched._count_staged(d.output_staging)
                 u.advance(UnitState.DONE, t)
                 sched._m_completed.inc()
                 sched._release(u)

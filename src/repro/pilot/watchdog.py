@@ -18,8 +18,9 @@ entirely on the discrete-event clock:
   over).
 * **Straggler scoring** — a periodic heartbeat tick compares each
   running attempt's elapsed time against the cohort: the lower median of
-  recently *completed* execution durations.  An attempt running longer
-  than ``straggler_factor`` times the median is scored a straggler;
+  recently *completed* execution durations, once ``_MIN_COHORT`` have
+  completed.  An attempt running longer than ``_STRAGGLER_FACTOR`` times
+  the median is scored a straggler;
   with ``speculative`` enabled the scheduler places a duplicate copy on
   different cores and the two race — first completion wins, the loser
   is cancelled, and the unit completes exactly once
@@ -53,6 +54,12 @@ _HISTORY_CAP = 256
 #: Floor on every per-attempt deadline (virtual seconds).
 _MIN_DEADLINE_S = 1.0
 
+#: A running attempt is a straggler past this multiple of the cohort median.
+_STRAGGLER_FACTOR = 2.0
+
+#: Completed executions required before straggler scoring starts.
+_MIN_COHORT = 3
+
 
 class Watchdog:
     """Supervises execution attempts against virtual-time deadlines.
@@ -60,8 +67,8 @@ class Watchdog:
     Parameters
     ----------
     spec:
-        A :class:`~repro.core.config.WatchdogSpec` (deadline/straggler/
-        retry knobs).
+        A :class:`~repro.core.config.WatchdogSpec` (deadline, heartbeat,
+        retry and speculation knobs).
     clock:
         The simulation :class:`~repro.pilot.events.EventQueue`.
     rng:
@@ -264,9 +271,9 @@ class Watchdog:
             del self._sorted[bisect.bisect_left(self._sorted, old)]
 
     def _cohort_median(self) -> Optional[float]:
-        """Lower median of completed durations; None below ``min_cohort``."""
+        """Lower median of completed durations; None below ``_MIN_COHORT``."""
         n = len(self._sorted)
-        if n < self.spec.min_cohort:
+        if n < _MIN_COHORT:
             return None
         return self._sorted[(n - 1) // 2]
 
@@ -280,7 +287,7 @@ class Watchdog:
         self._c_checks.inc()
         median = self._cohort_median()
         if median is not None:
-            threshold = self.spec.straggler_factor * median
+            threshold = _STRAGGLER_FACTOR * median
             now = self._clock.now
             for unit, entry in list(self._watched.items()):
                 if now - entry["t_start"] <= threshold:

@@ -100,8 +100,8 @@ class TestValidation:
     def test_rejects_other_schema_version(self, tmp_path):
         repex, _ = checkpointed_run(tmp_path)
         data = json.loads(repex.checkpoints[0].to_json())
-        # schemas 1 and 2 included: neither has an upgrade path
-        for version in (1, 2, SCHEMA_VERSION + 1):
+        # schemas 1 to 3 included: none has an upgrade path
+        for version in (1, 2, 3, SCHEMA_VERSION + 1):
             data["schema_version"] = version
             with pytest.raises(CheckpointError, match="schema version"):
                 Checkpoint.from_json(json.dumps(data))
@@ -243,7 +243,7 @@ class TestContentChecksum:
             Checkpoint.load(path)
 
     def test_checksumless_file_is_rejected(self, tmp_path):
-        # every schema-3 snapshot is written with a checksum; one without
+        # every snapshot is written with a checksum; one without
         # cannot vouch for its content or its journal prefix
         repex, _ = checkpointed_run(tmp_path)
         data = json.loads(repex.checkpoints[0].to_json())
@@ -322,11 +322,11 @@ class TestAsyncCheckpoint:
 
 
 class TestSchemaV1Upgrade:
-    """Only schema 3 loads (see test_rejects_other_schema_version)."""
+    """Only schema 4 loads (see test_rejects_other_schema_version)."""
 
     def test_supported_versions_documented(self):
-        assert SUPPORTED_VERSIONS == (3,)
-        assert SCHEMA_VERSION == 3
+        assert SUPPORTED_VERSIONS == (4,)
+        assert SCHEMA_VERSION == 4
 
 
 class TestAtomicSave:
@@ -397,6 +397,24 @@ class TestJournal:
         bare = Checkpoint.from_json(repex.checkpoints[0].to_json())
         with pytest.raises(CheckpointError, match="no journal"):
             RepEx(small_tremd_config(n_cycles=4), resume_from=bare).run()
+
+    def test_staging_leaves_nothing_in_snapshot_or_journal(self, tmp_path):
+        # staged files cost transfer time and bump two counters; no
+        # ledger of them is kept, so none is checkpointed
+        RepEx(
+            small_tremd_config(n_cycles=4),
+            checkpoint_every=1,
+            checkpoint_dir=tmp_path,
+        ).run()
+        for path in sorted(tmp_path.glob("cycle_*.json")):
+            assert "staging" not in json.loads(path.read_text())
+        lines = (tmp_path / JOURNAL_NAME).read_text().splitlines()
+        assert len(lines) == 3
+        for line in lines:
+            assert set(json.loads(line)) == {
+                "faults", "history", "proposals", "rows", "samples",
+                "spans", "timings",
+            }
 
     def test_snapshots_stay_flat_while_the_journal_grows(self, tmp_path):
         repex = RepEx(

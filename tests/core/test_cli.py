@@ -75,6 +75,7 @@ CANNOT_RUN = {
     "unknown-cluster": ({"resource.name": "summit"}, "unknown cluster"),
     "cores-above-cluster": ({"resource.cores": 10_000}, "cores requested"),
     "gpus-above-cluster": ({"resource.gpus": 2}, "GPUs requested"),
+    "zero-walltime": ({"resource.walltime_minutes": 0}, "walltime_minutes"),
     "cores-per-replica-above-pilot": (
         {"cores_per_replica": 8}, "cores_per_replica"
     ),

@@ -112,6 +112,17 @@ class TestRegistryIsolation:
         assert "emm.barrier_deadline_fires" not in after.metrics["counters"]
         assert after.to_jsonl() == first.to_jsonl()
 
+    def test_second_repex_on_a_registry_stops_the_first(self):
+        # building ``b`` empties the registry ``a`` cached its instruments
+        # from, so ``a`` could only write a wrong manifest
+        registry = MetricsRegistry()
+        a = RepEx(small_tremd_config(), registry=registry)
+        b = RepEx(small_tremd_config(), registry=registry)
+        with pytest.raises(RuntimeError, match="emptied"):
+            a.run()
+        solo = RepEx(small_tremd_config(), registry=MetricsRegistry()).run()
+        assert b.run().manifest.to_jsonl() == solo.manifest.to_jsonl()
+
     def test_injected_session_keeps_its_registry(self):
         registry = MetricsRegistry()
         registry.counter("caller.owned").inc()

@@ -236,6 +236,19 @@ class TestBadRecords:
         assert manifest.timeline == []
         assert "'t' is not" in manifest.recovered[0]
 
+    def test_alert_record_is_an_unknown_kind(self):
+        # alert records have no engine left to write them: a file holding
+        # one loads only with recovery, like any kind this build lacks
+        alert = {"kind": "alert", "rule": "checkpoint_stale",
+                 "state": "firing", "t": 3855.6}
+        with pytest.raises(ManifestError, match="unknown record kind 'alert'"):
+            self.load(alert)
+        manifest = self.load(alert, recover=True)
+        assert manifest.partial
+        assert manifest.recovered == [
+            "line 2: unknown record kind 'alert' dropped"
+        ]
+
     def test_record_that_is_not_an_object(self):
         with pytest.raises(ManifestError, match="not a JSON object"):
             RunManifest.from_jsonl(HEADER + "\n[1, 2]\n")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs.metrics import MetricsRegistry
 from repro.pilot.cluster import ClusterSpec, FilesystemModel, LaunchOverheadModel
 from repro.pilot.events import EventQueue
 from repro.pilot.failures import FailureModel
@@ -162,15 +163,33 @@ class TestStagingPipeline:
         clock.run()
         assert u.staging_in_time == pytest.approx(1.01, abs=0.01)
 
-    def test_output_lands_in_staging_area(self):
-        sched, clock = make_scheduler()
-        d_out = StagingDirective("x", "staging:///out", 1.0)
-        u = ComputeUnit(
-            UnitDescription(name="s", duration=1.0, output_staging=[d_out])
+    def test_staged_files_counted_in_and_out(self):
+        registry = MetricsRegistry()
+        clock = EventQueue()
+        sched = AgentScheduler(
+            clock=clock, cluster=make_cluster(), capacity=8, registry=registry
         )
-        sched.submit(u)
+        d_in = StagingDirective("a", "staging:///in", 2.5)
+        outputs = [
+            StagingDirective("x", "staging:///out", 1.0),
+            StagingDirective("y", "staging:///link", 0.5, StagingAction.LINK),
+        ]
+        first = ComputeUnit(
+            UnitDescription(
+                name="s", duration=1.0, input_staging=[d_in],
+                output_staging=outputs,
+            )
+        )
+        # a relaunch stages the same input again and is counted again
+        again = ComputeUnit(
+            UnitDescription(name="r", duration=1.0, input_staging=[d_in])
+        )
+        sched.submit(first)
+        sched.submit(again)
         clock.run()
-        assert "staging:///out" in sched.staging_area
+        counters = registry.snapshot()["counters"]
+        assert counters["staging.bytes_mb"] == 2.5 + 2.5 + 1.0 + 0.5
+        assert counters["staging.transfers"] == 4
 
     def test_link_faster_than_copy(self):
         sched, clock = make_scheduler()

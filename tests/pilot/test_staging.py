@@ -1,10 +1,9 @@
-"""Tests for staging directives and the staging area."""
+"""Tests for staging directives."""
 
 import pytest
 
 from repro.pilot.staging import (
     StagingAction,
-    StagingArea,
     StagingDirective,
     total_staging_size,
 )
@@ -24,48 +23,6 @@ class TestStagingDirective:
             StagingDirective("", "b", 1.0)
         with pytest.raises(ValueError):
             StagingDirective("a", "", 1.0)
-
-
-class TestStagingArea:
-    def test_put_get_roundtrip(self):
-        area = StagingArea()
-        area.put("f1", 2.5)
-        assert "f1" in area
-        assert area.get("f1") == 2.5
-
-    def test_missing_file_raises(self):
-        with pytest.raises(KeyError):
-            StagingArea().get("nope")
-
-    def test_size_of(self):
-        area = StagingArea()
-        area.put("f", 0.5)
-        assert area.size_of("f") == 0.5
-
-    def test_remove(self):
-        area = StagingArea()
-        area.put("f", 1.0)
-        area.remove("f")
-        assert "f" not in area
-
-    def test_accounting(self):
-        area = StagingArea()
-        area.put("a", 1.0)
-        area.put("b", 2.0)
-        area.get("a")
-        assert area.bytes_in_mb == pytest.approx(3.0)
-        assert area.bytes_out_mb == pytest.approx(1.0)
-        assert area.n_transfers == 3
-
-    def test_files_sorted(self):
-        area = StagingArea()
-        area.put("z", 0.0)
-        area.put("a", 0.0)
-        assert area.files() == ["a", "z"]
-
-    def test_rejects_negative_size(self):
-        with pytest.raises(ValueError):
-            StagingArea().put("f", -0.1)
 
 
 class TestTotalStagingSize:

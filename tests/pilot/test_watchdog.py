@@ -208,8 +208,6 @@ class TestSpeculativeExecution:
             enabled=True,
             deadline_factor=10.0,  # speculation resolves first
             check_interval_s=5.0,
-            straggler_factor=2.0,
-            min_cohort=3,
             speculative=speculative,
             backoff_jitter=0.0,
         )
