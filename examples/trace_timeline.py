@@ -1,12 +1,13 @@
 #!/usr/bin/env python
 """Execution tracing + mixing diagnostics for a REMD run.
 
-Drives a small T-REMD simulation while a :class:`repro.pilot.trace.Tracer`
-records every compute unit's state transitions, then prints:
+Drives a small T-REMD simulation; ``RepEx`` traces every compute unit's
+state transitions into the run manifest, from which this prints:
 
 * where the virtual time went (per-state dwell totals — the raw material
   behind the paper's Fig. 5 overhead characterization),
-* the core-concurrency profile (how full the pilot actually was),
+* how busy the pilot's cores were,
+* the per-cycle critical path and the Fig.-5 phase decomposition,
 * the mixing diagnostics of the temperature ladder (occupancy uniformity,
   ladder traversals, replica flow).
 
@@ -22,7 +23,8 @@ from repro.core.config import (
     ResourceSpec,
     SimulationConfig,
 )
-from repro.pilot.trace import Tracer
+from repro.obs.critical_path import render_report
+from repro.obs.export import unit_intervals
 from repro.utils.tables import render_table
 
 N_REPLICAS = 8
@@ -41,24 +43,16 @@ def main():
         numeric_steps=50,
         seed=21,
     )
-    repex = RepEx(config)
-    tracer = Tracer()
-
-    # watch every unit the pilot schedules
-    original_submit = repex.pilot.submit_units
-
-    def submit_and_watch(descs):
-        units = original_submit(descs)
-        tracer.watch_all(units)
-        return units
-
-    repex.pilot.submit_units = submit_and_watch
-    result = repex.run()
+    result = RepEx(config).run()
+    manifest = result.manifest
 
     print(f"{config.title}: {N_REPLICAS} replicas, {N_CYCLES} cycles, "
-          f"{len(tracer.records)} units traced\n")
+          f"{manifest.n_units} units traced\n")
 
-    totals = tracer.state_totals()
+    totals = {}
+    for chain in unit_intervals(manifest).values():
+        for state, t0, t1 in chain:
+            totals[state] = totals.get(state, 0.0) + (t1 - t0)
     rows = sorted(totals.items(), key=lambda kv: -kv[1])
     print(
         render_table(
@@ -68,16 +62,13 @@ def main():
         )
     )
 
-    profile = tracer.concurrency_profile()
-    peak = tracer.peak_concurrency()
-    busy = tracer.busy_core_seconds()
-    span = profile[-1][0] - profile[0][0] if profile else 0.0
-    print(f"\npeak concurrency   : {peak} / {N_REPLICAS} cores")
-    print(f"busy core-seconds  : {busy:,.0f}")
-    print(f"mean busy cores    : {busy / span:.2f}" if span else "")
+    busy = manifest.busy_core_seconds()
+    print(f"\nbusy core-seconds  : {busy:,.0f}")
+    print(f"mean busy cores    : {busy / manifest.wallclock:.2f} "
+          f"/ {N_REPLICAS}")
 
-    print("\nFirst cycle, unit timelines (. = waiting, # = executing):")
-    print(tracer.gantt(width=64, max_rows=10))
+    print()
+    print(render_report(manifest, max_segments=1))
 
     report = mixing_report(result, "temperature", N_REPLICAS)
     print("\nLadder mixing diagnostics:")

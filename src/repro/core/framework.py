@@ -378,7 +378,7 @@ class RepEx:
         if self.manifest_path is not None:
             stream = ManifestStream(self.manifest_path, self.config)
             if self.tracer is not None:
-                self.tracer.add_sink(stream.on_transition)
+                self.tracer.add_sink(stream.on_unit)
             if self.fault_domain is not None:
                 self.fault_domain.add_sink(stream.on_fault)
         if self.crash_at_time is not None:
@@ -392,7 +392,7 @@ class RepEx:
         except BaseException:
             # Leave the partial manifest on disk — it is the post-mortem.
             if stream is not None:
-                stream.close()
+                stream.abort(self.tracer)
             raise
         finally:
             self.pilot.cancel()

@@ -27,13 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.export import (
-    STATE_ORDER,
-    _unit_meta,
-    unit_intervals,
-    unit_phase,
-)
-from repro.obs.manifest import RunManifest
+from repro.obs.export import _unit_chain
+from repro.obs.manifest import STATE_ORDER, RunManifest
 from repro.utils.tables import render_table
 
 #: phases a critical-path segment can be attributed to, in report order
@@ -120,8 +115,8 @@ def cycle_windows(manifest: RunManifest) -> List[Tuple[str, int, float, float, O
     Returns ``(name, index, t_start, t_end, dimension)`` tuples sorted
     by start time.  Synchronous manifests have one ``cycle`` span per
     cycle; asynchronous manifests have per-sweep ``exchange`` spans;
-    manifests with no spans at all (pre-obs or severely truncated) fall
-    back to a single window over the timeline's extent.
+    manifests with no spans at all (a killed run's stream) fall back to a
+    single window over the timeline's extent.
     """
     windows = []
     cycles = manifest.spans_named("cycle")
@@ -166,15 +161,20 @@ class _Interval:
     t0: float
     t1: float
     kind: str
+    cores: int
 
 
 def _intervals(manifest: RunManifest) -> List[_Interval]:
-    meta = _unit_meta(manifest)
     out = []
-    for unit, chain in unit_intervals(manifest).items():
-        phase = unit_phase(unit, meta.get(unit))
-        for state, t0, t1 in chain:
-            out.append(_Interval(unit, state, t0, t1, classify(state, phase)))
+    for row in manifest.units:
+        phase = row.get("phase")
+        cores = int(row.get("cores") or 1)
+        for state, t0, t1 in _unit_chain(row):
+            out.append(
+                _Interval(
+                    row["name"], state, t0, t1, classify(state, phase), cores
+                )
+            )
     return out
 
 
@@ -240,12 +240,10 @@ def decomposition(manifest: RunManifest) -> Dict[str, float]:
     the two must agree to within timeline rounding, which is the
     self-consistency check the tests pin.
     """
-    meta = _unit_meta(manifest)
     totals = {"md": 0.0, "exchange": 0.0, "staging": 0.0, "overhead": 0.0, "other": 0.0}
     for iv in _intervals(manifest):
-        cores = int(meta.get(iv.unit, {}).get("cores") or 1)
         kind = iv.kind if iv.kind in totals else "other"
-        totals[kind] += (iv.t1 - iv.t0) * cores
+        totals[kind] += (iv.t1 - iv.t0) * iv.cores
     return totals
 
 

@@ -26,16 +26,9 @@ unit the Chrome format expects.
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.obs.manifest import STATE_ORDER, RunManifest
-
-#: lifecycle rank, for stable in-lane ordering of ties and for
-#: rebuilding per-unit state intervals from the sorted timeline
-_STATE_RANK = {name: i for i, name in enumerate(STATE_ORDER)}
-
-#: states that terminate a unit's interval chain
-_FINAL = frozenset({"DONE", "FAILED", "CANCELED"})
 
 #: process ids of the fixed lanes
 PID_PHASES = 1
@@ -49,57 +42,32 @@ def _us(t: float) -> int:
     return int(round(t * 1e6))
 
 
+def _unit_chain(unit: Dict) -> List[Tuple[str, float, float]]:
+    """One unit row's ``(state, t_start, t_end)`` intervals.
+
+    The row's ``t`` lists entry times in lifecycle order, which is the
+    order the unit entered them; each state entered lasts until the
+    next.  The last state entered — the final state of a finished unit —
+    opens no interval.
+    """
+    entered = [
+        (state, t) for state, t in zip(STATE_ORDER, unit["t"]) if t is not None
+    ]
+    return [
+        (state, t0, t1) for (state, t0), (_, t1) in zip(entered, entered[1:])
+    ]
+
+
 def unit_intervals(manifest: RunManifest) -> Dict[str, List[Tuple[str, float, float]]]:
-    """Rebuild per-unit ``(state, t_start, t_end)`` chains from the timeline.
+    """Per-unit-name ``(state, t_start, t_end)`` chains from the unit rows.
 
-    The manifest timeline is globally event-ordered with ties broken by
-    name/state string order; within one unit, ties at equal (rounded)
-    timestamps are re-ranked by the canonical lifecycle order so the
-    chain is causal.  A unit's final state closes the chain and does not
-    open an interval of its own.
+    A relaunched unit keeps its name, so the chains of all attempts of
+    one name are concatenated in row order.
     """
-    by_unit: Dict[str, List[Tuple[float, str]]] = {}
-    for t, unit, state in manifest.timeline:
-        by_unit.setdefault(unit, []).append((t, state))
     intervals: Dict[str, List[Tuple[str, float, float]]] = {}
-    for unit, events in by_unit.items():
-        events.sort(key=lambda e: (e[0], _STATE_RANK.get(e[1], len(STATE_ORDER))))
-        chain = []
-        for i, (t0, state) in enumerate(events):
-            if state in _FINAL or i + 1 >= len(events):
-                continue
-            chain.append((state, t0, events[i + 1][0]))
-        intervals[unit] = chain
+    for unit in manifest.units:
+        intervals.setdefault(unit["name"], []).extend(_unit_chain(unit))
     return intervals
-
-
-def _unit_meta(manifest: RunManifest) -> Dict[str, Dict]:
-    return {u["name"]: u for u in manifest.units}
-
-
-_RID_RE = re.compile(r"_r(\d+)_")
-
-
-def unit_replica(name: str, meta: Optional[Dict]) -> Optional[int]:
-    """The replica id a unit belongs to, if any.
-
-    Prefers the manifest's unit metadata; falls back to the ``_r<id>_``
-    naming convention for pre-v2 manifests.
-    """
-    if meta is not None and meta.get("rid") is not None:
-        return int(meta["rid"])
-    m = _RID_RE.search(name)
-    return int(m.group(1)) if m else None
-
-
-def unit_phase(name: str, meta: Optional[Dict]) -> Optional[str]:
-    """The algorithm phase of a unit (md / exchange / single_point)."""
-    if meta is not None and meta.get("phase") is not None:
-        return meta["phase"]
-    for prefix, phase in (("md", "md"), ("ex", "exchange"), ("sp", "single_point")):
-        if name.startswith(prefix + "_") or name.startswith(prefix + "."):
-            return phase
-    return None
 
 
 def _core_assignment(
@@ -184,17 +152,17 @@ def chrome_trace(manifest: RunManifest) -> Dict:
         )
 
     # -- lanes 2/3: per-replica and framework unit lifecycles ----------------
-    meta = _unit_meta(manifest)
-    intervals = unit_intervals(manifest)
     events.append(meta_event(PID_REPLICAS, 0, "process_name", "replicas"))
     events.append(meta_event(PID_FRAMEWORK, 0, "process_name", "framework units"))
     events.append(meta_event(PID_FRAMEWORK, 1, "thread_name", "exchange"))
     replica_tids = set()
-    for unit in sorted(intervals):
-        chain = intervals[unit]
+    executions = []
+    for row in manifest.units:
+        chain = _unit_chain(row)
         if not chain:
             continue
-        rid = unit_replica(unit, meta.get(unit))
+        unit = row["name"]
+        rid = row.get("rid")
         if rid is not None:
             pid, tid = PID_REPLICAS, rid + 1
             if tid not in replica_tids:
@@ -204,7 +172,7 @@ def chrome_trace(manifest: RunManifest) -> Dict:
                 )
         else:
             pid, tid = PID_FRAMEWORK, 1
-        phase = unit_phase(unit, meta.get(unit))
+        phase = row.get("phase")
         t0, t1 = chain[0][1], chain[-1][2]
         outer_args: Dict[str, object] = {"unit": unit}
         if phase is not None:
@@ -214,14 +182,11 @@ def chrome_trace(manifest: RunManifest) -> Dict:
             events.append(
                 slice_event(pid, tid, state, s0, s1, {"unit": unit})
             )
+            if state == "EXECUTING":
+                cores = int(row.get("cores") or 1)
+                executions.append((unit, s0, s1, cores))
 
     # -- lane 4: synthesized core occupancy ----------------------------------
-    executions = []
-    for unit, chain in intervals.items():
-        for state, s0, s1 in chain:
-            if state == "EXECUTING":
-                cores = int(meta.get(unit, {}).get("cores") or 1)
-                executions.append((unit, s0, s1, cores))
     if manifest.pilot_cores > 0 and executions:
         events.append(meta_event(PID_CORES, 0, "process_name", "cores"))
         placed = _core_assignment(executions, manifest.pilot_cores)

@@ -26,22 +26,15 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanRecord
-from repro.pilot.trace import Tracer
+from repro.pilot.trace import TraceRecord, Tracer
 from repro.pilot.unit import FINAL_STATES, UnitState
 
-#: Bump when the JSONL schema changes shape.
-#: v1: run/metrics/span/event/fault records.
-#: v2: adds per-unit ``unit`` metadata records and optional
-#:     ``span_id``/``parent_id``/``unit`` fields on span records; v1
-#:     manifests still load (the additions are strictly optional).
-#: v3: adds per-dimension ``ladder`` records (occupancy, up/down
-#:     walkers, round-trip times); strictly optional, so v2/v1
-#:     manifests still load.  v3 ``alert`` records are no longer read:
-#:     a file holding one loads only with recovery.
-#: v4: a ``unit`` record carries its transitions as ``t``, the entry
-#:     time of every state of :data:`STATE_ORDER` (null where not
-#:     entered), and a dump holds no ``event`` records.  A streamed file
-#:     still has one ``event`` per transition and unit rows without ``t``.
+#: Bump when the JSONL schema changes shape.  v4: a ``unit`` record
+#: carries its transitions as ``t``, the entry time of every state of
+#: :data:`STATE_ORDER` (null where not entered); dumps and streamed
+#: files hold the same records.  Only v4 is read: the ``event`` and
+#: ``alert`` records of earlier files are unknown kinds, which load only
+#: with recovery.
 SCHEMA_VERSION = 4
 
 #: ``UnitState`` names in declaration order, which is lifecycle order:
@@ -70,7 +63,6 @@ _REQUIRED = {
     },
     "metrics": {},
     "span": {"name": str, "t_start": _NUMBER, "t_end": _NUMBER},
-    "event": {"t": _NUMBER, "unit": str, "state": str},
     "fault": {},
     "unit": {"name": str},
     "ladder": {},
@@ -104,13 +96,42 @@ def config_hash(config) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
+def _unit_row(rec: TraceRecord) -> Tuple[Dict, Dict[UnitState, float]]:
+    """A unit's v4 row and its raw per-state dwell, in one pass.
+
+    The row is what a dump and a streamed file both write for the unit;
+    its ``t`` entries are rounded to 1 µs.  The dwell (seconds in each
+    state the unit has left) comes from the unrounded entry times.  The
+    uid is left out because it comes from a global counter and would
+    break byte-stable manifests.
+    """
+    entered: List[Optional[float]] = [None] * len(STATE_ORDER)
+    dwell: Dict[UnitState, float] = {}
+    last = None
+    for state, t in rec.timestamps.items():
+        entered[_STATE_INDEX[state]] = round(t, 6)
+        if last is not None:
+            dwell[last] = t - t_last
+        last, t_last = state, t
+    metadata = rec.metadata
+    row = {
+        "name": rec.name,
+        "cores": rec.cores,
+        "phase": metadata.get("phase"),
+        "rid": metadata.get("rid"),
+        "cycle": metadata.get("cycle"),
+        "final_state": last.value if last in FINAL_STATES else None,
+        "t": entered,
+    }
+    return row, dwell
+
+
 def _fold_units(tracer: Tracer) -> Tuple[Dict[str, float], List[Dict]]:
     """Phase totals and v4 unit rows in one pass over the tracer.
 
-    Totals accumulate in record (creation) order from the raw entry
-    times, so they do not depend on the rows' 1 µs rounding.  Rows are
-    sorted by unit name; uids are left out because they come from a
-    global counter and would break byte-stable manifests.
+    Totals accumulate in record (creation) order from the raw dwell, so
+    they do not depend on the rows' 1 µs rounding.  Rows are sorted by
+    unit name.
     """
     totals = {
         "md": 0.0,
@@ -121,17 +142,10 @@ def _fold_units(tracer: Tracer) -> Tuple[Dict[str, float], List[Dict]]:
     }
     rows: List[Dict] = []
     for rec in tracer.records.values():
-        entered: List[Optional[float]] = [None] * len(STATE_ORDER)
-        dwell: Dict[UnitState, float] = {}
-        last = None
-        for state, t in rec.timestamps.items():
-            entered[_STATE_INDEX[state]] = round(t, 6)
-            if last is not None:
-                dwell[last] = t - t_last
-            last, t_last = state, t
-        cores = rec.cores
+        row, dwell = _unit_row(rec)
+        cores = row["cores"]
         executing = dwell.get(UnitState.EXECUTING, 0.0) * cores
-        phase = rec.metadata.get("phase")
+        phase = row["phase"]
         if phase == "md":
             totals["md"] += executing
         elif phase in _EXCHANGE_PHASES:
@@ -146,17 +160,7 @@ def _fold_units(tracer: Tracer) -> Tuple[Dict[str, float], List[Dict]]:
             dwell.get(UnitState.SCHEDULING, 0.0)
             + dwell.get(UnitState.AGENT_EXECUTING_PENDING, 0.0)
         ) * cores
-        rows.append(
-            {
-                "name": rec.name,
-                "cores": cores,
-                "phase": phase,
-                "rid": rec.metadata.get("rid"),
-                "cycle": rec.metadata.get("cycle"),
-                "final_state": last.value if last in FINAL_STATES else None,
-                "t": entered,
-            }
-        )
+        rows.append(row)
     rows.sort(key=lambda row: row["name"])
     return totals, rows
 
@@ -191,8 +195,8 @@ def _problem(record) -> Optional[str]:
             _is_number(value) if kinds is _NUMBER else isinstance(value, kinds)
         ):
             return f"{kind} record without a valid {name!r}"
-    if kind == "unit" and "t" in record:
-        entered = record["t"]
+    if kind == "unit":
+        entered = record.get("t")
         if not (
             isinstance(entered, list)
             and len(entered) == len(STATE_ORDER)
@@ -225,25 +229,19 @@ class RunManifest:
     #: registry snapshot at the end of the run
     metrics: Dict[str, Dict] = field(default_factory=dict)
     spans: List[SpanRecord] = field(default_factory=list)
-    #: ``[time, unit_name, state]`` triples read from ``event`` records,
-    #: in file order: a streamed or pre-v4 file's transitions.  A run's
-    #: own manifest keeps them in ``units[*]["t"]`` instead; see
-    #: :attr:`timeline` for both merged.
-    events: List[List] = field(default_factory=list)
     n_units: int = 0
     #: fault-injection events (node crashes, preemptions, staging
     #: transients) recorded by the pilot's fault domain; empty when
     #: faults are disabled
     fault_events: List[Dict] = field(default_factory=list)
     #: one row per unit, sorted by name: ``name``, ``cores``, ``phase``,
-    #: ``rid``, ``cycle``, ``final_state`` and, in a v4 dump, ``t`` (entry
-    #: time per state of :data:`STATE_ORDER`, None where not entered);
-    #: empty in pre-v2 manifests
+    #: ``rid``, ``cycle``, ``final_state`` and ``t`` (entry time per state
+    #: of :data:`STATE_ORDER`, None where not entered)
     units: List[Dict] = field(default_factory=list)
     #: per-dimension exchange-dynamics records (occupancy, walkers,
     #: round-trip times) from
     #: :meth:`LadderTracker.records() <repro.obs.ladder.LadderTracker.records>`;
-    #: empty in pre-v3 manifests and under a null registry
+    #: empty under a null registry
     ladder: List[Dict] = field(default_factory=list)
     #: True when this manifest was loaded from an unfinalised stream
     #: (the run died before :meth:`ManifestStream.finalize`)
@@ -307,8 +305,7 @@ class RunManifest:
         """Event-ordered ``[time, unit_name, state]`` triples.
 
         A view, built on first access and cached (later edits to
-        :attr:`units` or :attr:`events` do not show), over the unit
-        rows' ``t`` entries and the :attr:`events` read from a file.
+        :attr:`units` do not show), over the unit rows' ``t`` entries.
         Times are rounded to 1 µs and ties are broken by unit name then
         state, so the list is byte-stable across runs of the same seeded
         workload regardless of uid allocation order, and equal for a
@@ -316,13 +313,10 @@ class RunManifest:
         regression fixtures are diffed against.
         """
         if self._timeline is None:
-            triples = [(t, name, state) for t, name, state in self.events]
+            triples = []
             for unit in self.units:
-                entered = unit.get("t")
-                if entered is None:
-                    continue
                 name = unit["name"]
-                for state, t in zip(STATE_ORDER, entered):
+                for state, t in zip(STATE_ORDER, unit["t"]):
                     if t is not None:
                         triples.append((t, name, state))
             triples.sort()
@@ -373,11 +367,6 @@ class RunManifest:
             yield _encode({"kind": "fault", **event}) + "\n"
         for entry in self.ladder:
             yield _encode({"kind": "ladder", **entry}) + "\n"
-        # transitions only a loaded streamed or pre-v4 file carries
-        for t, unit, state in self.events:
-            yield _encode(
-                {"kind": "event", "t": t, "unit": unit, "state": state}
-            ) + "\n"
         for unit in self.units:
             yield _encode({"kind": "unit", **unit}) + "\n"
 
@@ -389,8 +378,10 @@ class RunManifest:
     def from_jsonl(cls, text: str, *, recover: bool = False) -> "RunManifest":
         """Parse :meth:`to_jsonl` or streamed output back into a manifest.
 
-        A record that is not valid JSON, is of an unknown kind, or lacks
-        a field its kind requires raises :class:`ManifestError`.  With
+        Unit rows are sorted by name: a dump writes them in that order, a
+        stream as the units finish.  A record that is not valid JSON, is
+        of an unknown kind, or lacks a field its kind requires raises
+        :class:`ManifestError`.  With
         ``recover=True`` a damaged manifest — a streamed file cut
         mid-record by a kill, or records from a newer schema — does not
         raise: each bad line is skipped and noted in :attr:`recovered`,
@@ -401,7 +392,6 @@ class RunManifest:
         header: Optional[Dict] = None
         metrics: Dict[str, Dict] = {}
         spans: List[SpanRecord] = []
-        events: List[List] = []
         fault_events: List[Dict] = []
         units: List[Dict] = []
         ladder: List[Dict] = []
@@ -437,8 +427,6 @@ class RunManifest:
                 metrics = record.get("data", {})
             elif kind == "span":
                 spans.append(SpanRecord.from_dict(record))
-            elif kind == "event":
-                events.append([record["t"], record["unit"], record["state"]])
             elif kind == "fault":
                 fault_events.append(record)
             elif kind == "unit":
@@ -447,6 +435,7 @@ class RunManifest:
                 ladder.append(record)
         if header is None:
             raise ManifestError("no 'run' header record found")
+        units.sort(key=lambda row: row["name"])
         return cls(
             title=header["title"],
             config_hash=header["config_hash"],
@@ -461,7 +450,6 @@ class RunManifest:
             utilization=header.get("utilization", 0.0),
             metrics=metrics,
             spans=spans,
-            events=events,
             n_units=header.get("n_units", 0),
             fault_events=fault_events,
             units=units,
@@ -564,14 +552,16 @@ class ManifestStream:
     makes it useless for diagnosing a run that *dies* — exactly the case
     the fault-injection work cares about.  A ``ManifestStream`` opens its
     file up front with a provisional run header marked ``partial`` and
-    appends one flushed line per unit state transition
-    (:meth:`on_transition`, wired as a
-    :meth:`~repro.pilot.trace.Tracer.add_sink` callback) and per fault
+    appends one flushed line per finished unit — the same v4 row a dump
+    holds (:meth:`on_unit`, wired as a
+    :meth:`~repro.pilot.trace.Tracer.add_sink` callback) — and per fault
     event (:meth:`on_fault`), so a killed process still leaves a loadable
     prefix on disk.  :meth:`finalize` appends the metrics snapshot, the
-    spans, and a final non-partial header; :meth:`RunManifest.from_jsonl`
-    takes the *last* run header, so a finalized stream loads exactly like
-    :meth:`RunManifest.dump` output.
+    spans, the ladder and a final non-partial header;
+    :meth:`RunManifest.from_jsonl` takes the *last* run header and sorts
+    the unit rows by name, so a finalized stream loads exactly like
+    :meth:`RunManifest.dump` output.  A run that raises calls
+    :meth:`abort`, which adds the rows of the units still in flight.
     """
 
     def __init__(self, path, config):
@@ -603,11 +593,9 @@ class ManifestStream:
 
     # -- sinks ---------------------------------------------------------------
 
-    def on_transition(self, unit_name: str, state: str, t: float) -> None:
-        """Tracer sink: flush one unit state-transition line."""
-        self._write(
-            {"kind": "event", "t": round(t, 6), "unit": unit_name, "state": state}
-        )
+    def on_unit(self, record: TraceRecord) -> None:
+        """Tracer sink: flush one unit's v4 row."""
+        self._write({"kind": "unit", **_unit_row(record)[0]})
 
     def on_fault(self, event) -> None:
         """Fault-domain sink: flush one fault event line.
@@ -622,12 +610,10 @@ class ManifestStream:
     # -- lifecycle -----------------------------------------------------------
 
     def finalize(self, manifest: RunManifest) -> None:
-        """Append metrics, spans, unit rows and the final header, then close.
+        """Append metrics, spans, the ladder and the final header, then close.
 
-        The streamed event lines already carry the timeline, so only the
-        end-of-run records are appended here, and the unit rows go
-        without their ``t`` entry times: each transition appears once
-        per file.
+        The unit rows are already on disk, one per unit as it finished:
+        a run ends only once every unit it submitted is final.
         """
         if self._closed:
             return
@@ -635,10 +621,6 @@ class ManifestStream:
         for span in manifest.spans:
             record = {"kind": "span"}
             record.update(span.to_dict())
-            self._write(record)
-        for unit in manifest.units:
-            record = {k: v for k, v in unit.items() if k != "t"}
-            record["kind"] = "unit"
             self._write(record)
         for entry in manifest.ladder:
             record = {"kind": "ladder"}
@@ -663,6 +645,19 @@ class ManifestStream:
                 "n_units": manifest.n_units,
             }
         )
+        self.close()
+
+    def abort(self, tracer: Optional[Tracer]) -> None:
+        """Write the rows of ``tracer``'s unfinished units, then close.
+
+        The post-mortem of a run that raised: finished units already have
+        their rows, so the file ends with one row per traced unit, its
+        ``final_state`` null where the unit was still in flight.
+        """
+        if tracer is not None:
+            for record in tracer.records.values():
+                if record.final_state is None:
+                    self.on_unit(record)
         self.close()
 
     def close(self) -> None:

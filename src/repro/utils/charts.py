@@ -1,51 +1,14 @@
-"""ASCII charts for benchmark output.
+"""ASCII line plots for benchmark output.
 
-The benchmarks print the same series the paper's figures plot; these
-helpers render them as horizontal bar charts and line plots in plain
-text, so `benchmarks/output/*.txt` can be eyeballed against the paper
-without a plotting stack.
+The benchmarks print the same series the paper's figures plot;
+:func:`line_plot` renders them in plain text, so
+`benchmarks/output/*.txt` can be eyeballed against the paper without a
+plotting stack.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Optional, Sequence
-
-
-def bar_chart(
-    labels: Sequence[str],
-    values: Sequence[float],
-    *,
-    width: int = 50,
-    title: Optional[str] = None,
-    unit: str = "",
-) -> str:
-    """Horizontal bar chart, one row per label.
-
-    Raises
-    ------
-    ValueError
-        On mismatched lengths or negative values.
-    """
-    if len(labels) != len(values):
-        raise ValueError(
-            f"{len(labels)} labels but {len(values)} values"
-        )
-    for v in values:
-        if v < 0:
-            raise ValueError(f"bar values must be >= 0, got {v}")
-    vmax = max(values, default=0.0)
-    label_w = max((len(str(l)) for l in labels), default=0)
-    lines = []
-    if title:
-        lines.append(title)
-    for label, v in zip(labels, values):
-        n = int(round(width * v / vmax)) if vmax > 0 else 0
-        lines.append(
-            f"{str(label).rjust(label_w)} |{'#' * n}{' ' * (width - n)}| "
-            f"{v:.2f}{unit}"
-        )
-    return "\n".join(lines)
 
 
 def line_plot(
@@ -105,17 +68,3 @@ def line_plot(
     lines.append(f"legend: {legend}")
     return "\n".join(lines)
 
-
-def sparkline(values: Sequence[float]) -> str:
-    """One-line trend of a series using block characters."""
-    if not values:
-        return ""
-    blocks = " .:-=+*#%@"
-    lo, hi = min(values), max(values)
-    if hi == lo:
-        return blocks[5] * len(values)
-    out = []
-    for v in values:
-        idx = int((v - lo) / (hi - lo) * (len(blocks) - 1))
-        out.append(blocks[idx])
-    return "".join(out)

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.core import RepEx
+from repro.core.config import FailureSpec, ResourceSpec
 from repro.obs.critical_path import (
     KINDS,
     classify,
@@ -50,6 +51,18 @@ class TestDecomposition:
 
     def test_matches_phase_totals_async(self, async_manifest):
         assert_decomposition_matches(async_manifest)
+
+    def test_matches_phase_totals_with_relaunched_units(self):
+        """A relaunch reuses its unit's name; each attempt's row is its
+        own interval chain, so no attempt's staging or waiting is lost."""
+        config = small_tremd_config(
+            resource=ResourceSpec("supermic", cores=40),
+            failure=FailureSpec(node_crashes=[[150.0, 0]], policy="relaunch"),
+        )
+        manifest = RepEx(config).run().manifest
+        names = [unit["name"] for unit in manifest.units]
+        assert len(set(names)) < len(names)
+        assert_decomposition_matches(manifest)
 
 
 class TestWindows:

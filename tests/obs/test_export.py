@@ -18,8 +18,6 @@ from repro.obs.export import (
     chrome_trace,
     openmetrics,
     unit_intervals,
-    unit_phase,
-    unit_replica,
     validate_chrome_trace,
 )
 from tests.conftest import small_tremd_config
@@ -129,14 +127,6 @@ class TestUnitHelpers:
             for (_, _, end), (_, start, _) in zip(chain, chain[1:]):
                 assert start == end  # contiguous, causal
 
-    def test_replica_and_phase_fall_back_to_names(self):
-        assert unit_replica("md_r00003_c0001", None) == 3
-        assert unit_replica("ex_temperature_c0001", None) is None
-        assert unit_replica("md_r00003_c0001", {"rid": 7}) == 7
-        assert unit_phase("md_r00003_c0001", None) == "md"
-        assert unit_phase("ex_temperature_c0001", None) == "exchange"
-        assert unit_phase("mystery", None) is None
-        assert unit_phase("mystery", {"phase": "md"}) == "md"
 
 
 class TestOpenMetrics:

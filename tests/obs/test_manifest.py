@@ -24,6 +24,9 @@ from tests.conftest import small_tremd_config
 
 EXAMPLE_CONFIGS = Path(__file__).resolve().parents[2] / "examples" / "configs"
 
+#: stands for a field left out of a record
+MISSING = object()
+
 #: a valid header, so each bad-record case below has exactly one fault
 HEADER = json.dumps(
     {
@@ -109,7 +112,6 @@ class TestFromRun:
         declaration order; the timeline is exactly their union."""
         repex, result = run
         manifest = result.manifest
-        assert manifest.events == []
         by_name = {rec.name: rec for rec in repex.tracer.records.values()}
         triples = []
         for unit in manifest.units:
@@ -159,24 +161,15 @@ class TestJsonlRoundTrip:
         with pytest.raises(ManifestError, match="no 'run' header"):
             RunManifest.from_jsonl('{"kind": "metrics", "data": {}}\n')
 
-    def test_pre_v4_event_records_still_load(self, run):
-        """A v3 dump (one ``event`` per transition, unit rows without
-        ``t``) loads to the same timeline and round-trips."""
+    def test_unit_rows_load_in_name_order(self, run):
+        """A stream writes rows as units finish; loading sorts them."""
         _, result = run
-        manifest = result.manifest
-        v3 = [json.dumps({**json.loads(HEADER), "schema_version": 3})]
-        v3 += [
-            json.dumps({"kind": "unit", **{k: v for k, v in unit.items()
-                                           if k != "t"}})
-            for unit in manifest.units
-        ]
-        v3 += [
-            json.dumps({"kind": "event", "t": t, "unit": u, "state": s})
-            for t, u, s in manifest.timeline
-        ]
-        loaded = RunManifest.from_jsonl("\n".join(v3) + "\n")
-        assert loaded.timeline == manifest.timeline
-        assert RunManifest.from_jsonl(loaded.to_jsonl()) == loaded
+        lines = result.manifest.to_jsonl().splitlines()
+        units = [line for line in lines if '"kind": "unit"' in line]
+        shuffled = [line for line in lines if line not in units]
+        shuffled[1:1] = units[::-1]
+        loaded = RunManifest.from_jsonl("\n".join(shuffled) + "\n")
+        assert loaded == result.manifest
 
 
 class TestBadRecords:
@@ -187,17 +180,6 @@ class TestBadRecords:
     def load(self, *records, recover=False):
         lines = [HEADER] + [json.dumps(r) for r in records]
         return RunManifest.from_jsonl("\n".join(lines) + "\n", recover=recover)
-
-    def test_event_without_unit(self):
-        bad = {"kind": "event", "t": 1.0, "state": "DONE"}
-        with pytest.raises(ManifestError, match="line 2: event record .*'unit'"):
-            self.load(bad)
-        manifest = self.load(bad, recover=True)
-        assert manifest.timeline == []
-        assert manifest.partial
-        assert manifest.recovered == [
-            "line 2: event record without a valid 'unit' dropped"
-        ]
 
     def test_header_without_title(self):
         header = json.loads(HEADER)
@@ -218,6 +200,7 @@ class TestBadRecords:
     @pytest.mark.parametrize(
         "t",
         [
+            MISSING,
             None,
             "0.5",
             [0.5] * (len(STATE_ORDER) - 1),
@@ -225,10 +208,13 @@ class TestBadRecords:
             [None] * (len(STATE_ORDER) - 1) + ["0.5"],
             [None] * (len(STATE_ORDER) - 1) + [True],
         ],
-        ids=["null", "string", "short", "long", "string-entry", "bool-entry"],
+        ids=["missing", "null", "string", "short", "long", "string-entry",
+             "bool-entry"],
     )
     def test_unit_row_with_malformed_t(self, t):
-        bad = {"kind": "unit", "name": "md_r0_c0", "cores": 1, "t": t}
+        bad = {"kind": "unit", "name": "md_r0_c0", "cores": 1}
+        if t is not MISSING:
+            bad["t"] = t
         with pytest.raises(ManifestError, match="line 2: unit record"):
             self.load(bad)
         manifest = self.load(bad, recover=True)
@@ -247,6 +233,21 @@ class TestBadRecords:
         assert manifest.partial
         assert manifest.recovered == [
             "line 2: unknown record kind 'alert' dropped"
+        ]
+
+    def test_event_record_is_an_unknown_kind(self):
+        # transitions live only in the unit rows' ``t``: an ``event``
+        # record (v1-v3 files, and streams before unit rows carried
+        # ``t``) loads only with recovery
+        event = {"kind": "event", "t": 1.0, "unit": "md_r0_c0",
+                 "state": "DONE"}
+        with pytest.raises(ManifestError, match="unknown record kind 'event'"):
+            self.load(event)
+        manifest = self.load(event, recover=True)
+        assert manifest.partial
+        assert manifest.timeline == []
+        assert manifest.recovered == [
+            "line 2: unknown record kind 'event' dropped"
         ]
 
     def test_record_that_is_not_an_object(self):

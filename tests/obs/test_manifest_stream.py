@@ -1,50 +1,69 @@
 """Incremental manifest streaming and fault events in manifests."""
 
 import json
+from pathlib import Path
+
+import pytest
 
 from repro.core import RepEx
-from repro.core.config import FailureSpec, ResourceSpec
-from repro.obs.manifest import ManifestStream, RunManifest
+from repro.core.config import (
+    FailureSpec,
+    PatternSpec,
+    ResourceSpec,
+    SimulationConfig,
+)
+from repro.obs.critical_path import decomposition
+from repro.obs.manifest import STATE_ORDER, ManifestStream, RunManifest
 from repro.obs.metrics import MetricsRegistry, using_registry
+from repro.pilot.events import SimulatedCrash
 from repro.pilot.faultdomain import FaultEvent
+from repro.pilot.trace import TraceRecord
+from repro.pilot.unit import UnitState
 from tests.conftest import small_tremd_config
 
+TREMD = Path(__file__).resolve().parents[2] / "examples" / "configs" / "tremd.json"
 
-def run_streamed(path, config):
+
+def run_streamed(path, config, **kwargs):
     with using_registry(MetricsRegistry()):
-        result = RepEx(config, manifest_path=path).run()
+        result = RepEx(config, manifest_path=path, **kwargs).run()
     return result
+
+
+def relaunch_config(pattern):
+    """A small run whose failed MD units are relaunched under their name."""
+    return small_tremd_config(
+        n_cycles=3,
+        pattern=PatternSpec(kind=pattern),
+        failure=FailureSpec(probability=0.3, policy="relaunch"),
+    )
+
+
+def assert_stream_loads_like_dump(tmp_path, config):
+    path = tmp_path / "run.jsonl"
+    result = run_streamed(path, config)
+    assert result.manifest.metrics["counters"]["emm.relaunches"] > 0
+    loaded = RunManifest.load(path)
+    dumped = RunManifest.load(result.manifest.dump(tmp_path / "dump.jsonl"))
+    assert not loaded.partial
+    # the stream writes each unit's row as the unit finishes, the dump
+    # all rows at the end in name order: both load to the same rows
+    assert loaded.units == dumped.units
+    assert loaded.timeline == dumped.timeline == result.manifest.timeline
+    assert loaded == dumped
+    kinds = [json.loads(line)["kind"] for line in path.read_text().splitlines()]
+    assert "event" not in kinds
+    assert kinds.count("unit") == len(dumped.units)
 
 
 class TestStreamedRun:
     def test_finalized_stream_loads_like_a_manifest(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        config = small_tremd_config()
-        result = run_streamed(path, config)
-        loaded = RunManifest.load(path)
-        dumped = RunManifest.load(result.manifest.dump(tmp_path / "dump.jsonl"))
-        assert not loaded.partial
-        assert loaded.title == "test-tremd"
-        assert loaded.t_end == result.t_end
-        # the stream carries transitions as events in causal firing order,
-        # the dump as unit rows: both load to the same timeline
-        assert loaded.timeline == dumped.timeline == result.manifest.timeline
-        assert loaded.phase_totals == dumped.phase_totals
-        assert loaded.n_units == dumped.n_units == len(dumped.units)
-        assert loaded.units == [
-            {k: v for k, v in unit.items() if k != "t"}
-            for unit in dumped.units
-        ]
-        assert loaded.metrics == result.manifest.metrics
-        # each transition appears exactly once in the streamed file
-        records = [json.loads(line) for line in path.read_text().splitlines()]
-        events = [
-            (r["t"], r["unit"], r["state"])
-            for r in records
-            if r["kind"] == "event"
-        ]
-        assert sorted(events) == [tuple(e) for e in result.manifest.timeline]
-        assert not any("t" in r for r in records if r["kind"] == "unit")
+        assert_stream_loads_like_dump(tmp_path, relaunch_config("synchronous"))
+
+    def test_finalized_async_stream_loads_like_a_manifest(self, tmp_path):
+        assert_stream_loads_like_dump(
+            tmp_path, relaunch_config("asynchronous")
+        )
 
     def test_fault_events_streamed_and_kept(self, tmp_path):
         path = tmp_path / "run.jsonl"
@@ -65,7 +84,18 @@ class TestStreamedRun:
         path = tmp_path / "partial.jsonl"
         config = small_tremd_config()
         stream = ManifestStream(path, config)
-        stream.on_transition("md_r0_c0", "EXECUTING", 1.25)
+        stream.on_unit(
+            TraceRecord(
+                uid="unit.00000001",
+                name="md_r0_c0",
+                cores=2,
+                metadata={"phase": "md", "rid": 0, "cycle": 0},
+                timestamps={
+                    UnitState.SCHEDULING: 0.5,
+                    UnitState.EXECUTING: 1.25,
+                },
+            )
+        )
         stream.on_fault(
             FaultEvent(t=2.0, kind="node_crash", detail={"node": 1})
         )
@@ -73,8 +103,12 @@ class TestStreamedRun:
         loaded = RunManifest.load(path)
         assert loaded.partial
         assert [tuple(e) for e in loaded.timeline] == [
-            (1.25, "md_r0_c0", "EXECUTING")
+            (0.5, "md_r0_c0", "SCHEDULING"),
+            (1.25, "md_r0_c0", "EXECUTING"),
         ]
+        (unit,) = loaded.units
+        assert unit["cores"] == 2
+        assert unit["final_state"] is None
         assert loaded.fault_events == [
             {"t": 2.0, "fault": "node_crash", "node": 1}
         ]
@@ -94,9 +128,84 @@ class TestStreamedRun:
         path = tmp_path / "closed.jsonl"
         stream = ManifestStream(path, small_tremd_config())
         stream.close()
-        stream.on_transition("u", "DONE", 1.0)  # must not raise
+        record = TraceRecord(
+            uid="unit.00000001", name="u", cores=1, metadata={},
+            timestamps={UnitState.DONE: 1.0},
+        )
+        stream.on_unit(record)  # must not raise
         stream.close()  # idempotent
         assert len(path.read_text().splitlines()) == 1
+
+
+class TestKilledStream:
+    """A run that raises leaves the rows of its finished units and of the
+    units still in flight: a loadable post-mortem."""
+
+    @pytest.fixture(scope="class")
+    def killed(self, tmp_path_factory):
+        data = json.loads(TREMD.read_text())
+        data["resource"]["cores"] = 32
+        data["cores_per_replica"] = 4
+        config = SimulationConfig.from_json(json.dumps(data))
+        path = tmp_path_factory.mktemp("killed") / "killed.jsonl"
+        with pytest.raises(SimulatedCrash):
+            run_streamed(path, config, crash_at_time=150.0)
+        with using_registry(MetricsRegistry()):
+            golden = RepEx(config).run().manifest
+        return RunManifest.load(path), golden
+
+    def test_rows_of_finished_and_in_flight_units(self, killed):
+        manifest, _ = killed
+        assert manifest.partial
+        finals = {unit["final_state"] for unit in manifest.units}
+        assert finals == {"DONE", None}
+        for unit in manifest.units:
+            assert len(unit["t"]) == len(STATE_ORDER)
+            assert unit["cores"] == (4 if unit["phase"] == "md" else 1)
+
+    def test_md_core_seconds_count_every_core(self, killed):
+        manifest, _ = killed
+        assert decomposition(manifest)["md"] == pytest.approx(3511.6, abs=0.05)
+
+    def test_timeline_is_the_golden_prefix(self, killed):
+        manifest, golden = killed
+        assert manifest.timeline == [
+            entry for entry in golden.timeline if entry[0] < 150.0
+        ]
+
+
+class TestResumedStream:
+    """A resumed run's stream gets the restored units' rows at once, so
+    it equals the uninterrupted run's manifest."""
+
+    def run_resumed(self, tmp_path, config, stop, **checkpointing):
+        with using_registry(MetricsRegistry()):
+            golden = RepEx(config, **checkpointing).run().manifest
+        with using_registry(MetricsRegistry()):
+            first = RepEx(
+                config, checkpoint_dir=tmp_path / "ck", **checkpointing, **stop
+            ).run()
+        assert first.interrupted
+        path = tmp_path / "resumed.jsonl"
+        run_streamed(
+            path, config, resume_from=tmp_path / "ck" / "latest.json",
+            **checkpointing,
+        )
+        return RunManifest.load(path), golden
+
+    def test_sync_resume(self, tmp_path):
+        loaded, golden = self.run_resumed(
+            tmp_path, relaunch_config("synchronous"),
+            {"stop_after_cycle": 2}, checkpoint_every=1,
+        )
+        assert loaded == RunManifest.from_jsonl(golden.to_jsonl())
+
+    def test_async_resume(self, tmp_path):
+        loaded, golden = self.run_resumed(
+            tmp_path, relaunch_config("asynchronous"),
+            {"stop_after_checkpoint": 1}, checkpoint_every_s=150.0,
+        )
+        assert loaded == RunManifest.from_jsonl(golden.to_jsonl())
 
 
 class TestFaultEventsRoundTrip:

@@ -1,15 +1,10 @@
 """Tests for span tracing on the virtual clock."""
 
-from pathlib import Path
-
 from repro.core import RepEx
-from repro.obs.manifest import RunManifest
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanRecord
 from repro.pilot import EventQueue
 from tests.conftest import small_tremd_config
-
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def make_registry(clock):
@@ -129,38 +124,3 @@ class TestSpanLineage:
         for span in manifest.spans_named("exchange"):
             assert span.unit and span.unit.startswith("ex_")
 
-
-class TestPR1ManifestCompat:
-    """tests/fixtures/manifest_pr1.jsonl is frozen schema-v1 output
-    (no unit records, no span lineage) and must keep loading."""
-
-    def load(self):
-        return RunManifest.load(FIXTURES / "manifest_pr1.jsonl")
-
-    def test_v1_fixture_loads(self):
-        manifest = self.load()
-        assert manifest.schema_version == 1
-        assert manifest.title == "pr1-era"
-        assert manifest.units == []
-        assert not manifest.partial
-        assert len(manifest.spans) == 3
-        assert all(s.span_id is None for s in manifest.spans)
-        assert len(manifest.timeline) == 18
-
-    def test_v1_fixture_round_trips(self):
-        manifest = self.load()
-        assert RunManifest.from_jsonl(manifest.to_jsonl()) == manifest
-
-    def test_analytics_run_on_v1(self):
-        """The trace analytics fall back to name heuristics when the
-        manifest predates unit metadata."""
-        from repro.obs.critical_path import critical_paths, decomposition
-        from repro.obs.export import chrome_trace, validate_chrome_trace
-
-        manifest = self.load()
-        assert validate_chrome_trace(chrome_trace(manifest)) > 0
-        (path,) = critical_paths(manifest)
-        assert path.duration == 100.0
-        totals = decomposition(manifest)
-        assert totals["md"] == 180.0  # 2 units x 90 s x 1 core
-        assert totals["exchange"] == 1.0

@@ -8,7 +8,6 @@ from repro.core.adaptive import EnergyPlateauCriterion
 from repro.core.replica import CycleRecord, Replica
 from repro.md.perfmodel import deterministic_model
 from repro.md.system import alanine_dipeptide
-from repro.utils.charts import bar_chart, sparkline
 
 
 def replica_with_energies(energies):
@@ -89,29 +88,3 @@ def test_pmemd_duration_monotone_in_cores_within_scaling_regime(
     t_lo = perf.md_duration("pmemd.MPI", system, 20000, cores=lo)
     t_hi = perf.md_duration("pmemd.MPI", system, 20000, cores=hi)
     assert t_hi <= t_lo + 1e-9
-
-
-@given(
-    values=st.lists(
-        st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
-        min_size=1,
-        max_size=12,
-    )
-)
-@settings(max_examples=100)
-def test_bar_chart_never_overflows_width(values):
-    out = bar_chart([str(i) for i in range(len(values))], values, width=30)
-    for line in out.splitlines():
-        bar = line.split("|")[1]
-        assert len(bar) == 30
-
-
-@given(
-    values=st.lists(
-        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-        max_size=50,
-    )
-)
-@settings(max_examples=100)
-def test_sparkline_length_matches(values):
-    assert len(sparkline(values)) == len(values)

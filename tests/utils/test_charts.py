@@ -1,33 +1,8 @@
-"""Tests for ASCII chart rendering."""
+"""Tests for ASCII line plots."""
 
 import pytest
 
-from repro.utils.charts import bar_chart, line_plot, sparkline
-
-
-class TestBarChart:
-    def test_longest_bar_is_max(self):
-        out = bar_chart(["a", "b"], [1.0, 2.0], width=10)
-        lines = out.splitlines()
-        assert lines[0].count("#") == 5
-        assert lines[1].count("#") == 10
-
-    def test_title_and_unit(self):
-        out = bar_chart(["x"], [3.0], title="T", unit=" s")
-        assert out.splitlines()[0] == "T"
-        assert "3.00 s" in out
-
-    def test_zero_values_ok(self):
-        out = bar_chart(["a"], [0.0])
-        assert "#" not in out
-
-    def test_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            bar_chart(["a"], [1.0, 2.0])
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            bar_chart(["a"], [-1.0])
+from repro.utils.charts import line_plot
 
 
 class TestLinePlot:
@@ -59,18 +34,3 @@ class TestLinePlot:
         with pytest.raises(ValueError):
             line_plot([0, 1], {"s": [1.0]})
 
-
-class TestSparkline:
-    def test_length(self):
-        assert len(sparkline([1, 2, 3, 4])) == 4
-
-    def test_trend(self):
-        line = sparkline([0.0, 10.0])
-        assert line[0] == " "
-        assert line[-1] == "@"
-
-    def test_flat(self):
-        assert len(set(sparkline([2.0, 2.0, 2.0]))) == 1
-
-    def test_empty(self):
-        assert sparkline([]) == ""
