@@ -9,7 +9,9 @@ Sweeps are cached per parameter set within one pytest session because
 several figures share data (Figs. 5, 6 and 7 all come from the 1-D weak-
 scaling sweep; Fig. 11 re-analyzes Figs. 9-10).
 
-Set ``REPRO_FAST=1`` to trim the replica counts for a quick smoke pass.
+Set ``REPRO_FAST=1`` to trim the replica counts for a quick smoke pass;
+its tables go to a temporary directory, so the committed full-scale
+tables under ``benchmarks/output/`` stay as they are.
 Set ``REPRO_OBS=0`` to run with the observability layer disabled (null
 metrics registry, no tracer, no manifests) when timing the benchmarks
 themselves rather than the simulated workload.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -65,7 +68,12 @@ NUMERIC_STEPS = 10
 #: calibration relative to the paper's quoted 0.02 kcal/mol/deg^2).
 UMBRELLA_K = 0.0005
 
-OUTPUT_DIR = Path(__file__).parent / "output"
+if FAST:
+    # removed when the interpreter exits
+    _FAST_OUTPUT = tempfile.TemporaryDirectory(prefix="repro-bench-fast-")
+    OUTPUT_DIR = Path(_FAST_OUTPUT.name)
+else:
+    OUTPUT_DIR = Path(__file__).parent / "output"
 
 _CACHE: Dict[Tuple, SimulationResult] = {}
 
@@ -76,7 +84,7 @@ def report(
     headers: Optional[List[str]] = None,
     rows: Optional[List[List]] = None,
 ) -> None:
-    """Print a figure's table and persist it under benchmarks/output/.
+    """Print a figure's table and persist it under :data:`OUTPUT_DIR`.
 
     Besides the human-readable ``<name>.txt``, every figure gets a
     machine-readable ``<name>.json`` sidecar so downstream tooling

@@ -48,9 +48,6 @@ def _load_config(path: str) -> SimulationConfig:
 
 def cmd_run(args: argparse.Namespace) -> int:
     """Run a simulation from a JSON configuration file."""
-    if args.stream and not args.manifest:
-        print("error: --stream requires --manifest", file=sys.stderr)
-        return 2
     try:
         config = _load_config(args.config)
     except (OSError, ConfigError) as exc:
@@ -81,7 +78,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         repex_kwargs["stop_after_checkpoint"] = args.stop_after_checkpoint
     if args.crash_at_time is not None:
         repex_kwargs["crash_at_time"] = args.crash_at_time
-    if args.stream:
+    if args.manifest:
         repex_kwargs["manifest_path"] = args.manifest
     try:
         repex = RepEx(config, **repex_kwargs)
@@ -100,6 +97,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
         print(f"crashed: {exc}; {hint}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        # the manifest or a checkpoint could not be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if result.interrupted:
         flag = (
             "--stop-after-cycle"
@@ -113,22 +114,32 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"{repex.checkpoint_dir}"
         )
 
-    rows = [
-        [c.cycle, c.dimension or "-", c.t_md, c.t_ex, c.t_data, c.t_repex,
-         c.t_rp, c.span]
-        for c in result.cycle_timings
-    ]
+    # An asynchronous run's MD happens between its exchange sweeps, never
+    # inside one, so a sweep has no T_MD: the run's MD core-seconds stand
+    # in for it.
+    is_async = result.pattern == "asynchronous"
     print()
     print(
         render_table(
-            ["cycle", "dim", "T_MD", "T_EX", "T_data", "T_RepEx", "T_RP",
-             "Tc"],
-            rows,
-            title="Cycle decomposition (virtual seconds)",
+            (["sweep", "dim"] if is_async else ["cycle", "dim", "T_MD"])
+            + ["T_EX", "T_data", "T_RepEx", "T_RP", "Ts" if is_async else "Tc"],
+            [
+                [c.cycle, c.dimension or "-"]
+                + ([] if is_async else [c.t_md])
+                + [c.t_ex, c.t_data, c.t_repex, c.t_rp, c.span]
+                for c in result.cycle_timings
+            ],
+            title=(
+                "Exchange sweeps" if is_async else "Cycle decomposition"
+            ) + " (virtual seconds)",
         )
     )
     print()
-    print(f"average cycle time : {result.average_cycle_time():10.1f} s")
+    if is_async:
+        print(f"average sweep time : {result.average_cycle_time():10.1f} s")
+        print(f"MD core-seconds    : {result.md_core_seconds:10.1f}")
+    else:
+        print(f"average cycle time : {result.average_cycle_time():10.1f} s")
     print(f"utilization        : {100 * result.utilization():10.1f} %")
     for name, stats in result.exchange_stats.items():
         print(
@@ -173,21 +184,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"\nsummary written to {args.output}")
 
     if args.manifest:
-        if args.stream:
-            # already written incrementally by the ManifestStream
-            print(f"manifest streamed to {args.manifest}")
-        elif result.manifest is None:
-            print(
-                "warning: no manifest recorded (observability disabled)",
-                file=sys.stderr,
-            )
-        else:
-            try:
-                result.manifest.dump(args.manifest)
-            except OSError as exc:
-                print(f"error: cannot write manifest: {exc}", file=sys.stderr)
-                return 2
-            print(f"manifest written to {args.manifest}")
+        # written while the run was in flight, by its ManifestStream
+        print(f"manifest streamed to {args.manifest}")
     return 0
 
 
@@ -581,12 +579,9 @@ def build_parser() -> argparse.ArgumentParser:
         "-o", "--output", help="write a JSON summary to this path"
     )
     p_run.add_argument(
-        "-m", "--manifest", help="write the run manifest (JSONL) to this path"
-    )
-    p_run.add_argument(
-        "--stream", action="store_true",
-        help="flush the manifest incrementally while the run is in "
-             "flight (crash-tolerant; requires --manifest)",
+        "-m", "--manifest",
+        help="stream the run manifest (JSONL) to this path while the run "
+             "is in flight (a killed run leaves a partial one)",
     )
     p_run.add_argument(
         "--checkpoint-every", type=int, default=0, metavar="N",

@@ -15,17 +15,19 @@ that only grows.  The snapshot holds, inline:
   run draws the exact random sequences the uninterrupted run would have;
 * the asynchronous ``async_state``, the watchdog's state and how far the
   fault schedule had fired;
-* the metric registry's counters, gauges and span counter, and the
-  ladder walk state;
+* the metric registry's counters, gauges and span counter, the ladder
+  walk state, and the run log's five phase sums;
 * the journal prefix it depends on: its byte length and sha256.
 
 Each capture appends one journal line with what grew since the capture
 before it, so every item is written once: the other history records
 (sampled trajectories included), cycle timings, swap proposals, and the
-observability records (unit trace rows, raw histogram samples, finished
-spans, fault events).
+observability records (the run log's v4 unit rows, raw histogram
+samples, finished spans, fault events).
 Together they let a resumed run's manifest diff all-zero against the
-uninterrupted run's.
+uninterrupted run's.  A checkpoint directory also holds ``latest.json``,
+a small pointer naming its newest snapshot, which
+:meth:`Checkpoint.load` follows.
 
 Restart rebuilds the stack from the same configuration (enforced via the
 config hash), drives the fresh pilot through activation, replays the
@@ -67,8 +69,10 @@ from repro.core.results import CycleTiming
 from repro.core.exchange.base import SwapProposal
 from repro.obs.manifest import config_hash
 
-#: Bump on any incompatible change to the checkpoint layout.
-SCHEMA_VERSION = 4
+#: Bump on any incompatible change to the checkpoint layout.  v5: the
+#: journal's ``rows`` are the run manifest's v4 unit rows, and the
+#: snapshot's ``obs`` block carries the run log's ``phase_totals``.
+SCHEMA_VERSION = 5
 
 #: Versions :func:`Checkpoint.from_json` can read.
 SUPPORTED_VERSIONS = (SCHEMA_VERSION,)
@@ -76,7 +80,7 @@ SUPPORTED_VERSIONS = (SCHEMA_VERSION,)
 #: the run's journal, beside its snapshots in the checkpoint directory
 JOURNAL_NAME = "journal.jsonl"
 
-#: the always-current snapshot in a checkpoint directory
+#: the pointer naming the newest snapshot in a checkpoint directory
 LATEST_NAME = "latest.json"
 
 
@@ -105,6 +109,18 @@ def _write_atomic(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text)
     os.replace(tmp, path)
+
+
+def point_latest(snapshot: Path) -> None:
+    """Point the ``latest.json`` beside ``snapshot`` at it, atomically.
+
+    A pointer, not a copy or a symlink: a copy doubles the bytes of the
+    newest snapshot, and a write through a symlink would land in the
+    snapshot it names.
+    """
+    _write_atomic(
+        snapshot.with_name(LATEST_NAME), _dumps({"snapshot": snapshot.name})
+    )
 
 
 def _record_to_dict(rec: CycleRecord) -> Dict:
@@ -201,8 +217,8 @@ class Journal:
         #: (resolved file, lines) the journal was read from: that file
         #: held its first ``lines`` lines, maybe followed by more bytes
         self.origin: Optional[tuple] = None
-        #: the snapshot a resumed run's journal continues from
-        self.base: Optional["Checkpoint"] = None
+        #: the snapshot file a resumed run's journal continues from
+        self.base: Optional[Path] = None
 
     @property
     def sha256(self) -> str:
@@ -229,7 +245,7 @@ class Journal:
         """
         child = Journal(self.lines[: ckpt._n_lines])
         child.origin = self.origin
-        child.base = ckpt
+        child.base = ckpt._source
         return child
 
     def sync(self, path: Path, n_lines: int) -> None:
@@ -262,7 +278,7 @@ class Journal:
             size = sum(len(line) for line in self.lines[:n_lines])
             on_disk = path.stat().st_size if path.exists() else -1
             if on_disk > size and self.base is not None:
-                _write_atomic(path.with_name(LATEST_NAME), self.base.to_json())
+                point_latest(self.base)
                 os.truncate(path, size)
                 on_disk = size
             if on_disk >= size:
@@ -317,12 +333,12 @@ def _marks(emm) -> Dict[str, object]:
     """How far each growing item of ``emm``'s run reaches (the history
     of a replica stops short of its last record, which stays inline: an
     exchange may still change it)."""
-    tracer = emm.session.tracer
+    run_log = emm.run_log
     return {
         "history": {r.rid: max(len(r.history) - 1, 0) for r in emm.replicas},
         "timings": len(emm.timings),
         "proposals": len(emm.proposals),
-        "rows": len(tracer.records) if tracer is not None else 0,
+        "rows": len(run_log.rows) if run_log is not None else 0,
         "samples": emm.metrics.state_dict()["histograms"],
         "spans": len(emm.metrics.spans),
         "faults": len(_fault_events(emm)),
@@ -333,7 +349,7 @@ def _journal_entry(emm, journal: Journal) -> Dict[str, object]:
     """What grew in ``emm``'s run since ``journal``'s last line."""
     old, new = journal.marks, _marks(emm)
     journal.marks = new
-    tracer = emm.session.tracer
+    run_log = emm.run_log
     samples, spans = emm.metrics.records_since(old["samples"], old["spans"])
     history = {}
     for rep in emm.replicas:
@@ -349,7 +365,7 @@ def _journal_entry(emm, journal: Journal) -> Dict[str, object]:
             [p.rid_i, p.rid_j, p.dimension, p.delta, p.accepted]
             for p in emm.proposals[old["proposals"] :]
         ],
-        "rows": tracer.state_dict(old["rows"]) if tracer is not None else [],
+        "rows": run_log.rows[old["rows"] :] if run_log is not None else [],
         "samples": samples,
         "spans": spans,
         "faults": [e.to_dict() for e in _fault_events(emm)[old["faults"] :]],
@@ -401,7 +417,8 @@ def _capture_rng(emm) -> Dict[str, object]:
 
 
 def _capture_obs(emm) -> Optional[Dict[str, object]]:
-    """Fixed-size observability state: the registry and the ladder.
+    """Fixed-size observability state: the registry, the ladder and the
+    run log's phase sums.
 
     None when the registry is disabled (``REPRO_OBS=0``) — restoring then
     degrades gracefully to EMM-state-only resume.
@@ -412,6 +429,8 @@ def _capture_obs(emm) -> Optional[Dict[str, object]]:
     ladder = getattr(emm, "ladder", None)
     if ladder is not None:
         blob["ladder"] = ladder.state_dict()
+    if emm.run_log is not None:
+        blob["phase_totals"] = dict(emm.run_log.totals)
     return blob
 
 
@@ -473,10 +492,11 @@ class Checkpoint:
     schema_version: int = SCHEMA_VERSION
 
     # Not fields, so never serialized: the journal holding this snapshot's
-    # prefix (None for a bare :meth:`from_json` parse), and the prefix's
-    # line count.
+    # prefix (None for a bare :meth:`from_json` parse), the prefix's line
+    # count, and the file :meth:`load` read the snapshot from.
     _journal = None
     _n_lines = 0
+    _source = None
 
     # -- capture -------------------------------------------------------------
 
@@ -648,8 +668,8 @@ class Checkpoint:
     def journaled(self) -> Dict[str, object]:
         """The journaled part of the run at this snapshot, read back from
         its journal prefix: ``history`` (rid -> records before the last),
-        ``timings``, ``proposals``, and the obs ``rows``, ``samples``,
-        ``spans`` and ``faults``."""
+        ``timings``, ``proposals``, and the obs ``rows`` (v4 unit rows),
+        ``samples``, ``spans`` and ``faults``."""
         if self._journal is None:
             raise CheckpointError(
                 "checkpoint has no journal: load it with Checkpoint.load "
@@ -657,30 +677,28 @@ class Checkpoint:
             )
         return _read_entries(self._journal.lines[: self._n_lines])
 
-    def save(self, path, text: Optional[str] = None) -> str:
+    def save(self, path) -> str:
         """Write the snapshot to ``path``; returns its text.
 
         First the journal beside it (``journal.jsonl``) is brought up to
         this snapshot's prefix — appending only lines not yet there —
         then the snapshot lands under a temporary name and is moved into
         place with ``os.replace``, so a kill mid-write can never leave a
-        half-written file where a loadable checkpoint used to be.  Pass a
-        previous call's return value as ``text`` to write the same
-        snapshot under another name without serializing it again.
+        half-written file where a loadable checkpoint used to be.
         """
         if self._journal is None:
             raise CheckpointError("checkpoint has no journal to save with")
         path = Path(path)
         self._journal.sync(path.with_name(JOURNAL_NAME), self._n_lines)
-        if text is None:
-            text = self.to_json()
+        text = self.to_json()
         _write_atomic(path, text)
         return text
 
     @classmethod
     def load(cls, path) -> "Checkpoint":
         """Read a snapshot from ``path`` and its journal prefix from the
-        ``journal.jsonl`` beside it.
+        ``journal.jsonl`` beside it; a ``latest.json`` pointer loads the
+        snapshot it names.
 
         Truncated, bit-flipped or otherwise mangled files — the snapshot
         or the prefix it depends on, or a missing journal — fail here
@@ -692,8 +710,18 @@ class Checkpoint:
         path = Path(path)
         try:
             text = path.read_text()
+            if path.name == LATEST_NAME:
+                # a pointer, unless it is a snapshot itself (an old copy)
+                name = json.loads(text).get("snapshot")
+                if isinstance(name, str):
+                    path = path.with_name(name)
+                    text = path.read_text()
         except OSError as exc:
             raise CheckpointError(f"cannot read checkpoint: {exc}") from None
+        except (AttributeError, ValueError) as exc:
+            raise CheckpointError(
+                f"corrupt checkpoint at {path}: {type(exc).__name__}: {exc}"
+            ) from None
         try:
             ckpt = cls.from_json(text)
             journal = Journal.read(path.with_name(JOURNAL_NAME), ckpt.journal)
@@ -703,6 +731,7 @@ class Checkpoint:
             ) from None
         ckpt._journal = journal
         ckpt._n_lines = len(journal.lines)
+        ckpt._source = path
         return ckpt
 
 
@@ -826,9 +855,8 @@ def _restore_obs(emm, obs: Optional[Dict[str, object]], grown) -> None:
         emm.metrics.load_state(
             obs["registry"], grown["samples"], grown["spans"]
         )
-    tracer = emm.session.tracer
-    if tracer is not None:
-        tracer.load_state(grown["rows"])
+    if emm.run_log is not None:
+        emm.run_log.restore(grown["rows"], obs["phase_totals"])
     fault_domain = getattr(emm.session, "fault_domain", None)
     if fault_domain is not None:
         fault_domain.load_events(grown["faults"])

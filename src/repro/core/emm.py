@@ -165,6 +165,10 @@ class ExecutionManagerBase:
         #: the run's checkpoint journal, made by its first capture (a
         #: :class:`~repro.core.checkpoint.Journal`)
         self.journal = None
+        #: the run's log of finished units (a
+        #: :class:`~repro.obs.manifest.ManifestStream`, set by the
+        #: framework facade when tracing), which checkpoints journal
+        self.run_log = None
         #: checkpoint every N completed cycles (0 = never); snapshots go to
         #: ``checkpoint_sink`` (set by the framework facade)
         self.checkpoint_every = 0
@@ -356,13 +360,12 @@ class ExecutionManagerBase:
         remaining = len(pending)
         fired = False
 
-        def _on_final(unit: ComputeUnit, _state) -> None:
+        def _on_final(_unit: ComputeUnit) -> None:
             nonlocal remaining
-            if unit.done:
-                remaining -= 1
+            remaining -= 1
 
         for unit in pending:
-            unit.register_callback(_on_final)
+            unit.on_final(_on_final)
 
         def _fire() -> None:
             nonlocal fired
@@ -776,9 +779,7 @@ class AsynchronousEMM(ExecutionManagerBase):
         for rep, desc in launch:
             unit = self.session.submit_units(self.pilot, [desc])[0]
             self._inflight[rep.rid] = unit
-            unit.register_callback(
-                lambda u, s, r=rep: self._on_md_final(r, u) if u.done else None
-            )
+            unit.on_final(lambda u, r=rep: self._on_md_final(r, u))
 
     def _on_md_final(self, rep: Replica, unit: ComputeUnit) -> None:
         if self._inflight.get(rep.rid) is not unit:
@@ -904,12 +905,10 @@ class AsynchronousEMM(ExecutionManagerBase):
         ex_desc = self.amm.exchange_task(ready, dimension, sweep)
         sweep_span.unit = ex_desc.name
         unit = self.session.submit_units(self.pilot, [ex_desc])[0]
-        unit.register_callback(
-            lambda u, _s: self._on_exchange_final(
+        unit.on_final(
+            lambda u: self._on_exchange_final(
                 u, ready, dimension, sweep, t_sweep_start, sweep_span
             )
-            if u.done
-            else None
         )
 
     def _on_exchange_final(

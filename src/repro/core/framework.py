@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import List, Optional, Union
 
 from repro.core.amm import ApplicationManager
-from repro.core.checkpoint import LATEST_NAME, Checkpoint, CheckpointError
+from repro.core.checkpoint import Checkpoint, CheckpointError, point_latest
 from repro.core.config import SimulationConfig
 from repro.core.emm import AsynchronousEMM, SynchronousEMM
 from repro.core.execution_modes import ExecutionMode, make_mode
@@ -57,7 +57,7 @@ class RepEx:
         Snapshot the run every N completed cycles (synchronous pattern
         only; 0 disables).  Checkpoints are collected in
         :attr:`checkpoints` and, when ``checkpoint_dir`` is set, written
-        as ``cycle_NNNN.json`` plus an always-current ``latest.json``,
+        as ``cycle_NNNN.json`` plus a ``latest.json`` naming the newest,
         beside the run's append-only ``journal.jsonl``.
     checkpoint_every_s:
         Asynchronous pattern: quiesce (stop launching, drain in-flight
@@ -90,7 +90,8 @@ class RepEx:
     manifest_path:
         Stream an incrementally flushed JSONL manifest to this path
         while the run is in flight (see
-        :class:`~repro.obs.manifest.ManifestStream`).
+        :class:`~repro.obs.manifest.ManifestStream`); without it the
+        run's log of finished units stays in memory.
     registry:
         A private :class:`~repro.obs.metrics.MetricsRegistry` for this
         run.  The whole stack is constructed — and :meth:`run` executes —
@@ -210,14 +211,12 @@ class RepEx:
             )
             self.session.watchdog = self.watchdog
 
-        # Observability: bind the registry to this run's virtual clock and
-        # auto-trace every unit the session submits.  Under a NullRegistry
-        # the tracer is skipped entirely, so the off-path cost is only the
-        # no-op instrument calls.
+        # Observability: bind the registry to this run's virtual clock.
+        # Each run() traces every unit the session submits into its run
+        # log; under a NullRegistry it traces nothing, so the off-path
+        # cost is only the no-op instrument calls.
         self.registry.bind_clock(self.session.clock)
-        if self.registry.enabled and self.session.tracer is None:
-            self.session.tracer = Tracer()
-        self.tracer = self.session.tracer
+        self.tracer: Optional[Tracer] = None
 
         self.amm = ApplicationManager(
             config,
@@ -327,8 +326,9 @@ class RepEx:
                 name = f"cycle_{ckpt.next_cycle:04d}.json"
             else:
                 name = f"quiesce_{self.emm.state.n_quiesces:04d}.json"
-            text = ckpt.save(self.checkpoint_dir / name)
-            ckpt.save(self.checkpoint_dir / LATEST_NAME, text)
+            path = self.checkpoint_dir / name
+            ckpt.save(path)
+            point_latest(path)
             self._prune_checkpoints()
 
     def _prune_checkpoints(self) -> None:
@@ -374,13 +374,13 @@ class RepEx:
     def _run(self) -> SimulationResult:
         self.registry.reset()
         self.checkpoints.clear()
-        stream = None
-        if self.manifest_path is not None:
-            stream = ManifestStream(self.manifest_path, self.config)
-            if self.tracer is not None:
-                self.tracer.add_sink(stream.on_unit)
-            if self.fault_domain is not None:
-                self.fault_domain.add_sink(stream.on_fault)
+        run_log = ManifestStream(self.manifest_path, self.config)
+        if self.registry.enabled:
+            self.tracer = Tracer(run_log.on_unit)
+            self.emm.run_log = run_log
+        self.session.tracer = self.tracer
+        if self.manifest_path is not None and self.fault_domain is not None:
+            self.fault_domain.add_sink(run_log.on_fault)
         if self.crash_at_time is not None:
             self.session.schedule_crash(self.crash_at_time)
         try:
@@ -391,8 +391,7 @@ class RepEx:
                 result = self.emm.run()
         except BaseException:
             # Leave the partial manifest on disk — it is the post-mortem.
-            if stream is not None:
-                stream.abort(self.tracer)
+            run_log.abort(self.tracer)
             raise
         finally:
             self.pilot.cancel()
@@ -400,7 +399,7 @@ class RepEx:
         result.manifest = RunManifest.from_run(
             self.config,
             result,
-            self.tracer,
+            run_log if self.tracer is not None else None,
             self.registry,
             fault_events=(
                 [e.to_dict() for e in self.fault_domain.events]
@@ -409,8 +408,7 @@ class RepEx:
             ),
             ladder=ladder.records() if ladder is not None else None,
         )
-        if stream is not None:
-            stream.finalize(result.manifest)
+        run_log.finalize(result.manifest)
         return result
 
 

@@ -51,7 +51,6 @@ from repro.obs.manifest import (
     RunManifest,
     SCHEMA_VERSION,
     config_hash,
-    phase_totals,
 )
 from repro.obs.metrics import (
     Counter,
@@ -95,7 +94,6 @@ __all__ = [
     "get_registry",
     "null_registry",
     "openmetrics",
-    "phase_totals",
     "render_diff",
     "render_report",
     "set_registry",

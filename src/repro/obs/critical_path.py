@@ -27,38 +27,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.export import _unit_chain
-from repro.obs.manifest import STATE_ORDER, RunManifest
+from repro.obs.manifest import (
+    STATE_ORDER,
+    RunManifest,
+    classify,
+    row_phase_totals,
+    unit_chain,
+)
 from repro.utils.tables import render_table
 
 #: phases a critical-path segment can be attributed to, in report order
 KINDS: Tuple[str, ...] = ("md", "exchange", "staging", "overhead", "idle", "other")
 
-_EXCHANGE_PHASES = frozenset({"exchange", "single_point"})
-
 #: numeric tolerance when matching interval endpoints (timeline
 #: timestamps are rounded to 1 microsecond)
 EPS = 5e-6
-
-
-def classify(state: str, phase: Optional[str]) -> str:
-    """Map a unit state interval to its phase bucket.
-
-    Mirrors :func:`repro.obs.manifest.phase_totals`: EXECUTING splits by
-    the unit's ``phase`` tag, staging states bucket as ``staging``,
-    scheduler wait and launch delay as ``overhead``.
-    """
-    if state == "EXECUTING":
-        if phase == "md":
-            return "md"
-        if phase in _EXCHANGE_PHASES:
-            return "exchange"
-        return "other"
-    if state in ("STAGING_INPUT", "STAGING_OUTPUT"):
-        return "staging"
-    if state in ("SCHEDULING", "AGENT_EXECUTING_PENDING"):
-        return "overhead"
-    return "other"
 
 
 @dataclass
@@ -169,7 +152,7 @@ def _intervals(manifest: RunManifest) -> List[_Interval]:
     for row in manifest.units:
         phase = row.get("phase")
         cores = int(row.get("cores") or 1)
-        for state, t0, t1 in _unit_chain(row):
+        for state, t0, t1 in unit_chain(row):
             out.append(
                 _Interval(
                     row["name"], state, t0, t1, classify(state, phase), cores
@@ -240,11 +223,7 @@ def decomposition(manifest: RunManifest) -> Dict[str, float]:
     the two must agree to within timeline rounding, which is the
     self-consistency check the tests pin.
     """
-    totals = {"md": 0.0, "exchange": 0.0, "staging": 0.0, "overhead": 0.0, "other": 0.0}
-    for iv in _intervals(manifest):
-        kind = iv.kind if iv.kind in totals else "other"
-        totals[kind] += (iv.t1 - iv.t0) * iv.cores
-    return totals
+    return row_phase_totals(manifest.units)
 
 
 def render_report(

@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 from typing import Dict, Iterable, List, Tuple
 
-from repro.obs.manifest import STATE_ORDER, RunManifest
+from repro.obs.manifest import RunManifest, unit_chain
 
 #: process ids of the fixed lanes
 PID_PHASES = 1
@@ -42,22 +42,6 @@ def _us(t: float) -> int:
     return int(round(t * 1e6))
 
 
-def _unit_chain(unit: Dict) -> List[Tuple[str, float, float]]:
-    """One unit row's ``(state, t_start, t_end)`` intervals.
-
-    The row's ``t`` lists entry times in lifecycle order, which is the
-    order the unit entered them; each state entered lasts until the
-    next.  The last state entered — the final state of a finished unit —
-    opens no interval.
-    """
-    entered = [
-        (state, t) for state, t in zip(STATE_ORDER, unit["t"]) if t is not None
-    ]
-    return [
-        (state, t0, t1) for (state, t0), (_, t1) in zip(entered, entered[1:])
-    ]
-
-
 def unit_intervals(manifest: RunManifest) -> Dict[str, List[Tuple[str, float, float]]]:
     """Per-unit-name ``(state, t_start, t_end)`` chains from the unit rows.
 
@@ -66,7 +50,7 @@ def unit_intervals(manifest: RunManifest) -> Dict[str, List[Tuple[str, float, fl
     """
     intervals: Dict[str, List[Tuple[str, float, float]]] = {}
     for unit in manifest.units:
-        intervals.setdefault(unit["name"], []).extend(_unit_chain(unit))
+        intervals.setdefault(unit["name"], []).extend(unit_chain(unit))
     return intervals
 
 
@@ -158,7 +142,7 @@ def chrome_trace(manifest: RunManifest) -> Dict:
     replica_tids = set()
     executions = []
     for row in manifest.units:
-        chain = _unit_chain(row)
+        chain = unit_chain(row)
         if not chain:
             continue
         unit = row["name"]

@@ -5,7 +5,7 @@ A :class:`RunManifest` is written at the end of
 
 * identity — title, config hash, pattern, mode, replica/core counts,
 * the per-phase time decomposition (md / exchange / staging / overhead)
-  derived from the unit tracer, in core-seconds,
+  summed by the run's log as each unit finished, in core-seconds,
 * a snapshot of every metric in the active registry,
 * every finished span, and
 * one row per unit: its metadata and the entry time of every state,
@@ -21,13 +21,14 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, fields
+from operator import itemgetter
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanRecord
-from repro.pilot.trace import TraceRecord, Tracer
-from repro.pilot.unit import FINAL_STATES, UnitState
+from repro.pilot.trace import Tracer
+from repro.pilot.unit import ComputeUnit, UnitState
 
 #: Bump when the JSONL schema changes shape.  v4: a ``unit`` record
 #: carries its transitions as ``t``, the entry time of every state of
@@ -43,8 +44,21 @@ STATE_ORDER: Tuple[str, ...] = tuple(state.value for state in UnitState)
 
 _STATE_INDEX = {state: i for i, state in enumerate(UnitState)}
 
+#: The phase buckets of :func:`classify`, in report order.
+PHASES: Tuple[str, ...] = ("md", "exchange", "staging", "overhead", "other")
+
 #: Unit metadata phases folded into the manifest's ``exchange`` bucket.
 _EXCHANGE_PHASES = frozenset({"exchange", "single_point"})
+
+#: The bucket of every state but EXECUTING, which splits by phase.
+_STATE_BUCKET = {
+    "STAGING_INPUT": "staging",
+    "STAGING_OUTPUT": "staging",
+    "SCHEDULING": "overhead",
+    "AGENT_EXECUTING_PENDING": "overhead",
+}
+
+_by_name = itemgetter("name")
 
 _NUMBER = (int, float)
 
@@ -96,85 +110,80 @@ def config_hash(config) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def _unit_row(rec: TraceRecord) -> Tuple[Dict, Dict[UnitState, float]]:
-    """A unit's v4 row and its raw per-state dwell, in one pass.
+def classify(state: str, phase: Optional[str]) -> str:
+    """The phase bucket of a unit's dwell in ``state``.
+
+    EXECUTING splits by the unit's ``phase`` tag (``single_point``
+    counts as exchange, matching the EMM's accounting; an untagged unit
+    is ``other``), the staging states bucket as ``staging``, scheduler
+    wait and launch delay as ``overhead``.  A run log's running sums,
+    the totals :meth:`RunManifest.from_jsonl` derives for a killed run
+    and :func:`repro.obs.critical_path.decomposition` all bucket here.
+    """
+    if state == "EXECUTING":
+        if phase == "md":
+            return "md"
+        return "exchange" if phase in _EXCHANGE_PHASES else "other"
+    return _STATE_BUCKET.get(state, "other")
+
+
+def unit_chain(row: Dict) -> List[Tuple[str, float, float]]:
+    """One unit row's ``(state, t_start, t_end)`` intervals.
+
+    The row's ``t`` lists entry times in lifecycle order, which is the
+    order the unit entered them; each state entered lasts until the
+    next.  The last state entered — the final state of a finished unit —
+    opens no interval.
+    """
+    entered = [
+        (state, t) for state, t in zip(STATE_ORDER, row["t"]) if t is not None
+    ]
+    return [
+        (state, t0, t1) for (state, t0), (_, t1) in zip(entered, entered[1:])
+    ]
+
+
+def row_phase_totals(rows: Iterable[Dict]) -> Dict[str, float]:
+    """Per-phase core-seconds of unit rows, from their (1 µs) entry times."""
+    totals = dict.fromkeys(PHASES, 0.0)
+    for row in rows:
+        phase = row.get("phase")
+        cores = int(row.get("cores") or 1)
+        for state, t0, t1 in unit_chain(row):
+            totals[classify(state, phase)] += (t1 - t0) * cores
+    return totals
+
+
+def _unit_row(unit: ComputeUnit, totals: Dict[str, float]) -> Dict:
+    """A unit's v4 row; adds the unit's dwell to ``totals`` on the way.
 
     The row is what a dump and a streamed file both write for the unit;
-    its ``t`` entries are rounded to 1 µs.  The dwell (seconds in each
-    state the unit has left) comes from the unrounded entry times.  The
-    uid is left out because it comes from a global counter and would
-    break byte-stable manifests.
+    its ``t`` entries are rounded to 1 µs.  The dwell (core-seconds in
+    each state the unit has left, bucketed by :func:`classify`) comes
+    from the unrounded entry times.  The uid is left out because it
+    comes from a global counter and would break byte-stable manifests.
     """
+    description = unit.description
+    metadata = description.metadata
+    phase = metadata.get("phase")
+    cores = description.cores
     entered: List[Optional[float]] = [None] * len(STATE_ORDER)
-    dwell: Dict[UnitState, float] = {}
     last = None
-    for state, t in rec.timestamps.items():
-        entered[_STATE_INDEX[state]] = round(t, 6)
+    for state, t in unit.timestamps.items():
+        i = _STATE_INDEX[state]
+        entered[i] = round(t, 6)
         if last is not None:
-            dwell[last] = t - t_last
-        last, t_last = state, t
-    metadata = rec.metadata
-    row = {
-        "name": rec.name,
-        "cores": rec.cores,
-        "phase": metadata.get("phase"),
+            totals[classify(last, phase)] += (t - t_last) * cores
+        last, t_last = STATE_ORDER[i], t
+    return {
+        "name": description.name,
+        "cores": cores,
+        "phase": phase,
         "rid": metadata.get("rid"),
         "cycle": metadata.get("cycle"),
-        "final_state": last.value if last in FINAL_STATES else None,
+        "final_state": last if unit.done else None,
         "t": entered,
     }
-    return row, dwell
-
-
-def _fold_units(tracer: Tracer) -> Tuple[Dict[str, float], List[Dict]]:
-    """Phase totals and v4 unit rows in one pass over the tracer.
-
-    Totals accumulate in record (creation) order from the raw dwell, so
-    they do not depend on the rows' 1 µs rounding.  Rows are sorted by
-    unit name.
-    """
-    totals = {
-        "md": 0.0,
-        "exchange": 0.0,
-        "staging": 0.0,
-        "overhead": 0.0,
-        "other": 0.0,
-    }
-    rows: List[Dict] = []
-    for rec in tracer.records.values():
-        row, dwell = _unit_row(rec)
-        cores = row["cores"]
-        executing = dwell.get(UnitState.EXECUTING, 0.0) * cores
-        phase = row["phase"]
-        if phase == "md":
-            totals["md"] += executing
-        elif phase in _EXCHANGE_PHASES:
-            totals["exchange"] += executing
-        else:
-            totals["other"] += executing
-        totals["staging"] += (
-            dwell.get(UnitState.STAGING_INPUT, 0.0)
-            + dwell.get(UnitState.STAGING_OUTPUT, 0.0)
-        ) * cores
-        totals["overhead"] += (
-            dwell.get(UnitState.SCHEDULING, 0.0)
-            + dwell.get(UnitState.AGENT_EXECUTING_PENDING, 0.0)
-        ) * cores
-        rows.append(row)
-    rows.sort(key=lambda row: row["name"])
-    return totals, rows
-
-
-def phase_totals(tracer: Tracer) -> Dict[str, float]:
-    """Per-phase core-second totals derived from a tracer's unit records.
-
-    Buckets: ``md`` and ``exchange`` are EXECUTING dwell split by the
-    units' ``phase`` metadata tag (``single_point`` counts as exchange,
-    matching the EMM's accounting); ``staging`` is input+output staging
-    dwell of every unit; ``overhead`` is scheduling + launch-pending
-    dwell; ``other`` catches execution of untagged units.
-    """
-    return _fold_units(tracer)[0]
 
 
 def _is_number(value) -> bool:
@@ -222,7 +231,7 @@ class RunManifest:
     seed: int
     t_start: float
     t_end: float
-    #: core-seconds per phase; see :func:`phase_totals`
+    #: core-seconds per phase of :data:`PHASES` (see :func:`classify`)
     phase_totals: Dict[str, float] = field(default_factory=dict)
     #: Eq. 4 utilization as the EMM accounted it
     utilization: float = 0.0
@@ -261,7 +270,7 @@ class RunManifest:
         cls,
         config,
         result,
-        tracer: Optional[Tracer],
+        run_log: Optional["ManifestStream"],
         registry: MetricsRegistry,
         fault_events: Optional[List[Dict]] = None,
         ladder: Optional[List[Dict]] = None,
@@ -269,10 +278,11 @@ class RunManifest:
         """Assemble the manifest for a finished run.
 
         ``config``/``result`` are duck-typed (SimulationConfig /
-        SimulationResult) so this module stays import-light; ``tracer``
-        may be None under a null registry, which yields an identity-only
-        manifest.  ``fault_events`` is the fault domain's event list in
-        dict form, when fault injection was active; ``ladder`` is the v3
+        SimulationResult) so this module stays import-light.  The unit
+        rows and phase totals are ``run_log``'s; it is None under a null
+        registry, which yields an identity-only manifest.
+        ``fault_events`` is the fault domain's event list in dict form,
+        when fault injection was active; ``ladder`` is the v3
         exchange-dynamics record list, when the ladder tracker ran.
         """
         manifest = cls(
@@ -289,9 +299,10 @@ class RunManifest:
             metrics=registry.snapshot() if registry.enabled else {},
             spans=list(registry.spans),
         )
-        if tracer is not None:
-            manifest.phase_totals, manifest.units = _fold_units(tracer)
-            manifest.n_units = len(tracer.records)
+        if run_log is not None:
+            manifest.phase_totals = dict(run_log.totals)
+            manifest.units = sorted(run_log.rows, key=_by_name)
+            manifest.n_units = len(manifest.units)
         if fault_events:
             manifest.fault_events = list(fault_events)
         if ladder:
@@ -340,9 +351,9 @@ class RunManifest:
 
     # -- JSONL round-trip ----------------------------------------------------
 
-    def _lines(self) -> Iterator[str]:
-        """The JSONL records, one newline-terminated line each."""
-        header = {
+    def _header(self) -> Dict:
+        """The ``run`` record."""
+        return {
             "kind": "run",
             "schema_version": self.schema_version,
             "title": self.title,
@@ -359,7 +370,10 @@ class RunManifest:
             "n_units": self.n_units,
             "partial": self.partial,
         }
-        yield _encode(header) + "\n"
+
+    def _lines(self) -> Iterator[str]:
+        """The JSONL records, one newline-terminated line each."""
+        yield _encode(self._header()) + "\n"
         yield _encode({"kind": "metrics", "data": self.metrics}) + "\n"
         for span in self.spans:
             yield _encode({"kind": "span", **span.to_dict()}) + "\n"
@@ -379,9 +393,12 @@ class RunManifest:
         """Parse :meth:`to_jsonl` or streamed output back into a manifest.
 
         Unit rows are sorted by name: a dump writes them in that order, a
-        stream as the units finish.  A record that is not valid JSON, is
-        of an unknown kind, or lacks a field its kind requires raises
-        :class:`ManifestError`.  With
+        stream as the units finish.  A stream whose run never finalized
+        it ends on its provisional header, which holds no ``n_units``;
+        then the unit count, the end time (the latest entry time) and
+        the phase totals come from the rows.  A record that is not valid
+        JSON, is of an unknown kind, or lacks a field its kind requires
+        raises :class:`ManifestError`.  With
         ``recover=True`` a damaged manifest — a streamed file cut
         mid-record by a kill, or records from a newer schema — does not
         raise: each bad line is skipped and noted in :attr:`recovered`,
@@ -435,7 +452,14 @@ class RunManifest:
                 ladder.append(record)
         if header is None:
             raise ManifestError("no 'run' header record found")
-        units.sort(key=lambda row: row["name"])
+        units.sort(key=_by_name)
+        if header.get("partial") and "n_units" not in header:
+            header["n_units"] = len(units)
+            header["t_end"] = max(
+                (t for row in units for t in row["t"] if t is not None),
+                default=header["t_end"],
+            )
+            header["phase_totals"] = row_phase_totals(units)
         return cls(
             title=header["title"],
             config_hash=header["config_hash"],
@@ -546,28 +570,39 @@ class RunManifest:
 
 
 class ManifestStream:
-    """Incrementally flushed JSONL manifest (crash-tolerant observability).
+    """A run's log: the one owner of its finished units' rows.
 
-    :class:`RunManifest` is assembled only after a run finishes, which
-    makes it useless for diagnosing a run that *dies* — exactly the case
-    the fault-injection work cares about.  A ``ManifestStream`` opens its
-    file up front with a provisional run header marked ``partial`` and
-    appends one flushed line per finished unit — the same v4 row a dump
-    holds (:meth:`on_unit`, wired as a
-    :meth:`~repro.pilot.trace.Tracer.add_sink` callback) — and per fault
-    event (:meth:`on_fault`), so a killed process still leaves a loadable
-    prefix on disk.  :meth:`finalize` appends the metrics snapshot, the
-    spans, the ladder and a final non-partial header;
+    :meth:`on_unit` is the run's :class:`~repro.pilot.trace.Tracer` sink:
+    it builds each unit's v4 row once, when the unit reaches a final
+    state, adds the unit's dwell to the five running phase sums
+    (:attr:`totals`) and keeps the row (:attr:`rows`), from which
+    :meth:`RunManifest.from_run` assembles the manifest.  A checkpoint
+    journals the same rows and :meth:`restore` refills them.
+
+    Given a ``path`` the log is also an incrementally flushed JSONL
+    manifest, so a run that *dies* still leaves a loadable prefix on
+    disk: the file opens with a provisional run header marked
+    ``partial`` and gets one flushed line per finished unit (the row a
+    dump holds) and per fault event (:meth:`on_fault`).
+    :meth:`finalize` appends the metrics snapshot, the spans, the
+    ladder and a final non-partial header;
     :meth:`RunManifest.from_jsonl` takes the *last* run header and sorts
     the unit rows by name, so a finalized stream loads exactly like
     :meth:`RunManifest.dump` output.  A run that raises calls
     :meth:`abort`, which adds the rows of the units still in flight.
+    Without a ``path`` the log is held in memory only.
     """
 
     def __init__(self, path, config):
-        self.path = Path(path)
-        self._fh = self.path.open("w")
-        self._closed = False
+        #: every finished unit's v4 row, in finish order
+        self.rows: List[Dict] = []
+        #: core-seconds per phase of :data:`PHASES` over :attr:`rows`,
+        #: summed in finish order from the unrounded entry times
+        self.totals: Dict[str, float] = dict.fromkeys(PHASES, 0.0)
+        self._fh = None
+        if path is None:
+            return
+        self._fh = Path(path).open("w")
         self._write(
             {
                 "kind": "run",
@@ -586,16 +621,28 @@ class ManifestStream:
         )
 
     def _write(self, record: Dict) -> None:
-        if self._closed:
+        if self._fh is None:
             return
         self._fh.write(_encode(record) + "\n")
         self._fh.flush()
 
     # -- sinks ---------------------------------------------------------------
 
-    def on_unit(self, record: TraceRecord) -> None:
-        """Tracer sink: flush one unit's v4 row."""
-        self._write({"kind": "unit", **_unit_row(record)[0]})
+    def on_unit(self, unit: ComputeUnit) -> None:
+        """Tracer sink: keep a finished unit's row, add its dwell to the
+        phase sums, and flush the row."""
+        row = _unit_row(unit, self.totals)
+        self.rows.append(row)
+        self._write({"kind": "unit", **row})
+
+    def restore(self, rows: List[Dict], totals: Dict[str, float]) -> None:
+        """Refill the log from a checkpoint: its journaled ``rows`` and
+        its phase sums.  The rows reach the file too, so a stream opened
+        before the restore still holds the pre-checkpoint units."""
+        self.rows = list(rows)
+        self.totals = {phase: float(totals[phase]) for phase in PHASES}
+        for row in rows:
+            self._write({"kind": "unit", **row})
 
     def on_fault(self, event) -> None:
         """Fault-domain sink: flush one fault event line.
@@ -615,57 +662,34 @@ class ManifestStream:
         The unit rows are already on disk, one per unit as it finished:
         a run ends only once every unit it submitted is final.
         """
-        if self._closed:
+        if self._fh is None:
             return
         self._write({"kind": "metrics", "data": manifest.metrics})
         for span in manifest.spans:
-            record = {"kind": "span"}
-            record.update(span.to_dict())
-            self._write(record)
+            self._write({"kind": "span", **span.to_dict()})
         for entry in manifest.ladder:
-            record = {"kind": "ladder"}
-            record.update(entry)
-            self._write(record)
-        self._write(
-            {
-                "kind": "run",
-                "schema_version": manifest.schema_version,
-                "partial": False,
-                "title": manifest.title,
-                "config_hash": manifest.config_hash,
-                "pattern": manifest.pattern,
-                "execution_mode": manifest.execution_mode,
-                "n_replicas": manifest.n_replicas,
-                "pilot_cores": manifest.pilot_cores,
-                "seed": manifest.seed,
-                "t_start": manifest.t_start,
-                "t_end": manifest.t_end,
-                "utilization": manifest.utilization,
-                "phase_totals": manifest.phase_totals,
-                "n_units": manifest.n_units,
-            }
-        )
+            self._write({"kind": "ladder", **entry})
+        self._write(manifest._header())
         self.close()
 
     def abort(self, tracer: Optional[Tracer]) -> None:
-        """Write the rows of ``tracer``'s unfinished units, then close.
+        """Write the rows of ``tracer``'s units in flight, then close.
 
         The post-mortem of a run that raised: finished units already have
         their rows, so the file ends with one row per traced unit, its
         ``final_state`` null where the unit was still in flight.
         """
         if tracer is not None:
-            for record in tracer.records.values():
-                if record.final_state is None:
-                    self.on_unit(record)
+            spare = dict.fromkeys(PHASES, 0.0)
+            for unit in tracer.in_flight.values():
+                self._write({"kind": "unit", **_unit_row(unit, spare)})
         self.close()
 
     def close(self) -> None:
         """Close the file; idempotent, later writes are dropped."""
-        if self._closed:
-            return
-        self._closed = True
-        self._fh.close()
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
 
     def __enter__(self) -> "ManifestStream":
         return self

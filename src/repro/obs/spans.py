@@ -2,8 +2,8 @@
 
 A span is one named interval of virtual time with free-form tags —
 ``exchange`` sweeps, ``md`` phases, whole ``cycle``s.  Spans complement the
-unit-level state transitions recorded by :class:`~repro.pilot.trace.Tracer`:
-the tracer sees what each *task* did, spans see what each *phase of the
+unit rows a run's :class:`~repro.pilot.trace.Tracer` feeds to its log:
+the rows say what each *task* did, spans say what each *phase of the
 algorithm* did, and the :class:`~repro.obs.manifest.RunManifest` exports
 both so the paper's Figs. 5-13 timing decompositions can be re-derived
 from a single artifact.

@@ -26,7 +26,7 @@ from repro.pilot.faultdomain import (
 from repro.pilot.pilot import Pilot, PilotDescription, PilotState
 from repro.pilot.scheduler import AgentScheduler, SchedulerError
 from repro.pilot.session import PilotManager, Session, UnitManager
-from repro.pilot.trace import TraceRecord, Tracer
+from repro.pilot.trace import Tracer
 from repro.pilot.staging import (
     StagingAction,
     StagingDirective,
@@ -63,7 +63,6 @@ __all__ = [
     "SimulationError",
     "StagingAction",
     "StagingDirective",
-    "TraceRecord",
     "Tracer",
     "TransientFaultModel",
     "UnitDescription",

@@ -151,12 +151,11 @@ class Session:
             return
         remaining = [len(pending)]
 
-        def _on_final(unit: ComputeUnit, _state) -> None:
-            if unit.done:
-                remaining[0] -= 1
+        def _on_final(_unit: ComputeUnit) -> None:
+            remaining[0] -= 1
 
         for unit in pending:
-            unit.register_callback(_on_final)
+            unit.on_final(_on_final)
         self.clock.run_until(lambda: remaining[0] == 0)
 
     def schedule_crash(self, at_time: float):

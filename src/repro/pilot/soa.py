@@ -41,8 +41,8 @@ Byte-identity invariants this module maintains (in commit order):
   histogram records the same zeros, the staging area replays the same
   put/get sequence (float accumulation order preserved), and every
   transition is replayed at its exact virtual time through
-  ``ComputeUnit.advance``, so unit timestamps, state callbacks and tracer
-  sinks (streamed manifests) see the reference event stream.
+  ``ComputeUnit.advance``, so unit timestamps, final-state callbacks and
+  the run log (streamed manifests) see the reference event stream.
 """
 
 from __future__ import annotations

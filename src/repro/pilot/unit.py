@@ -163,7 +163,7 @@ class ComputeUnit:
         self.result: Any = None
         self.exception: Optional[BaseException] = None
         self._done = False
-        self._callbacks: List[Callable[["ComputeUnit", UnitState], None]] = []
+        self._final_callbacks: List[Callable[["ComputeUnit"], None]] = []
 
     # -- state machine -----------------------------------------------------
 
@@ -180,16 +180,21 @@ class ComputeUnit:
                 f"{self.uid}: illegal transition {self.state.value} -> {state.value}"
             )
         self.state = state
-        self._done = state in FINAL_STATES
         self.timestamps[state] = now
-        for cb in list(self._callbacks):
-            cb(self, state)
+        if state in FINAL_STATES:
+            self._done = True
+            callbacks, self._final_callbacks = self._final_callbacks, []
+            for cb in callbacks:
+                cb(self)
 
-    def register_callback(
-        self, callback: Callable[["ComputeUnit", UnitState], None]
-    ) -> None:
-        """Invoke ``callback(unit, state)`` on every state change."""
-        self._callbacks.append(callback)
+    def on_final(self, callback: Callable[["ComputeUnit"], None]) -> None:
+        """Invoke ``callback(unit)`` once, when the unit enters a final state.
+
+        Callbacks run in registration order and are dropped once run, so
+        a finished unit keeps none of their closures alive.  Registered
+        on a unit that is already final, ``callback`` never runs.
+        """
+        self._final_callbacks.append(callback)
 
     # -- convenience -------------------------------------------------------
 

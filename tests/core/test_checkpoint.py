@@ -62,10 +62,15 @@ class TestCapture:
         repex, _ = checkpointed_run(tmp_path)
         ckpt_dir = tmp_path / "ckpts"
         assert (ckpt_dir / "cycle_0002.json").exists()
-        assert (ckpt_dir / "latest.json").exists()
+        # latest.json names the newest snapshot instead of copying it
+        latest = ckpt_dir / "latest.json"
+        assert json.loads(latest.read_text()) == {
+            "snapshot": "cycle_0002.json"
+        }
+        assert latest.stat().st_size < 1024
         assert (
-            (ckpt_dir / "latest.json").read_text()
-            == (ckpt_dir / "cycle_0002.json").read_text()
+            Checkpoint.load(latest).to_json()
+            == Checkpoint.load(ckpt_dir / "cycle_0002.json").to_json()
         )
 
     def test_every_cycle_when_asked(self, tmp_path):
@@ -100,8 +105,8 @@ class TestValidation:
     def test_rejects_other_schema_version(self, tmp_path):
         repex, _ = checkpointed_run(tmp_path)
         data = json.loads(repex.checkpoints[0].to_json())
-        # schemas 1 to 3 included: none has an upgrade path
-        for version in (1, 2, 3, SCHEMA_VERSION + 1):
+        # schemas 1 to 4 included: none has an upgrade path
+        for version in (1, 2, 3, 4, SCHEMA_VERSION + 1):
             data["schema_version"] = version
             with pytest.raises(CheckpointError, match="schema version"):
                 Checkpoint.from_json(json.dumps(data))
@@ -223,7 +228,7 @@ class TestContentChecksum:
 
     def test_corrupted_file_error_names_the_path(self, tmp_path):
         repex, _ = checkpointed_run(tmp_path)
-        path = tmp_path / "ckpts" / "latest.json"
+        path = tmp_path / "ckpts" / "cycle_0002.json"
         data = json.loads(path.read_text())
         data["next_cycle"] += 1
         path.write_text(json.dumps(data))
@@ -241,6 +246,29 @@ class TestContentChecksum:
             CheckpointError, match=rf"corrupt checkpoint at {path}"
         ):
             Checkpoint.load(path)
+
+    def test_damaged_latest_pointer_fails_loudly(self, tmp_path):
+        checkpointed_run(tmp_path)
+        latest = tmp_path / "ckpts" / "latest.json"
+        for text, message in (
+            ('{"snapshot": "cycle_0009.json"}', "cycle_0009.json"),
+            ("[1, 2]", rf"corrupt checkpoint at {latest}"),
+            ('{"snap', rf"corrupt checkpoint at {latest}"),
+        ):
+            latest.write_text(text)
+            with pytest.raises(CheckpointError, match=message):
+                Checkpoint.load(latest)
+
+    def test_schema_4_latest_copy_is_refused_by_version(self, tmp_path):
+        """A ``latest.json`` written before it became a pointer is a full
+        schema-4 snapshot: it gets the version message."""
+        repex, _ = checkpointed_run(tmp_path)
+        data = json.loads(repex.checkpoints[0].to_json())
+        data["schema_version"] = 4
+        latest = tmp_path / "ckpts" / "latest.json"
+        latest.write_text(json.dumps(data))
+        with pytest.raises(CheckpointError, match="schema version 4"):
+            Checkpoint.load(latest)
 
     def test_checksumless_file_is_rejected(self, tmp_path):
         # every snapshot is written with a checksum; one without
@@ -262,12 +290,9 @@ class TestAsyncCheckpoint:
             assert ckpt.schema_version == SCHEMA_VERSION
             assert ckpt.async_state is not None
             assert (ckpt_dir / f"quiesce_{i:04d}.json").exists()
-        assert (
-            (ckpt_dir / "latest.json").read_text()
-            == (
-                ckpt_dir / f"quiesce_{len(repex.checkpoints):04d}.json"
-            ).read_text()
-        )
+        assert json.loads((ckpt_dir / "latest.json").read_text()) == {
+            "snapshot": f"quiesce_{len(repex.checkpoints):04d}.json"
+        }
 
     def test_async_state_block_is_consistent(self, tmp_path):
         repex, _ = async_checkpointed_run(tmp_path)
@@ -322,11 +347,11 @@ class TestAsyncCheckpoint:
 
 
 class TestSchemaV1Upgrade:
-    """Only schema 4 loads (see test_rejects_other_schema_version)."""
+    """Only schema 5 loads (see test_rejects_other_schema_version)."""
 
     def test_supported_versions_documented(self):
-        assert SUPPORTED_VERSIONS == (4,)
-        assert SCHEMA_VERSION == 4
+        assert SUPPORTED_VERSIONS == (5,)
+        assert SCHEMA_VERSION == 5
 
 
 class TestAtomicSave:
@@ -361,7 +386,7 @@ class TestJournal:
         checkpointed_run(tmp_path)
         ckpt_dir = tmp_path / "ckpts"
         journal = (ckpt_dir / JOURNAL_NAME).read_bytes()
-        data = json.loads((ckpt_dir / "latest.json").read_text())
+        data = json.loads((ckpt_dir / "cycle_0002.json").read_text())
         assert data["journal"] == {
             "bytes": len(journal),
             "sha256": hashlib.sha256(journal).hexdigest(),
@@ -415,6 +440,23 @@ class TestJournal:
                 "faults", "history", "proposals", "rows", "samples",
                 "spans", "timings",
             }
+
+    def test_rows_are_the_manifest_rows(self, tmp_path):
+        """The journal holds the run log's v4 unit rows, and the snapshot
+        its phase sums."""
+        result = RepEx(
+            small_tremd_config(n_cycles=4),
+            checkpoint_every=1,
+            checkpoint_dir=tmp_path,
+        ).run()
+        by_name = {row["name"]: row for row in result.manifest.units}
+        ckpt = Checkpoint.load(tmp_path / "latest.json")
+        rows = ckpt.journaled()["rows"]
+        assert 0 < len(rows) < len(by_name)
+        assert all(row == by_name[row["name"]] for row in rows)
+        totals = ckpt.obs["phase_totals"]
+        assert set(totals) == set(result.manifest.phase_totals)
+        assert 0 < totals["md"] < result.manifest.phase_totals["md"]
 
     def test_snapshots_stay_flat_while_the_journal_grows(self, tmp_path):
         repex = RepEx(

@@ -141,10 +141,78 @@ class TestRun:
         rc = main(["run", str(bad)])
         assert rc == 2
 
-    def test_stream_without_manifest_exits_2(self, config_file, capsys):
-        rc = main(["run", str(config_file), "--stream"])
+    def test_manifest_is_streamed(self, config_file, tmp_path, capsys):
+        path = tmp_path / "run.jsonl"
+        rc = main(["run", str(config_file), "-m", str(path)])
+        assert rc == 0
+        assert f"manifest streamed to {path}" in capsys.readouterr().out
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        # the provisional header first, the final one last
+        assert lines[0]["kind"] == lines[-1]["kind"] == "run"
+        assert lines[0]["partial"] and not lines[-1]["partial"]
+
+    def test_unwritable_manifest_exits_2(self, config_file, tmp_path, capsys):
+        path = tmp_path / "missing-dir" / "run.jsonl"
+        rc = main(["run", str(config_file), "-m", str(path)])
         assert rc == 2
-        assert "--stream requires --manifest" in capsys.readouterr().err
+        assert "error:" in capsys.readouterr().err
+
+    def test_async_report_lists_exchange_sweeps(
+        self, async_config_file, capsys
+    ):
+        """An asynchronous run's MD happens between its exchange sweeps,
+        never inside one: the report lists sweeps without a T_MD column
+        and gives the run's MD core-seconds instead."""
+        rc = main(["run", str(async_config_file)])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "Exchange sweeps (virtual seconds)" in out
+        assert "T_MD" not in out
+        assert "Cycle decomposition" not in out
+        assert "average sweep time" in out
+        assert "average cycle time" not in out
+        (line,) = [l for l in out.splitlines() if l.startswith("MD core-s")]
+        assert float(line.split(":")[1]) > 0
+
+
+class TestKilledRunSummary:
+    """``obs summary`` on the manifest a killed run left behind."""
+
+    TREMD = Path(__file__).parents[2] / "examples" / "configs" / "tremd.json"
+
+    @pytest.fixture(scope="class")
+    def killed(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("killed") / "killed.jsonl"
+        rc = main(
+            ["run", str(self.TREMD), "-m", str(path), "--crash-at-time", "500"]
+        )
+        assert rc == 3
+        return path
+
+    def test_counts_and_times_come_from_the_rows(self, killed, capsys):
+        rows = [
+            record
+            for record in map(json.loads, killed.read_text().splitlines())
+            if record["kind"] == "unit"
+        ]
+        capsys.readouterr()
+        assert main(["obs", "summary", str(killed), "--format", "json"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["partial"]
+        assert summary["n_units"] == len(rows) == 35
+        assert summary["wallclock_s"] > 0
+        totals = summary["phase_totals"]
+        assert totals["md"] > 0
+        assert totals["staging"] > 0
+        assert totals["overhead"] > 0
+
+    def test_text_summary_is_partial(self, killed, capsys):
+        capsys.readouterr()
+        assert main(["obs", "summary", str(killed)]) == 0
+        out = capsys.readouterr().out
+        assert "PARTIAL" in out
+        assert "units: 35" in out
+        assert "phase totals (core-seconds):" in out
 
 
 @pytest.fixture
@@ -224,7 +292,7 @@ class TestCrashResumeFlags:
             ]
         )
         assert rc == 0
-        assert "average cycle time" in capsys.readouterr().out
+        assert "average sweep time" in capsys.readouterr().out
 
     def test_stop_after_checkpoint_prints_resume_hint(
         self, async_config_file, tmp_path, capsys
@@ -318,17 +386,16 @@ class TestCrashResumeFlags:
                 "--stop-after-cycle", "1",
             ]
         ) == 0
-        data = json.loads((ckpt_dir / "latest.json").read_text())
+        snapshot = ckpt_dir / "cycle_0001.json"
+        data = json.loads(snapshot.read_text())
         data["schema_version"] = 2
         (tmp_path / "v2.json").write_text(json.dumps(data))
         alone = tmp_path / "alone"
         alone.mkdir()
-        (alone / "latest.json").write_text(
-            (ckpt_dir / "latest.json").read_text()
-        )
+        (alone / snapshot.name).write_text(snapshot.read_text())
         for path, message in (
             (tmp_path / "v2.json", "schema version 2"),
-            (alone / "latest.json", "journal.jsonl"),
+            (alone / snapshot.name, "journal.jsonl"),
         ):
             capsys.readouterr()
             rc = main(["run", str(config_file), "--resume", str(path)])

@@ -469,6 +469,26 @@ class TestCompaction:
         ).run()
         assert pruned == ["cycle_0001.json", "cycle_0002.json"]
 
+    def test_latest_loads_while_pruning(self, tmp_path, monkeypatch):
+        """``latest.json`` names a snapshot that is on disk at every
+        unlink: pruning never takes the one it points at."""
+        real_unlink = Path.unlink
+        seen = []
+
+        def checked_unlink(self, *args, **kwargs):
+            seen.append(Checkpoint.load(tmp_path / "latest.json").next_cycle)
+            real_unlink(self, *args, **kwargs)
+            seen.append(Checkpoint.load(tmp_path / "latest.json").next_cycle)
+
+        monkeypatch.setattr(Path, "unlink", checked_unlink)
+        RepEx(
+            make_config(),
+            checkpoint_every=1,
+            checkpoint_dir=tmp_path,
+            checkpoint_keep=1,
+        ).run()
+        assert seen == [2, 2, 3, 3]
+
     def test_failed_delete_never_kills_the_run(self, tmp_path, monkeypatch):
         calls = []
 

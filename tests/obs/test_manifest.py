@@ -12,13 +12,14 @@ from repro.campaign.spec import CampaignSpec
 from repro.core import RepEx
 from repro.core.config import FailureSpec, SimulationConfig
 from repro.obs.manifest import (
+    PHASES,
     STATE_ORDER,
     ManifestError,
+    ManifestStream,
     RunManifest,
     config_hash,
-    phase_totals,
 )
-from repro.obs.metrics import NullRegistry, using_registry
+from repro.obs.metrics import MetricsRegistry, NullRegistry, using_registry
 from repro.pilot.unit import UnitState
 from tests.conftest import small_tremd_config
 
@@ -62,7 +63,7 @@ class TestFromRun:
         assert manifest.pilot_cores == 4
         assert manifest.seed == 7
         assert manifest.config_hash == config_hash(repex.config)
-        assert manifest.n_units == len(repex.tracer.records)
+        assert manifest.n_units == len(manifest.units) > 0
         assert manifest.wallclock == pytest.approx(result.wallclock)
 
     def test_phase_totals_match_emm_accounting(self, run):
@@ -82,8 +83,9 @@ class TestFromRun:
         )
 
     def test_phase_totals_buckets(self, run):
-        repex, _ = run
-        totals = phase_totals(repex.tracer)
+        _, result = run
+        totals = result.manifest.phase_totals
+        assert tuple(totals) == PHASES
         assert set(totals) == {"md", "exchange", "staging", "overhead", "other"}
         assert totals["md"] > 0
         assert totals["staging"] > 0
@@ -107,21 +109,29 @@ class TestFromRun:
         states = {state for _, _, state in timeline}
         assert "EXECUTING" in states and "DONE" in states
 
-    def test_unit_rows_are_the_timeline(self, run):
+    def test_unit_rows_are_the_timeline(self, monkeypatch):
         """Each unit row's ``t`` lists every state's entry time in
         declaration order; the timeline is exactly their union."""
-        repex, result = run
+        finished = {}
+        real = ManifestStream.on_unit
+
+        def spy(self, unit):
+            finished[unit.description.name] = unit
+            real(self, unit)
+
+        monkeypatch.setattr(ManifestStream, "on_unit", spy)
+        result = RepEx(small_tremd_config(), registry=MetricsRegistry()).run()
         manifest = result.manifest
-        by_name = {rec.name: rec for rec in repex.tracer.records.values()}
+        assert len(finished) == len(manifest.units)
         triples = []
         for unit in manifest.units:
-            rec = by_name[unit["name"]]
+            traced = finished[unit["name"]]
             assert unit["t"] == [
-                round(rec.timestamps[state], 6)
-                if state in rec.timestamps else None
+                round(traced.timestamps[state], 6)
+                if state in traced.timestamps else None
                 for state in UnitState
             ]
-            assert unit["final_state"] == rec.final_state
+            assert unit["final_state"] == traced.state.value
             triples += [
                 (t, unit["name"], state)
                 for state, t in zip(STATE_ORDER, unit["t"])

@@ -17,8 +17,7 @@ from repro.obs.manifest import STATE_ORDER, ManifestStream, RunManifest
 from repro.obs.metrics import MetricsRegistry, using_registry
 from repro.pilot.events import SimulatedCrash
 from repro.pilot.faultdomain import FaultEvent
-from repro.pilot.trace import TraceRecord
-from repro.pilot.unit import UnitState
+from repro.pilot.unit import ComputeUnit, UnitDescription, UnitState
 from tests.conftest import small_tremd_config
 
 TREMD = Path(__file__).resolve().parents[2] / "examples" / "configs" / "tremd.json"
@@ -84,18 +83,21 @@ class TestStreamedRun:
         path = tmp_path / "partial.jsonl"
         config = small_tremd_config()
         stream = ManifestStream(path, config)
-        stream.on_unit(
-            TraceRecord(
-                uid="unit.00000001",
+        unit = ComputeUnit(
+            UnitDescription(
                 name="md_r0_c0",
                 cores=2,
                 metadata={"phase": "md", "rid": 0, "cycle": 0},
-                timestamps={
-                    UnitState.SCHEDULING: 0.5,
-                    UnitState.EXECUTING: 1.25,
-                },
             )
         )
+        for state, t in (
+            (UnitState.SCHEDULING, 0.5),
+            (UnitState.STAGING_INPUT, 0.75),
+            (UnitState.AGENT_EXECUTING_PENDING, 1.0),
+            (UnitState.EXECUTING, 1.25),
+        ):
+            unit.advance(state, t)
+        stream.on_unit(unit)  # still in flight
         stream.on_fault(
             FaultEvent(t=2.0, kind="node_crash", detail={"node": 1})
         )
@@ -104,11 +106,20 @@ class TestStreamedRun:
         assert loaded.partial
         assert [tuple(e) for e in loaded.timeline] == [
             (0.5, "md_r0_c0", "SCHEDULING"),
+            (0.75, "md_r0_c0", "STAGING_INPUT"),
+            (1.0, "md_r0_c0", "AGENT_EXECUTING_PENDING"),
             (1.25, "md_r0_c0", "EXECUTING"),
         ]
-        (unit,) = loaded.units
-        assert unit["cores"] == 2
-        assert unit["final_state"] is None
+        (row,) = loaded.units
+        assert row["cores"] == 2
+        assert row["final_state"] is None
+        # the provisional header holds no totals: they come from the row
+        assert loaded.n_units == 1
+        assert loaded.t_end == 1.25
+        assert loaded.phase_totals == {
+            "md": 0.0, "exchange": 0.0, "staging": 0.5,
+            "overhead": 1.0, "other": 0.0,
+        }
         assert loaded.fault_events == [
             {"t": 2.0, "fault": "node_crash", "node": 1}
         ]
@@ -128,11 +139,9 @@ class TestStreamedRun:
         path = tmp_path / "closed.jsonl"
         stream = ManifestStream(path, small_tremd_config())
         stream.close()
-        record = TraceRecord(
-            uid="unit.00000001", name="u", cores=1, metadata={},
-            timestamps={UnitState.DONE: 1.0},
-        )
-        stream.on_unit(record)  # must not raise
+        unit = ComputeUnit(UnitDescription(name="u"))
+        unit.advance(UnitState.CANCELED, 1.0)
+        stream.on_unit(unit)  # must not raise
         stream.close()  # idempotent
         assert len(path.read_text().splitlines()) == 1
 

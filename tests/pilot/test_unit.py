@@ -1,5 +1,8 @@
 """Tests for compute units and their state machine."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.pilot.unit import (
@@ -112,13 +115,38 @@ class TestTimestampsAndSpans:
 
 
 class TestCallbacks:
-    def test_callback_invoked_per_transition(self):
+    def test_on_final_fires_once_at_final_state(self):
         u = make_unit()
         seen = []
-        u.register_callback(lambda unit, s: seen.append(s))
+        u.on_final(lambda unit: seen.append(("first", unit.state)))
+        u.on_final(lambda unit: seen.append(("second", unit.state)))
         u.advance(UnitState.SCHEDULING, 0.0)
+        assert seen == []
         u.advance(UnitState.CANCELED, 1.0)
-        assert seen == [UnitState.SCHEDULING, UnitState.CANCELED]
+        # once each, in registration order, with the final state set
+        assert seen == [
+            ("first", UnitState.CANCELED),
+            ("second", UnitState.CANCELED),
+        ]
+        late = []
+        u.on_final(late.append)  # already final: never runs
+        assert late == []
+
+    def test_on_final_callbacks_are_dropped_once_run(self):
+        """A finished unit keeps no callback (and no closure) alive."""
+
+        class Sink:
+            def __call__(self, unit):
+                pass
+
+        u = make_unit()
+        sink = Sink()
+        ref = weakref.ref(sink)
+        u.on_final(sink)
+        del sink
+        u.advance(UnitState.CANCELED, 1.0)
+        gc.collect()
+        assert ref() is None
 
     def test_final_states_set(self):
         assert UnitState.DONE in FINAL_STATES
