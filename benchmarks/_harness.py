@@ -88,7 +88,7 @@ def report(
 
     Besides the human-readable ``<name>.txt``, every figure gets a
     machine-readable ``<name>.json`` sidecar so downstream tooling
-    (``repro bench --compare`` style diffs, plotting) never has to parse
+    (``perfbench.py --compare`` style diffs, plotting) never has to parse
     the ASCII tables.  Callers with tabular data pass ``headers``/``rows``;
     text-only figures fall back to a ``{"text": ...}`` document.
     """

@@ -1,4 +1,4 @@
-"""CI smoke for the perf harness (`repro bench`).
+"""CI smoke for the perf harness (``perfbench.py``).
 
 Runs every canonical scenario in its ``fast`` variant and checks the
 *deterministic* counters — events fired, heap high-water mark, virtual
@@ -7,12 +7,12 @@ time, failure count — against the committed baseline
 they are a fingerprint of the scheduling/exchange semantics, the same
 invariant the golden-trace fixtures protect.  Wallclock and events/s are
 machine-dependent, so they are *not* asserted here; the CI ``perf-smoke``
-job gates them separately with ``repro bench --compare`` and a 25%
-threshold.
+job gates them separately with ``perfbench.py --compare`` at a 50%
+threshold (the script's default is 25%).
 
 Refresh the baseline after an intentional semantic change with:
 
-    PYTHONPATH=src python -m repro bench --fast \
+    PYTHONPATH=src python benchmarks/perf/perfbench.py --fast \
         -o benchmarks/perf/BENCH_baseline_fast.json
 """
 
@@ -22,20 +22,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.perf.bench import load_results, run_scenario
-from repro.perf.scenarios import SCENARIOS, scenario_names
+from perf_scenarios import SCENARIOS, scenario_names
+from perfbench import DETERMINISTIC_FIELDS, load_results, run_scenario
 
 BASELINE_PATH = Path(__file__).parent / "BENCH_baseline_fast.json"
-
-#: record fields that must be identical on every machine
-DETERMINISTIC_FIELDS = (
-    "events_fired",
-    "peak_heap",
-    "virtual_s",
-    "n_failures",
-    "n_replicas",
-    "n_cycles",
-)
 
 
 @pytest.fixture(scope="module")

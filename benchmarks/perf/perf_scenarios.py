@@ -1,4 +1,4 @@
-"""Canonical benchmark scenarios for ``repro bench``.
+"""Canonical benchmark scenarios for ``perfbench.py``.
 
 Each scenario pins one hot path of the simulator at a scale where the
 framework itself — scheduler, event queue, exchange sweep — dominates the

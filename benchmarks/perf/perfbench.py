@@ -1,38 +1,51 @@
 """Run, record and compare the canonical perf scenarios.
 
-Results are machine-readable JSON — ``BENCH_scale.json`` at the repo root
-is the committed trajectory, ``repro bench --compare old new`` is the
-regression gate (exits nonzero when events/s drops more than the
-threshold).  Wallclock is measured with observability off (null registry)
-so the numbers track the simulator's own hot paths, not the metrics
-layer.
+Run every scenario (:mod:`perf_scenarios`) and write the committed
+trajectory ``BENCH_scale.json``; compare two result files on events/s::
+
+    PYTHONPATH=src python benchmarks/perf/perfbench.py
+    PYTHONPATH=src python benchmarks/perf/perfbench.py --fast -o fast.json
+    PYTHONPATH=src python benchmarks/perf/perfbench.py --compare OLD NEW
+
+Exit codes: 0 success, 1 ``--compare`` found a regression past the
+threshold, 2 unreadable result file, unknown scenario or bad usage.
+Wallclock is measured with observability off (null registry) so the
+numbers track the simulator's own hot paths, not the metrics layer.
 """
 
 from __future__ import annotations
 
+import argparse
 import cProfile
 import io
 import json
 import pstats
 import statistics
+import sys
 import time
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from perf_scenarios import SCENARIOS, scenario_names
 from repro.campaign.spec import CampaignSpec
 from repro.core.framework import RepEx
 from repro.obs.metrics import MetricsRegistry, NullRegistry, using_registry
-from repro.perf.scenarios import SCENARIOS, scenario_names
 
-#: canonical result file name, written at the repo root
-BENCH_FILENAME = "BENCH_scale.json"
+#: functions ``--profile`` prints per scenario
+PROFILE_TOP = 25
 
 #: default allowed events/s regression before --compare fails
 DEFAULT_THRESHOLD = 0.25
 
-
-#: fields that must not vary across repeats of one scenario
-_DETERMINISTIC_FIELDS = ("events_fired", "peak_heap", "virtual_s", "n_failures")
+#: record fields that must be identical on every run and every machine
+DETERMINISTIC_FIELDS = (
+    "events_fired",
+    "peak_heap",
+    "virtual_s",
+    "n_failures",
+    "n_replicas",
+    "n_cycles",
+)
 
 
 def run_scenario(
@@ -40,7 +53,6 @@ def run_scenario(
     *,
     fast: bool = False,
     profile: bool = False,
-    profile_top: int = 25,
     repeats: Optional[int] = None,
 ) -> Dict[str, object]:
     """Run one scenario and return its measurement record.
@@ -52,12 +64,8 @@ def run_scenario(
     deterministic counters must agree across repeats — a mismatch raises
     — so only timing noise is summarized away.  Defaults to 3 for fast
     runs (they finish in ~0.1 s, where OS scheduling noise dominates the
-    measurement) and 1 for full runs; profiling always runs once.
-
-    With ``profile=True`` the run happens under :mod:`cProfile` and the
-    top ``profile_top`` functions by internal time are printed to stdout
-    (the wallclock then includes profiler overhead — don't commit those
-    numbers).
+    measurement) and 1 for full runs; profiling always runs once, and
+    its wallclock includes the profiler's overhead.
     """
     if repeats is None:
         repeats = 3 if fast else 1
@@ -66,12 +74,11 @@ def run_scenario(
     if profile:
         repeats = 1
     records = [
-        _measure(name, fast=fast, profile=profile, profile_top=profile_top)
-        for _ in range(repeats)
+        _measure(name, fast=fast, profile=profile) for _ in range(repeats)
     ]
     result = records[0]
     for record in records[1:]:
-        for field in _DETERMINISTIC_FIELDS:
+        for field in DETERMINISTIC_FIELDS:
             if record[field] != result[field]:
                 raise RuntimeError(
                     f"scenario {name!r} is non-deterministic: "
@@ -89,43 +96,35 @@ def run_scenario(
     return result
 
 
-def _print_hotspots(profiler: cProfile.Profile, top: int, name: str) -> None:
-    """Print the ``top`` functions of a profiled run by internal time."""
-    stream = io.StringIO()
-    stats = pstats.Stats(profiler, stream=stream)
-    stats.sort_stats("tottime").print_stats(top)
-    print(f"--- cProfile top {top} (tottime) for {name} ---")
-    print(stream.getvalue())
+def _timed(fn, *, profile: bool, name: str):
+    """Call ``fn()`` and return its value and wallclock seconds.
+
+    With ``profile`` the call runs under :mod:`cProfile`, and the top
+    :data:`PROFILE_TOP` functions by internal time are printed after it.
+    """
+    profiler = cProfile.Profile() if profile else None
+    start = time.perf_counter()
+    value = fn() if profiler is None else profiler.runcall(fn)
+    wall = time.perf_counter() - start
+    if profiler is not None:
+        stream = io.StringIO()
+        stats = pstats.Stats(profiler, stream=stream)
+        stats.sort_stats("tottime").print_stats(PROFILE_TOP)
+        print(f"--- cProfile top {PROFILE_TOP} (tottime) for {name} ---")
+        print(stream.getvalue())
+    return value, wall
 
 
-def _measure(
-    name: str,
-    *,
-    fast: bool,
-    profile: bool,
-    profile_top: int,
-) -> Dict[str, object]:
+def _measure(name: str, *, fast: bool, profile: bool) -> Dict[str, object]:
+    """One run's record; ``run_scenario`` adds ``events_per_s``."""
     scenario = SCENARIOS[name]
     config = scenario.build(fast)
     if isinstance(config, CampaignSpec):
-        return _measure_campaign(
-            scenario, config, fast=fast, profile=profile,
-            profile_top=profile_top,
-        )
+        return _measure_campaign(scenario, config, fast=fast, profile=profile)
     with using_registry(NullRegistry()):
         repex = RepEx(config)
-        profiler = cProfile.Profile() if profile else None
-        start = time.perf_counter()
-        if profiler is not None:
-            profiler.enable()
-        result = repex.run()
-        if profiler is not None:
-            profiler.disable()
-        wall = time.perf_counter() - start
+        result, wall = _timed(repex.run, profile=profile, name=name)
     clock = repex.session.clock
-    if profiler is not None:
-        _print_hotspots(profiler, profile_top, name)
-    events = clock.n_fired
     return {
         "description": scenario.description,
         "fast": fast,
@@ -133,8 +132,7 @@ def _measure(
         "n_cycles": config.n_cycles,
         "wall_s": round(wall, 4),
         "virtual_s": round(clock.now, 3),
-        "events_fired": events,
-        "events_per_s": round(events / wall, 1) if wall > 0 else 0.0,
+        "events_fired": clock.n_fired,
         "peak_heap": clock.peak_heap,
         "n_failures": result.n_failures,
     }
@@ -146,7 +144,6 @@ def _measure_campaign(
     *,
     fast: bool,
     profile: bool,
-    profile_top: int,
 ) -> Dict[str, object]:
     """Measure a campaign scenario: the two-level DES end to end.
 
@@ -184,19 +181,14 @@ def _measure_campaign(
         relaunch_limit=spec.relaunch_limit,
         seed=spec.seed,
     )
-    profiler = cProfile.Profile() if profile else None
-    start = time.perf_counter()
-    if profiler is not None:
-        profiler.enable()
-    arbiter.prepare(in_process_runner)
-    for request in requests:
-        arbiter.submit(request)
-    records = arbiter.run(in_process_runner)
-    if profiler is not None:
-        profiler.disable()
-    wall = time.perf_counter() - start
-    if profiler is not None:
-        _print_hotspots(profiler, profile_top, scenario.name)
+
+    def drive():
+        arbiter.prepare(in_process_runner)
+        for request in requests:
+            arbiter.submit(request)
+        return arbiter.run(in_process_runner)
+
+    records, wall = _timed(drive, profile=profile, name=scenario.name)
     outcomes = [r.outcome for r in records if r.outcome is not None]
     events = arbiter.clock.n_fired + sum(o.events_fired for o in outcomes)
     n_replicas = 0
@@ -219,7 +211,6 @@ def _measure_campaign(
         "wall_s": round(wall, 4),
         "virtual_s": round(arbiter.clock.now, 3),
         "events_fired": events,
-        "events_per_s": round(events / wall, 1) if wall > 0 else 0.0,
         "peak_heap": max(peaks),
         "n_failures": sum(o.n_failures for o in outcomes)
         + sum(r.relaunches for r in records),
@@ -227,24 +218,14 @@ def _measure_campaign(
 
 
 def run_suite(
-    names: Optional[Iterable[str]] = None,
+    names: List[str],
     *,
     fast: bool = False,
     profile: bool = False,
     repeats: Optional[int] = None,
-    echo: Optional[object] = None,
 ) -> Dict[str, object]:
-    """Run scenarios (all by default) and return the result document.
-
-    ``echo``, if given, is called with a one-line summary after each
-    scenario (the CLI passes ``print``).
-    """
-    selected = list(names) if names else scenario_names()
-    unknown = [n for n in selected if n not in SCENARIOS]
-    if unknown:
-        raise KeyError(
-            f"unknown scenario(s) {unknown}; known: {scenario_names()}"
-        )
+    """Run scenarios and return the result document, printing a
+    one-line summary after each."""
     doc: Dict[str, object] = {
         "_meta": {
             "schema": 1,
@@ -255,80 +236,59 @@ def run_suite(
             ),
         }
     }
-    for name in selected:
+    for name in names:
         record = run_scenario(name, fast=fast, profile=profile, repeats=repeats)
         doc[name] = record
-        if echo is not None:
-            echo(
-                f"{name:<20} wall {record['wall_s']:>8.3f} s   "
-                f"{record['events_fired']:>7} events   "
-                f"{record['events_per_s']:>9.1f} ev/s   "
-                f"peak heap {record['peak_heap']}"
-            )
+        print(
+            f"{name:<20} wall {record['wall_s']:>8.3f} s   "
+            f"{record['events_fired']:>7} events   "
+            f"{record['events_per_s']:>9.1f} ev/s   "
+            f"peak heap {record['peak_heap']}"
+        )
     return doc
 
 
-def export_traces(
-    names: Optional[Iterable[str]] = None,
-    *,
-    fast: bool = False,
-    trace_dir: str,
-    echo: Optional[object] = None,
-) -> List[Path]:
+def export_traces(names: List[str], *, fast: bool, trace_dir: str) -> None:
     """Re-run scenarios with observability ON and write trace artifacts.
 
     The timed measurements above run under a null registry, so they have
     no manifest to export; this does one *separate* instrumented run per
     scenario (not comparable to the timed numbers) and writes
     ``<name>.manifest.jsonl`` plus a Perfetto-loadable
-    ``<name>.trace.json`` into ``trace_dir``.  Returns the paths written.
+    ``<name>.trace.json`` into ``trace_dir``.
     """
     from repro.obs.export import chrome_trace
 
-    selected = list(names) if names else scenario_names()
-    unknown = [n for n in selected if n not in SCENARIOS]
-    if unknown:
-        raise KeyError(
-            f"unknown scenario(s) {unknown}; known: {scenario_names()}"
-        )
     out = Path(trace_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: List[Path] = []
-    for name in selected:
+    for name in names:
         config = SCENARIOS[name].build(fast)
-        slug = name.replace("/", "_")
         if isinstance(config, CampaignSpec):
             # A campaign has no single manifest; write the per-session
             # manifest tree plus the aggregated report instead.  The
             # --compare attribution path degrades gracefully when its
-            # <slug>.manifest.jsonl is absent.
+            # <name>.manifest.jsonl is absent.
             from repro.campaign.service import run_campaign
 
-            report = run_campaign(
-                config, manifest_dir=out / f"{slug}.sessions"
-            )
-            report_path = out / f"{slug}.report.json"
+            sessions = out / f"{name}.sessions"
+            report = run_campaign(config, manifest_dir=sessions)
+            report_path = out / f"{name}.report.json"
             report_path.write_text(
                 json.dumps(report.to_dict(), indent=2, sort_keys=True)
                 + "\n"
             )
-            written.append(report_path)
-            if echo is not None:
-                echo(f"{name:<20} campaign report -> {report_path}")
+            print(f"{name:<20} campaign report -> {report_path}")
             continue
         with using_registry(MetricsRegistry()):
             result = RepEx(config).run()
         manifest = result.manifest
-        manifest_path = out / f"{slug}.manifest.jsonl"
+        manifest_path = out / f"{name}.manifest.jsonl"
         manifest.dump(manifest_path)
-        trace_path = out / f"{slug}.trace.json"
+        trace_path = out / f"{name}.trace.json"
         trace_path.write_text(
             json.dumps(chrome_trace(manifest), indent=2, sort_keys=True) + "\n"
         )
-        written += [manifest_path, trace_path]
-        if echo is not None:
-            echo(f"{name:<20} traces -> {manifest_path} {trace_path}")
-    return written
+        print(f"{name:<20} traces -> {manifest_path} {trace_path}")
 
 
 def write_results(doc: Dict[str, object], path: str) -> None:
@@ -356,10 +316,10 @@ def compare_results(
     the gate.
 
     ``attribute_dirs`` is an (old, new) pair of trace directories as
-    written by ``repro bench --trace-dir``; when given, every regressed
-    scenario's report is followed by a phase/critical-path attribution
-    diffed from the two ``<scenario>.manifest.jsonl`` files, so the
-    failure output says *where* the time went, not just that it did.
+    written by ``--trace-dir``; when given, every regressed scenario's
+    report is followed by the ``repro obs diff --only-changed`` report of
+    the two ``<scenario>.manifest.jsonl`` files, so the failure output
+    says *where* the time went, not just that it did.
     """
     lines: List[str] = []
     regressions = 0
@@ -382,51 +342,129 @@ def compare_results(
             f"({change:+7.1%})  {verdict}"
         )
         if regressed and attribute_dirs is not None:
-            lines += _attribute_regression(name, attribute_dirs)
+            lines.append(_attribution(name, attribute_dirs))
     for name in new_scenarios:
         if name not in old_scenarios:
             lines.append(f"{name:<20} only in new results (skipped)")
     return lines, regressions
 
 
-def _attribute_regression(
-    name: str, attribute_dirs: Tuple[str, str]
-) -> List[str]:
-    """Phase-attribution lines for one regressed scenario.
-
-    Loads ``<scenario>.manifest.jsonl`` from the old and new trace
-    directories and runs :func:`repro.obs.diff.diff_manifests` on the
-    pair, reporting the wallclock, per-phase core-second and
-    critical-path deltas.  All-zero deltas mean the simulated behaviour
-    is unchanged, so the events/s drop is host noise or a hot-path
-    slowdown — also worth saying.  Missing manifests degrade to a hint
-    line rather than failing the compare.
-    """
-    from repro.obs.diff import diff_manifests
+def _attribution(name: str, attribute_dirs: Tuple[str, str]) -> str:
+    """The manifest diff of one regressed scenario's old and new runs;
+    a missing manifest degrades to a hint rather than failing the
+    compare."""
+    from repro.obs.diff import diff_manifests, render_diff
     from repro.obs.manifest import ManifestError, RunManifest
 
-    slug = name.replace("/", "_")
     manifests = []
     for trace_dir in attribute_dirs:
-        path = Path(trace_dir) / f"{slug}.manifest.jsonl"
+        path = Path(trace_dir) / f"{name}.manifest.jsonl"
         try:
             manifests.append(RunManifest.load(path, recover=True))
         except (OSError, ManifestError) as exc:
-            return [f"    attribution unavailable: {exc}"]
-    diff = diff_manifests(manifests[0], manifests[1])
-    shifted = [
-        d
-        for d in [diff.wallclock] + diff.phases + diff.critical_path
-        if d.changed
-    ]
-    if not shifted:
-        return [
-            "    attribution: manifests diff all-zero — the simulated "
-            "behaviour is unchanged; the slowdown is in the framework "
-            "hot paths or the measurement host"
-        ]
-    return [
-        f"    {d.name:<32} {d.old:>12.3f} -> {d.new:>12.3f}"
-        + (f"  ({d.pct:+.1%})" if d.pct is not None else "")
-        for d in shifted
-    ]
+            return f"    attribution unavailable: {exc}"
+    return render_diff(diff_manifests(*manifests), only_changed=True)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The script's argument parser."""
+    parser = argparse.ArgumentParser(
+        prog="perfbench.py",
+        description="run the perf scenarios or compare two result files",
+    )
+    parser.add_argument(
+        "-o", "--output", default="BENCH_scale.json",
+        help="result file to write (default: BENCH_scale.json)",
+    )
+    parser.add_argument(
+        "--fast", action="store_true",
+        help="run the trimmed CI-smoke variants (not comparable to full runs)",
+    )
+    parser.add_argument(
+        "--scenario", action="append", metavar="NAME",
+        help="run only this scenario (repeatable; default: all)",
+    )
+    parser.add_argument(
+        "--profile", action="store_true",
+        help="run under cProfile and print hotspots (results not saved)",
+    )
+    parser.add_argument(
+        "--repeats", type=int, default=None, metavar="N",
+        help="run each scenario N times and report the median wallclock "
+             "with min/max spread (default: 3 fast, 1 full)",
+    )
+    parser.add_argument(
+        "--compare", nargs=2, metavar=("OLD", "NEW"),
+        help="diff two result files on events/s instead of running",
+    )
+    parser.add_argument(
+        "--attribute", nargs=2, metavar=("OLD_DIR", "NEW_DIR"),
+        help="with --compare: trace directories (from --trace-dir) whose "
+             "<scenario>.manifest.jsonl files attribute each regression "
+             "to phase/critical-path shifts",
+    )
+    parser.add_argument(
+        "--threshold", type=float, default=DEFAULT_THRESHOLD, metavar="FRAC",
+        help="allowed events/s regression for --compare (default: 0.25)",
+    )
+    parser.add_argument(
+        "--trace-dir", metavar="DIR",
+        help="after the timed suite, write per-scenario manifest + Chrome "
+             "trace artifacts into this directory (separate instrumented "
+             "runs; not comparable to the timed numbers)",
+    )
+    return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """Entry point; returns the process exit code."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.repeats is not None and args.repeats < 1:
+        parser.error(f"--repeats must be >= 1, got {args.repeats}")
+    if args.compare:
+        try:
+            old, new = (load_results(path) for path in args.compare)
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        lines, regressions = compare_results(
+            old,
+            new,
+            threshold=args.threshold,
+            attribute_dirs=tuple(args.attribute) if args.attribute else None,
+        )
+        for line in lines:
+            print(line)
+        if regressions:
+            print(
+                f"{regressions} scenario(s) regressed more than "
+                f"{args.threshold:.0%} in events/s",
+                file=sys.stderr,
+            )
+            return 1
+        return 0
+
+    names = args.scenario or scenario_names()
+    unknown = [n for n in names if n not in SCENARIOS]
+    if unknown:
+        print(
+            f"error: unknown scenario(s) {unknown}; known: {scenario_names()}",
+            file=sys.stderr,
+        )
+        return 2
+    doc = run_suite(
+        names, fast=args.fast, profile=args.profile, repeats=args.repeats
+    )
+    if args.profile:
+        print("profiled run: wallclock includes profiler overhead, not saved")
+        return 0
+    write_results(doc, args.output)
+    print(f"results written to {args.output}")
+    if args.trace_dir:
+        export_traces(names, fast=args.fast, trace_dir=args.trace_dir)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -40,6 +40,17 @@ from repro.campaign.spec import CampaignError, DatacenterSpec, FaultSpec, Tenant
 from repro.pilot.events import EventQueue
 from repro.utils.rng import RNGRegistry
 
+#: Horizon (seconds) over which rate-based node crashes are pre-drawn.
+_CRASH_HORIZON_S = 24 * 3600.0
+
+#: Observed/reported duration ratio at which a completed session counts
+#: as evidence that one of its nodes is slow.
+_SLOW_THRESHOLD = 1.5
+
+#: Slow completions a node must accumulate before the arbiter quarantines
+#: it permanently (like a crashed node, but never repaired).
+_SLOW_MIN_SAMPLES = 2
+
 
 class SessionState(enum.Enum):
     """Lifecycle of one session inside a campaign."""
@@ -196,8 +207,6 @@ class Arbiter:
             )
         #: slow-completion evidence the arbiter *can* see, per node
         self._slow_samples: List[int] = [0] * n
-        self._slow_threshold = spec_faults.slow_node_threshold
-        self._slow_min_samples = spec_faults.slow_min_samples
         self.records: List[SessionRecord] = []
         self._by_uid: Dict[str, SessionRecord] = {}
         self.audit: List[Dict] = []
@@ -211,9 +220,9 @@ class Arbiter:
         """Pre-draw every node crash and put it on the outer clock.
 
         Drawing the whole schedule at construction (explicit crashes
-        plus seeded Poisson arrivals per node over ``horizon_s``) makes
-        the fault pattern a pure function of the spec — replays see the
-        exact same crashes regardless of what the workload does.
+        plus seeded Poisson arrivals per node over ``_CRASH_HORIZON_S``)
+        makes the fault pattern a pure function of the spec — replays see
+        the exact same crashes regardless of what the workload does.
         """
         crashes: List[List[float]] = [
             [float(t), int(node)] for t, node in faults.node_crashes
@@ -226,7 +235,7 @@ class Arbiter:
                 t = 0.0
                 while True:
                     t += float(rng.exponential(1.0 / rate_per_s))
-                    if t > faults.horizon_s:
+                    if t > _CRASH_HORIZON_S:
                         break
                     crashes.append([t, node])
         crashes.sort()
@@ -462,8 +471,8 @@ class Arbiter:
         """Straggler detection on the arbiter's own evidence.
 
         A clean completion whose occupancy exceeded the runner-reported
-        duration by ``slow_node_threshold``x is one sample of blame
-        against every node it ran on; ``slow_min_samples`` samples
+        duration by ``_SLOW_THRESHOLD``x is one sample of blame
+        against every node it ran on; ``_SLOW_MIN_SAMPLES`` samples
         quarantine the node permanently — like a crash, but with no
         repair, because slow hardware does not heal on a timer.
         """
@@ -472,13 +481,13 @@ class Arbiter:
         if reported_s <= 0:
             return
         ratio = observed_s / reported_s
-        if ratio < self._slow_threshold:
+        if ratio < _SLOW_THRESHOLD:
             return
         for node in nodes:
             if self._quarantined[node]:
                 continue
             self._slow_samples[node] += 1
-            if self._slow_samples[node] >= self._slow_min_samples:
+            if self._slow_samples[node] >= _SLOW_MIN_SAMPLES:
                 self._quarantined[node] = True
                 self._audit(
                     "slow_quarantine",
@@ -541,7 +550,7 @@ class Arbiter:
         self._dispatch()
 
     def _repair_node(self, node: int) -> None:
-        if self._slow_samples[node] >= self._slow_min_samples:
+        if self._slow_samples[node] >= _SLOW_MIN_SAMPLES:
             return  # slow-quarantined for good; a crash repair can't revive it
         self._quarantined[node] = False
         self._audit("repair", node=node)

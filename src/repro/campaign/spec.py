@@ -62,25 +62,15 @@ class FaultSpec:
     node_crash_rate: float = 0.0
     #: explicit crashes as ``[seconds, node_index]`` pairs
     node_crashes: List[List[float]] = field(default_factory=list)
-    #: horizon (seconds) over which rate-based crashes are pre-drawn
-    horizon_s: float = 24 * 3600.0
     #: gray failures: ``[node_index, factor]`` pairs — every session that
     #: touches the node runs ``factor``x longer than the runner reported
     slow_nodes: List[List[float]] = field(default_factory=list)
-    #: observed/reported duration ratio at which a completed session
-    #: counts as evidence that one of its nodes is slow
-    slow_node_threshold: float = 1.5
-    #: slow completions a node must accumulate before the arbiter
-    #: quarantines it permanently (like a crashed node, but never repaired)
-    slow_min_samples: int = 2
 
     def __post_init__(self):
         if self.node_crash_rate < 0:
             raise CampaignError(
                 f"node_crash_rate must be >= 0, got {self.node_crash_rate}"
             )
-        if self.horizon_s <= 0:
-            raise CampaignError(f"horizon_s must be > 0, got {self.horizon_s}")
         for entry in self.node_crashes:
             if (
                 not isinstance(entry, (list, tuple))
@@ -103,15 +93,6 @@ class FaultSpec:
                     "slow_nodes entries must be [node >= 0, factor > 1], "
                     f"got {entry!r}"
                 )
-        if self.slow_node_threshold <= 1.0:
-            raise CampaignError(
-                "slow_node_threshold must be > 1, got "
-                f"{self.slow_node_threshold}"
-            )
-        if self.slow_min_samples < 1:
-            raise CampaignError(
-                f"slow_min_samples must be >= 1, got {self.slow_min_samples}"
-            )
 
     @property
     def enabled(self) -> bool:

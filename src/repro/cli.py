@@ -381,71 +381,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     return 0 if all(o.ok for o in outcomes) else 1
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Run the canonical perf scenarios, or compare two result files."""
-    from repro.perf.bench import (
-        DEFAULT_THRESHOLD,
-        compare_results,
-        export_traces,
-        load_results,
-        run_suite,
-        write_results,
-    )
-
-    if args.compare:
-        old_path, new_path = args.compare
-        try:
-            old = load_results(old_path)
-            new = load_results(new_path)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        threshold = (
-            args.threshold if args.threshold is not None else DEFAULT_THRESHOLD
-        )
-        lines, regressions = compare_results(
-            old,
-            new,
-            threshold=threshold,
-            attribute_dirs=tuple(args.attribute) if args.attribute else None,
-        )
-        for line in lines:
-            print(line)
-        if regressions:
-            print(
-                f"{regressions} scenario(s) regressed more than "
-                f"{threshold:.0%} in events/s",
-                file=sys.stderr,
-            )
-            return 1
-        return 0
-
-    try:
-        doc = run_suite(
-            args.scenario or None,
-            fast=args.fast,
-            profile=args.profile,
-            repeats=args.repeats,
-            echo=print,
-        )
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    if args.profile:
-        print("profiled run: wallclock includes profiler overhead, not saved")
-        return 0
-    write_results(doc, args.output)
-    print(f"results written to {args.output}")
-    if args.trace_dir:
-        export_traces(
-            args.scenario or None,
-            fast=args.fast,
-            trace_dir=args.trace_dir,
-            echo=print,
-        )
-    return 0
-
-
 def cmd_campaign(args: argparse.Namespace) -> int:
     """Run a multi-tenant campaign from a JSON campaign spec.
 
@@ -562,8 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             "exit codes:\n"
             "  0  success\n"
-            "  1  scenario failure: a chaos scenario did not survive, or\n"
-            "     bench --compare found a regression past the threshold\n"
+            "  1  scenario failure: a chaos scenario did not survive\n"
             "  2  invalid configuration, unreadable file, or bad usage\n"
             "  3  simulated crash (run --crash-at-time); on-disk\n"
             "     checkpoints are the recovery points\n"
@@ -729,52 +663,6 @@ def build_parser() -> argparse.ArgumentParser:
              "exposition as written by --metrics-out or obs export",
     )
     p_obs_val.set_defaults(func=cmd_obs_validate)
-
-    p_bench = sub.add_parser(
-        "bench", help="run the perf scenarios or compare two result files"
-    )
-    p_bench.add_argument(
-        "-o", "--output", default="BENCH_scale.json",
-        help="result file to write (default: BENCH_scale.json)",
-    )
-    p_bench.add_argument(
-        "--fast", action="store_true",
-        help="run the trimmed CI-smoke variants (not comparable to full runs)",
-    )
-    p_bench.add_argument(
-        "--scenario", action="append", metavar="NAME",
-        help="run only this scenario (repeatable; default: all)",
-    )
-    p_bench.add_argument(
-        "--profile", action="store_true",
-        help="run under cProfile and print hotspots (results not saved)",
-    )
-    p_bench.add_argument(
-        "--repeats", type=int, default=None, metavar="N",
-        help="run each scenario N times and report the median wallclock "
-             "with min/max spread (default: 3 fast, 1 full)",
-    )
-    p_bench.add_argument(
-        "--compare", nargs=2, metavar=("OLD", "NEW"),
-        help="diff two result files on events/s instead of running",
-    )
-    p_bench.add_argument(
-        "--attribute", nargs=2, metavar=("OLD_DIR", "NEW_DIR"),
-        help="with --compare: trace directories (from --trace-dir) whose "
-             "<scenario>.manifest.jsonl files attribute each regression "
-             "to phase/critical-path shifts",
-    )
-    p_bench.add_argument(
-        "--threshold", type=float, default=None, metavar="FRAC",
-        help="allowed events/s regression for --compare (default: 0.25)",
-    )
-    p_bench.add_argument(
-        "--trace-dir", metavar="DIR",
-        help="after the timed suite, write per-scenario manifest + Chrome "
-             "trace artifacts into this directory (separate instrumented "
-             "runs; not comparable to the timed numbers)",
-    )
-    p_bench.set_defaults(func=cmd_bench)
 
     p_camp = sub.add_parser(
         "campaign",

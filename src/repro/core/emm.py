@@ -198,7 +198,6 @@ class ExecutionManagerBase:
         # clock; instrument references are cached for the event loop.
         self.metrics = get_registry()
         self.metrics.bind_clock(session.clock)
-        self._c_cycles = self.metrics.counter("emm.cycles")
         self._c_sweeps = self.metrics.counter("emm.exchange_sweeps")
         self._c_failures = self.metrics.counter("emm.failures")
         self._c_relaunches = self.metrics.counter("emm.relaunches")
@@ -505,6 +504,9 @@ class SynchronousEMM(ExecutionManagerBase):
         and execution continues at its ``next_cycle`` — bit-identical to
         an uninterrupted run at the same seed.
         """
+        # only this pattern has global cycles; the asynchronous one
+        # counts its sweeps as emm.exchange_sweeps
+        self._c_cycles = self.metrics.counter("emm.cycles")
         self._begin(resume)
         if resume is None:
             # the first cycle not yet run, where a checkpoint resumes
@@ -944,7 +946,6 @@ class AsynchronousEMM(ExecutionManagerBase):
                 n_replicas=len(ready),
             )
         )
-        self._c_cycles.inc()
         self._h_cycle_span.observe(now + prep - t_sweep_start)
         self.session.clock.schedule(prep, lambda: self._resubmit(ready))
 

@@ -22,8 +22,7 @@ them as first-class data rather than ad-hoc prints:
   time tracking (exchange dynamics).
 
 Host (wall-clock) time is measured from outside the program:
-``benchmarks/e2e/run.py --trace 1`` splits it per layer, and
-``repro bench --profile`` prints cProfile hotspots.
+``benchmarks/e2e/run.py --trace 1`` splits it per layer.
 
 See ``docs/OBSERVABILITY.md`` for the metric-name and span taxonomy.
 """

@@ -1,10 +1,9 @@
 """Run-to-run manifest diffing for perf- and chaos-regression triage.
 
-``repro bench --compare`` diffs throughput numbers; this module diffs
-the *observability* of two runs: wallclock and utilization, the Fig.-5
-phase decomposition in core-seconds, every metric counter, the
-per-dimension acceptance rates, fault-event counts, and the
-critical-path attribution from :mod:`repro.obs.critical_path`.  A run
+This module diffs the *observability* of two runs: wallclock and
+utilization, the Fig.-5 phase decomposition in core-seconds, every
+metric counter, the per-dimension acceptance rates, fault-event counts,
+and the critical-path attribution from :mod:`repro.obs.critical_path`.  A run
 diffed against itself reports all-zero deltas (pinned in the tests), so
 any nonzero line in a before/after triage is a real behavioural shift,
 not analysis noise.

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.pilot.cluster import ClusterSpec, get_cluster
 from repro.pilot.events import EventQueue
@@ -121,7 +121,6 @@ class Pilot:
         #: scheduler (so a requeued pilot stays supervised); None = off
         self.watchdog = watchdog
         self._pre_active_queue: List[ComputeUnit] = []
-        self._callbacks: List[Callable[["Pilot", PilotState], None]] = []
         self._walltime_event = None
 
     # -- lifecycle ----------------------------------------------------------
@@ -208,14 +207,6 @@ class Pilot:
     def _advance(self, state: PilotState) -> None:
         self.state = state
         self.timestamps[state] = self._clock.now
-        for cb in list(self._callbacks):
-            cb(self, state)
-
-    def register_callback(
-        self, callback: Callable[["Pilot", PilotState], None]
-    ) -> None:
-        """Invoke ``callback(pilot, state)`` on every pilot state change."""
-        self._callbacks.append(callback)
 
     # -- workload -----------------------------------------------------------
 

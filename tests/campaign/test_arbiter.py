@@ -286,11 +286,7 @@ class TestSlowNodes:
     """Gray degradation: inferred slow-node quarantine."""
 
     def slow_arbiter(self, n_sessions=8, **fault_over):
-        faults = dict(
-            slow_nodes=[[0, 4.0]],
-            slow_node_threshold=1.5,
-            slow_min_samples=2,
-        )
+        faults = dict(slow_nodes=[[0, 4.0]])
         faults.update(fault_over)
         arb = Arbiter(
             DatacenterSpec(nodes=2, cores_per_node=8, repair_s=50.0),
@@ -328,9 +324,7 @@ class TestSlowNodes:
                     assert t1 - t0 == pytest.approx(50.0)
 
     def test_below_threshold_never_samples(self):
-        arb = self.slow_arbiter(
-            n_sessions=4, slow_nodes=[[0, 1.2]], slow_node_threshold=1.5
-        )
+        arb = self.slow_arbiter(n_sessions=4, slow_nodes=[[0, 1.2]])
         arb.run(stub_runner(default_s=50.0))
         assert audit_events(arb, "slow_quarantine") == []
         assert arb._slow_samples == [0, 0]

@@ -101,6 +101,18 @@ class TestRoundTrip:
                 {"tenants": [{"name": "a"}], "datacenter": {"nodse": 4}}
             )
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("horizon_s", 3600.0), ("slow_node_threshold", 1.5),
+         ("slow_min_samples", 2)],
+    )
+    def test_unknown_fault_key_rejected(self, key, value):
+        # arbiter constants, not spec knobs
+        with pytest.raises(CampaignError, match=f"bad 'faults'.*{key}"):
+            CampaignSpec.from_dict(
+                {"tenants": [{"name": "a"}], "faults": {key: value}}
+            )
+
     def test_invalid_json_is_campaign_error(self):
         with pytest.raises(CampaignError, match="invalid JSON"):
             CampaignSpec.from_json("{nope")

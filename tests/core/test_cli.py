@@ -560,90 +560,6 @@ class TestObsCommands:
         assert captured.out
 
 
-class TestBenchAttribute:
-    @pytest.fixture
-    def result_pair(self, tmp_path):
-        """Synthetic bench results with one regressing scenario."""
-        old = tmp_path / "old.json"
-        new = tmp_path / "new.json"
-        old.write_text(
-            json.dumps({"_meta": {"schema": 1},
-                        "tremd_sync": {"events_per_s": 1000.0}})
-        )
-        new.write_text(
-            json.dumps({"_meta": {"schema": 1},
-                        "tremd_sync": {"events_per_s": 400.0}})
-        )
-        return old, new
-
-    def manifest_dirs(self, tmp_path):
-        """Two trace dirs whose manifests differ (2 vs 3 cycles)."""
-        from repro.core import RepEx
-        from tests.conftest import small_tremd_config
-
-        dirs = []
-        for label, n_cycles in (("old", 2), ("new", 3)):
-            d = tmp_path / label
-            d.mkdir()
-            result = RepEx(small_tremd_config(n_cycles=n_cycles)).run()
-            result.manifest.dump(d / "tremd_sync.manifest.jsonl")
-            dirs.append(d)
-        return dirs
-
-    def test_regression_gets_phase_attribution(
-        self, result_pair, tmp_path, capsys
-    ):
-        old, new = result_pair
-        old_dir, new_dir = self.manifest_dirs(tmp_path)
-        rc = main(
-            ["bench", "--compare", str(old), str(new),
-             "--attribute", str(old_dir), str(new_dir)]
-        )
-        assert rc == 1  # the regression still fails the gate
-        out = capsys.readouterr().out
-        assert "REGRESSION" in out
-        assert "phase.md" in out
-        assert "wallclock_s" in out
-
-    def test_missing_manifest_degrades_to_hint(
-        self, result_pair, tmp_path, capsys
-    ):
-        old, new = result_pair
-        rc = main(
-            ["bench", "--compare", str(old), str(new),
-             "--attribute", str(tmp_path / "a"), str(tmp_path / "b")]
-        )
-        assert rc == 1
-        assert "attribution unavailable" in capsys.readouterr().out
-
-    def test_no_attribution_without_flag(self, result_pair, capsys):
-        old, new = result_pair
-        rc = main(["bench", "--compare", str(old), str(new)])
-        assert rc == 1
-        out = capsys.readouterr().out
-        assert "REGRESSION" in out
-        assert "phase.md" not in out
-
-
-class TestBenchProfile:
-    def test_profile_prints_hotspots_and_writes_nothing(
-        self, tmp_path, capsys
-    ):
-        out_path = tmp_path / "x.json"
-        scenarios = ["chaos-preempt-256", "campaign-256"]
-        argv = ["bench", "--fast", "--profile", "-o", str(out_path)]
-        for name in scenarios:
-            argv += ["--scenario", name]
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        for name in scenarios:
-            assert out.count(f"(tottime) for {name} ---") == 1
-        assert out.count("--- cProfile top") == len(scenarios)
-        assert "host-time attribution" not in out
-        assert "not saved" in out
-        assert not out_path.exists()
-
-
 class TestChaosResumeFlag:
     def test_no_resume_skips_the_column(self, capsys):
         rc = main(["chaos", "--fast", "--no-resume"])

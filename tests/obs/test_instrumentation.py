@@ -87,7 +87,20 @@ class TestEmmInstrumentation:
         sweeps = [s for s in registry.spans if s.name == "exchange"]
         assert counters["emm.exchange_sweeps"] == len(sweeps) > 0
         assert all(s.tags["pattern"] == "asynchronous" for s in sweeps)
-        assert counters["emm.cycles"] == len(result.cycle_timings)
+        # no global cycle to count; the sweeps are counted above
+        assert "emm.cycles" not in counters
+
+    @pytest.mark.parametrize("kind", ["synchronous", "asynchronous"])
+    def test_manifest_counts_cycles_only_for_the_sync_pattern(self, kind):
+        config = small_tremd_config(
+            pattern=PatternSpec(kind=kind, window_seconds=60.0), n_cycles=3
+        )
+        _, result = run_with_registry(config)
+        counters = result.manifest.metrics["counters"]
+        if kind == "synchronous":
+            assert counters["emm.cycles"] == config.n_cycles
+        else:
+            assert "emm.cycles" not in counters
 
 
 class TestStagingInstrumentation:

@@ -76,11 +76,14 @@ class TestLifecycle:
 
     def test_callbacks(self):
         pilot, clock = make_pilot()
-        seen = []
-        pilot.register_callback(lambda p, s: seen.append(s))
         pilot.launch()
         clock.run_until(lambda: pilot.state is PilotState.ACTIVE)
-        assert seen == [PilotState.PENDING, PilotState.ACTIVE]
+        # timestamps record every state change, in order
+        assert list(pilot.timestamps) == [
+            PilotState.NEW, PilotState.PENDING, PilotState.ACTIVE
+        ]
+        stamps = list(pilot.timestamps.values())
+        assert stamps == sorted(stamps)
 
 
 class TestWorkload:
