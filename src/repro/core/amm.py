@@ -295,12 +295,14 @@ class ApplicationManager:
         """Fold finished MD units back into their replicas, pairwise.
 
         The outputs of the successful units are parsed in one adapter
-        call.  Returns, per replica, True on success; False (without
-        touching the replica's coordinates) when its unit failed.
+        call, then every unit's files are discarded (:meth:`discard_md`).
+        Returns, per replica, True on success; False (without touching
+        the replica's coordinates) when its unit failed.
         """
         ok = [unit.succeeded for unit in units]
-        tags = [self.md_tag(r, cycle) for r, good in zip(replicas, ok) if good]
-        outputs = iter(ram.read_md_outputs(self.adapter, self.sandbox, tags))
+        tags = [self.md_tag(r, cycle) for r in replicas]
+        done = [tag for tag, good in zip(tags, ok) if good]
+        outputs = iter(ram.read_md_outputs(self.adapter, self.sandbox, done))
         ph_dims = [d for d in self.dimensions if isinstance(d, PHDimension)]
         for replica, unit, good in zip(replicas, units, ok):
             record = CycleRecord(
@@ -335,7 +337,18 @@ class ApplicationManager:
                 record.trajectory = unit.result.trajectory
             replica.history.append(record)
             replica.cycle = cycle + 1
+        self.discard_md(tags)
         return ok
+
+    def discard_md(self, tags: Sequence[str]) -> None:
+        """Delete every file the MD tasks ``tags`` wrote, with any parse
+        entry left for them.  Called once a task is folded, or its replica
+        retires without a fold: nothing reads the files again, so the
+        sandbox holds only tasks in flight."""
+        suffixes = self.adapter.task_suffixes
+        self.adapter.discard(
+            self.sandbox, [tag + s for tag in tags for s in suffixes]
+        )
 
     # -- exchange phase -----------------------------------------------------------------
 

@@ -745,6 +745,11 @@ class AsynchronousEMM(ExecutionManagerBase):
 
     def _retire(self, rep: Replica) -> None:
         super()._retire(rep)
+        # a failed or unlaunched task of a retiring replica is never
+        # folded, so its files go here
+        self.amm.discard_md(
+            [self.amm.md_tag(rep, self.state.cycles_done[rep.rid])]
+        )
         self.state.set_cycles(rep.rid, self.config.n_cycles)
 
     def _all_done(self) -> bool:

@@ -54,15 +54,19 @@ def execute_single_point_group(
     """Run one replica's single-point group task (S-REMD exchange input).
 
     Writes the group file, executes every entry, and returns the energy
-    row (one energy per window of the exchanged dimension).
+    row (one energy per window of the exchanged dimension); the group's
+    files are discarded once the row is computed, since nothing reads
+    them again.
     """
     if not hasattr(adapter, "write_groupfile"):
         raise TypeError(
             f"engine {adapter.name!r} does not support group-file single "
             "points (the paper runs S-REMD with Amber only)"
         )
-    adapter.write_groupfile(sandbox, tag, coords, states)
-    return adapter.run_single_point_group(sandbox, tag)
+    files = adapter.write_groupfile(sandbox, tag, coords, states)
+    row = adapter.run_single_point_group(sandbox, tag)
+    adapter.discard(sandbox, files)
+    return row
 
 
 def compute_exchange(

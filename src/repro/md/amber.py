@@ -20,13 +20,17 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.md.engine import EngineAdapter, EngineError, register_adapter
+from repro.md.engine import (
+    EngineAdapter,
+    EngineError,
+    recovered_state,
+    register_adapter,
+)
 from repro.md.forcefield import UmbrellaRestraint
-from repro.md.integrators import IntegratorParams
 from repro.md.sandbox import Sandbox
 from repro.md.toymd import MDParams, ThermodynamicState
 
@@ -61,26 +65,21 @@ def _fmt_float(x: float) -> str:
 class AmberAdapter(EngineAdapter):
     """Adapter for the simulated ``sander`` / ``pmemd.MPI`` executables.
 
-    Parse state is phase-scoped.  Writing a task's mdin (resp. mdinfo)
-    records what a regex parse of those exact bytes recovers; the read
-    that uses the entry removes it, and a hit still requires the file
-    text to equal the recorded text, so a rewritten or hand-edited file
-    always goes through the real parser.  Tasks of one state share one
-    parsed :class:`ThermodynamicState`.  A task whose file is never read
-    (a unit that failed before its outputs were folded) keeps its entry
-    until the same tag is written again.
+    Writes prime the base's parse store for the mdin (with its DISANG
+    file), both coordinate files and the mdinfo; tasks of one state share
+    one parsed :class:`ThermodynamicState`.
     """
 
     name = "amber"
     executables = ("sander", "pmemd.MPI", "pmemd.cuda")
+    task_suffixes = (".mdin", ".inpcrd", ".RST", ".mdinfo", ".rst", ".mdcrd")
 
     def __init__(self, system=None, forcefield=None):
         super().__init__(system, forcefield)
-        #: (id(sandbox), tag) -> (mdin text, DISANG text or None,
-        #: (n_steps, stride, dt, friction, state), seed)
-        self._mdin_cache: Dict[Tuple[int, str], tuple] = {}
-        #: (id(sandbox), tag) -> (mdinfo text, parsed energies)
-        self._info_cache: Dict[Tuple[int, str], tuple] = {}
+        self._coords_head = (
+            "ALA2 toy coordinates (phi, psi in radians)\n"
+            f"{self.system.n_atoms:6d}\n"
+        )
 
     # ------------------------------------------------------------------ input
 
@@ -98,10 +97,8 @@ class AmberAdapter(EngineAdapter):
         )
         phase_parse = self._mdin_phase_parse(params, friction)
         rendered: Dict[int, tuple] = {}
-        cache = self._mdin_cache
-        sid = id(sandbox)
         files = []
-        for tag, (phi, psi), state, seed in zip(tags, rows, states, seeds):
+        for tag, row, state, seed in zip(tags, rows, states, seeds):
             frag = rendered.get(id(state))
             if frag is None:
                 frag = rendered[id(state)] = self._state_text(
@@ -109,20 +106,23 @@ class AmberAdapter(EngineAdapter):
                 )
             pre, post, rst, rst_bytes, parsed = frag
             mdin = f"{tag}: RepEx MD phase\n{pre}  ig = {seed},\n{post}"
+            also = None
             if rst is not None:
                 mdin += f"DISANG={tag}.RST\n"
-            crd = self._coords_text(phi, psi)
+                also = (f"{tag}.RST", rst)
+                sandbox.write_text(*also)
             sandbox.write_text(f"{tag}.mdin", mdin)
-            sandbox.write_text(f"{tag}.inpcrd", crd)
+            if parsed is not None:
+                self._prime(
+                    sandbox, f"{tag}.mdin", mdin, parsed + (int(seed),), also
+                )
+            crd = self._write_coords(sandbox, f"{tag}.inpcrd", row)
             task_files = [
                 (f"{tag}.mdin", len(mdin.encode())),
                 (f"{tag}.inpcrd", len(crd.encode())),
             ]
             if rst is not None:
-                sandbox.write_text(f"{tag}.RST", rst)
                 task_files.append((f"{tag}.RST", rst_bytes))
-            if parsed is not None:
-                cache[(sid, tag)] = (mdin, rst, parsed, int(seed))
             files.append(task_files)
         return files
 
@@ -143,30 +143,18 @@ class AmberAdapter(EngineAdapter):
             post += " &wt type='END' /\n"
             rst = self._format_disang(state.restraints)
         parsed = None
-        if (
-            phase_parse is not None
-            and math.isfinite(state.temperature)
-            and math.isfinite(state.salt_molar)
-        ):
-            # the round trips of the formatted tokens, restraints as the
-            # DISANG text carries them
-            restraints = tuple(
-                UmbrellaRestraint(
-                    angle=r.angle,
-                    center_deg=float(f"{r.center_deg:.1f}"),
-                    k=float(f"{r.k:.4f}"),
-                )
-                for r in state.restraints
+        if phase_parse is not None:
+            recovered = recovered_state(
+                temp0, state.restraints, center=".1f", k=".4f", salt=saltcon
             )
-            parsed = phase_parse + (
-                ThermodynamicState(float(temp0), float(saltcon), restraints),
-            )
+            if recovered is not None:
+                parsed = phase_parse + (recovered,)
         rst_bytes = len(rst.encode()) if rst is not None else 0
         return pre, post, rst, rst_bytes, parsed
 
     @staticmethod
     def _mdin_phase_parse(params: MDParams, friction: str):
-        """What :meth:`_parse_mdin` recovers of ``params`` from an mdin:
+        """What :meth:`_parse_control` recovers of ``params`` from an mdin:
         ``(n_steps, stride, dt, friction)``, or None for inputs the
         namelist regex would not capture verbatim (scientific-notation
         ``dt``, a non-finite friction), which always take the real
@@ -219,24 +207,14 @@ class AmberAdapter(EngineAdapter):
             )
         return restraints
 
-    def _coords_text(self, phi: float, psi: float) -> str:
-        return (
-            "ALA2 toy coordinates (phi, psi in radians)\n"
-            f"{self.system.n_atoms:6d}\n"
-            f"{phi: 12.7f}{psi: 12.7f}\n"
-        )
-
-    def _write_coords(self, sandbox: Sandbox, name: str, coords: np.ndarray) -> None:
-        sandbox.write_text(name, self._coords_text(coords[0], coords[1]))
-
-    def _read_coords(self, sandbox: Sandbox, name: str) -> np.ndarray:
-        lines = sandbox.read_text(name).splitlines()
+    def _parse_coords(self, text: str, name: str) -> np.ndarray:
+        lines = text.splitlines()
         if len(lines) < 3:
             raise EngineError(f"malformed coordinate file {name!r}")
         vals = lines[2].split()
         return np.array([float(vals[0]), float(vals[1])])
 
-    def _parse_mdin(self, sandbox: Sandbox, tag: str, text: str):
+    def _parse_control(self, sandbox: Sandbox, tag: str, text: str):
         """Regex parse of ``{tag}.mdin`` (``text``) and its DISANG file."""
         kv: Dict[str, str] = {}
         for key, value in _MDIN_KV.findall(text):
@@ -261,59 +239,18 @@ class AmberAdapter(EngineAdapter):
         if m:
             restraints = self._parse_disang(sandbox.read_text(m.group(1)))
 
-        params = MDParams(
-            n_steps=n_steps,
-            sample_stride=stride,
-            integrator_params=IntegratorParams(dt=dt, friction=gamma),
-        )
         state = ThermodynamicState(
             temperature=temp0,
             salt_molar=saltcon,
             restraints=tuple(restraints),
         )
-        return params, state, seed
-
-    def read_tasks(self, sandbox, tags):
-        """Parse each ``{tag}.mdin`` (with its DISANG file) and
-        ``{tag}.inpcrd``."""
-        cache = self._mdin_cache
-        sid = id(sandbox)
-        tasks = []
-        for tag in tags:
-            text = sandbox.read_text(f"{tag}.mdin")
-            hit = cache.pop((sid, tag), None)
-            if (
-                hit is not None
-                and text == hit[0]
-                and (
-                    hit[1] is None
-                    or sandbox.read_text(f"{tag}.RST") == hit[1]
-                )
-            ):
-                # MDParams is mutable, so each task gets its own; the
-                # frozen state is shared.
-                n_steps, stride, dt, friction, state = hit[2]
-                params = MDParams(
-                    n_steps=n_steps,
-                    sample_stride=stride,
-                    integrator_params=IntegratorParams(
-                        dt=dt, friction=friction
-                    ),
-                )
-                seed = hit[3]
-            else:
-                params, state, seed = self._parse_mdin(sandbox, tag, text)
-            coords = self._read_coords(sandbox, f"{tag}.inpcrd")
-            tasks.append((params, state, seed, coords))
-        return tasks
+        return n_steps, stride, dt, gamma, state, seed
 
     # ----------------------------------------------------------------- output
 
     def write_outputs(self, sandbox, tags, results) -> None:
         """Simulated ``sander`` output per task: ``.mdinfo``, ``.rst`` and
         ``.mdcrd``."""
-        cache = self._info_cache
-        sid = id(sandbox)
         for tag, result in zip(tags, results):
             pe, re_, te, be, temp = (
                 result.potential_energy,
@@ -332,11 +269,15 @@ class AmberAdapter(EngineAdapter):
                 f" EAMBER (non-restraint)  = {pe - re_:14.4f}\n"
                 f" TORSIONAL  = {te:14.4f}  EBATH   = {be:14.4f}\n"
             )
-            sandbox.write_text(self.info_file(tag), text)
-            if all(math.isfinite(v) for v in (pe, re_, te, be, temp)):
+            info = self.info_file(tag)
+            sandbox.write_text(info, text)
+            # a sum is finite only if every term is
+            if math.isfinite(pe + re_ + te + be + temp):
                 # What _parse_info recovers: the 4 (resp. 2 for TEMP)
                 # decimal round trips of the formatted fields.
-                cache[(sid, tag)] = (
+                self._prime(
+                    sandbox,
+                    info,
                     text,
                     {
                         "potential_energy": float(f"{pe:.4f}"),
@@ -346,9 +287,8 @@ class AmberAdapter(EngineAdapter):
                         "temperature": float(f"{temp:.2f}"),
                     },
                 )
-            phi, psi = result.final_coords.tolist()
-            sandbox.write_text(
-                self.restart_file(tag), self._coords_text(phi, psi)
+            self._write_coords(
+                sandbox, self.restart_file(tag), result.final_coords.tolist()
             )
             lines = [
                 f"{a: 12.7f}{b: 12.7f}" for a, b in result.trajectory.tolist()
@@ -364,23 +304,6 @@ class AmberAdapter(EngineAdapter):
                 raise EngineError(f"{tag}.mdinfo: missing {key}")
             out[out_key] = float(m.group(1))
         return out
-
-    def read_outputs(self, sandbox, tags):
-        """Parse each ``{tag}.mdinfo`` (the exchange phase's input) and
-        ``{tag}.rst``."""
-        cache = self._info_cache
-        sid = id(sandbox)
-        outputs = []
-        for tag in tags:
-            text = sandbox.read_text(self.info_file(tag))
-            hit = cache.pop((sid, tag), None)
-            if hit is not None and text == hit[0]:
-                energies = hit[1]
-            else:
-                energies = self._parse_info(text, tag)
-            coords = self._read_coords(sandbox, self.restart_file(tag))
-            outputs.append((energies, coords))
-        return outputs
 
     def read_trajectory(self, sandbox: Sandbox, tag: str) -> np.ndarray:
         """Sampled (phi, psi) trajectory of the MD phase, shape (n, 2)."""
@@ -404,7 +327,9 @@ class AmberAdapter(EngineAdapter):
         """Write a group file evaluating ``coords`` in every state.
 
         One sander instance per state, exactly as the paper runs the
-        salt-concentration single-point energies.
+        salt-concentration single-point energies.  Returns the names of
+        the group's whole set: the files written here and the ones its
+        run writes (an ``.mdinfo`` per entry, ``{tag}.matrix``).
         """
         files = []
         group_lines = []
@@ -426,7 +351,7 @@ class AmberAdapter(EngineAdapter):
                 )
                 files.append(f"{sp_tag}.RST")
             sandbox.write_text(f"{sp_tag}.mdin", "\n".join(mdin) + "\n")
-            files.append(f"{sp_tag}.mdin")
+            files += (f"{sp_tag}.mdin", f"{sp_tag}.mdinfo")
             group_lines.append(
                 f"-O -i {sp_tag}.mdin -o {sp_tag}.mdout -c {tag}.inpcrd "
                 f"-inf {sp_tag}.mdinfo"
@@ -434,7 +359,7 @@ class AmberAdapter(EngineAdapter):
         self._write_coords(sandbox, f"{tag}.inpcrd", np.asarray(coords))
         files.append(f"{tag}.inpcrd")
         sandbox.write_text(f"{tag}.groupfile", "\n".join(group_lines) + "\n")
-        files.append(f"{tag}.groupfile")
+        files += (f"{tag}.groupfile", f"{tag}.matrix")
         return files
 
     def run_single_point_group(self, sandbox: Sandbox, tag: str) -> np.ndarray:

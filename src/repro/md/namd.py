@@ -18,16 +18,21 @@ use Amber).
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Dict, List
 
 import numpy as np
 
-from repro.md.engine import EngineAdapter, EngineError, register_adapter
+from repro.md.engine import (
+    EngineAdapter,
+    EngineError,
+    recovered_state,
+    register_adapter,
+)
 from repro.md.forcefield import UmbrellaRestraint
-from repro.md.integrators import IntegratorParams
 from repro.md.sandbox import Sandbox
-from repro.md.toymd import MDParams, ThermodynamicState
+from repro.md.toymd import ThermodynamicState
 
 _ETITLE = (
     "ETITLE:      TS           POTENTIAL           RESTRAINT"
@@ -47,13 +52,34 @@ _COLVARS_RE = re.compile(
 )
 
 
+def _energies(potential, restraint, bath, temperature) -> Dict[str, float]:
+    """The energies of one ``ENERGY:`` line's columns."""
+    return {
+        "potential_energy": potential,
+        "restraint_energy": restraint,
+        "torsional_energy": potential - restraint - bath,
+        "bath_energy": bath,
+        "temperature": temperature,
+    }
+
+
 @register_adapter
 class NAMDAdapter(EngineAdapter):
-    """Adapter for the simulated ``namd2`` executable."""
+    """Adapter for the simulated ``namd2`` executable.
+
+    Writes prime the base's parse store for the conf (with its colvars
+    file), both coordinate files and the log, as Amber's do.
+    """
 
     name = "namd"
     executables = ("namd2",)
     supports_salt = False
+    task_suffixes = (
+        ".conf", ".coor", ".colvars", ".log", ".restart.coor", ".dcd.txt"
+    )
+    _control_suffix = ".conf"
+    _coords_suffix = ".coor"
+    _coords_head = "# NAMD toy coordinates (phi, psi radians)\n"
 
     def info_file(self, tag: str) -> str:
         """NAMD writes energies into its log."""
@@ -79,9 +105,17 @@ class NAMDAdapter(EngineAdapter):
             f"dcdfreq            {stride}\n"
         )
         run = f"run                {params.n_steps}\n"
+        # what _parse_control recovers of ``params``: the six-decimal
+        # round trips, unless a token is not finite
+        dt, friction = float(f"{ip.dt:.6f}"), float(f"{ip.friction:.6f}")
+        phase_parse = (
+            (params.n_steps, stride, dt, friction)
+            if math.isfinite(dt) and math.isfinite(friction)
+            else None
+        )
         rendered: Dict[int, tuple] = {}
         files = []
-        for tag, (phi, psi), state, seed in zip(tags, rows, states, seeds):
+        for tag, row, state, seed in zip(tags, rows, states, seeds):
             frag = rendered.get(id(state))
             if frag is None:
                 if state.salt_molar != 0.0:
@@ -89,10 +123,11 @@ class NAMDAdapter(EngineAdapter):
                         "the NAMD adapter does not support salt concentration "
                         "(S-REMD runs use the Amber engine, as in the paper)"
                     )
+                temp = f"{state.temperature:.6f}"
                 temps = (
-                    f"set temperature    {state.temperature:.6f}\n"
+                    f"set temperature    {temp}\n"
                     "langevin           on\n"
-                    f"langevinTemp       {state.temperature:.6f}\n"
+                    f"langevinTemp       {temp}\n"
                     f"langevinDamping    {ip.friction:.6f}\n"
                 )
                 colvars = (
@@ -100,28 +135,41 @@ class NAMDAdapter(EngineAdapter):
                     if state.restraints
                     else None
                 )
+                parsed = None
+                if phase_parse is not None:
+                    recovered = recovered_state(
+                        temp, state.restraints, center=".2f", k=".6f"
+                    )
+                    if recovered is not None:
+                        parsed = phase_parse + (recovered,)
                 frag = rendered[id(state)] = (
                     temps,
                     colvars,
                     len(colvars.encode()) if colvars is not None else 0,
+                    parsed,
                 )
-            temps, colvars, colvars_bytes = frag
+            temps, colvars, colvars_bytes, parsed = frag
             conf = (
                 f"# {tag}: RepEx MD phase\n{structure}"
                 f"coordinates        {tag}.coor\n{temps}"
                 f"seed               {seed}\n{mid}"
                 f"outputname         {tag}\n"
             )
+            also = None
             if colvars is not None:
                 conf += (
                     "colvars            on\n"
                     f"colvarsConfig      {tag}.colvars\n"
                 )
-                sandbox.write_text(f"{tag}.colvars", colvars)
+                also = (f"{tag}.colvars", colvars)
+                sandbox.write_text(*also)
             conf += run
-            crd = self._coords_text(phi, psi)
             sandbox.write_text(f"{tag}.conf", conf)
-            sandbox.write_text(f"{tag}.coor", crd)
+            if parsed is not None:
+                self._prime(
+                    sandbox, f"{tag}.conf", conf, parsed + (int(seed),), also
+                )
+            crd = self._write_coords(sandbox, f"{tag}.coor", row)
             task_files = [
                 (f"{tag}.conf", len(conf.encode())),
                 (f"{tag}.coor", len(crd.encode())),
@@ -154,24 +202,16 @@ class NAMDAdapter(EngineAdapter):
             for m in _COLVARS_RE.finditer(text)
         ]
 
-    @staticmethod
-    def _coords_text(phi: float, psi: float) -> str:
-        return (
-            "# NAMD toy coordinates (phi, psi radians)\n"
-            f"{phi: 12.7f}{psi: 12.7f}\n"
-        )
-
-    def _read_coords(self, sandbox: Sandbox, name: str) -> np.ndarray:
-        lines = sandbox.read_text(name).splitlines()
-        for line in lines:
+    def _parse_coords(self, text: str, name: str) -> np.ndarray:
+        for line in text.splitlines():
             if line.startswith("#") or not line.strip():
                 continue
             vals = line.split()
             return np.array([float(vals[0]), float(vals[1])])
         raise EngineError(f"malformed coordinate file {name!r}")
 
-    def _parse_conf(self, sandbox: Sandbox, tag: str):
-        text = sandbox.read_text(f"{tag}.conf")
+    def _parse_control(self, sandbox: Sandbox, tag: str, text: str):
+        """Regex parse of ``{tag}.conf`` (``text``) and its colvars file."""
 
         def grab(key: str, default=None):
             m = _CONF_KEYS[key].search(text)
@@ -193,24 +233,10 @@ class NAMDAdapter(EngineAdapter):
         if m:
             restraints = self._parse_colvars(sandbox.read_text(m.group(1)))
 
-        params = MDParams(
-            n_steps=n_steps,
-            sample_stride=stride,
-            integrator_params=IntegratorParams(dt=dt, friction=friction),
-        )
         state = ThermodynamicState(
             temperature=temperature, restraints=tuple(restraints)
         )
-        return params, state, seed
-
-    def read_tasks(self, sandbox, tags):
-        """Parse each ``{tag}.conf`` (with its colvars file) and
-        ``{tag}.coor``."""
-        return [
-            (*self._parse_conf(sandbox, tag),
-             self._read_coords(sandbox, f"{tag}.coor"))
-            for tag in tags
-        ]
+        return n_steps, stride, dt, friction, state, seed
 
     # ----------------------------------------------------------------- output
 
@@ -222,16 +248,30 @@ class NAMDAdapter(EngineAdapter):
             f"{_ETITLE}\n"
         )
         for tag, result in zip(tags, results):
-            sandbox.write_text(
-                f"{tag}.log",
-                f"{banner}ENERGY: {result.n_steps:8d} "
-                f"{result.potential_energy:19.4f} "
-                f"{result.restraint_energy:19.4f} {result.bath_energy:19.4f} "
-                f"{result.temperature:18.2f}\nWallClock: (simulated)\n",
+            pe, re_, be, temp = (
+                result.potential_energy,
+                result.restraint_energy,
+                result.bath_energy,
+                result.temperature,
             )
-            phi, psi = result.final_coords.tolist()
-            sandbox.write_text(
-                self.restart_file(tag), self._coords_text(phi, psi)
+            log = (
+                f"{banner}ENERGY: {result.n_steps:8d} {pe:19.4f} "
+                f"{re_:19.4f} {be:19.4f} {temp:18.2f}\n"
+                "WallClock: (simulated)\n"
+            )
+            sandbox.write_text(f"{tag}.log", log)
+            # a sum is finite only if every term is
+            if math.isfinite(pe + re_ + be + temp):
+                # what _parse_info recovers from the formatted columns
+                energies = _energies(
+                    float(f"{pe:.4f}"),
+                    float(f"{re_:.4f}"),
+                    float(f"{be:.4f}"),
+                    float(f"{temp:.2f}"),
+                )
+                self._prime(sandbox, f"{tag}.log", log, energies)
+            self._write_coords(
+                sandbox, self.restart_file(tag), result.final_coords.tolist()
             )
             lines = ["# NAMD toy trajectory (phi psi radians per frame)"]
             lines += [
@@ -250,7 +290,7 @@ class NAMDAdapter(EngineAdapter):
         return np.asarray(rows) if rows else np.empty((0, 2))
 
     @staticmethod
-    def _parse_log(text: str, tag: str) -> Dict[str, float]:
+    def _parse_info(text: str, tag: str) -> Dict[str, float]:
         """Energies of the last ``ENERGY:`` line of ``{tag}.log``."""
         energy_lines = [
             line for line in text.splitlines() if line.startswith("ENERGY:")
@@ -260,23 +300,4 @@ class NAMDAdapter(EngineAdapter):
         cols = energy_lines[-1].split()
         if len(cols) < 6:
             raise EngineError(f"{tag}.log: malformed ENERGY: line")
-        potential = float(cols[2])
-        restraint = float(cols[3])
-        bath = float(cols[4])
-        return {
-            "potential_energy": potential,
-            "restraint_energy": restraint,
-            "torsional_energy": potential - restraint - bath,
-            "bath_energy": bath,
-            "temperature": float(cols[5]),
-        }
-
-    def read_outputs(self, sandbox, tags):
-        """Parse each ``{tag}.log`` and ``{tag}.restart.coor``."""
-        return [
-            (
-                self._parse_log(sandbox.read_text(f"{tag}.log"), tag),
-                self._read_coords(sandbox, self.restart_file(tag)),
-            )
-            for tag in tags
-        ]
+        return _energies(*(float(x) for x in cols[2:6]))

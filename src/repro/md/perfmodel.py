@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.md.system import MolecularSystem
+from repro.utils.rng import key_digest
 
 # -- calibration constants (seconds) ----------------------------------------
 
@@ -266,11 +267,10 @@ class PerformanceModel:
         # hundreds of thousands of streams across a long scaling sweep.
         # Generator(PCG64(seq)) is what default_rng(seq) constructs; spelling
         # it out skips default_rng's errstate wrapper on this hot path.
-        digest = 0
-        for ch in task_key:
-            digest = (digest * 131 + ord(ch)) % (2**32)
         rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([self.seed, digest]))
+            np.random.PCG64(
+                np.random.SeedSequence([self.seed, key_digest(task_key)])
+            )
         )
         return float(base * math.exp(self.jitter * rng.standard_normal()))
 

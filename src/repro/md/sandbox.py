@@ -3,19 +3,25 @@
 Each compute unit runs in a sandbox, exactly like RADICAL-Pilot creates a
 directory per unit.  Two backends share one interface:
 
-* in-memory (default) — a dict; used by the scaling benchmarks where a
-  1728-replica sweep would otherwise create hundreds of thousands of tiny
-  files, and
-* on-disk — real files under a root path; used by the validation example
-  and the adapter tests so the text formats are genuinely written and
-  re-parsed from disk.
+* in-memory (default) — a dict; what every run builds unless handed a
+  sandbox, and
+* on-disk — real files under a root path; for a library caller who
+  passes ``RepEx(config, sandbox=Sandbox(root))`` to see the files, and
+  for the adapter and phase tests, so the text formats are genuinely
+  written to and read back from disk.
+
+A task's files live from its write until its fold: the application
+manager discards an MD task's inputs and outputs once they are folded
+into the replica (or the replica retires without a fold), and a
+single-point group's files once its energy row is computed.  So a run's
+sandbox holds only the files of tasks in flight, on either backend.
 """
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 
 class SandboxError(IOError):
@@ -120,3 +126,13 @@ class Sandbox:
             if not p.is_file():
                 raise SandboxError(f"no such file in sandbox: {name!r}")
             p.unlink()
+
+    def discard(self, names: Iterable[str]) -> None:
+        """Delete each named file; a name never written is skipped."""
+        if self._root is None:
+            pop = self._mem.pop
+            for name in names:
+                pop(name, None)
+        else:
+            for name in names:
+                self._path(name).unlink(missing_ok=True)

@@ -14,6 +14,15 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 
+def key_digest(text: str) -> int:
+    """Stable 32-bit digest of a string key (base 131, mod 2**32), the
+    same in every process whatever ``PYTHONHASHSEED`` is."""
+    acc = 0
+    for ch in text:
+        acc = (acc * 131 + ord(ch)) % (2**32)
+    return acc
+
+
 def spawn_streams(seed: int, n: int) -> List[np.random.Generator]:
     """Spawn ``n`` independent generators from a root seed."""
     if n < 0:
@@ -69,11 +78,7 @@ class RNGRegistry:
         entropy = [self._seed]
         for part in key:
             if isinstance(part, str):
-                # Stable string -> int digest independent of PYTHONHASHSEED.
-                acc = 0
-                for ch in part:
-                    acc = (acc * 131 + ord(ch)) % (2**32)
-                entropy.append(acc)
+                entropy.append(key_digest(part))
             elif isinstance(part, (int, np.integer)):
                 entropy.append(int(part) % (2**32))
             else:

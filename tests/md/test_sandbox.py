@@ -53,6 +53,12 @@ class TestBothBackends:
         with pytest.raises(SandboxError):
             sandbox.remove("missing")
 
+    def test_discard_skips_missing(self, sandbox):
+        sandbox.write_text("a", "1")
+        sandbox.write_text("b", "2")
+        sandbox.discard(["a", "missing"])
+        assert sandbox.listdir() == ["b"]
+
 
 class TestDiskSpecifics:
     def test_on_disk_flag(self, tmp_path):

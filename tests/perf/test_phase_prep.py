@@ -9,8 +9,10 @@ here as the oracle.  For every scenario, a group built both ways must agree
 on every :class:`~repro.pilot.unit.UnitDescription` field (durations by
 ``float.hex``), on every sandbox byte before and after the MD runs, and on
 the replica state after the fold; whole runs with the oracle patched in
-must not differ by a byte either.  The Amber parse caches must be empty
-once a run's phases are folded.
+must not differ by a byte either.  The fold is the last reader of a
+task's files, so the oracle's per-task fold discards every file named
+after the task, and the adapter's parse store and the sandbox must both
+be empty once a run's phases are folded.
 """
 
 from __future__ import annotations
@@ -317,7 +319,17 @@ def md_task(amm, replica, cycle) -> UnitDescription:
 
 
 def process_md_output(amm, replica, unit, cycle, dim_name) -> bool:
-    """The per-replica ``ApplicationManager.process_md_output``."""
+    """The per-replica ``ApplicationManager.process_md_output``, then the
+    deletion of every sandbox file named after the task."""
+    tag = amm.md_tag(replica, cycle)
+    ok = _fold_md_output(amm, replica, unit, tag, cycle, dim_name)
+    for name in amm.sandbox.listdir():
+        if name.startswith(f"{tag}."):
+            amm.sandbox.remove(name)
+    return ok
+
+
+def _fold_md_output(amm, replica, unit, tag, cycle, dim_name) -> bool:
     record = CycleRecord(
         cycle=cycle,
         dimension=dim_name,
@@ -331,7 +343,6 @@ def process_md_output(amm, replica, unit, cycle, dim_name) -> bool:
         replica.history.append(record)
         replica.cycle = cycle + 1
         return False
-    tag = amm.md_tag(replica, cycle)
     energies, coords = read_md_output(amm.adapter, amm.sandbox, tag)
     replica.coords = coords
     replica.last_energies = dict(energies)
@@ -595,15 +606,10 @@ def test_phase_matches_per_task_oracle(name, tmp_path):
     assert [replica_view(reps[r]) for r in sorted(reps)] == [
         replica_view(oreps[r]) for r in sorted(oreps)
     ]
-    if isinstance(amm.adapter, AmberAdapter):
-        # the failed units' outputs were never read: their entries stay
-        never_read = {
-            (id(amm.sandbox), amm.md_tag(reps[rid], cycle))
-            for rid, (unit, cycle) in latest.items()
-            if not unit.succeeded
-        }
-        assert not amm.adapter._mdin_cache
-        assert set(amm.adapter._info_cache) == never_read
+    # the fold drops every unit's files and entries, so even a failed
+    # unit's never-read outputs leave nothing behind
+    assert amm.adapter._parsed == {}
+    assert amm.sandbox.listdir() == oamm.sandbox.listdir() == []
 
 
 def test_tasks_of_one_state_share_its_text_and_parse():
@@ -714,9 +720,10 @@ def test_runs_match_per_task_oracle(name, monkeypatch):
 )
 def test_parse_caches_are_empty_after_a_run(over):
     """Every entry a phase's writes prime is removed by the read that uses
-    it, so a finished run leaves the Amber adapter holding nothing."""
+    it or by the fold, so a finished run leaves the adapter's parse store
+    holding nothing."""
     repex = RepEx(make_config(**over))
     result = repex.run()
     assert sum(len(r.history) for r in result.replicas) > 0
-    assert repex.amm.adapter._mdin_cache == {}
-    assert repex.amm.adapter._info_cache == {}
+    assert repex.amm.adapter._parsed == {}
+    assert repex.amm.sandbox.listdir() == []

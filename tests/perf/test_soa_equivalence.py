@@ -18,10 +18,11 @@ a T x S x U Mode II run, Amber and NAMD, plus hypothesis-driven random
 ladders, the same scenarios with scalar MD instead of the batch, and
 unit-level differential properties for the vectorized kernels (batched
 Brownian integration with per-row salt and restraint columns vs the
-scalar path, for both adapters' file formats; the write-side mdin/mdinfo
-parse caches vs the regex reference).  Call counts pin that an MD phase
-integrates as one batch — also when the SoA path declines it — that an
-asynchronous launch group does too, and a T x S x U phase as one group.
+scalar path, for both adapters' file formats; the entries writes prime
+in the adapter base's parse store vs the regex reference, both
+engines).  Call counts pin that an MD phase integrates as one batch —
+also when the SoA path declines it — that an asynchronous launch group
+does too, and a T x S x U phase as one group.
 """
 
 from __future__ import annotations
@@ -52,7 +53,12 @@ from repro.md.batch import MDWork, run_md_batch
 from repro.md.forcefield import UmbrellaRestraint
 from repro.md.namd import NAMDAdapter
 from repro.md.sandbox import Sandbox
-from repro.md.toymd import IntegratorParams, MDParams, ThermodynamicState
+from repro.md.toymd import (
+    IntegratorParams,
+    MDParams,
+    MDResult,
+    ThermodynamicState,
+)
 from repro.obs.metrics import MetricsRegistry
 
 #: the two phase engines every scenario runs on
@@ -684,6 +690,23 @@ def test_tsu_wave_is_one_gradient_call_per_step(monkeypatch):
     assert counter.calls == len(phases) * numeric_steps
 
 
+def _names_in_store(adapter):
+    return sorted(name for _sid, name in adapter._parsed)
+
+
+def _assert_same_task(cached, reference):
+    c_params, c_state, c_seed, c_coords = cached
+    r_params, r_state, r_seed, r_coords = reference
+    assert c_seed == r_seed
+    assert c_state == r_state
+    assert (c_params.n_steps, c_params.sample_stride) == (
+        r_params.n_steps,
+        r_params.sample_stride,
+    )
+    assert c_params.integrator_params == r_params.integrator_params
+    assert c_coords.tolist() == r_coords.tolist()
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     temp=st.floats(min_value=200.0, max_value=500.0),
@@ -704,9 +727,9 @@ def test_tsu_wave_is_one_gradient_call_per_step(monkeypatch):
 def test_mdin_write_cache_matches_regex_parse(
     temp, salt, n_steps, stride, seed, restraints
 ):
-    """The write-side parse cache returns exactly what the regex reference
-    extracts from the same bytes, and the read that uses an entry
-    removes it."""
+    """The entries an mdin write primes return exactly what the regex
+    reference extracts from the same bytes, and the read that uses an
+    entry removes it."""
     adapter = AmberAdapter()
     sandbox = Sandbox()
     state = ThermodynamicState(
@@ -720,19 +743,11 @@ def test_mdin_write_cache_matches_regex_parse(
     adapter.write_inputs(
         sandbox, ["t"], [np.array([0.3, -0.4])], [state], params, [seed]
     )
-    assert len(adapter._mdin_cache) == 1
+    assert _names_in_store(adapter) == ["t.inpcrd", "t.mdin"]
     [cached] = adapter.read_tasks(sandbox, ["t"])
-    assert not adapter._mdin_cache  # so the second read is the regex path
+    assert not adapter._parsed  # so the second read is the regex path
     [reference] = adapter.read_tasks(sandbox, ["t"])
-    c_params, c_state, c_seed, _ = cached
-    r_params, r_state, r_seed, _ = reference
-    assert c_seed == r_seed
-    assert c_state == r_state
-    assert (c_params.n_steps, c_params.sample_stride) == (
-        r_params.n_steps,
-        r_params.sample_stride,
-    )
-    assert c_params.integrator_params == r_params.integrator_params
+    _assert_same_task(cached, reference)
 
 
 def test_mdin_cache_rejects_foreign_bytes():
@@ -755,3 +770,181 @@ def test_mdin_cache_rejects_foreign_bytes():
     sandbox.write_text("t.mdin", edited)
     [(_params, state, _seed, _coords)] = adapter.read_tasks(sandbox, ["t"])
     assert state.temperature == 355.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    temp=st.floats(min_value=200.0, max_value=500.0),
+    friction=st.floats(min_value=0.001, max_value=100.0),
+    dt=st.floats(min_value=1e-5, max_value=0.05),
+    n_steps=st.integers(min_value=1, max_value=50_000),
+    stride=st.integers(min_value=0, max_value=9),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    restraints=st.lists(
+        st.builds(
+            UmbrellaRestraint,
+            angle=st.sampled_from(["phi", "psi"]),
+            center_deg=st.floats(min_value=-360.0, max_value=360.0),
+            k=st.floats(min_value=0.0001, max_value=500.0),
+        ),
+        max_size=3,
+    ),
+    coords=st.lists(
+        st.floats(min_value=-np.pi, max_value=np.pi), min_size=4, max_size=4
+    ),
+    energies=st.lists(
+        st.floats(min_value=-1e6, max_value=1e6), min_size=3, max_size=3
+    ),
+)
+def test_conf_write_cache_matches_regex_parse(
+    temp, friction, dt, n_steps, stride, seed, restraints, coords, energies
+):
+    """NAMD's twin: the entries a conf (with its colvars), coor, log and
+    restart write prime return exactly what the regex reference extracts
+    from the same bytes, and each read pops what it uses."""
+    adapter = NAMDAdapter()
+    sandbox = Sandbox()
+    state = ThermodynamicState(temperature=temp, restraints=tuple(restraints))
+    params = MDParams(
+        n_steps=n_steps,
+        sample_stride=stride,
+        integrator_params=IntegratorParams(dt=dt, friction=friction),
+    )
+    adapter.write_inputs(
+        sandbox, ["t"], [np.array(coords[:2])], [state], params, [seed]
+    )
+    assert _names_in_store(adapter) == ["t.conf", "t.coor"]
+    [cached] = adapter.read_tasks(sandbox, ["t"])
+    assert not adapter._parsed  # so the second read is the regex path
+    [reference] = adapter.read_tasks(sandbox, ["t"])
+    _assert_same_task(cached, reference)
+
+    pe, re_, be = energies
+    result = MDResult(
+        final_coords=np.array(coords[2:]),
+        trajectory=np.empty((0, 2)),
+        potential_energy=pe,
+        torsional_energy=pe - re_ - be,
+        restraint_energy=re_,
+        bath_energy=be,
+        temperature=temp,
+        n_steps=n_steps,
+    )
+    adapter.write_outputs(sandbox, ["t"], [result])
+    assert _names_in_store(adapter) == ["t.log", "t.restart.coor"]
+    [(c_energies, c_coords)] = adapter.read_outputs(sandbox, ["t"])
+    assert not adapter._parsed
+    [(r_energies, r_coords)] = adapter.read_outputs(sandbox, ["t"])
+    assert c_energies == r_energies
+    assert c_coords.tolist() == r_coords.tolist()
+
+
+def _namd_task(adapter, sandbox, restraints=()):
+    adapter.write_inputs(
+        sandbox,
+        ["t"],
+        [np.array([0.1, 0.2])],
+        [ThermodynamicState(temperature=300.0, restraints=restraints)],
+        MDParams(n_steps=10, sample_stride=0),
+        [1],
+    )
+
+
+@pytest.mark.parametrize(
+    "name, old, new",
+    [
+        ("t.conf", "langevinTemp       300.000000", "langevinTemp       355.0"),
+        ("t.colvars", "centers 30.00", "centers 45.00"),
+        ("t.coor", "   0.1000000", "   0.7000000"),
+    ],
+)
+def test_conf_cache_rejects_foreign_bytes(name, old, new):
+    """A foreign edit of a conf, of the colvars file its parse also reads,
+    or of a coordinate file voids the entry: the read parses the file."""
+    adapter = NAMDAdapter()
+    sandbox = Sandbox()
+    _namd_task(adapter, sandbox, (UmbrellaRestraint("phi", 30.0, 0.02),))
+    text = sandbox.read_text(name)
+    assert old in text
+    sandbox.write_text(name, text.replace(old, new))
+    [(_params, state, _seed, coords)] = adapter.read_tasks(sandbox, ["t"])
+    assert not adapter._parsed
+    assert (state.temperature, state.restraints[0].center_deg) == {
+        "t.conf": (355.0, 30.0),
+        "t.colvars": (300.0, 45.0),
+        "t.coor": (300.0, 30.0),
+    }[name]
+    assert coords[0] == (0.7 if name == "t.coor" else 0.1)
+
+
+@pytest.mark.parametrize("adapter_cls", [AmberAdapter, NAMDAdapter])
+def test_output_cache_rejects_foreign_bytes(adapter_cls):
+    """An edited info file or restart file is parsed, not served from the
+    entry its write primed."""
+    adapter = adapter_cls()
+    sandbox = Sandbox()
+    result = MDResult(
+        final_coords=np.array([0.5, -0.5]),
+        trajectory=np.empty((0, 2)),
+        potential_energy=-12.5,
+        torsional_energy=-12.5,
+        restraint_energy=0.0,
+        bath_energy=0.0,
+        temperature=300.0,
+        n_steps=10,
+    )
+    adapter.write_outputs(sandbox, ["t"], [result])
+    info, restart = adapter.info_file("t"), adapter.restart_file("t")
+    for name, old, new in (
+        (info, "-12.5000", "-99.2500"),
+        (restart, "-0.5000000", "-0.2500000"),
+    ):
+        text = sandbox.read_text(name)
+        assert old in text
+        sandbox.write_text(name, text.replace(old, new))
+    [(energies, coords)] = adapter.read_outputs(sandbox, ["t"])
+    assert not adapter._parsed
+    assert energies["potential_energy"] == -99.25
+    assert coords.tolist() == [0.5, -0.25]
+
+
+@pytest.mark.parametrize("adapter_cls", [AmberAdapter, NAMDAdapter])
+def test_values_the_parser_would_not_recover_are_not_cached(adapter_cls):
+    """Non-finite energies, and a coordinate line whose fields run
+    together, prime no entry: the read takes the real parser."""
+    adapter = adapter_cls()
+    sandbox = Sandbox()
+    result = MDResult(
+        final_coords=np.array([0.5, -0.5]),
+        trajectory=np.empty((0, 2)),
+        potential_energy=float("nan"),
+        torsional_energy=0.0,
+        restraint_energy=0.0,
+        bath_energy=0.0,
+        temperature=300.0,
+        n_steps=10,
+    )
+    adapter.write_outputs(sandbox, ["t"], [result])
+    assert _names_in_store(adapter) == [adapter.restart_file("t")]
+    adapter._write_coords(sandbox, "joined", (1.0, -123.0))
+    assert (id(sandbox), "joined") not in adapter._parsed
+    with pytest.raises(ValueError):
+        adapter._read_coords(sandbox, "joined")
+
+
+@pytest.mark.parametrize("adapter_cls", [AmberAdapter, NAMDAdapter])
+def test_cached_coordinates_are_fresh_arrays(adapter_cls):
+    """A hit hands out a new array, sharing memory with nothing the write
+    was given: the fold stores it on the replica."""
+    adapter = adapter_cls()
+    sandbox = Sandbox()
+    start = np.array([0.1, 0.2])
+    adapter.write_inputs(
+        sandbox, ["t"], [start], [ThermodynamicState()], MDParams(), [1]
+    )
+    [(_p, _s, _seed, coords)] = adapter.read_tasks(sandbox, ["t"])
+    assert coords.tolist() == [0.1, 0.2]
+    assert coords.dtype == np.float64
+    assert not np.shares_memory(coords, start)
+    coords[0] = 9.0
+    assert start.tolist() == [0.1, 0.2]

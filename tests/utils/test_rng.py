@@ -1,9 +1,12 @@
 """Tests for deterministic RNG streams."""
 
+import math
+
 import numpy as np
 import pytest
 
-from repro.utils.rng import RNGRegistry, spawn_streams
+from repro.md.perfmodel import PerformanceModel
+from repro.utils.rng import RNGRegistry, key_digest, spawn_streams
 
 
 class TestSpawnStreams:
@@ -72,3 +75,27 @@ class TestRNGRegistry:
         reg = RNGRegistry(0)
         s = reg.stream("r", np.int64(4))
         assert isinstance(s, np.random.Generator)
+
+
+class TestKeyDigest:
+    def test_base_131_mod_2_32(self):
+        assert key_digest("") == 0
+        assert key_digest("ab") == 97 * 131 + 98
+        wide = "md_r00042_c0003"
+        acc = 0
+        for ch in wide:
+            acc = (acc * 131 + ord(ch)) % 2**32
+        assert key_digest(wide) == acc
+
+    def test_registry_and_perf_model_share_it(self):
+        """String key parts of a stream and the perf model's task keys
+        are seeded through the one digest."""
+
+        def gen(seed, key):
+            seq = np.random.SeedSequence([seed, key_digest(key)])
+            return np.random.Generator(np.random.PCG64(seq))
+
+        assert RNGRegistry(7).transient("ab").random() == gen(7, "ab").random()
+        model = PerformanceModel(jitter=0.1, seed=11)
+        expected = math.exp(0.1 * gen(11, "md_r1").standard_normal())
+        assert model._jittered(1.0, "md_r1") == expected
