@@ -12,9 +12,6 @@ scaling sweep; Fig. 11 re-analyzes Figs. 9-10).
 Set ``REPRO_FAST=1`` to trim the replica counts for a quick smoke pass;
 its tables go to a temporary directory, so the committed full-scale
 tables under ``benchmarks/output/`` stay as they are.
-Set ``REPRO_OBS=0`` to run with the observability layer disabled (null
-metrics registry, no tracer, no manifests) when timing the benchmarks
-themselves rather than the simulated workload.
 """
 
 from __future__ import annotations
@@ -25,7 +22,6 @@ import tempfile
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro import obs
 from repro.core import (
     DimensionSpec,
     PatternSpec,
@@ -37,9 +33,6 @@ from repro.core.config import EngineSpec
 from repro.core.results import SimulationResult
 
 FAST = os.environ.get("REPRO_FAST", "0") == "1"
-
-if os.environ.get("REPRO_OBS", "1") == "0":
-    obs.null_registry()
 
 #: The paper's replica counts for the weak-scaling experiments.
 REPLICA_COUNTS: List[int] = [64, 216] if FAST else [64, 216, 512, 1000, 1728]
@@ -232,12 +225,7 @@ PHASES: Tuple[str, ...] = ("md", "exchange", "staging", "overhead", "other")
 
 
 def phase_decomposition(result: SimulationResult) -> Dict[str, float]:
-    """Per-phase busy core-seconds of one run, from its manifest.
-
-    Empty when the run was executed with ``REPRO_OBS=0`` (no manifest).
-    """
-    if result.manifest is None:
-        return {}
+    """Per-phase busy core-seconds of one run, from its manifest."""
     return dict(result.manifest.phase_totals)
 
 

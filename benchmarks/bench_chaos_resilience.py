@@ -21,7 +21,6 @@ from repro.core.config import (
     ResourceSpec,
     SimulationConfig,
 )
-from repro.obs.metrics import MetricsRegistry, using_registry
 from repro.utils.tables import render_table
 
 
@@ -51,8 +50,7 @@ def policy_cost_rows():
         ("retire", FailureSpec(policy="retire", node_crashes=[[40.0, 0]])),
     ]
     for label, failure in cases:
-        with using_registry(MetricsRegistry()):
-            result = RepEx(_policy_config(failure)).run()
+        result = RepEx(_policy_config(failure)).run()
         rows.append(
             [
                 label,

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 from perf_scenarios import SCENARIOS, scenario_names
 from repro.campaign.spec import CampaignSpec
 from repro.core.framework import RepEx
-from repro.obs.metrics import MetricsRegistry, NullRegistry, using_registry
+from repro.obs.metrics import NullRegistry
 
 #: functions ``--profile`` prints per scenario
 PROFILE_TOP = 25
@@ -121,9 +121,8 @@ def _measure(name: str, *, fast: bool, profile: bool) -> Dict[str, object]:
     config = scenario.build(fast)
     if isinstance(config, CampaignSpec):
         return _measure_campaign(scenario, config, fast=fast, profile=profile)
-    with using_registry(NullRegistry()):
-        repex = RepEx(config)
-        result, wall = _timed(repex.run, profile=profile, name=name)
+    repex = RepEx(config, registry=NullRegistry())
+    result, wall = _timed(repex.run, profile=profile, name=name)
     clock = repex.session.clock
     return {
         "description": scenario.description,
@@ -279,8 +278,7 @@ def export_traces(names: List[str], *, fast: bool, trace_dir: str) -> None:
             )
             print(f"{name:<20} campaign report -> {report_path}")
             continue
-        with using_registry(MetricsRegistry()):
-            result = RepEx(config).run()
+        result = RepEx(config).run()
         manifest = result.manifest
         manifest_path = out / f"{name}.manifest.jsonl"
         manifest.dump(manifest_path)

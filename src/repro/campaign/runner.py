@@ -46,7 +46,7 @@ def repex_runner(
     """The real thing: run each payload as a full RepEx simulation.
 
     The request payload must be a :class:`~repro.core.config.SimulationConfig`
-    or its dict form.  Each session gets a fresh
+    or its dict form.  Each session's ``RepEx`` records into its own fresh
     :class:`~repro.obs.metrics.MetricsRegistry`, so co-resident sessions
     (and relaunched attempts of the same session) never see each other's
     instruments; the session's virtual makespan (``result.t_end``)
@@ -59,7 +59,6 @@ def repex_runner(
     # deferred so the arbiter/property-test layer never imports the MD stack
     from repro.core.config import ConfigError, SimulationConfig
     from repro.core.framework import RepEx
-    from repro.obs.metrics import MetricsRegistry
 
     out_dir = Path(manifest_dir) if manifest_dir is not None else None
 
@@ -79,8 +78,7 @@ def repex_runner(
                 f"session {request.uid}: payload must be a SimulationConfig "
                 f"or dict, got {type(payload).__name__}"
             )
-        registry = MetricsRegistry()
-        repex = RepEx(config, registry=registry)
+        repex = RepEx(config)
         result = repex.run()
         if out_dir is not None and result.manifest is not None:
             tenant_dir = out_dir / request.tenant

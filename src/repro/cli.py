@@ -82,7 +82,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         repex_kwargs["manifest_path"] = args.manifest
     try:
         repex = RepEx(config, **repex_kwargs)
-    except CheckpointError as exc:
+    except (CheckpointError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -97,17 +97,21 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
         print(f"crashed: {exc}; {hint}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        # the manifest or a checkpoint could not be written
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     if result.interrupted:
         flag = (
             "--stop-after-cycle"
             if args.stop_after_cycle is not None
             else "--stop-after-checkpoint"
         )
-        print(f"stopped early at a checkpoint ({flag}); resume with --resume")
+        if repex.checkpoints:
+            print(
+                f"stopped early at a checkpoint ({flag}); resume with --resume"
+            )
+        else:
+            print(
+                f"stopped early ({flag}); no checkpoint written — nothing "
+                "to resume from"
+            )
     if repex.checkpoints and repex.checkpoint_dir is not None:
         print(
             f"{len(repex.checkpoints)} checkpoint(s) written to "
@@ -264,6 +268,10 @@ def cmd_obs_summary(args: argparse.Namespace) -> int:
 
 def cmd_obs_timeline(args: argparse.Namespace) -> int:
     """Print a manifest's event-ordered unit timeline."""
+    if args.limit < 0:
+        print(f"error: -n/--limit must be >= 0, got {args.limit}",
+              file=sys.stderr)
+        return 2
     manifest = _load_manifest(args.manifest)
     if manifest is None:
         return 2
@@ -498,7 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
             "exit codes:\n"
             "  0  success\n"
             "  1  scenario failure: a chaos scenario did not survive\n"
-            "  2  invalid configuration, unreadable file, or bad usage\n"
+            "  2  invalid configuration, unreadable or unwritable file,\n"
+            "     or bad usage\n"
             "  3  simulated crash (run --crash-at-time); on-disk\n"
             "     checkpoints are the recovery points\n"
             "  4  degraded result: campaign admission control rejected\n"
@@ -715,6 +724,11 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+    except OSError as exc:
+        # a file the command was pointed at could not be read or written
+        # (a manifest, checkpoint, summary or report path)
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

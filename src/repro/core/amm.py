@@ -42,6 +42,7 @@ from repro.md.perfmodel import PerformanceModel
 from repro.md.sandbox import Sandbox
 from repro.md.system import get_system
 from repro.md.toymd import MDParams, ThermodynamicState
+from repro.obs.metrics import MetricsRegistry
 from repro.pilot.cluster import ClusterSpec
 from repro.pilot.staging import StagingAction, StagingDirective
 from repro.pilot.unit import ComputeUnit, UnitDescription
@@ -52,7 +53,11 @@ _COORD_SUFFIXES = (".inpcrd", ".coor", ".rst", ".restart.coor")
 
 
 class ApplicationManager:
-    """Engine-facing manager of replicas, tasks and files."""
+    """Engine-facing manager of replicas, tasks and files.
+
+    Exchange tasks count their Metropolis decisions into ``registry``
+    (the run's; a private one when omitted).
+    """
 
     def __init__(
         self,
@@ -61,9 +66,11 @@ class ApplicationManager:
         adapter: Optional[EngineAdapter] = None,
         perf: Optional[PerformanceModel] = None,
         sandbox: Optional[Sandbox] = None,
+        registry: Optional[MetricsRegistry] = None,
     ):
         self.config = config
         self.cluster = cluster
+        self.registry = registry if registry is not None else MetricsRegistry()
         system = get_system(config.engine.system)
         self.adapter = adapter or get_adapter(config.engine.name, system=system)
         self.system = self.adapter.system
@@ -368,7 +375,8 @@ class ApplicationManager:
 
         One task computes partners for every group ("we use a single MPI
         task to perform an exchange", paper Sec. 4.2); its work returns the
-        flat list of proposals.
+        flat list of proposals and counts them as ``exchange.attempted``
+        and ``exchange.accepted``, each also labelled ``{dim=<name>}``.
         """
         active = [r for r in replicas if r.status is ReplicaStatus.ACTIVE]
         groups = exchange_groups(active, dimension)
@@ -376,6 +384,7 @@ class ApplicationManager:
         attempt = self.exchange_attempt_index(cycle)
         rng = self.rng.transient("exchange", dimension.name, cycle)
         selector = self.selector
+        registry = self.registry
 
         def work():
             # One reduced-energy cache for the whole phase: state betas
@@ -397,6 +406,19 @@ class ApplicationManager:
                         cache=cache,
                     )
                 )
+            # the manifest lists every counter that exists, even at zero,
+            # so each is created at its first count: no accepted counters
+            # before the run's first accepted swap
+            n_accepted = sum(p.accepted for p in proposals)
+            for kind, n in (
+                ("attempted", len(proposals)),
+                ("accepted", n_accepted),
+            ):
+                if n:
+                    registry.counter(f"exchange.{kind}").inc(n)
+                    registry.counter(
+                        f"exchange.{kind}{{dim={dimension.name}}}"
+                    ).inc(n)
             return proposals
 
         n = len(active)

@@ -29,7 +29,7 @@ from repro.core.config import (
     WatchdogSpec,
 )
 from repro.core.framework import RepEx
-from repro.obs.metrics import MetricsRegistry, using_registry
+from repro.obs.metrics import MetricsRegistry
 from repro.pilot.events import SimulatedCrash
 from repro.utils.tables import render_table
 
@@ -319,19 +319,19 @@ def run_scenario(
     checkpoint (see :func:`_resume_verdict`); the verdict lands in
     :attr:`ChaosOutcome.resume` and a mismatch fails the scenario.
     """
-    with using_registry(MetricsRegistry()) as registry:
-        try:
-            result = RepEx(scenario.config).run()
-        except Exception as exc:  # a dead run is data, not a crash
-            return ChaosOutcome(
-                name=scenario.name,
-                survived=False,
-                expect_failure=scenario.expect_failure,
-                error=f"{type(exc).__name__}: {exc}",
-                fault_counters=_fault_counters(registry),
-            )
-        if trace_dir is not None and result.manifest is not None:
-            _write_traces(result.manifest, scenario.name, trace_dir)
+    registry = MetricsRegistry()
+    try:
+        result = RepEx(scenario.config, registry=registry).run()
+    except Exception as exc:  # a dead run is data, not a crash
+        return ChaosOutcome(
+            name=scenario.name,
+            survived=False,
+            expect_failure=scenario.expect_failure,
+            error=f"{type(exc).__name__}: {exc}",
+            fault_counters=_fault_counters(registry),
+        )
+    if trace_dir is not None and result.manifest is not None:
+        _write_traces(result.manifest, scenario.name, trace_dir)
     resume = None
     if resume_check and not scenario.expect_failure:
         resume = _resume_verdict(scenario, result)
@@ -372,36 +372,33 @@ def _resume_verdict(scenario: ChaosScenario, baseline) -> str:
             # quiesce roughly twice over the run; the exact cadence only
             # needs to put >= 1 checkpoint on disk before the crash
             kwargs = {"checkpoint_every_s": max(baseline.wallclock / 3, 1e-6)}
-            with using_registry(MetricsRegistry()):
-                reference = RepEx(scenario.config, **kwargs).run()
+            reference = RepEx(scenario.config, **kwargs).run()
             crash_at = reference.t_start + 0.8 * reference.wallclock
         ckpt_dir = Path(tmp) / "ckpt"
-        with using_registry(MetricsRegistry()):
-            try:
-                RepEx(
-                    scenario.config,
-                    checkpoint_dir=ckpt_dir,
-                    crash_at_time=crash_at,
-                    **kwargs,
-                ).run()
-                return f"FAIL: injected crash at t={crash_at:g}s never fired"
-            except SimulatedCrash:
-                pass
-            except Exception as exc:
-                return f"FAIL: crash run died early: {type(exc).__name__}: {exc}"
+        try:
+            RepEx(
+                scenario.config,
+                checkpoint_dir=ckpt_dir,
+                crash_at_time=crash_at,
+                **kwargs,
+            ).run()
+            return f"FAIL: injected crash at t={crash_at:g}s never fired"
+        except SimulatedCrash:
+            pass
+        except Exception as exc:
+            return f"FAIL: crash run died early: {type(exc).__name__}: {exc}"
         latest = ckpt_dir / "latest.json"
         if not latest.exists():
             return "FAIL: no checkpoint on disk at crash time"
-        with using_registry(MetricsRegistry()):
-            try:
-                resumed = RepEx(
-                    scenario.config,
-                    checkpoint_dir=ckpt_dir,
-                    resume_from=latest,
-                    **kwargs,
-                ).run()
-            except Exception as exc:
-                return f"FAIL: resume died: {type(exc).__name__}: {exc}"
+        try:
+            resumed = RepEx(
+                scenario.config,
+                checkpoint_dir=ckpt_dir,
+                resume_from=latest,
+                **kwargs,
+            ).run()
+        except Exception as exc:
+            return f"FAIL: resume died: {type(exc).__name__}: {exc}"
     if resumed.fingerprint() != reference.fingerprint():
         return "FAIL: resumed run's fingerprint differs from reference"
     return "ok"

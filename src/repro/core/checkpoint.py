@@ -420,7 +420,7 @@ def _capture_obs(emm) -> Optional[Dict[str, object]]:
     """Fixed-size observability state: the registry, the ladder and the
     run log's phase sums.
 
-    None when the registry is disabled (``REPRO_OBS=0``) — restoring then
+    None when the registry is disabled (a ``NullRegistry``) — restoring then
     degrades gracefully to EMM-state-only resume.
     """
     if not emm.metrics.enabled:

@@ -32,7 +32,6 @@ from repro.core.fault import FaultAction, FaultPolicy, policy_from_spec
 from repro.core.replica import Replica, ReplicaStatus
 from repro.core.results import CycleTiming, SimulationResult
 from repro.obs.ladder import LadderTracker
-from repro.obs.metrics import get_registry
 from repro.pilot.pilot import Pilot, PilotState
 from repro.pilot.session import Session
 from repro.pilot.unit import ComputeUnit
@@ -194,10 +193,10 @@ class ExecutionManagerBase:
         #: staging time of the most recent exchange phase (SP + exchange
         #: units), folded into the cycle's T_data
         self._last_exchange_data_time = 0.0
-        # Observability: spans are stamped on this session's virtual
-        # clock; instrument references are cached for the event loop.
-        self.metrics = get_registry()
-        self.metrics.bind_clock(session.clock)
+        # Observability: the session's registry stamps spans on its
+        # virtual clock; instrument references are cached for the event
+        # loop.
+        self.metrics = session.registry
         self._c_sweeps = self.metrics.counter("emm.exchange_sweeps")
         self._c_failures = self.metrics.counter("emm.failures")
         self._c_relaunches = self.metrics.counter("emm.relaunches")
@@ -245,7 +244,6 @@ class ExecutionManagerBase:
         self.proposals = []
         self.journal = None
         if self.ladder is not None:
-            self.ladder.reset()
             self.ladder.observe_all(self.t_start, self.replicas)
 
     def _checkpoint(self) -> None:

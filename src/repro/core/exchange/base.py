@@ -30,7 +30,6 @@ import numpy as np
 
 from repro.core.replica import Replica
 from repro.md.toymd import ThermodynamicState
-from repro.obs.metrics import get_registry
 from repro.utils.units import beta_from_temperature
 
 
@@ -46,40 +45,15 @@ def metropolis_delta(
     return beta_i * (e_i_of_xj - e_i_of_xi) + beta_j * (e_j_of_xi - e_j_of_xj)
 
 
-def metropolis_accept(
-    delta: float,
-    rng: np.random.Generator,
-    dimension: Optional[str] = None,
-) -> bool:
+def metropolis_accept(delta: float, rng: np.random.Generator) -> bool:
     """Accept a swap with probability ``min(1, exp(-delta))``.
 
-    Every call counts toward ``exchange.attempted`` /
-    ``exchange.accepted`` in the process-local metrics registry — this
-    is the single choke point every dimension's swap decision goes
-    through, so the counters agree with the per-dimension
-    :class:`~repro.core.results.ExchangeStats` by construction.  When
-    ``dimension`` is given the labelled pair
-    ``exchange.attempted{dim=<name>}`` / ``exchange.accepted{dim=<name>}``
-    is incremented alongside the global counters.
+    Draws from ``rng`` only for uphill proposals (``delta > 0``).
     """
-    registry = get_registry()
-    registry.counter("exchange.attempted").inc()
-    if dimension is not None:
-        registry.counter(f"exchange.attempted{{dim={dimension}}}").inc()
-
-    def _accept() -> None:
-        registry.counter("exchange.accepted").inc()
-        if dimension is not None:
-            registry.counter(f"exchange.accepted{{dim={dimension}}}").inc()
-
     if delta <= 0.0:
-        _accept()
         return True
     # exp underflows harmlessly to 0 for large delta
-    accepted = bool(rng.random() < math.exp(-min(delta, 700.0)))
-    if accepted:
-        _accept()
-    return accepted
+    return bool(rng.random() < math.exp(-min(delta, 700.0)))
 
 
 def pair_state_betas(

@@ -21,7 +21,6 @@ reference submit/wait path — replays the phase's timeline.
 from __future__ import annotations
 
 import abc
-import math
 from typing import List, Sequence
 
 from repro.md import batch as md_batch
@@ -108,23 +107,10 @@ class ModeI(ExecutionMode):
 
 
 class ModeII(ExecutionMode):
-    """Batched waves sized to the pilot, with an inter-wave penalty."""
+    """Batched waves sized to the pilot; each extra wave costs
+    ``MODE2_WAVE_GAP_S + MODE2_PER_CORE_WAVE_GAP_S * pilot cores``."""
 
     name = "II"
-
-    def __init__(
-        self,
-        wave_gap_s: float = MODE2_WAVE_GAP_S,
-        per_core_wave_gap_s: float = MODE2_PER_CORE_WAVE_GAP_S,
-    ):
-        if wave_gap_s < 0:
-            raise ValueError(f"wave_gap_s must be >= 0, got {wave_gap_s}")
-        if per_core_wave_gap_s < 0:
-            raise ValueError(
-                f"per_core_wave_gap_s must be >= 0, got {per_core_wave_gap_s}"
-            )
-        self.wave_gap_s = wave_gap_s
-        self.per_core_wave_gap_s = per_core_wave_gap_s
 
     def run_phase(self, session, pilot, descriptions):
         """Run tasks in waves of whatever fits the pilot at once."""
@@ -145,9 +131,9 @@ class ModeII(ExecutionMode):
         if wave:
             waves.append(wave)
 
-        gap = self.wave_gap_s + self.per_core_wave_gap_s * capacity
+        gap = MODE2_WAVE_GAP_S + MODE2_PER_CORE_WAVE_GAP_S * capacity
         for i, batch in enumerate(waves):
-            if i > 0 and gap > 0:
+            if i > 0:
                 session.run_for(gap)
             batch_units = try_fast_phase(session, pilot, batch)
             if batch_units is not None:
@@ -158,17 +144,11 @@ class ModeII(ExecutionMode):
             units.extend(batch_units)
         return units
 
-    @staticmethod
-    def n_waves(n_tasks: int, cores_per_task: int, capacity: int) -> int:
-        """How many waves a phase of uniform tasks needs."""
-        per_wave = max(1, capacity // max(1, cores_per_task))
-        return math.ceil(n_tasks / per_wave)
 
-
-def make_mode(name: str, **kwargs) -> ExecutionMode:
+def make_mode(name: str) -> ExecutionMode:
     """Instantiate an execution mode by its config name ('I' or 'II')."""
     if name == "I":
         return ModeI()
     if name == "II":
-        return ModeII(**kwargs)
+        return ModeII()
     raise ValueError(f"unknown execution mode {name!r}; use 'I' or 'II'")

@@ -32,7 +32,6 @@ from repro.md.engine import EngineAdapter
 from repro.md.perfmodel import PerformanceModel
 from repro.md.sandbox import Sandbox
 from repro.obs.manifest import ManifestStream, RunManifest
-from repro.obs.metrics import get_registry, using_registry
 from repro.pilot.cluster import get_cluster
 from repro.pilot.failures import FailureModel
 from repro.pilot.faultdomain import FaultDomainModel
@@ -93,21 +92,18 @@ class RepEx:
         :class:`~repro.obs.manifest.ManifestStream`); without it the
         run's log of finished units stays in memory.
     registry:
-        A private :class:`~repro.obs.metrics.MetricsRegistry` for this
-        run.  The whole stack is constructed — and :meth:`run` executes —
-        with it installed as the process default, so every instrument,
-        span and manifest of this run lands there and nowhere else.
-        Omitted, the process-local registry is used (the historical
-        single-run behaviour).  Unless a ``session`` was injected, the
-        registry is emptied before the stack is built, so a run's
-        manifest never lists instruments an earlier run created in it;
-        two ``RepEx`` sharing a registry must therefore be built and run
-        one after the other: :meth:`run` raises :class:`RuntimeError`
-        when the registry was emptied again since this ``RepEx`` was
-        built.  This is what makes a ``RepEx`` a value several of which
-        can coexist in one process: the campaign arbiter gives every
-        tenant session its own registry and the sessions cannot clobber
-        each other's metrics (``run()`` resets only its own registry).
+        The :class:`~repro.obs.metrics.MetricsRegistry` this run records
+        into: every instrument, span and the manifest of this run land
+        there and nowhere else.  Omitted, the injected ``session``'s
+        registry is used, else a fresh one; beside an injected
+        ``session`` only that session's registry is accepted.
+        :class:`~repro.obs.metrics.NullRegistry` turns observability off.
+        The session binds the registry to its clock, so a registry serves
+        one run: handing one to a second ``RepEx`` raises
+        :class:`~repro.obs.metrics.MetricError` at that construction.
+        This is what makes a ``RepEx`` a value several of which can
+        coexist in one process (the campaign arbiter runs one per tenant
+        session).
     """
 
     def __init__(
@@ -132,70 +128,32 @@ class RepEx:
     ):
         self.config = config
         self.cluster = get_cluster(config.resource.name)
-
-        # Resolve this run's registry before building anything: an
-        # injected session brings its own, an explicit ``registry`` wins,
-        # and the default remains the process-local registry.  The whole
-        # stack below is constructed with it installed so every
-        # construction-time instrument cache binds to it.
-        if registry is None:
-            registry = (
-                session.registry
-                if session is not None and session.registry is not None
-                else get_registry()
-            )
-        self.registry = registry
         if session is None:
-            # reset() only zeroes: without this, instruments an earlier
-            # run created here would reach this run's manifest
-            registry.clear()
-        self._generation = registry.generation
+            # the new session binds the registry to its clock first, so
+            # one that already serves a run is refused before anything
+            # records into it
+            session = Session(registry=registry)
+        elif registry is not None and registry is not session.registry:
+            raise ValueError(
+                "registry= differs from the injected session's registry; "
+                "pass one of them"
+            )
+        self.session = session
+        self.registry = session.registry
+        self._ran = False
 
-        with using_registry(self.registry):
-            self._build(config, adapter, perf, sandbox, session, mode)
-
-        # -- checkpoint/restart ----------------------------------------------
-        self._init_checkpointing(
-            checkpoint_every,
-            checkpoint_every_s,
-            checkpoint_dir,
-            checkpoint_keep,
-            resume_from,
-            stop_after_cycle,
-            stop_after_checkpoint,
-            crash_at_time,
-        )
-        self.manifest_path = manifest_path
-
-    def _build(
-        self,
-        config: SimulationConfig,
-        adapter,
-        perf,
-        sandbox,
-        session: Optional[Session],
-        mode: Optional[ExecutionMode],
-    ) -> None:
-        """Construct the simulation stack (called under ``using_registry``)."""
         rng = RNGRegistry(config.seed)
-        failure_model = None
         if config.failure.probability > 0:
-            failure_model = FailureModel(
+            self.session.failure_model = FailureModel(
                 probability=config.failure.probability,
                 rng=rng.stream("failures"),
                 only_phase="md",
             )
-        self.fault_domain = FaultDomainModel.from_spec(config.failure, rng)
-        self.session = session or Session(
-            failure_model=failure_model,
-            fault_domain=self.fault_domain,
-            registry=self.registry,
+        self.fault_domain = FaultDomainModel.from_spec(
+            config.failure, rng, self.registry
         )
-        if session is not None:
-            if failure_model is not None:
-                self.session.failure_model = failure_model
-            if self.fault_domain is not None:
-                self.session.fault_domain = self.fault_domain
+        if self.fault_domain is not None:
+            self.session.fault_domain = self.fault_domain
         self.watchdog = None
         if config.watchdog.enabled:
             self.watchdog = Watchdog(
@@ -211,11 +169,9 @@ class RepEx:
             )
             self.session.watchdog = self.watchdog
 
-        # Observability: bind the registry to this run's virtual clock.
-        # Each run() traces every unit the session submits into its run
-        # log; under a NullRegistry it traces nothing, so the off-path
-        # cost is only the no-op instrument calls.
-        self.registry.bind_clock(self.session.clock)
+        # Observability: run() traces every unit the session submits into
+        # its run log; under a NullRegistry it traces nothing, so the
+        # off-path cost is only the no-op instrument calls.
         self.tracer: Optional[Tracer] = None
 
         self.amm = ApplicationManager(
@@ -224,6 +180,7 @@ class RepEx:
             adapter=adapter,
             perf=perf,
             sandbox=sandbox,
+            registry=self.registry,
         )
         self.pilot = self.session.submit_pilot(
             PilotDescription(
@@ -241,6 +198,17 @@ class RepEx:
             self.pilot,
             mode=mode or make_mode(config.effective_mode),
         )
+        self._init_checkpointing(
+            checkpoint_every,
+            checkpoint_every_s,
+            checkpoint_dir,
+            checkpoint_keep,
+            resume_from,
+            stop_after_cycle,
+            stop_after_checkpoint,
+            crash_at_time,
+        )
+        self.manifest_path = manifest_path
 
     def _init_checkpointing(
         self,
@@ -292,7 +260,7 @@ class RepEx:
         self.checkpoint_dir = (
             Path(checkpoint_dir) if checkpoint_dir is not None else None
         )
-        #: every checkpoint taken by the most recent :meth:`run`
+        #: every checkpoint taken by :meth:`run`
         self.checkpoints: List[Checkpoint] = []
         self._resume = resume_from
         self.crash_at_time = (
@@ -355,25 +323,15 @@ class RepEx:
     def run(self) -> SimulationResult:
         """Execute the simulation and tear the pilot down.
 
-        This run's registry (private when one was injected, the
-        process-local default otherwise) is reset at entry so the
-        manifest attached to the result reflects this run alone, and is
-        installed as the process default for the duration of the run so
-        call-site instrumentation (e.g. the Metropolis counters) lands in
-        it.  Raises :class:`RuntimeError` if another ``RepEx`` emptied
-        the registry after this one was built.
+        A ``RepEx`` runs once: its pilot is final afterwards, so a second
+        call raises :class:`RuntimeError`; build a new ``RepEx`` instead.
         """
-        if self.registry.generation != self._generation:
+        if self._ran:
             raise RuntimeError(
-                "this RepEx's registry was emptied by a later RepEx built "
-                "on it; build and run each RepEx before building the next"
+                "this RepEx has already run and its pilot is torn down; "
+                "build a new RepEx to run again"
             )
-        with using_registry(self.registry):
-            return self._run()
-
-    def _run(self) -> SimulationResult:
-        self.registry.reset()
-        self.checkpoints.clear()
+        self._ran = True
         run_log = ManifestStream(self.manifest_path, self.config)
         if self.registry.enabled:
             self.tracer = Tracer(run_log.on_unit)

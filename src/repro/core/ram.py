@@ -118,7 +118,7 @@ def compute_exchange(
                 states=states,
                 energy_matrix=energy_matrix,
             )
-        accepted = metropolis_accept(delta, rng, dimension=dimension.name)
+        accepted = metropolis_accept(delta, rng)
         if accepted:
             window_of[rep_i.rid], window_of[rep_j.rid] = (
                 window_of[rep_j.rid],

@@ -4,9 +4,9 @@ The paper's central evidence is a timing decomposition (Eq. 1) and a
 utilization metric (Eq. 4); this package makes the reproduction report
 them as first-class data rather than ad-hoc prints:
 
-* :mod:`repro.obs.metrics` — counters/gauges/histograms resolved through a
-  process-local default :class:`MetricsRegistry` (swap in a
-  :class:`NullRegistry` to turn the layer off),
+* :mod:`repro.obs.metrics` — counters/gauges/histograms in the
+  :class:`MetricsRegistry` each run owns (pass a :class:`NullRegistry`
+  to turn the layer off),
 * :mod:`repro.obs.spans` — named virtual-time intervals recorded by the
   EMMs around each cycle/phase,
 * :mod:`repro.obs.manifest` — the :class:`RunManifest` JSONL artifact
@@ -58,10 +58,6 @@ from repro.obs.metrics import (
     MetricError,
     MetricsRegistry,
     NullRegistry,
-    get_registry,
-    null_registry,
-    set_registry,
-    using_registry,
 )
 from repro.obs.spans import Span, SpanRecord
 
@@ -90,13 +86,9 @@ __all__ = [
     "diff_manifests",
     "escape_label_value",
     "format_label",
-    "get_registry",
-    "null_registry",
     "openmetrics",
     "render_diff",
     "render_report",
-    "set_registry",
-    "using_registry",
     "validate_chrome_trace",
     "validate_openmetrics",
 ]

@@ -20,7 +20,7 @@ visits window 0 and a **down**-walker when it visits the top window;
 one round trip is bottom → top → bottom, measured in virtual seconds.
 
 Everything here is metrics-gated: the EMM only creates a tracker when
-the active registry is enabled, so ``NullRegistry`` benchmark runs and
+the run's registry is enabled, so ``NullRegistry`` benchmark runs and
 golden traces are untouched.  Tracker state round-trips through
 checkpoints (:meth:`state_dict` / :meth:`load_state`) so a crash-resumed
 run's manifest stays byte-identical to an uninterrupted one's.
@@ -272,9 +272,3 @@ class LadderTracker:
                 for rid, dwell in data.get("occupancy", {}).items()
             }
             tracker.rtts = [float(v) for v in data.get("rtts", [])]
-
-    def reset(self) -> None:
-        """Drop all walk state (fresh run re-using the same EMM)."""
-        for name, tracker in list(self._dims.items()):
-            self._dims[name] = _DimTracker(name, tracker.n_windows)
-        self._finalized_at = None

@@ -6,7 +6,7 @@ A :class:`RunManifest` is written at the end of
 * identity — title, config hash, pattern, mode, replica/core counts,
 * the per-phase time decomposition (md / exchange / staging / overhead)
   summed by the run's log as each unit finished, in core-seconds,
-* a snapshot of every metric in the active registry,
+* a snapshot of every metric in the run's registry,
 * every finished span, and
 * one row per unit: its metadata and the entry time of every state,
   from which the event-ordered state timeline is a view.

@@ -1,13 +1,13 @@
-"""Process-local metrics: counters, gauges, virtual-time histograms.
+"""Per-run metrics: counters, gauges, virtual-time histograms.
 
 The paper's evidence is a timing decomposition (Eq. 1) plus utilization
 (Eq. 4); this module gives every layer of the stack a shared place to
 record the numbers those figures need — ``emm.cycles``,
-``exchange.accepted``, ``scheduler.queue_depth``, ``staging.bytes_mb`` —
-without threading handles through every constructor.  Components resolve
-the process-local default registry once (at construction for hot paths),
-so swapping in a :class:`NullRegistry` disables the whole layer with no
-per-event branching.
+``exchange.accepted``, ``scheduler.queue_depth``, ``staging.bytes_mb``.
+Each run owns one :class:`MetricsRegistry`, handed to its components at
+construction; they cache their instruments there, so passing a
+:class:`NullRegistry` disables the whole layer with no per-event
+branching.
 
 Metric names are dotted strings; the taxonomy is documented in
 ``docs/OBSERVABILITY.md``.
@@ -42,10 +42,6 @@ class Counter:
             )
         self.value += amount
 
-    def reset(self) -> None:
-        """Zero the counter in place (references stay valid)."""
-        self.value = 0.0
-
 
 class Gauge:
     """A value that can move both ways (queue depths, cores in use)."""
@@ -67,10 +63,6 @@ class Gauge:
     def dec(self, amount: float = 1.0) -> None:
         """Subtract ``amount`` from the gauge."""
         self.value -= amount
-
-    def reset(self) -> None:
-        """Zero the gauge in place."""
-        self.value = 0.0
 
 
 class Histogram:
@@ -122,10 +114,6 @@ class Histogram:
         frac = pos - lo
         return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
 
-    def reset(self) -> None:
-        """Drop all samples in place."""
-        self._samples.clear()
-
     def to_dict(self) -> Dict[str, float]:
         """Summary statistics (count/total/mean/min/max/p50/p90/p99)."""
         if not self._samples:
@@ -158,11 +146,10 @@ def _parent_id(parent: Optional[object]) -> Optional[str]:
 class MetricsRegistry:
     """Named instruments plus finished spans, with a bound virtual clock.
 
-    Instruments are created on first use and *zeroed in place* by
-    :meth:`reset`, so components may cache instrument references at
-    construction (the scheduler does, for its per-event hot path) and
-    keep them across session boundaries.  :meth:`clear` drops them, for
-    use before such components are built.
+    Instruments are created on first use, so components may cache
+    instrument references at construction (the scheduler does, for its
+    per-event hot path).  A registry serves one run: it is bound to that
+    run's clock once, and binding it again raises :class:`MetricError`.
     """
 
     enabled: bool = True
@@ -174,18 +161,24 @@ class MetricsRegistry:
         self.spans: List[SpanRecord] = []
         self._now: Callable[[], float] = lambda: 0.0
         self._clock_bound = False
-        # Monotone per-run span ids ("sp00000", ...): reset() rewinds the
-        # counter, so ids are deterministic for a seeded workload and the
-        # parent/child links survive the manifest round-trip.
+        # Monotone per-run span ids ("sp00000", ...), deterministic for a
+        # seeded workload, so the parent/child links survive the manifest
+        # round-trip.
         self._span_seq = 0
-        #: bumped by every :meth:`clear`, so a holder of cached
-        #: instruments can tell they were orphaned
-        self.generation = 0
 
     # -- clock ---------------------------------------------------------------
 
     def bind_clock(self, clock: ClockLike) -> None:
-        """Use ``clock`` (callable or object with ``.now``) for span times."""
+        """Use ``clock`` (callable or object with ``.now``) for span times.
+
+        A registry belongs to one run, so it is bound once: a second
+        binding raises :class:`MetricError`.
+        """
+        if self._clock_bound:
+            raise MetricError(
+                "registry is already bound to a run's clock; each run "
+                "needs its own registry"
+            )
         if callable(clock):
             self._now = clock
         else:
@@ -273,33 +266,7 @@ class MetricsRegistry:
         finally:
             sp.end()
 
-    # -- lifecycle -----------------------------------------------------------
-
-    def reset(self) -> None:
-        """Zero every instrument in place and drop recorded spans.
-
-        Cached instrument references held by live components remain valid
-        — this is what lets ``RepEx.run()`` start each run from a clean
-        slate without re-wiring the scheduler.
-        """
-        for store in (self._counters, self._gauges, self._histograms):
-            for inst in store.values():
-                inst.reset()
-        self.spans.clear()
-        self._span_seq = 0
-
-    def clear(self) -> None:
-        """Drop every instrument and recorded span and rewind span ids.
-
-        Unlike :meth:`reset` this orphans cached instrument references,
-        so call it only before building the components that cache them;
-        :attr:`generation` counts the calls.
-        """
-        for store in (self._counters, self._gauges, self._histograms):
-            store.clear()
-        self.spans.clear()
-        self._span_seq = 0
-        self.generation += 1
+    # -- export ---------------------------------------------------------------
 
     def snapshot(self) -> Dict[str, Dict]:
         """JSON-serializable dump of every instrument's current value."""
@@ -354,9 +321,9 @@ class MetricsRegistry:
         """Restore :meth:`state_dict` output plus every sample and span
         :meth:`records_since` ever returned, mutating instruments in place.
 
-        Cached instrument references held by live components stay valid
-        (the same guarantee :meth:`reset` gives), and the span-id counter
-        continues where the captured run left off.  A no-op on disabled
+        Cached instrument references held by live components stay valid,
+        and the span-id counter continues where the captured run left
+        off.  A no-op on disabled
         registries.
         """
         if not self.enabled:
@@ -398,9 +365,6 @@ class _NullInstrument:
 
     def quantile(self, q: float) -> float:  # noqa: D102 - no-op
         return 0.0
-
-    def reset(self) -> None:  # noqa: D102 - no-op
-        pass
 
     def to_dict(self) -> Dict[str, float]:  # noqa: D102 - no-op
         return {"count": 0, "total": 0.0, "mean": 0.0}
@@ -444,47 +408,3 @@ class NullRegistry(MetricsRegistry):
     ) -> Span:
         """A span with no sink: start/end never touch the clock."""
         return Span(name, self._now, None, tags)
-
-
-# -- process-local default ----------------------------------------------------
-
-_default_registry: MetricsRegistry = MetricsRegistry()
-
-
-def get_registry() -> MetricsRegistry:
-    """The process-local default registry components resolve against."""
-    return _default_registry
-
-
-def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    """Install ``registry`` as the process default; returns the previous one.
-
-    Components that cached instruments from the previous registry keep
-    writing to it — install the registry you want *before* building the
-    simulation stack.
-    """
-    global _default_registry
-    previous = _default_registry
-    _default_registry = registry
-    return previous
-
-
-def null_registry() -> NullRegistry:
-    """Install (and return) a :class:`NullRegistry` as the process default.
-
-    This is the documented way to turn observability off for
-    benchmarking; pair with :func:`set_registry` to restore the old one.
-    """
-    registry = NullRegistry()
-    set_registry(registry)
-    return registry
-
-
-@contextlib.contextmanager
-def using_registry(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
-    """Temporarily install ``registry`` as the process default."""
-    previous = set_registry(registry)
-    try:
-        yield registry
-    finally:
-        set_registry(previous)

@@ -41,7 +41,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import MetricsRegistry
 
 #: Seconds per node-hour, for the Poisson crash-arrival rate.
 _SECONDS_PER_HOUR = 3600.0
@@ -166,6 +166,9 @@ class FaultDomainModel:
         staging operations.
     schedule_rng:
         Seeded generator for the Poisson arrivals (and crash node picks).
+    registry:
+        The run's metrics registry, which counts the injected faults; a
+        private one when omitted.
     """
 
     def __init__(
@@ -179,6 +182,7 @@ class FaultDomainModel:
         slow_nodes: Optional[List[Tuple[int, float]]] = None,
         hang_probability: float = 0.0,
         hang_rng: Optional[np.random.Generator] = None,
+        registry: Optional[MetricsRegistry] = None,
     ):
         if node_crash_rate < 0:
             raise ValueError(
@@ -229,7 +233,8 @@ class FaultDomainModel:
         #: order; a checkpoint records it so a restore replays exactly
         #: those that fired before its quiet point
         self.n_fired = 0
-        registry = get_registry()
+        if registry is None:
+            registry = MetricsRegistry()
         self._c_crashes = registry.counter("fault.node_crashes")
         self._c_killed = registry.counter("fault.units_killed")
         self._c_preempt = registry.counter("fault.preemptions")
@@ -243,7 +248,9 @@ class FaultDomainModel:
         return bool(self.slow_nodes) or self.hang_probability > 0
 
     @classmethod
-    def from_spec(cls, spec, rng_registry) -> Optional["FaultDomainModel"]:
+    def from_spec(
+        cls, spec, rng_registry, registry: MetricsRegistry
+    ) -> Optional["FaultDomainModel"]:
         """Build from a :class:`~repro.core.config.FailureSpec`.
 
         Returns None when the spec enables no correlated faults, so the
@@ -251,7 +258,8 @@ class FaultDomainModel:
         off).  ``rng_registry`` is a
         :class:`~repro.utils.rng.RNGRegistry`; the model draws its
         schedule from the ``"fault-schedule"`` stream and staging faults
-        from ``"staging-faults"``.
+        from ``"staging-faults"``.  Its fault counters go to the run's
+        metrics ``registry``.
         """
         if not getattr(spec, "wants_fault_domain", False):
             return None
@@ -276,6 +284,7 @@ class FaultDomainModel:
             slow_nodes=[tuple(e) for e in spec.slow_nodes],
             hang_probability=spec.hang_probability,
             hang_rng=hang_rng,
+            registry=registry,
         )
 
     # -- event recording -----------------------------------------------------

@@ -76,7 +76,12 @@ class PilotDescription:
 
 
 class Pilot:
-    """A pilot job on a simulated cluster."""
+    """A pilot job on a simulated cluster.
+
+    ``registry`` is the metrics registry its agent schedulers record
+    into (the owning session's); without one, each records into a
+    private registry.
+    """
 
     def __init__(
         self,
@@ -104,8 +109,6 @@ class Pilot:
         # numbers depend on process history, so anything reproducible —
         # manifests, golden traces — must not embed them).
         self.uid = uid if uid is not None else f"pilot.{next(_pilot_counter):04d}"
-        #: metrics registry the agent scheduler should record into; None
-        #: resolves the process-local default at activation time
         self._registry = registry
         self.description = description
         self.cluster = cluster

@@ -35,7 +35,7 @@ import math
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Set
 
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import MetricsRegistry
 from repro.pilot.cluster import ClusterSpec
 from repro.pilot.events import EventQueue
 from repro.pilot.failures import FailureModel, NO_FAILURES, UnitFailure
@@ -48,7 +48,12 @@ class SchedulerError(RuntimeError):
 
 
 class AgentScheduler:
-    """Allocates pilot cores to compute units and drives their pipeline."""
+    """Allocates pilot cores to compute units and drives their pipeline.
+
+    ``registry`` is the metrics registry its instruments live in (the
+    pilot's, from its session); without one, the scheduler records into
+    a private registry.
+    """
 
     def __init__(
         self,
@@ -132,11 +137,10 @@ class AgentScheduler:
         self._drained = False
         # Instruments are resolved once: the per-event cost under a
         # NullRegistry is a no-op method call, keeping the off-path
-        # observability overhead bounded.  An owner running several
-        # co-resident sessions passes its own registry; bare construction
-        # keeps the process-local default.
+        # observability overhead bounded.  The owning session passes its
+        # registry; bare construction records into a private one.
         if registry is None:
-            registry = get_registry()
+            registry = MetricsRegistry()
         self._m_submitted = registry.counter("scheduler.submitted")
         self._m_started = registry.counter("scheduler.started")
         self._m_completed = registry.counter("scheduler.completed")

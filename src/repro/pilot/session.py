@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence
 
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import MetricsRegistry
 from repro.pilot.events import EventQueue, SimulatedCrash, SimulationError
 from repro.pilot.failures import FailureModel
 from repro.pilot.pilot import Pilot, PilotDescription, PilotState
@@ -36,10 +36,10 @@ class Session:
         An externally owned :class:`EventQueue` to schedule on; a fresh
         one is created when omitted (the single-session default).
     registry:
-        The metrics registry this session's components should record
-        into.  Defaults to the process-local registry, preserving the
-        historical behaviour; a campaign passes one private registry per
-        tenant session so co-resident sessions never share instruments.
+        The metrics registry this session's components record into; a
+        fresh one is created when omitted.  The session binds it to its
+        clock, so a registry serves one session: one already bound is
+        refused with :class:`~repro.obs.metrics.MetricError`.
     """
 
     def __init__(
@@ -53,9 +53,9 @@ class Session:
         registry=None,
     ):
         self.clock = clock if clock is not None else EventQueue()
-        #: the registry this session's stack records into; resolved once
-        #: at construction so it is stable for the session's lifetime
-        self.registry = registry if registry is not None else get_registry()
+        #: the registry this session's stack records into, on its clock
+        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry.bind_clock(self.clock)
         self.failure_model = failure_model
         #: correlated-fault injector handed to every pilot (None = off)
         self.fault_domain = fault_domain

@@ -46,7 +46,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional
 
 from repro.core.fault import WatchdogRetryPolicy
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import MetricsRegistry
 
 #: Completed-duration samples kept for the straggler cohort median.
 _HISTORY_CAP = 256
@@ -78,6 +78,9 @@ class Watchdog:
         Optional :class:`~repro.pilot.faultdomain.FaultDomainModel`;
         when present, watchdog verdicts are recorded as fault events so
         they reach manifests and traces.
+    registry:
+        The run's metrics registry (its session's); a private one when
+        omitted.
     """
 
     def __init__(
@@ -103,7 +106,7 @@ class Watchdog:
         #: the pending heartbeat; None while disarmed
         self._tick_event = None
         if registry is None:
-            registry = get_registry()
+            registry = MetricsRegistry()
         self._c_checks = registry.counter("watchdog.checks")
         self._c_kills = registry.counter("watchdog.deadline_kills")
         self._c_relaunches = registry.counter("watchdog.relaunches")

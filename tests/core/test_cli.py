@@ -310,6 +310,24 @@ class TestCrashResumeFlags:
         assert "--stop-after-checkpoint" in out
         assert "resume with --resume" in out
 
+    def test_stop_after_cycle_hint_says_whether_a_checkpoint_exists(
+        self, config_file, tmp_path, capsys
+    ):
+        stop = ["run", str(config_file), "--stop-after-cycle", "1"]
+        assert main(stop) == 0
+        out = capsys.readouterr().out
+        assert "stopped early (--stop-after-cycle)" in out
+        assert "no checkpoint written — nothing to resume from" in out
+        assert "resume with --resume" not in out
+        ckpt = ["--checkpoint-every", "1", "--checkpoint-dir", str(tmp_path)]
+        assert main(stop + ckpt) == 0
+        out = capsys.readouterr().out
+        assert (
+            "stopped early at a checkpoint (--stop-after-cycle); "
+            "resume with --resume"
+        ) in out
+        assert "no checkpoint written" not in out
+
     def test_checkpoint_keep_prunes(self, config_file, tmp_path, capsys):
         # four cycles so pruning actually has snapshots to discard
         cfg = json.loads(config_file.read_text())
@@ -732,3 +750,61 @@ class TestCampaign:
             / "campaign.json"
         )
         assert main(["campaign", str(path), "--dry-run"]) == 0
+
+
+#: one usage error per command -> its argv; ``{file}`` is a regular file,
+#: so nothing can be created under it, and ``{missing}`` does not exist
+USAGE_ERRORS = {
+    "run-negative-checkpoint-every": [
+        "run", "{config}", "--checkpoint-every", "-1",
+    ],
+    "run-negative-checkpoint-every-s": [
+        "run", "{config}", "--checkpoint-every-s", "-5",
+    ],
+    "run-negative-checkpoint-keep": [
+        "run", "{config}", "--checkpoint-keep", "-2",
+    ],
+    "run-summary-under-a-file": ["run", "{config}", "-o", "{file}/x.json"],
+    "obs-export-under-a-file": [
+        "obs", "export", "{manifest}", "-o", "{file}/x.json",
+    ],
+    "obs-timeline-negative-limit": [
+        "obs", "timeline", "{manifest}", "-n", "-1",
+    ],
+    "chaos-report-under-a-file": [
+        "chaos", "--fast", "--no-resume", "-o", "{file}/x.json",
+    ],
+    "campaign-out-under-a-file": [
+        "campaign", "{campaign}", "--out", "{file}/sub",
+    ],
+    "campaign-metrics-out-in-a-missing-dir": [
+        "campaign", "{campaign}", "--metrics-out", "{missing}/x.txt",
+    ],
+}
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv", list(USAGE_ERRORS.values()), ids=list(USAGE_ERRORS)
+    )
+    def test_exits_2_with_an_error_line(
+        self, argv, config_file, campaign_file, tmp_path, capsys
+    ):
+        paths = {
+            "config": config_file,
+            "campaign": campaign_file,
+            "manifest": tmp_path / "run.jsonl",
+            "file": tmp_path / "a-file",
+            "missing": tmp_path / "missing",
+        }
+        paths["file"].write_text("")
+        if "{manifest}" in argv:
+            from repro.core import RepEx
+            from tests.conftest import small_tremd_config
+
+            RepEx(small_tremd_config()).run().manifest.dump(paths["manifest"])
+        rc = main([arg.format(**paths) for arg in argv])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "error:" in err
+        assert "Traceback" not in err

@@ -1,19 +1,19 @@
 """Regression tests: two sessions in one process must not interfere.
 
 Historically the stack leaned on process-global state — one default
-metrics registry (reset and re-clock-bound by every run) and module-level
-pilot uid counters — which was fine while a process hosted exactly one
-session, and fatal once the campaign arbiter made sessions co-resident.
-These tests pin the isolation contract: a ``RepEx`` handed a private
-registry is a *value*, and any number of them can be built and run in
-one process, in any interleaving, with bit-identical results.
+metrics registry and module-level pilot uid counters — which was fine
+while a process hosted exactly one session, and fatal once the campaign
+arbiter made sessions co-resident.  These tests pin the isolation
+contract: every ``RepEx`` records into a registry of its own, so it is a
+*value*, and any number of them can be built and run in one process, in
+any interleaving, with bit-identical results.
 """
 
 import pytest
 
 from repro.core import RepEx
 from repro.core.config import DimensionSpec, ResourceSpec, SimulationConfig
-from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.obs.metrics import MetricsRegistry
 from repro.pilot.session import Session
 from tests.conftest import small_tremd_config
 
@@ -61,23 +61,15 @@ class TestCoResidentSessions:
         assert first.manifest.to_jsonl() == second.manifest.to_jsonl()
 
     def test_runtime_counters_land_in_the_owning_registry(self):
-        # metropolis_accept resolves the registry at call time: with a
-        # private registry installed for the run, the exchange counters
-        # must land there — and only there
-        default_before = get_registry().snapshot()["counters"]
+        # the exchange task counts its decisions while the run executes:
+        # they must land in the running RepEx's registry — and only there
+        bystander = RepEx(config_b())
+        before = bystander.registry.snapshot()
         registry = MetricsRegistry()
         RepEx(config_a(), registry=registry).run()
         mine = registry.snapshot()["counters"]
         assert mine.get("exchange.attempted", 0) > 0
-        default_after = get_registry().snapshot()["counters"]
-        assert default_after.get("exchange.attempted", 0) == default_before.get(
-            "exchange.attempted", 0
-        )
-
-    def test_run_restores_the_process_default_registry(self):
-        before = get_registry()
-        RepEx(config_a(), registry=MetricsRegistry()).run()
-        assert get_registry() is before
+        assert bystander.registry.snapshot() == before
 
     def test_second_session_does_not_clobber_first_results(self):
         registry_a = MetricsRegistry()

@@ -11,7 +11,7 @@ from repro.core.config import (
     ResourceSpec,
 )
 from repro.core.replica import ReplicaStatus
-from repro.obs.metrics import MetricsRegistry, using_registry
+from repro.obs.metrics import MetricsRegistry
 
 from tests.conftest import small_tremd_config
 
@@ -249,32 +249,33 @@ class TestBarrierDeadline:
         assert windows == list(range(8))
 
     def test_counters_match_late_totals(self):
-        with using_registry(MetricsRegistry()) as registry:
-            res = RepEx(self._straggler_config()).run()
-            counters = registry.snapshot()["counters"]
+        registry = MetricsRegistry()
+        res = RepEx(self._straggler_config(), registry=registry).run()
+        counters = registry.snapshot()["counters"]
         assert counters["emm.barrier_deadline_fires"] == 2
         assert counters["emm.barrier_late"] == sum(
             c.n_late for c in res.cycle_timings
         )
 
     def test_generous_deadline_never_fires(self):
-        with using_registry(MetricsRegistry()) as registry:
-            res = RepEx(
-                self._straggler_config(
-                    pattern=PatternSpec(
-                        kind="synchronous", barrier_deadline_s=10_000.0
-                    )
+        registry = MetricsRegistry()
+        res = RepEx(
+            self._straggler_config(
+                pattern=PatternSpec(
+                    kind="synchronous", barrier_deadline_s=10_000.0
                 )
-            ).run()
-            counters = registry.snapshot()["counters"]
+            ),
+            registry=registry,
+        ).run()
+        counters = registry.snapshot()["counters"]
         assert all(c.n_late == 0 for c in res.cycle_timings)
         assert counters["emm.barrier_deadline_fires"] == 0
 
     def test_default_runs_register_no_barrier_counters(self):
         # the rigid barrier must not even register the counters — zero
         # values show up in snapshots and would perturb golden manifests
-        with using_registry(MetricsRegistry()) as registry:
-            res = RepEx(small_tremd_config()).run()
-            counters = registry.snapshot()["counters"]
+        registry = MetricsRegistry()
+        res = RepEx(small_tremd_config(), registry=registry).run()
+        counters = registry.snapshot()["counters"]
         assert all(c.n_late == 0 for c in res.cycle_timings)
         assert not any(k.startswith("emm.barrier") for k in counters)

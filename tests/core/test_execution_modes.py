@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.core.execution_modes import ModeI, ModeII, make_mode
+from repro.core.execution_modes import (
+    MODE2_PER_CORE_WAVE_GAP_S,
+    MODE2_WAVE_GAP_S,
+    ModeI,
+    ModeII,
+    make_mode,
+)
 from repro.pilot.pilot import PilotDescription
 from repro.pilot.session import Session
 from repro.pilot.unit import UnitDescription
@@ -38,49 +44,42 @@ class TestModeI:
             assert ModeI().run_phase(s, pilot, []) == []
 
 
+#: the Mode II penalty per extra wave on the 4-core pilots below
+GAP_4 = MODE2_WAVE_GAP_S + MODE2_PER_CORE_WAVE_GAP_S * 4
+
+
 class TestModeII:
     def test_oversubscribed_runs_in_waves(self):
-        units, span = run_with_mode(
-            ModeII(wave_gap_s=0.0), n_units=8, cores=4
-        )
+        units, span = run_with_mode(ModeII(), n_units=8, cores=4)
         assert all(u.succeeded for u in units)
-        assert span >= 2 * 10.0  # two waves of 10 s
+        assert span >= 2 * 10.0 + GAP_4  # two waves of 10 s
 
     def test_wave_gap_charged(self):
-        _, span_nogap = run_with_mode(
-            ModeII(wave_gap_s=0.0), n_units=8, cores=4
-        )
-        _, span_gap = run_with_mode(
-            ModeII(wave_gap_s=5.0), n_units=8, cores=4
-        )
-        assert span_gap == pytest.approx(span_nogap + 5.0, abs=0.5)
+        # 12 s plus 0.18 s per pilot core, once per extra wave
+        assert GAP_4 == pytest.approx(12.72)
+        _, one_wave = run_with_mode(ModeII(), n_units=4, cores=4)
+        for waves in (2, 3):
+            _, span = run_with_mode(ModeII(), n_units=4 * waves, cores=4)
+            assert span == pytest.approx(
+                waves * one_wave + (waves - 1) * GAP_4, abs=1e-6
+            )
 
     def test_multicore_units_batch_correctly(self):
         units, span = run_with_mode(
-            ModeII(wave_gap_s=0.0),
+            ModeII(),
             n_units=4,
             cores=4,
             unit_cores=2,
             duration=10.0,
         )
         assert all(u.succeeded for u in units)
-        assert span >= 2 * 10.0  # 2 units per wave
-
-    def test_n_waves_helper(self):
-        assert ModeII.n_waves(1728, 1, 112) == 16
-        assert ModeII.n_waves(1728, 1, 1728) == 1
-        assert ModeII.n_waves(216, 64, 13824) == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ModeII(wave_gap_s=-1.0)
+        assert span >= 2 * 10.0 + GAP_4  # 2 units per wave
 
 
 class TestFactory:
     def test_make_mode(self):
         assert isinstance(make_mode("I"), ModeI)
         assert isinstance(make_mode("II"), ModeII)
-        assert make_mode("II", wave_gap_s=3.0).wave_gap_s == 3.0
 
     def test_unknown(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ import pytest
 
 from repro.core import RepEx
 from repro.core.config import FailureSpec
-from repro.obs.metrics import MetricsRegistry, using_registry
+from repro.obs.metrics import MetricsRegistry
 from tests.conftest import small_tremd_config
 
 
@@ -27,10 +27,8 @@ def faulty_config(probability, policy="relaunch", max_relaunches=2, **over):
 
 def run_faulty(config):
     registry = MetricsRegistry()
-    with using_registry(registry):
-        repex = RepEx(config)
-        result = repex.run()
-    return registry, repex, result
+    repex = RepEx(config, registry=registry)
+    return registry, repex, repex.run()
 
 
 class TestCoreAccounting:

@@ -20,6 +20,16 @@ class TestFacade:
         r.run()
         assert r.pilot.state in (PilotState.CANCELED, PilotState.DONE)
 
+    def test_a_repex_runs_once(self):
+        repex = RepEx(small_tremd_config())
+        repex.run()
+        now, fired = repex.session.now, repex.session.clock.n_fired
+        with pytest.raises(RuntimeError, match="already run"):
+            repex.run()
+        # refused before the session was touched
+        assert repex.session.now == now
+        assert repex.session.clock.n_fired == fired
+
     def test_pilot_cancelled_on_error(self):
         cfg = small_tremd_config(
             dimensions=[DimensionSpec("salt", 4, 0.0, 1.0)],

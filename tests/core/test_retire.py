@@ -6,15 +6,14 @@ from repro.core import RepEx
 from repro.core.config import FailureSpec, PatternSpec
 from repro.core.config import ResourceSpec
 from repro.core.replica import ReplicaStatus
-from repro.obs.metrics import MetricsRegistry, using_registry
+from repro.obs.metrics import MetricsRegistry
 from repro.pilot.scheduler import SchedulerError
 from tests.conftest import small_tremd_config
 
 
 def run(config):
-    with using_registry(MetricsRegistry()) as registry:
-        result = RepEx(config).run()
-    return result, registry
+    registry = MetricsRegistry()
+    return RepEx(config, registry=registry).run(), registry
 
 
 def retire_config(retire_after, pattern_kind="synchronous", **over):

@@ -69,10 +69,15 @@ class TestModeIISemantics:
         assert 135.0 < c.t_md < 160.0
 
     def test_wave_penalty_charged(self):
-        """Mode II cycles include the MPI re-layout gaps."""
-        from repro.core.execution_modes import ModeII
+        """Mode II cycles include the MPI re-layout gap: eight MD tasks
+        on a 4-core pilot run in two waves, and the second is submitted
+        12 s + 0.18 s x 4 cores after the first one's last unit ends."""
+        from repro.core.execution_modes import (
+            MODE2_PER_CORE_WAVE_GAP_S,
+            MODE2_WAVE_GAP_S,
+        )
 
-        res_default = RepEx(
+        res = RepEx(
             small_tremd_config(
                 dimensions=[
                     DimensionSpec("temperature", 8, 273.0, 373.0)
@@ -81,20 +86,16 @@ class TestModeIISemantics:
                 n_cycles=1,
             )
         ).run()
-        res_nopenalty = RepEx(
-            small_tremd_config(
-                dimensions=[
-                    DimensionSpec("temperature", 8, 273.0, 373.0)
-                ],
-                resource=ResourceSpec("supermic", cores=4),
-                n_cycles=1,
-            ),
-            mode=ModeII(wave_gap_s=0.0, per_core_wave_gap_s=0.0),
-        ).run()
-        assert (
-            res_default.cycle_timings[0].span
-            > res_nopenalty.cycle_timings[0].span
-        )
+        times = {
+            u["rid"]: [t for t in u["t"] if t is not None]
+            for u in res.manifest.units
+            if u["phase"] == "md"
+        }
+        first_ends = max(times[rid][-1] for rid in range(4))
+        second_starts = min(times[rid][0] for rid in range(4, 8))
+        gap = MODE2_WAVE_GAP_S + MODE2_PER_CORE_WAVE_GAP_S * 4
+        assert gap == pytest.approx(12.72)
+        assert second_starts - first_ends == pytest.approx(gap)
 
 
 class TestDeterminism:

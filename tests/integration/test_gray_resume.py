@@ -14,7 +14,6 @@ import pytest
 
 from repro.core.chaos import builtin_scenarios
 from repro.core.framework import RepEx
-from repro.obs.metrics import MetricsRegistry, using_registry
 from repro.pilot.events import SimulatedCrash
 
 
@@ -23,8 +22,7 @@ def _scenario(name):
 
 
 def _run(config, **kwargs):
-    with using_registry(MetricsRegistry()):
-        return RepEx(config, **kwargs).run()
+    return RepEx(config, **kwargs).run()
 
 
 class TestResumeWithPendingSpeculative:
@@ -57,14 +55,13 @@ class TestResumeWithPendingSpeculative:
         crash_at = (t_launch + t_settle) / 2.0
 
         ckpt_dir = tmp_path / "ckpt"
-        with using_registry(MetricsRegistry()):
-            with pytest.raises(SimulatedCrash):
-                RepEx(
-                    scenario.config,
-                    checkpoint_every=1,
-                    checkpoint_dir=ckpt_dir,
-                    crash_at_time=crash_at,
-                ).run()
+        with pytest.raises(SimulatedCrash):
+            RepEx(
+                scenario.config,
+                checkpoint_every=1,
+                checkpoint_dir=ckpt_dir,
+                crash_at_time=crash_at,
+            ).run()
         resumed = _run(
             scenario.config,
             checkpoint_every=1,

@@ -1,22 +1,26 @@
 """End-to-end checks that the instrumented layers agree with the results.
 
-Every test runs a small simulation under a private registry so counters
+Every test runs a small simulation on a registry of its own, so counters
 reflect exactly one run and nothing the rest of the suite did.
 """
 
 import pytest
 
-from repro.core import RepEx
-from repro.core.config import PatternSpec
-from repro.obs.metrics import MetricsRegistry, using_registry
+from repro.core import RepEx, ram
+from repro.core.config import (
+    DimensionSpec,
+    FailureSpec,
+    PatternSpec,
+    ResourceSpec,
+)
+from repro.obs.metrics import MetricError, MetricsRegistry
 from repro.pilot.session import Session
 from tests.conftest import small_tremd_config
 
 
 def run_with_registry(config):
     registry = MetricsRegistry()
-    with using_registry(registry):
-        result = RepEx(config).run()
+    result = RepEx(config, registry=registry).run()
     return registry, result
 
 
@@ -54,6 +58,24 @@ class TestExchangeInstrumentation:
         accepted = sum(s.accepted for s in result.exchange_stats.values())
         assert counters["exchange.attempted"] == attempted
         assert counters.get("exchange.accepted", 0) == accepted
+
+
+    def test_each_counter_exists_from_its_first_count(self, monkeypatch):
+        # a manifest lists every counter that exists, even at zero: a
+        # lone replica makes no proposal, and a run that accepts no swap
+        # has no accepted counters
+        lone, _ = run_with_registry(
+            small_tremd_config(
+                dimensions=[DimensionSpec("temperature", 1, 273.0, 373.0)]
+            )
+        )
+        counters = lone.snapshot()["counters"]
+        assert not any(name.startswith("exchange.a") for name in counters)
+        monkeypatch.setattr(ram, "metropolis_accept", lambda delta, rng: False)
+        rejected, _ = run_with_registry(small_tremd_config())
+        counters = rejected.snapshot()["counters"]
+        assert counters["exchange.attempted{dim=temperature}"] > 0
+        assert not any(name.startswith("exchange.accepted") for name in counters)
 
 
 class TestEmmInstrumentation:
@@ -111,34 +133,58 @@ class TestStagingInstrumentation:
         assert counters["staging.bytes_mb"] > 0.0
 
 
+def deadline_config():
+    """A config whose stack creates instruments the default one does not:
+    the bounded barrier's counters and the fault domain's."""
+    return small_tremd_config(
+        title="deadline",
+        pattern=PatternSpec(kind="synchronous", barrier_deadline_s=50.0),
+        failure=FailureSpec(policy="continue", node_crashes=[[40.0, 0]]),
+        resource=ResourceSpec("supermic", cores=40),
+        cores_per_replica=5,
+    )
+
+
 class TestRegistryIsolation:
     def test_earlier_run_leaves_no_instruments_behind(self):
-        deadline = small_tremd_config(
-            pattern=PatternSpec(kind="synchronous", barrier_deadline_s=50.0)
-        )
-        with using_registry(MetricsRegistry()):
-            first = RepEx(small_tremd_config()).run().manifest
-        with using_registry(MetricsRegistry()) as registry:
-            RepEx(deadline).run()
-            assert "emm.barrier_deadline_fires" in registry.snapshot()["counters"]
-            after = RepEx(small_tremd_config()).run().manifest
+        first = RepEx(small_tremd_config()).run().manifest
+        registry, _ = run_with_registry(deadline_config())
+        assert "emm.barrier_deadline_fires" in registry.snapshot()["counters"]
+        after = RepEx(small_tremd_config()).run().manifest
         assert "emm.barrier_deadline_fires" not in after.metrics["counters"]
         assert after.to_jsonl() == first.to_jsonl()
 
-    def test_second_repex_on_a_registry_stops_the_first(self):
-        # building ``b`` empties the registry ``a`` cached its instruments
-        # from, so ``a`` could only write a wrong manifest
+    def test_repex_objects_built_before_either_runs_match_their_solo_runs(
+        self,
+    ):
+        solo_a = RepEx(small_tremd_config()).run().manifest.to_jsonl()
+        solo_b = RepEx(deadline_config()).run().manifest.to_jsonl()
+        a = RepEx(small_tremd_config())
+        b = RepEx(deadline_config())
+        assert a.run().manifest.to_jsonl() == solo_a
+        assert b.run().manifest.to_jsonl() == solo_b
+
+    def test_a_registry_handed_to_a_second_repex_is_refused(self):
         registry = MetricsRegistry()
-        a = RepEx(small_tremd_config(), registry=registry)
-        b = RepEx(small_tremd_config(), registry=registry)
-        with pytest.raises(RuntimeError, match="emptied"):
-            a.run()
-        solo = RepEx(small_tremd_config(), registry=MetricsRegistry()).run()
-        assert b.run().manifest.to_jsonl() == solo.manifest.to_jsonl()
+        first = RepEx(small_tremd_config(), registry=registry)
+        with pytest.raises(MetricError, match="already bound"):
+            RepEx(deadline_config(), registry=registry)
+        # the refused construction recorded nothing into the registry
+        solo = RepEx(small_tremd_config()).run()
+        assert first.run().manifest.to_jsonl() == solo.manifest.to_jsonl()
 
     def test_injected_session_keeps_its_registry(self):
         registry = MetricsRegistry()
         registry.counter("caller.owned").inc()
         session = Session(registry=registry)
-        RepEx(small_tremd_config(), session=session)
+        repex = RepEx(small_tremd_config(), session=session)
+        assert repex.registry is registry
         assert registry.snapshot()["counters"]["caller.owned"] == 1.0
+
+    def test_a_second_registry_beside_an_injected_session_is_refused(self):
+        with pytest.raises(ValueError, match="injected session"):
+            RepEx(
+                small_tremd_config(),
+                session=Session(),
+                registry=MetricsRegistry(),
+            )

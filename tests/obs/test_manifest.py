@@ -19,7 +19,7 @@ from repro.obs.manifest import (
     RunManifest,
     config_hash,
 )
-from repro.obs.metrics import MetricsRegistry, NullRegistry, using_registry
+from repro.obs.metrics import MetricsRegistry, NullRegistry
 from repro.pilot.unit import UnitState
 from tests.conftest import small_tremd_config
 
@@ -359,8 +359,7 @@ class TestConfigHash:
 
 class TestNullRegistryRun:
     def test_manifest_is_identity_only(self):
-        with using_registry(NullRegistry()):
-            result = RepEx(small_tremd_config()).run()
+        result = RepEx(small_tremd_config(), registry=NullRegistry()).run()
         manifest = result.manifest
         assert manifest is not None
         assert manifest.metrics == {}

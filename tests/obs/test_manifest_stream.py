@@ -14,7 +14,7 @@ from repro.core.config import (
 )
 from repro.obs.critical_path import decomposition
 from repro.obs.manifest import STATE_ORDER, ManifestStream, RunManifest
-from repro.obs.metrics import MetricsRegistry, using_registry
+from repro.obs.metrics import MetricsRegistry
 from repro.pilot.events import SimulatedCrash
 from repro.pilot.faultdomain import FaultEvent
 from repro.pilot.unit import ComputeUnit, UnitDescription, UnitState
@@ -24,9 +24,7 @@ TREMD = Path(__file__).resolve().parents[2] / "examples" / "configs" / "tremd.js
 
 
 def run_streamed(path, config, **kwargs):
-    with using_registry(MetricsRegistry()):
-        result = RepEx(config, manifest_path=path, **kwargs).run()
-    return result
+    return RepEx(config, manifest_path=path, **kwargs).run()
 
 
 def relaunch_config(pattern):
@@ -159,8 +157,7 @@ class TestKilledStream:
         path = tmp_path_factory.mktemp("killed") / "killed.jsonl"
         with pytest.raises(SimulatedCrash):
             run_streamed(path, config, crash_at_time=150.0)
-        with using_registry(MetricsRegistry()):
-            golden = RepEx(config).run().manifest
+        golden = RepEx(config).run().manifest
         return RunManifest.load(path), golden
 
     def test_rows_of_finished_and_in_flight_units(self, killed):
@@ -188,12 +185,10 @@ class TestResumedStream:
     it equals the uninterrupted run's manifest."""
 
     def run_resumed(self, tmp_path, config, stop, **checkpointing):
-        with using_registry(MetricsRegistry()):
-            golden = RepEx(config, **checkpointing).run().manifest
-        with using_registry(MetricsRegistry()):
-            first = RepEx(
-                config, checkpoint_dir=tmp_path / "ck", **checkpointing, **stop
-            ).run()
+        golden = RepEx(config, **checkpointing).run().manifest
+        first = RepEx(
+            config, checkpoint_dir=tmp_path / "ck", **checkpointing, **stop
+        ).run()
         assert first.interrupted
         path = tmp_path / "resumed.jsonl"
         run_streamed(
@@ -224,9 +219,7 @@ class TestFaultEventsRoundTrip:
             resource=ResourceSpec("supermic", cores=40),
             cores_per_replica=5,
         )
-        with using_registry(MetricsRegistry()):
-            result = RepEx(config).run()
-        manifest = result.manifest
+        manifest = RepEx(config).run().manifest
         assert [e["fault"] for e in manifest.fault_events] == ["node_crash"]
         path = tmp_path / "m.jsonl"
         manifest.dump(path)
@@ -239,9 +232,9 @@ class TestFaultEventsRoundTrip:
 
 class TestPerDimensionCounters:
     def test_labelled_exchange_counters_match_global(self):
-        with using_registry(MetricsRegistry()) as registry:
-            RepEx(small_tremd_config()).run()
-            counters = registry.snapshot()["counters"]
+        registry = MetricsRegistry()
+        RepEx(small_tremd_config(), registry=registry).run()
+        counters = registry.snapshot()["counters"]
         assert counters["exchange.attempted"] > 0
         assert (
             counters["exchange.attempted{dim=temperature}"]
@@ -262,9 +255,9 @@ class TestPerDimensionCounters:
             ],
             n_cycles=4,
         )
-        with using_registry(MetricsRegistry()) as registry:
-            result = RepEx(config).run()
-            counters = registry.snapshot()["counters"]
+        registry = MetricsRegistry()
+        result = RepEx(config, registry=registry).run()
+        counters = registry.snapshot()["counters"]
         per_dim = {
             name: counters.get(f"exchange.attempted{{dim={name}}}", 0)
             for name in result.exchange_stats

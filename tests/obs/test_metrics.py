@@ -1,4 +1,4 @@
-"""Tests for the metrics registry: instruments, reset, default swapping."""
+"""Tests for the metrics registry: instruments, snapshots, clock binding."""
 
 import json
 
@@ -11,10 +11,6 @@ from repro.obs.metrics import (
     MetricError,
     MetricsRegistry,
     NullRegistry,
-    get_registry,
-    null_registry,
-    set_registry,
-    using_registry,
 )
 from repro.pilot import EventQueue
 
@@ -85,22 +81,6 @@ class TestRegistry:
         with pytest.raises(MetricError, match="already registered"):
             registry.histogram("emm.cycles")
 
-    def test_reset_zeroes_in_place(self, registry):
-        c = registry.counter("a")
-        g = registry.gauge("b")
-        h = registry.histogram("c")
-        c.inc(3)
-        g.set(7)
-        h.observe(1.0)
-        registry.spans.append(object())
-        registry.reset()
-        # cached references stay live and zeroed — the contract that lets
-        # the scheduler keep instruments across RepEx.run() resets
-        assert c is registry.counter("a") and c.value == 0.0
-        assert g is registry.gauge("b") and g.value == 0.0
-        assert h is registry.histogram("c") and h.count == 0
-        assert registry.spans == []
-
     def test_snapshot_is_json_serializable(self, registry):
         registry.counter("z.count").inc(2)
         registry.gauge("a.depth").set(4)
@@ -113,12 +93,24 @@ class TestRegistry:
         assert snap["histograms"]["m.wait"]["count"] == 1
 
     def test_bind_clock_accepts_callable_and_object(self, registry):
+        assert not registry.clock_bound
         registry.bind_clock(lambda: 42.0)
         assert registry.now() == 42.0
-        clock = EventQueue()
-        registry.bind_clock(clock)
-        assert registry.now() == clock.now
         assert registry.clock_bound
+        clock = EventQueue()
+        other = MetricsRegistry()
+        other.bind_clock(clock)
+        assert other.now() == clock.now
+
+    @pytest.mark.parametrize("cls", [MetricsRegistry, NullRegistry])
+    def test_a_registry_binds_one_clock(self, cls):
+        # a registry serves one run: a second binding is refused and
+        # leaves the first clock in place
+        registry = cls()
+        registry.bind_clock(lambda: 1.0)
+        with pytest.raises(MetricError, match="already bound"):
+            registry.bind_clock(lambda: 2.0)
+        assert registry.now() == 1.0
 
 
 class TestNullRegistry:
@@ -143,28 +135,3 @@ class TestNullRegistry:
         assert span.end() is None
         assert null.spans == []
 
-
-class TestDefaultRegistry:
-    def test_set_registry_returns_previous(self):
-        previous = get_registry()
-        mine = MetricsRegistry()
-        try:
-            assert set_registry(mine) is previous
-            assert get_registry() is mine
-        finally:
-            set_registry(previous)
-
-    def test_using_registry_restores_on_exit(self):
-        before = get_registry()
-        with using_registry(MetricsRegistry()) as inner:
-            assert get_registry() is inner
-        assert get_registry() is before
-
-    def test_null_registry_installs_off_switch(self):
-        before = get_registry()
-        try:
-            null = null_registry()
-            assert get_registry() is null
-            assert not get_registry().enabled
-        finally:
-            set_registry(before)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.obs.metrics import MetricsRegistry, using_registry
+from repro.obs.metrics import MetricsRegistry
 from repro.pilot.cluster import ClusterSpec, FilesystemModel, LaunchOverheadModel
 from repro.pilot.events import EventQueue
 from repro.pilot.faultdomain import FaultDomainModel, TransientFaultModel
@@ -24,35 +24,35 @@ def make_cluster():
     )
 
 
-def run_workload(staging_model, n_units=4, registry=None):
+def run_workload(staging_model, n_units=4):
     """Run ``n_units`` units with one input directive each; return the
     (units, finish_time, counters) triple."""
-    with using_registry(registry or MetricsRegistry()) as reg:
-        clock = EventQueue()
-        fd = FaultDomainModel(staging=staging_model)
-        sched = AgentScheduler(
-            clock=clock, cluster=make_cluster(), capacity=8, fault_domain=fd
-        )
-        units = []
-        for i in range(n_units):
-            u = ComputeUnit(
-                UnitDescription(
-                    name=f"u{i}",
-                    cores=1,
-                    duration=5.0,
-                    input_staging=[
-                        StagingDirective(
-                            source=f"in{i}.dat", target=f"in{i}.dat",
-                            size_mb=1.0,
-                        )
-                    ],
-                )
+    registry = MetricsRegistry()
+    clock = EventQueue()
+    fd = FaultDomainModel(staging=staging_model, registry=registry)
+    sched = AgentScheduler(
+        clock=clock, cluster=make_cluster(), capacity=8, fault_domain=fd,
+        registry=registry,
+    )
+    units = []
+    for i in range(n_units):
+        u = ComputeUnit(
+            UnitDescription(
+                name=f"u{i}",
+                cores=1,
+                duration=5.0,
+                input_staging=[
+                    StagingDirective(
+                        source=f"in{i}.dat", target=f"in{i}.dat",
+                        size_mb=1.0,
+                    )
+                ],
             )
-            sched.submit(u)
-            units.append(u)
-        clock.run()
-        counters = reg.snapshot()["counters"]
-    return units, clock.now, counters
+        )
+        sched.submit(u)
+        units.append(u)
+    clock.run()
+    return units, clock.now, registry.snapshot()["counters"]
 
 
 def flaky(probability=0.5, seed=42, **kwargs):

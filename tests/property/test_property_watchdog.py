@@ -28,7 +28,7 @@ from repro.core.config import (
     WatchdogSpec,
 )
 from repro.core.framework import RepEx
-from repro.obs.metrics import MetricsRegistry, using_registry
+from repro.obs.metrics import MetricsRegistry
 
 
 def _gray_config(seed: int, slow_factor: float, watchdog: WatchdogSpec):
@@ -51,10 +51,9 @@ def _gray_config(seed: int, slow_factor: float, watchdog: WatchdogSpec):
 
 
 def _run(config):
-    with using_registry(MetricsRegistry()) as registry:
-        result = RepEx(config).run()
-        counters = registry.snapshot()["counters"]
-    return result, counters
+    registry = MetricsRegistry()
+    result = RepEx(config, registry=registry).run()
+    return result, registry.snapshot()["counters"]
 
 
 def _physics(result):
