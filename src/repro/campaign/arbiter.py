@@ -91,13 +91,19 @@ class SessionRequest:
 
 @dataclass
 class SessionOutcome:
-    """What the runner reports back for one session execution."""
+    """What the runner reports back for one session execution.
+
+    An outcome carries the session's end-of-run counters, which the
+    campaign report sums per tenant, not its run manifest: that lives on
+    disk, where :func:`~repro.campaign.runner.repex_runner` writes it.
+    """
 
     #: the session's virtual makespan — its width on the campaign clock
     duration_s: float
     ok: bool = True
-    #: the session's RunManifest (None for stub runners)
-    manifest: object = None
+    #: the session's end-of-run registry counters, name -> value (empty
+    #: for stub runners and under a null registry)
+    counters: Dict[str, float] = field(default_factory=dict)
     #: inner-clock diagnostics, surfaced into campaign accounting
     events_fired: int = 0
     peak_heap: int = 0

@@ -50,11 +50,12 @@ def repex_runner(
     :class:`~repro.obs.metrics.MetricsRegistry`, so co-resident sessions
     (and relaunched attempts of the same session) never see each other's
     instruments; the session's virtual makespan (``result.t_end``)
-    becomes its occupancy interval on the campaign clock.
+    becomes its occupancy interval on the campaign clock, and its
+    outcome carries the run's end-of-run counters.
 
     With ``manifest_dir`` set, each completed session's manifest is
     written to ``<dir>/<tenant>/<uid>.jsonl`` — the per-tenant manifest
-    tree the campaign report links to.
+    tree the campaign report links to — and is kept nowhere else.
     """
     # deferred so the arbiter/property-test layer never imports the MD stack
     from repro.core.config import ConfigError, SimulationConfig
@@ -87,7 +88,7 @@ def repex_runner(
         return SessionOutcome(
             duration_s=result.t_end,
             ok=True,
-            manifest=result.manifest,
+            counters=result.manifest.metrics.get("counters") or {},
             events_fired=repex.session.clock.n_fired,
             peak_heap=repex.session.clock.peak_heap,
             n_failures=result.n_failures,

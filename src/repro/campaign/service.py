@@ -163,12 +163,8 @@ def _aggregate_metrics(
         if outcome is not None:
             bump(_with_tenant_label("campaign.inner_events", tenant),
                  outcome.events_fired)
-            manifest = outcome.manifest
-            if manifest is not None and manifest.metrics:
-                for raw, value in (
-                    manifest.metrics.get("counters") or {}
-                ).items():
-                    bump(_with_tenant_label(raw, tenant), value)
+            for raw, value in outcome.counters.items():
+                bump(_with_tenant_label(raw, tenant), value)
     makespan = arbiter.clock.now
     capacity = spec.datacenter.total_cores * makespan
     gauges["campaign.makespan_s"] = makespan

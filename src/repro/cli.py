@@ -316,6 +316,10 @@ def cmd_obs_critical_path(args: argparse.Namespace) -> int:
     """Print a manifest's per-cycle critical-path report."""
     from repro.obs.critical_path import render_report
 
+    if args.segments < 0:
+        print(f"error: --segments must be >= 0, got {args.segments}",
+              file=sys.stderr)
+        return 2
     manifest = _load_manifest(args.manifest)
     if manifest is None:
         return 2

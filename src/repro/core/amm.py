@@ -94,6 +94,8 @@ class ApplicationManager:
         self.exchange_stats: Dict[str, ExchangeStats] = {
             d.name: ExchangeStats() for d in self.dimensions
         }
+        #: window map -> the one copy :meth:`_window_map` hands out
+        self._window_maps: Dict[tuple, Dict[str, int]] = {}
         if config.engine.executable:
             self.executable = config.engine.executable
         elif (
@@ -186,6 +188,20 @@ class ApplicationManager:
                 state = dim.apply(state, replica.window(dim.name))
             cache[key] = state
         return state
+
+    def _window_map(self, replica: Replica) -> Dict[str, int]:
+        """A copy of ``replica.param_indices``, shared by every caller
+        that asks at the same lattice point.
+
+        Built once per window map (its keys in the replica's order) and
+        never mutated: the history records of one lattice point all hold
+        it instead of a copy each.
+        """
+        key = tuple(replica.param_indices.items())
+        windows = self._window_maps.get(key)
+        if windows is None:
+            windows = self._window_maps[key] = dict(key)
+        return windows
 
     def states_of(self, replicas: Sequence[Replica]) -> Dict[int, ThermodynamicState]:
         """rid -> state for a set of replicas."""
@@ -315,7 +331,7 @@ class ApplicationManager:
             record = CycleRecord(
                 cycle=cycle,
                 dimension=dim_name,
-                param_indices=dict(replica.param_indices),
+                param_indices=self._window_map(replica),
                 potential_energy=float("nan"),
                 restraint_energy=float("nan"),
             )

@@ -365,7 +365,9 @@ def _journal_entry(emm, journal: Journal) -> Dict[str, object]:
             [p.rid_i, p.rid_j, p.dimension, p.delta, p.accepted]
             for p in emm.proposals[old["proposals"] :]
         ],
-        "rows": run_log.rows[old["rows"] :] if run_log is not None else [],
+        "rows": (
+            run_log.rows_since(old["rows"]) if run_log is not None else []
+        ),
         "samples": samples,
         "spans": spans,
         "faults": [e.to_dict() for e in _fault_events(emm)[old["faults"] :]],

@@ -77,15 +77,15 @@ class RepEx:
         :class:`~repro.core.checkpoint.CheckpointError` here.
     stop_after_cycle:
         Synchronous: stop cleanly after this many completed cycles (the
-        tested way to "kill" a run at a checkpoint boundary).
+        tested way to "kill" a run at a checkpoint boundary); >= 0.
     stop_after_checkpoint:
         Asynchronous: stop cleanly once this many quiesce checkpoints
-        exist (counting any the resumed-from snapshot already had).
+        exist (counting any the resumed-from snapshot already had); >= 0.
     crash_at_time:
         Inject a :class:`~repro.pilot.events.SimulatedCrash` at this
-        virtual time — the exception propagates out of :meth:`run` with
-        no cleanup, modelling a hard kill.  Whatever checkpoints are on
-        disk by then are the recovery points.
+        virtual time (>= 0) — the exception propagates out of
+        :meth:`run` with no cleanup, modelling a hard kill.  Whatever
+        checkpoints are on disk by then are the recovery points.
     manifest_path:
         Stream an incrementally flushed JSONL manifest to this path
         while the run is in flight (see
@@ -234,6 +234,13 @@ class RepEx:
             raise ValueError(
                 f"checkpoint_keep must be >= 0, got {checkpoint_keep}"
             )
+        for name, value in (
+            ("stop_after_cycle", stop_after_cycle),
+            ("stop_after_checkpoint", stop_after_checkpoint),
+            ("crash_at_time", crash_at_time),
+        ):
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
         if resume_from is not None and not isinstance(resume_from, Checkpoint):
             resume_from = Checkpoint.load(resume_from)
         if self._is_sync:

@@ -27,14 +27,15 @@ class ReplicaStatus(enum.Enum):
     RETIRED = "RETIRED"
 
 
-@dataclass
+@dataclass(slots=True)
 class CycleRecord:
     """What happened to one replica in one simulation cycle."""
 
     cycle: int
     #: active exchange dimension this cycle (None if no exchange phase)
     dimension: Optional[str]
-    #: window indices held *during* the MD phase
+    #: window indices held *during* the MD phase; the records a run
+    #: builds share one map per lattice point, so never mutate it
     param_indices: Dict[str, int]
     potential_energy: float
     restraint_energy: float

@@ -305,16 +305,6 @@ class AmberAdapter(EngineAdapter):
             out[out_key] = float(m.group(1))
         return out
 
-    def read_trajectory(self, sandbox: Sandbox, tag: str) -> np.ndarray:
-        """Sampled (phi, psi) trajectory of the MD phase, shape (n, 2)."""
-        text = sandbox.read_text(f"{tag}.mdcrd").strip()
-        if not text:
-            return np.empty((0, 2))
-        rows = [
-            [float(x) for x in line.split()] for line in text.splitlines()
-        ]
-        return np.asarray(rows)
-
     # ------------------------------------------------------- single-point (S-REMD)
 
     def write_groupfile(
@@ -400,8 +390,3 @@ class AmberAdapter(EngineAdapter):
             f"{tag}.matrix", "\n".join(f"{e:.8f}" for e in energies) + "\n"
         )
         return arr
-
-    def read_energy_row(self, sandbox: Sandbox, tag: str) -> np.ndarray:
-        """Read the staged single-point energy row written by the group run."""
-        text = sandbox.read_text(f"{tag}.matrix").strip()
-        return np.asarray([float(x) for x in text.splitlines()])

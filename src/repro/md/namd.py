@@ -279,16 +279,6 @@ class NAMDAdapter(EngineAdapter):
             ]
             sandbox.write_text(f"{tag}.dcd.txt", "\n".join(lines) + "\n")
 
-    def read_trajectory(self, sandbox: Sandbox, tag: str) -> np.ndarray:
-        """Sampled (phi, psi) trajectory of the MD phase, shape (n, 2)."""
-        text = sandbox.read_text(f"{tag}.dcd.txt")
-        rows = [
-            [float(x) for x in line.split()]
-            for line in text.splitlines()
-            if line.strip() and not line.startswith("#")
-        ]
-        return np.asarray(rows) if rows else np.empty((0, 2))
-
     @staticmethod
     def _parse_info(text: str, tag: str) -> Dict[str, float]:
         """Energies of the last ``ENERGY:`` line of ``{tag}.log``."""

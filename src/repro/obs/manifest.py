@@ -60,6 +60,9 @@ _STATE_BUCKET = {
 
 _by_name = itemgetter("name")
 
+#: the sort key of a run log's ``(name, line)`` pairs
+_pair_name = itemgetter(0)
+
 _NUMBER = (int, float)
 
 #: The record kinds a manifest holds, each with the fields it cannot
@@ -186,6 +189,19 @@ def _unit_row(unit: ComputeUnit, totals: Dict[str, float]) -> Dict:
     }
 
 
+def _unit_line(row: Dict) -> str:
+    """The ``unit`` line of ``row``, as a dump and a stream write it."""
+    return _encode({"kind": "unit", **row}) + "\n"
+
+
+def _line_row(line: str) -> Dict:
+    """The row of a ``unit`` line, as :meth:`RunManifest.from_jsonl`
+    parses it."""
+    row = json.loads(line)
+    del row["kind"]
+    return row
+
+
 def _is_number(value) -> bool:
     return isinstance(value, _NUMBER) and not isinstance(value, bool)
 
@@ -220,7 +236,13 @@ def _problem(record) -> Optional[str]:
 
 @dataclass
 class RunManifest:
-    """Everything observable about one finished simulation run."""
+    """Everything observable about one finished simulation run.
+
+    A manifest assembled from a run keeps each unit row as its log kept
+    it: the ``unit`` line a dump writes, which :meth:`dump` writes
+    unchanged.  :attr:`units` decodes those lines on first read and
+    caches the rows.
+    """
 
     title: str
     config_hash: str
@@ -243,10 +265,6 @@ class RunManifest:
     #: transients) recorded by the pilot's fault domain; empty when
     #: faults are disabled
     fault_events: List[Dict] = field(default_factory=list)
-    #: one row per unit, sorted by name: ``name``, ``cores``, ``phase``,
-    #: ``rid``, ``cycle``, ``final_state`` and ``t`` (entry time per state
-    #: of :data:`STATE_ORDER`, None where not entered)
-    units: List[Dict] = field(default_factory=list)
     #: per-dimension exchange-dynamics records (occupancy, walkers,
     #: round-trip times) from
     #: :meth:`LadderTracker.records() <repro.obs.ladder.LadderTracker.records>`;
@@ -259,6 +277,16 @@ class RunManifest:
     #: empty for a clean parse, never serialized
     recovered: List[str] = field(default_factory=list)
     schema_version: int = SCHEMA_VERSION
+    #: the ``unit`` line per unit, sorted by name, as its run's log kept
+    #: it (empty for a parsed manifest)
+    _unit_lines: List[str] = field(
+        default_factory=list, repr=False, compare=False
+    )
+    #: the rows of :attr:`units`: parsed, or decoded from
+    #: :attr:`_unit_lines` on first read
+    _units: Optional[List[Dict]] = field(
+        default=None, repr=False, compare=False
+    )
     _timeline: Optional[List[List]] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -301,8 +329,11 @@ class RunManifest:
         )
         if run_log is not None:
             manifest.phase_totals = dict(run_log.totals)
-            manifest.units = sorted(run_log.rows, key=_by_name)
-            manifest.n_units = len(manifest.units)
+            # stable: the attempts of a relaunched unit share its name
+            manifest._unit_lines = [
+                line for _, line in sorted(run_log.rows, key=_pair_name)
+            ]
+            manifest.n_units = len(manifest._unit_lines)
         if fault_events:
             manifest.fault_events = list(fault_events)
         if ladder:
@@ -310,6 +341,31 @@ class RunManifest:
         return manifest
 
     # -- derived -------------------------------------------------------------
+
+    @property
+    def units(self) -> List[Dict]:
+        """One row per unit, sorted by name: ``name``, ``cores``,
+        ``phase``, ``rid``, ``cycle``, ``final_state`` and ``t`` (entry
+        time per state of :data:`STATE_ORDER`, None where not entered).
+
+        Decoded from the kept ``unit`` lines on first read and cached, so
+        later edits to the rows do not reach :meth:`dump`; each row
+        equals what :meth:`from_jsonl` parses from the line.
+        """
+        if self._units is None:
+            self._units = [_line_row(line) for line in self._unit_lines]
+        return self._units
+
+    def __eq__(self, other) -> bool:
+        """Field by field, the unit rows by content: a manifest from a
+        run equals the one parsed from its dump."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.units == other.units and all(
+            getattr(self, f.name) == getattr(other, f.name)
+            for f in fields(self)
+            if f.compare
+        )
 
     @property
     def timeline(self) -> List[List]:
@@ -381,8 +437,11 @@ class RunManifest:
             yield _encode({"kind": "fault", **event}) + "\n"
         for entry in self.ladder:
             yield _encode({"kind": "ladder", **entry}) + "\n"
-        for unit in self.units:
-            yield _encode({"kind": "unit", **unit}) + "\n"
+        if self._unit_lines:
+            yield from self._unit_lines
+        else:
+            for unit in self.units:
+                yield _unit_line(unit)
 
     def to_jsonl(self) -> str:
         """Serialize as one self-describing JSON record per line."""
@@ -476,11 +535,11 @@ class RunManifest:
             spans=spans,
             n_units=header.get("n_units", 0),
             fault_events=fault_events,
-            units=units,
             ladder=ladder,
             partial=header.get("partial", False) or bool(warnings),
             recovered=warnings,
             schema_version=header.get("schema_version", SCHEMA_VERSION),
+            _units=units,
         )
 
     def dump(self, path) -> Path:
@@ -575,9 +634,11 @@ class ManifestStream:
     :meth:`on_unit` is the run's :class:`~repro.pilot.trace.Tracer` sink:
     it builds each unit's v4 row once, when the unit reaches a final
     state, adds the unit's dwell to the five running phase sums
-    (:attr:`totals`) and keeps the row (:attr:`rows`), from which
+    (:attr:`totals`) and keeps the row as its ``unit`` line, the exact
+    line a dump and a stream write (:attr:`rows`), from which
     :meth:`RunManifest.from_run` assembles the manifest.  A checkpoint
-    journals the same rows and :meth:`restore` refills them.
+    journals the same rows, decoded (:meth:`rows_since`), and
+    :meth:`restore` re-encodes them.
 
     Given a ``path`` the log is also an incrementally flushed JSONL
     manifest, so a run that *dies* still leaves a loadable prefix on
@@ -594,8 +655,9 @@ class ManifestStream:
     """
 
     def __init__(self, path, config):
-        #: every finished unit's v4 row, in finish order
-        self.rows: List[Dict] = []
+        #: ``(name, line)`` per finished unit, in finish order: its name
+        #: and its v4 row's ``unit`` line
+        self.rows: List[Tuple[str, str]] = []
         #: core-seconds per phase of :data:`PHASES` over :attr:`rows`,
         #: summed in finish order from the unrounded entry times
         self.totals: Dict[str, float] = dict.fromkeys(PHASES, 0.0)
@@ -621,28 +683,40 @@ class ManifestStream:
         )
 
     def _write(self, record: Dict) -> None:
+        self._put(_encode(record) + "\n")
+
+    def _put(self, line: str) -> None:
         if self._fh is None:
             return
-        self._fh.write(_encode(record) + "\n")
+        self._fh.write(line)
         self._fh.flush()
+
+    def _keep(self, row: Dict) -> None:
+        line = _unit_line(row)
+        self.rows.append((row["name"], line))
+        self._put(line)
 
     # -- sinks ---------------------------------------------------------------
 
     def on_unit(self, unit: ComputeUnit) -> None:
-        """Tracer sink: keep a finished unit's row, add its dwell to the
-        phase sums, and flush the row."""
-        row = _unit_row(unit, self.totals)
-        self.rows.append(row)
-        self._write({"kind": "unit", **row})
+        """Tracer sink: keep a finished unit's row as its line, add its
+        dwell to the phase sums, and flush the line."""
+        self._keep(_unit_row(unit, self.totals))
+
+    def rows_since(self, start: int) -> List[Dict]:
+        """The rows of the units that finished after the first ``start``,
+        decoded from their lines."""
+        return [_line_row(line) for _, line in self.rows[start:]]
 
     def restore(self, rows: List[Dict], totals: Dict[str, float]) -> None:
-        """Refill the log from a checkpoint: its journaled ``rows`` and
-        its phase sums.  The rows reach the file too, so a stream opened
-        before the restore still holds the pre-checkpoint units."""
-        self.rows = list(rows)
+        """Refill the log from a checkpoint: its journaled ``rows``, each
+        re-encoded to its line, and its phase sums.  The lines reach the
+        file too, so a stream opened before the restore still holds the
+        pre-checkpoint units."""
+        self.rows = []
         self.totals = {phase: float(totals[phase]) for phase in PHASES}
         for row in rows:
-            self._write({"kind": "unit", **row})
+            self._keep(row)
 
     def on_fault(self, event) -> None:
         """Fault-domain sink: flush one fault event line.
@@ -682,7 +756,7 @@ class ManifestStream:
         if tracer is not None:
             spare = dict.fromkeys(PHASES, 0.0)
             for unit in tracer.in_flight.values():
-                self._write({"kind": "unit", **_unit_row(unit, spare)})
+                self._put(_unit_line(_unit_row(unit, spare)))
         self.close()
 
     def close(self) -> None:

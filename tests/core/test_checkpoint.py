@@ -152,6 +152,20 @@ class TestValidation:
             RepEx(small_tremd_config(), checkpoint_keep=-1)
 
     @pytest.mark.parametrize(
+        "pattern, name, value",
+        [
+            ("synchronous", "stop_after_cycle", -3),
+            ("asynchronous", "stop_after_checkpoint", -1),
+            ("synchronous", "crash_at_time", -5.0),
+            ("asynchronous", "crash_at_time", -5.0),
+        ],
+    )
+    def test_negative_stop_points_rejected(self, pattern, name, value):
+        config = small_tremd_config(pattern=PatternSpec(kind=pattern))
+        with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+            RepEx(config, **{name: value})
+
+    @pytest.mark.parametrize(
         "kwargs",
         [
             {"checkpoint_every": 1},

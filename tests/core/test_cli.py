@@ -753,7 +753,9 @@ class TestCampaign:
 
 
 #: one usage error per command -> its argv; ``{file}`` is a regular file,
-#: so nothing can be created under it, and ``{missing}`` does not exist
+#: so nothing can be created under it, ``{missing}`` does not exist,
+#: ``{ckpt}`` is a fresh checkpoint directory and ``{async_config}`` is
+#: the shipped asynchronous example
 USAGE_ERRORS = {
     "run-negative-checkpoint-every": [
         "run", "{config}", "--checkpoint-every", "-1",
@@ -764,12 +766,25 @@ USAGE_ERRORS = {
     "run-negative-checkpoint-keep": [
         "run", "{config}", "--checkpoint-keep", "-2",
     ],
+    "run-negative-stop-after-cycle": [
+        "run", "{config}", "--stop-after-cycle", "-3",
+    ],
+    "run-negative-stop-after-checkpoint": [
+        "run", "{async_config}", "--checkpoint-every-s", "200",
+        "--checkpoint-dir", "{ckpt}", "--stop-after-checkpoint", "-1",
+    ],
+    "run-negative-crash-at-time": [
+        "run", "{config}", "--crash-at-time", "-5",
+    ],
     "run-summary-under-a-file": ["run", "{config}", "-o", "{file}/x.json"],
     "obs-export-under-a-file": [
         "obs", "export", "{manifest}", "-o", "{file}/x.json",
     ],
     "obs-timeline-negative-limit": [
         "obs", "timeline", "{manifest}", "-n", "-1",
+    ],
+    "obs-critical-path-negative-segments": [
+        "obs", "critical-path", "{manifest}", "--segments", "-1",
     ],
     "chaos-report-under-a-file": [
         "chaos", "--fast", "--no-resume", "-o", "{file}/x.json",
@@ -792,10 +807,15 @@ class TestUsageErrors:
     ):
         paths = {
             "config": config_file,
+            "async_config": (
+                Path(__file__).parents[2] / "examples" / "configs"
+                / "async_namd.json"
+            ),
             "campaign": campaign_file,
             "manifest": tmp_path / "run.jsonl",
             "file": tmp_path / "a-file",
             "missing": tmp_path / "missing",
+            "ckpt": tmp_path / "ckpt",
         }
         paths["file"].write_text("")
         if "{manifest}" in argv:

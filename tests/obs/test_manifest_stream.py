@@ -36,12 +36,24 @@ def relaunch_config(pattern):
     )
 
 
+def assert_redumps(tmp_path, stream, manifest):
+    """``stream``, loaded and dumped again, is ``manifest``'s dump byte
+    for byte; returns the dump's bytes."""
+    dump = manifest.dump(tmp_path / "dump.jsonl").read_bytes()
+    redump = RunManifest.load(stream).dump(tmp_path / "redump.jsonl")
+    assert redump.read_bytes() == dump
+    return dump
+
+
 def assert_stream_loads_like_dump(tmp_path, config):
     path = tmp_path / "run.jsonl"
     result = run_streamed(path, config)
     assert result.manifest.metrics["counters"]["emm.relaunches"] > 0
+    # the attempts of a relaunched unit share its name: the dump keeps
+    # them in finish order, the order the stream wrote them in
+    assert_redumps(tmp_path, path, result.manifest)
     loaded = RunManifest.load(path)
-    dumped = RunManifest.load(result.manifest.dump(tmp_path / "dump.jsonl"))
+    dumped = RunManifest.load(tmp_path / "dump.jsonl")
     assert not loaded.partial
     # the stream writes each unit's row as the unit finishes, the dump
     # all rows at the end in name order: both load to the same rows
@@ -210,6 +222,26 @@ class TestResumedStream:
             {"stop_after_checkpoint": 1}, checkpoint_every_s=150.0,
         )
         assert loaded == RunManifest.from_jsonl(golden.to_jsonl())
+
+    def test_resume_from_a_middle_checkpoint_redumps(self, tmp_path):
+        # the restored rows reach the stream and the dump re-encoded, so
+        # both are the uninterrupted run's dump byte for byte
+        config = small_tremd_config(
+            n_cycles=4,
+            failure=FailureSpec(probability=0.3, policy="relaunch"),
+        )
+        golden = RepEx(
+            config, checkpoint_every=1, checkpoint_dir=tmp_path / "ck"
+        ).run()
+        assert golden.manifest.metrics["counters"]["emm.relaunches"] > 0
+        path = tmp_path / "resumed.jsonl"
+        resumed = run_streamed(
+            path, config, checkpoint_every=1,
+            resume_from=tmp_path / "ck" / "cycle_0002.json",
+        )
+        dump = assert_redumps(tmp_path, path, resumed.manifest)
+        golden_dump = golden.manifest.dump(tmp_path / "golden.jsonl")
+        assert dump == golden_dump.read_bytes()
 
 
 class TestFaultEventsRoundTrip:

@@ -1,6 +1,7 @@
 """Tests for the execution tracer."""
 
 import gc
+import json
 import weakref
 
 import pytest
@@ -91,7 +92,7 @@ class TestTracer:
     def test_keeps_no_finished_unit_alive(self, with_sink):
         """The tracer lets go of a unit once it is final, so a dropped
         unit is freed along with its result and work closure — also when
-        the sink is a run log, which keeps only the unit's row."""
+        the sink is a run log, which keeps only the unit's row line."""
         log = ManifestStream(None, None)
         tracer = Tracer(log.on_unit if with_sink else (lambda unit: None))
         payload = bytearray(1 << 16)
@@ -107,7 +108,10 @@ class TestTracer:
         assert ref() is None
         assert tracer.in_flight == {}
         if with_sink:
-            (row,) = log.rows
+            ((name, line),) = log.rows
+            assert name == "u"
+            (row,) = log.rows_since(0)
+            assert json.loads(line) == {"kind": "unit", **row}
             assert row["t"] == [None] + [float(t) for t in range(6)] + [
                 None, None
             ]

