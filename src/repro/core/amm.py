@@ -94,7 +94,7 @@ class ApplicationManager:
         self.exchange_stats: Dict[str, ExchangeStats] = {
             d.name: ExchangeStats() for d in self.dimensions
         }
-        #: window map -> the one copy :meth:`_window_map` hands out
+        #: window map -> the one copy :meth:`shared_windows` hands out
         self._window_maps: Dict[tuple, Dict[str, int]] = {}
         if config.engine.executable:
             self.executable = config.engine.executable
@@ -125,7 +125,7 @@ class ApplicationManager:
             indices = {
                 d.name: idx for d, idx in zip(self.dimensions, combo)
             }
-            rng = self.rng.stream("init", rid)
+            rng = self.rng.transient("init", rid)
             coords = alpha_r + 0.15 * rng.standard_normal(2)
             for d, idx in zip(self.dimensions, combo):
                 if isinstance(d, UmbrellaDimension):
@@ -148,7 +148,7 @@ class ApplicationManager:
                     rep.coords,
                     self.state_of(rep),
                     n_steps=self.config.equilibration_steps,
-                    rng=self.rng.stream("equilibrate", rep.rid),
+                    rng=self.rng.transient("equilibrate", rep.rid),
                 )
         return replicas
 
@@ -189,15 +189,15 @@ class ApplicationManager:
             cache[key] = state
         return state
 
-    def _window_map(self, replica: Replica) -> Dict[str, int]:
-        """A copy of ``replica.param_indices``, shared by every caller
+    def shared_windows(self, indices: Dict[str, int]) -> Dict[str, int]:
+        """A copy of the window map ``indices``, shared by every caller
         that asks at the same lattice point.
 
-        Built once per window map (its keys in the replica's order) and
+        Built once per window map (its keys in ``indices``' order) and
         never mutated: the history records of one lattice point all hold
-        it instead of a copy each.
+        it instead of a copy each, restored records included.
         """
-        key = tuple(replica.param_indices.items())
+        key = tuple(indices.items())
         windows = self._window_maps.get(key)
         if windows is None:
             windows = self._window_maps[key] = dict(key)
@@ -331,7 +331,7 @@ class ApplicationManager:
             record = CycleRecord(
                 cycle=cycle,
                 dimension=dim_name,
-                param_indices=self._window_map(replica),
+                param_indices=self.shared_windows(replica.param_indices),
                 potential_energy=float("nan"),
                 restraint_energy=float("nan"),
             )

@@ -10,9 +10,13 @@ that only grows.  The snapshot holds, inline:
   still change;
 * exchange statistics and core-second accounting (MD + exchange,
   failure/relaunch totals);
-* the state of every named RNG stream (AMM registry, failure injector,
-  transient staging faults, hangs, watchdog backoff), so the continued
-  run draws the exact random sequences the uninterrupted run would have;
+* the state of every named RNG stream the run draws from again (AMM
+  registry, failure injector, transient staging faults, hangs, watchdog
+  backoff), so the continued run draws the exact random sequences the
+  uninterrupted run would have.  One-shot streams (a replica's initial
+  coordinates and equilibration, an exchange sweep, a protonation draw)
+  are transient (:meth:`~repro.utils.rng.RNGRegistry.transient`): the
+  run never keeps them, so no snapshot carries them;
 * the asynchronous ``async_state``, the watchdog's state and how far the
   fault schedule had fired;
 * the metric registry's counters, gauges and span counter, the ladder
@@ -23,7 +27,9 @@ Each capture appends one journal line with what grew since the capture
 before it, so every item is written once: the other history records
 (sampled trajectories included), cycle timings, swap proposals, and the
 observability records (the run log's v4 unit rows, raw histogram
-samples, finished spans, fault events).
+samples, finished spans, fault events).  The line is encoded piece by
+piece from the run's state (:func:`_journal_line`), so a capture
+allocates a small multiple of the line, never the grown items as dicts.
 Together they let a resumed run's manifest diff all-zero against the
 uninterrupted run's.  A checkpoint directory also holds ``latest.json``,
 a small pointer naming its newest snapshot, which
@@ -55,11 +61,14 @@ Two kinds of quiet point exist, one per execution pattern:
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
+import sys
 from dataclasses import asdict, dataclass, field, fields
+from itertools import islice
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -67,6 +76,7 @@ from repro.core.emm import AsyncState
 from repro.core.replica import CycleRecord, Replica, ReplicaStatus
 from repro.core.results import CycleTiming
 from repro.core.exchange.base import SwapProposal
+from repro.md.toymd import EMPTY_TRAJECTORY
 from repro.obs.manifest import config_hash
 
 #: Bump on any incompatible change to the checkpoint layout.  v5: the
@@ -100,8 +110,21 @@ def _json_default(obj):
 
 
 def _dumps(obj) -> str:
-    """The canonical JSON text of snapshots and journal lines."""
+    """The canonical JSON text of snapshots."""
     return json.dumps(obj, default=_json_default, sort_keys=True)
+
+
+#: the JSON text of a journal line's pieces: compact (a line is hashed
+#: as written and never re-encoded) and sorted by key
+_compact = json.JSONEncoder(
+    default=_json_default, sort_keys=True, separators=(",", ":")
+).encode
+
+#: items a journal line encodes per ``json`` call: one call per item is
+#: slower, and one call for all of a list allocates about 12x the text
+#: it makes.  Encode time is flat from 32 to 512 items a call, and 64
+#: keeps what one call allocates small beside a line.
+_CHUNK = 64
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -140,22 +163,32 @@ def _record_to_dict(rec: CycleRecord) -> Dict:
     }
 
 
-def _record_from_dict(raw: Dict) -> CycleRecord:
+def _record_from_dict(raw: Dict, windows: Callable = dict) -> CycleRecord:
+    """The record of a journal or snapshot entry, costing what a live
+    one does: ``windows`` maps its window map to the run's shared copy
+    (:meth:`~repro.core.amm.ApplicationManager.shared_windows`), its
+    dimension name is interned, and an empty trajectory is
+    :data:`~repro.md.toymd.EMPTY_TRAJECTORY`."""
+    dimension = raw["dimension"]
+    trajectory = raw["trajectory"]
+    if trajectory is not None:
+        trajectory = (
+            np.array(trajectory, dtype=float) if trajectory
+            else EMPTY_TRAJECTORY
+        )
     return CycleRecord(
         cycle=int(raw["cycle"]),
-        dimension=raw["dimension"],
-        param_indices={str(k): int(v) for k, v in raw["param_indices"].items()},
+        dimension=sys.intern(dimension) if dimension is not None else None,
+        param_indices=windows(
+            {str(k): int(v) for k, v in raw["param_indices"].items()}
+        ),
         potential_energy=float(raw["potential_energy"]),
         restraint_energy=float(raw["restraint_energy"]),
         torsional_energy=float(raw["torsional_energy"]),
         partner=raw["partner"],
         accepted=bool(raw["accepted"]),
         failed=bool(raw["failed"]),
-        trajectory=(
-            np.array(raw["trajectory"], dtype=float)
-            if raw["trajectory"] is not None
-            else None
-        ),
+        trajectory=trajectory,
     )
 
 
@@ -175,8 +208,11 @@ def _replica_to_dict(rep: Replica) -> Dict:
     }
 
 
-def _replica_from_dict(data: Dict, history: Sequence[Dict] = ()) -> Replica:
-    """The replica of a snapshot entry, its journaled ``history`` first."""
+def _replica_from_dict(
+    data: Dict, history: Sequence[Dict] = (), windows: Callable = dict
+) -> Replica:
+    """The replica of a snapshot entry, its journaled ``history`` first
+    (each record's window map passed through ``windows``)."""
     rep = Replica(
         rid=int(data["rid"]),
         coords=np.array(data["coords"], dtype=float),
@@ -189,21 +225,23 @@ def _replica_from_dict(data: Dict, history: Sequence[Dict] = ()) -> Replica:
         n_failures=int(data["n_failures"]),
         cores=int(data["cores"]),
     )
-    rep.history = [_record_from_dict(raw) for raw in history]
+    rep.history = [_record_from_dict(raw, windows) for raw in history]
     if data["last"] is not None:
-        rep.history.append(_record_from_dict(data["last"]))
+        rep.history.append(_record_from_dict(data["last"], windows))
     return rep
 
 
 class Journal:
     """A run's append-only checkpoint journal.
 
-    Each capture appends one line: a JSON object of what grew since the
-    capture before it.  Lines stay encoded, so the journal costs its byte
-    size in memory, and the sha256 of their concatenation is kept
-    running, so stamping a snapshot's prefix digest never re-reads
-    anything.  ``marks`` records how far the lines reach into each
-    growing item.
+    Each capture appends one line (:func:`_journal_line`): a JSON object
+    of what grew since the capture before it.  No RNG state is
+    journaled: a snapshot holds the streams the run draws from again,
+    and a one-shot stream is transient, so neither file carries it.
+    Lines stay encoded, so the journal costs its byte size in memory,
+    and the sha256 of their concatenation is kept running, so stamping a
+    snapshot's prefix digest never re-reads anything.  ``marks`` records
+    how far the lines reach into each growing item.
     """
 
     def __init__(self, lines: Sequence[bytes] = ()):
@@ -225,14 +263,8 @@ class Journal:
         """Hex digest of every line so far."""
         return self._sha.hexdigest()
 
-    def append(self, entry: Dict) -> None:
-        """Encode ``entry`` as the next line, compactly: a line is hashed
-        as written and never re-encoded, unlike the snapshot's checksum
-        definition."""
-        text = json.dumps(
-            entry, default=_json_default, sort_keys=True, separators=(",", ":")
-        )
-        line = (text + "\n").encode()
+    def append(self, line: bytes) -> None:
+        """Add ``line``, its newline included, as the next line."""
         self.lines.append(line)
         self.size += len(line)
         self._sha.update(line)
@@ -345,8 +377,36 @@ def _marks(emm) -> Dict[str, object]:
     }
 
 
-def _journal_entry(emm, journal: Journal) -> Dict[str, object]:
-    """What grew in ``emm``'s run since ``journal``'s last line."""
+def _put_json(put: Callable[[str], None], value) -> None:
+    """Write ``value`` as compact, sorted-keys JSON through ``put``: a
+    dict as the object of its values in key order, anything else as the
+    list of the items it yields, encoding :data:`_CHUNK` of them per
+    ``json`` call."""
+    if isinstance(value, dict):
+        put("{")
+        for n, key in enumerate(sorted(value)):
+            put(f'{"," if n else ""}{_compact(key)}:')
+            _put_json(put, value[key])
+        put("}")
+        return
+    items = iter(value)
+    put("[")
+    for n, chunk in enumerate(iter(lambda: list(islice(items, _CHUNK)), [])):
+        put(("," if n else "") + _compact(chunk)[1:-1])
+    put("]")
+
+
+def _journal_line(emm, journal: Journal) -> bytes:
+    """The journal line of what grew in ``emm``'s run since
+    ``journal``'s last line: ``history`` (rid -> records), ``samples``
+    (name -> values) and the lists ``timings``, ``proposals``, ``rows``,
+    ``spans`` and ``faults``.
+
+    Each list is read lazily from the run's state and encoded as it is
+    written (:func:`_put_json`), so the grown items never exist as dicts
+    all at once, which cost about 12x the line: one ``json`` call
+    encodes a replica's new records, or :data:`_CHUNK` items of a list.
+    """
     old, new = journal.marks, _marks(emm)
     journal.marks = new
     run_log = emm.run_log
@@ -355,23 +415,33 @@ def _journal_entry(emm, journal: Journal) -> Dict[str, object]:
     for rep in emm.replicas:
         done, final = old["history"].get(rep.rid, 0), new["history"][rep.rid]
         if final > done:
-            history[str(rep.rid)] = [
-                _record_to_dict(rec) for rec in rep.history[done:final]
-            ]
-    return {
-        "history": history,
-        "timings": [asdict(t) for t in emm.timings[old["timings"] :]],
-        "proposals": [
-            [p.rid_i, p.rid_j, p.dimension, p.delta, p.accepted]
-            for p in emm.proposals[old["proposals"] :]
-        ],
-        "rows": (
-            run_log.rows_since(old["rows"]) if run_log is not None else []
-        ),
-        "samples": samples,
-        "spans": spans,
-        "faults": [e.to_dict() for e in _fault_events(emm)[old["faults"] :]],
-    }
+            records = rep.history[done:final]
+            history[str(rep.rid)] = map(_record_to_dict, records)
+    buf = io.BytesIO()
+    _put_json(
+        lambda text: buf.write(text.encode()),
+        {
+            "history": history,
+            "timings": (
+                asdict(t) for t in islice(emm.timings, old["timings"], None)
+            ),
+            "proposals": (
+                [p.rid_i, p.rid_j, p.dimension, p.delta, p.accepted]
+                for p in islice(emm.proposals, old["proposals"], None)
+            ),
+            "rows": (
+                run_log.rows_since(old["rows"]) if run_log is not None else ()
+            ),
+            "samples": samples,
+            "spans": spans,
+            "faults": (
+                e.to_dict()
+                for e in islice(_fault_events(emm), old["faults"], None)
+            ),
+        },
+    )
+    buf.write(b"\n")
+    return buf.getvalue()
 
 
 def _read_entries(lines: Sequence[bytes]) -> Dict[str, object]:
@@ -399,22 +469,32 @@ def _read_entries(lines: Sequence[bytes]) -> Dict[str, object]:
     return grown
 
 
+def _session_rngs(session) -> Dict[str, np.random.Generator]:
+    """The session's generators a snapshot carries besides the AMM
+    registry's, by their ``rng`` key.
+
+    The gray-failure slowdown stream is not among them: it is fully
+    consumed at first pilot activation, which the restore replay re-runs
+    from the seed, reproducing the same dilation map.
+    """
+    fault_domain = getattr(session, "fault_domain", None)
+    watchdog = getattr(session, "watchdog", None)
+    staging = fault_domain.staging if fault_domain is not None else None
+    rngs = {
+        "failures": getattr(session.failure_model, "rng", None),
+        "staging": staging.rng if staging is not None else None,
+        "hangs": fault_domain._hang_rng if fault_domain is not None else None,
+        "watchdog_backoff": (
+            watchdog.retry.rng if watchdog is not None else None
+        ),
+    }
+    return {name: rng for name, rng in rngs.items() if rng is not None}
+
+
 def _capture_rng(emm) -> Dict[str, object]:
     rng_blob: Dict[str, object] = {"amm": emm.amm.rng.state_dict()}
-    failure_model = emm.session.failure_model
-    if failure_model is not None and getattr(failure_model, "rng", None) is not None:
-        rng_blob["failures"] = failure_model.rng.bit_generator.state
-    fault_domain = getattr(emm.session, "fault_domain", None)
-    if fault_domain is not None and fault_domain.staging is not None:
-        rng_blob["staging"] = fault_domain.staging.rng.bit_generator.state
-    # Gray-failure streams.  The slowdown stream needs no capture: it is
-    # fully consumed at first pilot activation, which the restore replay
-    # re-runs from the seed, reproducing the same dilation map.
-    if fault_domain is not None and fault_domain._hang_rng is not None:
-        rng_blob["hangs"] = fault_domain._hang_rng.bit_generator.state
-    watchdog = getattr(emm.session, "watchdog", None)
-    if watchdog is not None and watchdog.retry.rng is not None:
-        rng_blob["watchdog_backoff"] = watchdog.retry.rng.bit_generator.state
+    for name, rng in _session_rngs(emm.session).items():
+        rng_blob[name] = rng.bit_generator.state
     return rng_blob
 
 
@@ -515,7 +595,7 @@ class Checkpoint:
         if emm.journal is None:
             emm.journal = Journal()
         journal = emm.journal
-        journal.append(_journal_entry(emm, journal))
+        journal.append(_journal_line(emm, journal))
         pattern = emm.config.pattern.kind
         state = emm.state if pattern == "asynchronous" else None
         fault_domain = getattr(emm.session, "fault_domain", None)
@@ -756,7 +836,9 @@ def restore(emm, ckpt: Checkpoint) -> None:
     grown = ckpt.journaled()
     history = grown["history"]
     emm.replicas = [
-        _replica_from_dict(d, history.get(int(d["rid"]), ()))
+        _replica_from_dict(
+            d, history.get(int(d["rid"]), ()), emm.amm.shared_windows
+        )
         for d in ckpt.replicas
     ]
     for name, counts in ckpt.exchange_stats.items():
@@ -778,32 +860,13 @@ def restore(emm, ckpt: Checkpoint) -> None:
     emm.n_spawned = int(acct["n_spawned"])
 
     emm.amm.rng.load_state(ckpt.rng["amm"])
-    failure_model = emm.session.failure_model
-    if "failures" in ckpt.rng and failure_model is not None:
-        failure_model.rng.bit_generator.state = ckpt.rng["failures"]
-    fault_domain = getattr(emm.session, "fault_domain", None)
-    if (
-        "staging" in ckpt.rng
-        and fault_domain is not None
-        and fault_domain.staging is not None
-    ):
-        fault_domain.staging.rng.bit_generator.state = ckpt.rng["staging"]
-    if (
-        "hangs" in ckpt.rng
-        and fault_domain is not None
-        and fault_domain._hang_rng is not None
-    ):
-        fault_domain._hang_rng.bit_generator.state = ckpt.rng["hangs"]
-    watchdog = getattr(emm.session, "watchdog", None)
-    if (
-        watchdog is not None
-        and "watchdog_backoff" in ckpt.rng
-        and watchdog.retry.rng is not None
-    ):
-        watchdog.retry.rng.bit_generator.state = ckpt.rng["watchdog_backoff"]
+    for name, rng in _session_rngs(emm.session).items():
+        if name in ckpt.rng:
+            rng.bit_generator.state = ckpt.rng[name]
 
     _replay_clock(emm.session, ckpt.t_now, ckpt.faults_fired)
     # after the replay: it re-arms the heartbeat at its captured time
+    watchdog = getattr(emm.session, "watchdog", None)
     if watchdog is not None and ckpt.watchdog_state is not None:
         watchdog.load_state(ckpt.watchdog_state)
     _restore_obs(emm, ckpt.obs, grown)

@@ -374,6 +374,9 @@ class RepEx:
             ladder=ladder.records() if ladder is not None else None,
         )
         run_log.finalize(result.manifest)
+        # the manifest holds the unit lines now; a held RepEx reaches the
+        # log through its tracer and must not keep its (name, line) pairs
+        run_log.rows = []
         return result
 
 

@@ -57,7 +57,7 @@ import numpy as np
 
 from repro.md.engine import EngineError
 from repro.md.forcefield import debye_screening_factor, wrap_angle
-from repro.md.toymd import MDResult, ToyMD
+from repro.md.toymd import EMPTY_TRAJECTORY, MDResult, ToyMD
 from repro.utils.units import KB_KCAL_PER_MOL_K
 
 #: cap on pre-drawn normals per integration chunk (doubles); bounds memory
@@ -170,8 +170,9 @@ def _integrate_brownian_group(
     n = len(tasks)
     x = np.array([t[3] for t in tasks], dtype=float)
     states = [t[1] for t in tasks]
-    # Same bit-generator state as the reference's default_rng(seed),
-    # without default_rng's errstate wrapper (one construction per task).
+    # What the reference's default_rng(seed) builds: the same
+    # bit-generator state (one construction per task; PCG64(seed) itself
+    # enters np.errstate, so neither spelling is cheaper).
     rngs = [np.random.Generator(np.random.PCG64(t[2])) for t in tasks]
     noise_col = np.empty((n, 1))
     for i, state in enumerate(states):
@@ -191,7 +192,7 @@ def _integrate_brownian_group(
     for i, rng in enumerate(rngs):
         normals[i] = rng.standard_normal((n_steps, 2))
 
-    samples = [] if sample_stride > 0 else None
+    samples = []
     for step in range(n_steps):
         gphi, gpsi = ff.screened_gradient(
             x[:, 0], x[:, 1], s_col, restraint_cols
@@ -200,16 +201,9 @@ def _integrate_brownian_group(
         x[:, 1] -= drift * gpsi
         x += noise_col * normals[:, step, :]
         x = wrap_angle(x)
-        if samples is not None and (step + 1) % sample_stride == 0:
+        if sample_stride and (step + 1) % sample_stride == 0:
             samples.append(x.copy())
-
-    if samples is not None:
-        if samples:
-            samples_arr = np.array(samples)
-        else:
-            samples_arr = np.empty((0, n, 2))
-    else:
-        samples_arr = None
+    samples_arr = np.array(samples) if samples else None
 
     # Final torsional energies for all walkers in one call: the rama/elec
     # terms are elementwise array math on both paths ((R, 3) wells here vs
@@ -221,9 +215,7 @@ def _integrate_brownian_group(
     for i, (state, rng) in enumerate(zip(states, rngs)):
         final = x[i]
         traj = (
-            samples_arr[:, i, :]
-            if samples_arr is not None
-            else np.empty((0, 2))
+            samples_arr[:, i, :] if samples_arr is not None else EMPTY_TRAJECTORY
         )
         tors = float(tors_all[i])
         restr = 0.0

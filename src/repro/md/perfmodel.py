@@ -265,8 +265,8 @@ class PerformanceModel:
             return base
         # One-shot generator per task key: deterministic, and avoids caching
         # hundreds of thousands of streams across a long scaling sweep.
-        # Generator(PCG64(seq)) is what default_rng(seq) constructs; spelling
-        # it out skips default_rng's errstate wrapper on this hot path.
+        # Generator(PCG64(seq)) is what default_rng(seq) constructs
+        # (PCG64(seq) itself enters np.errstate, so neither is cheaper).
         rng = np.random.Generator(
             np.random.PCG64(
                 np.random.SeedSequence([self.seed, key_digest(task_key)])

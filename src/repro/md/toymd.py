@@ -79,6 +79,12 @@ class MDParams:
             )
 
 
+#: the trajectory of an MD phase that sampled nothing: one read-only
+#: (0, 2) array that every such result and restored record shares
+EMPTY_TRAJECTORY = np.empty((0, 2))
+EMPTY_TRAJECTORY.flags.writeable = False
+
+
 @dataclass
 class MDResult:
     """What one MD phase produces (the contents of a real engine's output).
@@ -149,7 +155,9 @@ class ToyMD:
         )
         final = final[0]
         traj = (
-            samples[:, 0, :] if samples is not None else np.empty((0, 2))
+            samples[:, 0, :]
+            if samples is not None and len(samples)
+            else EMPTY_TRAJECTORY
         )
 
         tors = float(
@@ -214,7 +222,9 @@ class ToyMD:
             )
             bath = self.bath.sample_energy(state.temperature, rng)
             traj = (
-                samples[:, i, :] if samples is not None else np.empty((0, 2))
+                samples[:, i, :]
+                if samples is not None and len(samples)
+                else EMPTY_TRAJECTORY
             )
             results.append(
                 MDResult(

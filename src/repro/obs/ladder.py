@@ -7,9 +7,9 @@ dimension to the top and back (Nadler & Hansmann, arXiv:0708.3627;
 Bussi, arXiv:0812.1633).  Short mean RTT and flat ladder occupancy mean
 the ladder acts like an unbiased random walk; diverging RTT or replicas
 piling up in a band of windows exposes a bottleneck no acceptance
-average shows.  These are exactly the numbers ROADMAP item 3 needs to
-*compare* exchange criteria, so they live in ``repro.obs`` and flow into
-manifests (schema v3), ``repro obs summary`` and ``diff_manifests``.
+average shows.  These are the numbers that *compare* exchange
+criteria, so they live in ``repro.obs`` and flow into manifests (schema
+v3), ``repro obs summary`` and ``diff_manifests``.
 
 The :class:`LadderTracker` observes replica window positions on the
 virtual clock — at run start and after every applied exchange sweep.

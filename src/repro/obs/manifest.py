@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, fields
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
@@ -703,10 +704,10 @@ class ManifestStream:
         dwell to the phase sums, and flush the line."""
         self._keep(_unit_row(unit, self.totals))
 
-    def rows_since(self, start: int) -> List[Dict]:
+    def rows_since(self, start: int) -> Iterator[Dict]:
         """The rows of the units that finished after the first ``start``,
-        decoded from their lines."""
-        return [_line_row(line) for _, line in self.rows[start:]]
+        decoded from their lines one at a time."""
+        return (_line_row(line) for _, line in islice(self.rows, start, None))
 
     def restore(self, rows: List[Dict], totals: Dict[str, float]) -> None:
         """Refill the log from a checkpoint: its journaled ``rows``, each

@@ -16,6 +16,7 @@ Metric names are dotted strings; the taxonomy is documented in
 from __future__ import annotations
 
 import contextlib
+from itertools import islice
 from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.obs.spans import Span, SpanRecord
@@ -301,16 +302,22 @@ class MetricsRegistry:
 
     def records_since(
         self, counts: Dict[str, int], n_spans: int
-    ) -> Tuple[Dict[str, List[float]], List[Dict[str, object]]]:
+    ) -> Tuple[Dict[str, Iterator[float]], Iterator[Dict[str, object]]]:
         """Histogram samples past ``counts`` (name -> samples already
         read; :meth:`state_dict`'s ``histograms`` of an earlier call) and
-        finished spans past the first ``n_spans``, JSON-safe."""
+        finished spans past the first ``n_spans``, JSON-safe.
+
+        Both are read lazily, so a caller that encodes them never holds
+        them all at once: the samples of each histogram that grew, by
+        name, and the spans' dicts.
+        """
         samples = {
-            n: h._samples[counts.get(n, 0):]
-            for n, h in sorted(self._histograms.items())
+            n: islice(h._samples, counts.get(n, 0), None)
+            for n, h in self._histograms.items()
             if len(h._samples) > counts.get(n, 0)
         }
-        return samples, [s.to_dict() for s in self.spans[n_spans:]]
+        spans = (s.to_dict() for s in islice(self.spans, n_spans, None))
+        return samples, spans
 
     def load_state(
         self,

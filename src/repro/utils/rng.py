@@ -69,10 +69,11 @@ class RNGRegistry:
     def transient(self, *key) -> np.random.Generator:
         """A fresh generator for ``key`` that the registry does not keep.
 
-        For per-cycle consumers (one exchange sweep, one replica's
-        protonation draw) that request their key once and finish drawing
-        before the next quiet point: a checkpoint never needs their
-        state, so it does not carry one per cycle.  Draws equal those of
+        For one-shot consumers (a replica's initial coordinates and
+        equilibration, one exchange sweep, one replica's protonation
+        draw) that request their key once and finish drawing before the
+        next quiet point: a checkpoint never needs their state, so the
+        run neither holds nor snapshots it.  Draws equal those of
         :meth:`stream` for a key requested once.
         """
         entropy = [self._seed]
@@ -86,8 +87,8 @@ class RNGRegistry:
                     f"RNG key components must be str or int, got {type(part).__name__}"
                 )
         seq = np.random.SeedSequence(entropy)
-        # Generator(PCG64(seq)) == default_rng(seq), minus the errstate
-        # wrapper default_rng carries — this runs once per replica.
+        # Generator(PCG64(seq)) == default_rng(seq); PCG64(seq) itself
+        # enters np.errstate, so neither spelling is cheaper.
         return np.random.Generator(np.random.PCG64(seq))
 
     # -- checkpointing -------------------------------------------------------

@@ -662,3 +662,62 @@ class TestAnySnapshotAnyDirectory:
             "latest.json",
         ]
         Checkpoint.load(tmp_path / "cycle_0003.json")
+
+
+class TestEmptyTrajectories:
+    """A unit that sampled nothing holds the one read-only (0, 2) array,
+    live and restored alike, so a resumed run's samples concatenate."""
+
+    @pytest.fixture
+    def runs(self, tmp_path):
+        """The shipped TSU example sampling nothing, run whole and
+        resumed from its cycle-2 snapshot."""
+        from repro.core.config import SimulationConfig
+
+        path = Path(__file__).parents[2] / "examples/configs/tsu_mode2.json"
+        data = json.loads(path.read_text())
+        data["numeric_steps"] = 30  # fewer than the sample stride
+        config = SimulationConfig.from_dict(data)
+        golden = RepEx(config).run()
+        RepEx(
+            config,
+            checkpoint_every=2,
+            checkpoint_dir=tmp_path,
+            stop_after_cycle=2,
+        ).run()
+        resumed = RepEx(config, resume_from=tmp_path / "latest.json").run()
+        assert resumed.fingerprint() == golden.fingerprint()
+        return config, golden, resumed
+
+    def test_a_resumed_run_collects_its_window_samples(self, runs):
+        from repro.analysis.fes import collect_window_samples
+        from repro.core.exchange.umbrella import UmbrellaDimension
+
+        config, golden, resumed = runs
+        umbrella = [
+            d for d in config.build_dimensions()
+            if isinstance(d, UmbrellaDimension)
+        ]
+        shapes = []
+        for result in (golden, resumed):
+            windows = collect_window_samples(
+                result.replicas,
+                temperature_dim="temperature",
+                umbrella_dims=[d.name for d in umbrella],
+                umbrella_builders={d.name: d for d in umbrella},
+                temperature_index=0,
+            )
+            shapes.append([w.samples.shape for w in windows])
+        assert shapes[0] == shapes[1]
+        assert shapes[0] and all(shape == (0, 2) for shape in shapes[0])
+
+    def test_every_empty_trajectory_is_the_shared_array(self, runs):
+        from repro.md.toymd import EMPTY_TRAJECTORY
+
+        _, golden, resumed = runs
+        assert EMPTY_TRAJECTORY.shape == (0, 2)
+        assert not EMPTY_TRAJECTORY.flags.writeable
+        for result in (golden, resumed):
+            records = [rec for rep in result.replicas for rec in rep.history]
+            assert records
+            assert all(rec.trajectory is EMPTY_TRAJECTORY for rec in records)
