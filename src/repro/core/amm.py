@@ -25,11 +25,7 @@ import numpy as np
 
 from repro.core import ram
 from repro.core.config import SimulationConfig
-from repro.core.exchange.base import (
-    ExchangeDimension,
-    GroupEnergyCache,
-    SwapProposal,
-)
+from repro.core.exchange.base import ExchangeDimension, SwapProposal
 from repro.core.exchange.multidim import DimensionSchedule, exchange_groups
 from repro.core.exchange.pairing import get_pair_selector
 from repro.core.exchange.ph import PHDimension
@@ -403,11 +399,6 @@ class ApplicationManager:
         registry = self.registry
 
         def work():
-            # One reduced-energy cache for the whole phase: state betas
-            # etc. are computed once per replica and reused by every
-            # group's stacked sweep (and by whichever dimension is active
-            # in multi-dimensional schedules).
-            cache = GroupEnergyCache(states)
             proposals: List[SwapProposal] = []
             for group in groups:
                 proposals.extend(
@@ -419,7 +410,6 @@ class ApplicationManager:
                         attempt,
                         rng,
                         energy_matrix=energy_matrix,
-                        cache=cache,
                     )
                 )
             # the manifest lists every counter that exists, even at zero,

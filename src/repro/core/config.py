@@ -97,7 +97,9 @@ class DimensionSpec:
     pka: float = 6.5
     #: salt only: compute single-point energies inside the exchange task
     #: instead of spawning extra Amber group tasks (the paper's proposed
-    #: future-work optimization; see the salt-internal ablation benchmark)
+    #: future-work optimization; see the salt-internal ablation benchmark).
+    #: Required unless pair_selector is "neighbor": the group tasks
+    #: evaluate each replica only at its own and neighbouring windows
     internal_sp: bool = False
     #: override the auto-generated dimension name
     name: Optional[str] = None
@@ -470,6 +472,8 @@ class SimulationConfig:
     gpus_per_replica: int = 0
     #: "I", "II" or "auto" (pick by comparing workload to pilot size)
     execution_mode: str = "auto"
+    #: "neighbor" (DEO), "random" or "gibbs"; the latter two need
+    #: internal_sp on a salt dimension
     pair_selector: str = "neighbor"
     sample_stride: int = 50
     seed: int = 2016
@@ -564,6 +568,15 @@ class SimulationConfig:
             raise ConfigError(
                 "the asynchronous pattern runs no salt single-point tasks; "
                 "use internal_sp or the synchronous pattern"
+            )
+        if self.pair_selector != "neighbor" and any(
+            d.kind == "salt" and not d.internal_sp for d in self.dimensions
+        ):
+            raise ConfigError(
+                "salt single-point tasks evaluate each replica only at its "
+                "own and neighbouring windows, so pair_selector "
+                f"{self.pair_selector!r} would pair replicas they leave "
+                "without energies; use internal_sp or pair_selector 'neighbor'"
             )
         if self.adaptive.enabled and self.pattern.kind != "asynchronous":
             raise ConfigError(

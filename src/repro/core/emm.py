@@ -451,13 +451,6 @@ class ExecutionManagerBase:
         if not ex_unit.succeeded or ex_unit.result is None:
             return []
         proposals = list(ex_unit.result)
-        if energy_matrix is not None:
-            # drop proposals involving replicas whose SP task failed
-            proposals = [
-                p
-                for p in proposals
-                if p.rid_i in energy_matrix and p.rid_j in energy_matrix
-            ]
         self.amm.apply_proposals(replicas, dimension, proposals)
         return proposals
 

@@ -2,7 +2,6 @@
 
 from repro.core.exchange.base import (
     ExchangeDimension,
-    GroupEnergyCache,
     SwapProposal,
     metropolis_accept,
     metropolis_delta,
@@ -28,7 +27,6 @@ __all__ = [
     "DimensionSchedule",
     "ExchangeDimension",
     "GibbsPairing",
-    "GroupEnergyCache",
     "NeighborPairing",
     "PHDimension",
     "PairSelector",

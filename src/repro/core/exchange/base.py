@@ -16,7 +16,9 @@ Every concrete dimension reduces to this with its own shortcut for the
 cross energies: T-REMD needs none (the Hamiltonians are equal, energies
 come straight from the MD info files); U-REMD evaluates only restraint
 energies (everything else cancels); S-REMD needs genuine single-point
-energies at swapped salt concentrations, computed by extra tasks.
+energies at swapped salt concentrations, computed by extra tasks or
+inside the exchange task.  U and S evaluate :func:`metropolis_delta`
+itself, on the stacked arrays of a pass.
 """
 
 from __future__ import annotations
@@ -34,14 +36,15 @@ from repro.utils.units import beta_from_temperature
 
 
 def metropolis_delta(
-    beta_i: float,
-    beta_j: float,
-    e_i_of_xi: float,
-    e_i_of_xj: float,
-    e_j_of_xi: float,
-    e_j_of_xj: float,
-) -> float:
-    """The generalized exchange exponent Delta (see module docstring)."""
+    beta_i: float | np.ndarray,
+    beta_j: float | np.ndarray,
+    e_i_of_xi: float | np.ndarray,
+    e_i_of_xj: float | np.ndarray,
+    e_j_of_xi: float | np.ndarray,
+    e_j_of_xj: float | np.ndarray,
+) -> float | np.ndarray:
+    """The generalized exchange exponent Delta (see module docstring),
+    elementwise when given the stacked arrays of a pass."""
     return beta_i * (e_i_of_xj - e_i_of_xi) + beta_j * (e_j_of_xi - e_j_of_xj)
 
 
@@ -58,56 +61,22 @@ def metropolis_accept(delta: float, rng: np.random.Generator) -> bool:
 
 def pair_state_betas(
     pairs: Sequence[Tuple[Replica, Replica]],
-    states: Dict[int, "ThermodynamicState"],
-    cache: Optional["GroupEnergyCache"],
+    states: Dict[int, ThermodynamicState],
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Stacked ``(beta_i, beta_j)`` arrays for a batch of pairs.
-
-    Each entry comes from the same scalar ``beta_from_temperature`` call
-    the per-pair path makes, so the arrays are bit-identical gathers.
-    """
+    """Stacked ``(beta_i, beta_j)`` of the pairs' MD-phase states, each
+    from one scalar ``beta_from_temperature`` call."""
     n = len(pairs)
-    if cache is not None:
-        beta = cache.state_beta
-        b_i = np.fromiter((beta(a.rid) for a, _ in pairs), dtype=float, count=n)
-        b_j = np.fromiter((beta(b.rid) for _, b in pairs), dtype=float, count=n)
-    else:
-        b_i = np.fromiter(
-            (beta_from_temperature(states[a.rid].temperature) for a, _ in pairs),
-            dtype=float,
-            count=n,
-        )
-        b_j = np.fromiter(
-            (beta_from_temperature(states[b.rid].temperature) for _, b in pairs),
-            dtype=float,
-            count=n,
-        )
+    b_i = np.fromiter(
+        (beta_from_temperature(states[a.rid].temperature) for a, _ in pairs),
+        dtype=float,
+        count=n,
+    )
+    b_j = np.fromiter(
+        (beta_from_temperature(states[b.rid].temperature) for _, b in pairs),
+        dtype=float,
+        count=n,
+    )
     return b_i, b_j
-
-
-class GroupEnergyCache:
-    """Per-exchange-phase cache of reduced per-replica quantities.
-
-    One instance lives for the duration of one exchange task's work
-    callable and is shared across every group it sweeps (and every
-    dimension that consults it in multi-dimensional setups), so
-    state-derived reductions such as ``beta(state)`` are computed once per
-    replica per phase instead of once per pair per sweep.  Values are
-    produced by the exact scalar helpers the per-pair path uses, so cached
-    and uncached sweeps yield bit-identical exponents.
-    """
-
-    def __init__(self, states: Dict[int, "ThermodynamicState"]):
-        self.states = states
-        self._state_beta: Dict[int, float] = {}
-
-    def state_beta(self, rid: int) -> float:
-        """``1/(kB T)`` of replica ``rid``'s MD-phase state, memoized."""
-        beta = self._state_beta.get(rid)
-        if beta is None:
-            beta = beta_from_temperature(self.states[rid].temperature)
-            self._state_beta[rid] = beta
-        return beta
 
 
 @dataclass
@@ -171,28 +140,6 @@ class ExchangeDimension(abc.ABC):
     requires_single_point: bool = False
 
     @abc.abstractmethod
-    def exchange_delta(
-        self,
-        rep_i: Replica,
-        rep_j: Replica,
-        *,
-        window_i: int,
-        window_j: int,
-        states: Dict[int, ThermodynamicState],
-        energy_matrix: Optional[Dict[int, np.ndarray]] = None,
-    ) -> float:
-        """Metropolis exponent for swapping ``rep_i`` and ``rep_j``.
-
-        ``window_i``/``window_j`` are the replicas' *current* window indices
-        along this dimension — passed explicitly because sequential pairing
-        schemes (Gibbs sweeps) update windows within one exchange phase.
-        ``states`` maps rid -> the replica's full thermodynamic state during
-        the preceding MD phase (used for the parameters this dimension does
-        not exchange).  ``energy_matrix`` (rid -> energies of that replica's
-        coords in every window of this dimension) is only provided when
-        :attr:`requires_single_point` is True.
-        """
-
     def batch_exchange_deltas(
         self,
         pairs: Sequence[Tuple[Replica, Replica]],
@@ -200,26 +147,23 @@ class ExchangeDimension(abc.ABC):
         window_of: Dict[int, int],
         states: Dict[int, ThermodynamicState],
         energy_matrix: Optional[Dict[int, np.ndarray]] = None,
-        cache: Optional[GroupEnergyCache] = None,
-    ) -> Optional[np.ndarray]:
-        """Metropolis exponents for a *disjoint* set of pairs, stacked.
+    ) -> np.ndarray:
+        """Metropolis exponents of one pass, one float64 per pair.
 
-        Returns one float64 exponent per pair — bit-identical to calling
-        :meth:`exchange_delta` pair by pair — or ``None`` when this
-        dimension has no vectorized path, in which case the caller falls
-        back to the scalar method.  Only valid for pair sets in which no
-        replica appears twice (``window_of`` must not evolve mid-batch);
-        sequential schemes such as Gibbs sweeps must use the scalar path.
+        ``pairs`` is a pass: no replica appears in two of its pairs, so
+        the windows in ``window_of`` (rid -> current window along this
+        dimension) hold for every pair of it.  ``states`` maps rid -> the
+        replica's full thermodynamic state during the preceding MD phase
+        (the parameters this dimension does not exchange).
+        ``energy_matrix`` (rid -> energies of that replica's coords in the
+        windows of this dimension) comes from the single-point tasks when
+        :attr:`requires_single_point` is True.
 
-        The default implementation opts out; concrete dimensions override
-        it by gathering their reduced quantities (ladder betas, restraint
-        centers, MD energies, single-point ``energy_matrix`` rows) into
-        stacked arrays and evaluating the exponent as one elementwise
-        numpy expression whose operation order matches the scalar
-        formula.  ``cache`` (when provided by the exchange task) memoizes
-        state-level reductions across groups and dimensions of one phase.
+        Each dimension gathers its reduced quantities (ladder betas,
+        restraint centers, MD energies, energy rows) into stacked arrays
+        and evaluates its exponent as one elementwise numpy expression.
+        A missing input raises before any pair of the pass is decided.
         """
-        return None
 
     def _ladder(self, key: str, fn: Callable[[object], float]) -> np.ndarray:
         """Memoized per-window reduction ``fn(value)`` over the ladder."""

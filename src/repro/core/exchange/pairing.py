@@ -2,9 +2,12 @@
 
 Given one exchange group (replicas that differ only along the active
 dimension, sorted by their window index), a strategy proposes which pairs
-attempt a swap this cycle.  Three strategies are provided; neighbour DEO
-is the default and the one the ablation benchmark
-(``benchmarks/bench_ablation_pairsel.py``) compares against the others.
+attempt a swap this cycle, as a list of *passes*.  A pass is a list of
+pairs in which no replica appears twice; the exchange decides a pass's
+pairs against the windows left by the earlier passes.  Three strategies
+are provided; neighbour DEO is the default and the one the ablation
+benchmark (``benchmarks/bench_ablation_pairsel.py``) compares against the
+others.
 """
 
 from __future__ import annotations
@@ -16,26 +19,29 @@ import numpy as np
 
 from repro.core.replica import Replica
 
+#: pairs in which no replica appears twice
+Pass = List[Tuple[Replica, Replica]]
+
+
+def _neighbor_pass(group: Sequence[Replica], offset: int) -> Pass:
+    """Pairs ``(offset, offset + 1), (offset + 2, offset + 3), ...``."""
+    return [(group[k], group[k + 1]) for k in range(offset, len(group) - 1, 2)]
+
 
 class PairSelector(abc.ABC):
-    """Strategy interface: propose swap pairs within one sorted group."""
+    """Strategy interface: propose swap passes within one sorted group."""
 
     name: str = "abstract"
 
-    #: True when no replica can appear in two pairs of one proposal set —
-    #: the window assignment then cannot evolve mid-sweep, which is what
-    #: lets the exchange engine evaluate all exponents as one stacked
-    #: numpy expression (see ``ExchangeDimension.batch_exchange_deltas``).
-    disjoint: bool = False
-
     @abc.abstractmethod
-    def pairs(
+    def passes(
         self,
         group: Sequence[Replica],
         cycle: int,
         rng: np.random.Generator,
-    ) -> List[Tuple[Replica, Replica]]:
-        """Return the pairs to attempt.  ``group`` is sorted by window."""
+    ) -> List[Pass]:
+        """Return the passes to attempt, in order.  ``group`` is sorted by
+        window."""
 
 
 class NeighborPairing(PairSelector):
@@ -48,15 +54,11 @@ class NeighborPairing(PairSelector):
     """
 
     name = "neighbor"
-    disjoint = True
 
-    def pairs(self, group, cycle, rng):
-        """Alternating neighbour pairs; offset follows the cycle parity."""
-        offset = cycle % 2
-        out = []
-        for k in range(offset, len(group) - 1, 2):
-            out.append((group[k], group[k + 1]))
-        return out
+    def passes(self, group, cycle, rng):
+        """One pass of neighbour pairs; the offset follows the cycle
+        parity."""
+        return [_neighbor_pass(group, cycle % 2)]
 
 
 class RandomPairing(PairSelector):
@@ -67,16 +69,16 @@ class RandomPairing(PairSelector):
     """
 
     name = "random"
-    disjoint = True
 
-    def pairs(self, group, cycle, rng):
-        """Shuffled disjoint pairs."""
+    def passes(self, group, cycle, rng):
+        """One pass of shuffled pairs."""
         idx = rng.permutation(len(group))
-        out = []
-        for k in range(0, len(group) - 1, 2):
-            a, b = group[idx[k]], group[idx[k + 1]]
-            out.append((a, b))
-        return out
+        return [
+            [
+                (group[idx[k]], group[idx[k + 1]])
+                for k in range(0, len(group) - 1, 2)
+            ]
+        ]
 
 
 class GibbsPairing(PairSelector):
@@ -95,19 +97,17 @@ class GibbsPairing(PairSelector):
             raise ValueError(f"n_sweeps must be >= 1, got {n_sweeps}")
         self.n_sweeps = n_sweeps
 
-    def pairs(self, group, cycle, rng):
-        """Concatenated alternating passes.
+    def passes(self, group, cycle, rng):
+        """``n_sweeps`` alternating neighbour passes.
 
-        Note: later pairs may involve replicas already swapped earlier in
-        the same phase; the caller applies proposals sequentially, which is
-        exactly the Gibbs-style sequential update.
+        A later pass may pair replicas an earlier pass swapped; the caller
+        decides each pass against the windows the earlier ones left, which
+        is the Gibbs-style sequential update.
         """
-        out = []
-        for sweep in range(self.n_sweeps):
-            offset = (cycle + sweep) % 2
-            for k in range(offset, len(group) - 1, 2):
-                out.append((group[k], group[k + 1]))
-        return out
+        return [
+            _neighbor_pass(group, (cycle + sweep) % 2)
+            for sweep in range(self.n_sweeps)
+        ]
 
 
 _SELECTORS = {

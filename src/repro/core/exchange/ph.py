@@ -9,13 +9,16 @@ Model: a discrete two-state protonation site following Meng & Roitberg's
 discrete-protonation constant-pH REMD.  The site's protonation free energy
 at pH ``p`` is ``G(p) = kT ln(10) (p - pKa)``; the configurational coupling
 is a shift of the electrostatic term when protonated.  The exchange swaps
-pH values between replicas::
+pH values between replicas: replica ``i``'s configuration (occupancy
+``n_i``) moves from ``pH_i`` to ``pH_j`` and replica ``j``'s the other way,
+so with ``P = min(1, exp(-Delta))``::
 
-    Delta = ln(10) (n_i - n_j) (pH_i - pH_j)
+    Delta = ln(10) (n_i - n_j) (pH_j - pH_i)
 
 with ``n_k`` the protonation occupancy of replica ``k`` (the standard
-constant-pH exchange criterion; temperature drops out for same-T swaps of
-the ideal exchange but we keep the general beta-weighted form).
+constant-pH exchange criterion): moving a protonated site to a higher pH
+costs.  The exponent carries no beta, because ``G(p) / kT`` leaves
+``ln(10) (p - pKa)`` and temperature drops out.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.exchange.base import ExchangeDimension, GroupEnergyCache
+from repro.core.exchange.base import ExchangeDimension
 from repro.core.replica import Replica
 from repro.md.toymd import ThermodynamicState
 
@@ -80,30 +83,6 @@ class PHDimension(ExchangeDimension):
         p_prot = 1.0 / (1.0 + 10.0 ** (ph - self.pka))
         return int(rng.random() < p_prot)
 
-    def exchange_delta(
-        self,
-        rep_i: Replica,
-        rep_j: Replica,
-        *,
-        window_i: int,
-        window_j: int,
-        states: Dict[int, ThermodynamicState],
-        energy_matrix: Optional[Dict[int, np.ndarray]] = None,
-    ) -> float:
-        """Constant-pH exchange exponent from protonation occupancies.
-
-        Occupancies are read from ``last_energies['protonation']`` (written
-        by the AMM's pH bookkeeping after each MD phase).
-        """
-        ph_i = float(self.value(window_i))
-        ph_j = float(self.value(window_j))
-        n_i = rep_i.last_energies.get("protonation", 0.0)
-        n_j = rep_j.last_energies.get("protonation", 0.0)
-        # Swap moves replica i's configuration (occupancy n_i) to pH_j and
-        # vice versa: Delta = ln 10 * (n_i - n_j) * (pH_j - pH_i) ... with
-        # the sign such that moving a protonated site to higher pH costs.
-        return LN10 * (n_i - n_j) * (ph_j - ph_i)
-
     def batch_exchange_deltas(
         self,
         pairs: Sequence[Tuple[Replica, Replica]],
@@ -111,9 +90,13 @@ class PHDimension(ExchangeDimension):
         window_of: Dict[int, int],
         states: Dict[int, ThermodynamicState],
         energy_matrix: Optional[Dict[int, np.ndarray]] = None,
-        cache: Optional[GroupEnergyCache] = None,
     ) -> np.ndarray:
-        """Stacked constant-pH exponents, bit-identical to the scalar path."""
+        """Constant-pH exchange exponents from protonation occupancies.
+
+        Occupancies are read from ``last_energies['protonation']`` (written
+        by the AMM's pH bookkeeping after each MD phase); a replica without
+        one counts as deprotonated.
+        """
         n = len(pairs)
         phs = self._ladder("ph", float)
         ph_i = phs[

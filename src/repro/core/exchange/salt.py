@@ -21,12 +21,11 @@ import numpy as np
 
 from repro.core.exchange.base import (
     ExchangeDimension,
-    GroupEnergyCache,
+    metropolis_delta,
     pair_state_betas,
 )
 from repro.core.replica import Replica
 from repro.md.toymd import ThermodynamicState
-from repro.utils.units import beta_from_temperature
 
 
 class SaltDimension(ExchangeDimension):
@@ -89,52 +88,6 @@ class SaltDimension(ExchangeDimension):
         """Set the state's salt concentration to window ``index``."""
         return state.with_salt(float(self.value(index)))
 
-    def exchange_delta(
-        self,
-        rep_i: Replica,
-        rep_j: Replica,
-        *,
-        window_i: int,
-        window_j: int,
-        states: Dict[int, ThermodynamicState],
-        energy_matrix: Optional[Dict[int, np.ndarray]] = None,
-    ) -> float:
-        """Cross single-point energies from the group-file tasks.
-
-        ``energy_matrix[rid][w]`` is the potential energy of replica
-        ``rid``'s configuration evaluated at salt window ``w`` (all other
-        parameters at that replica's own values).
-
-        Raises
-        ------
-        ValueError
-            If neither an energy matrix nor an internal evaluator is
-            available.
-        """
-        beta_i = beta_from_temperature(states[rep_i.rid].temperature)
-        beta_j = beta_from_temperature(states[rep_j.rid].temperature)
-        wi, wj = window_i, window_j
-        if energy_matrix is not None:
-            row_i = energy_matrix[rep_i.rid]
-            row_j = energy_matrix[rep_j.rid]
-            e_i_xi = float(row_i[wi])  # H_i(x_i)
-            e_i_xj = float(row_j[wi])  # H_i(x_j): x_j's energy at i's window
-            e_j_xi = float(row_i[wj])  # H_j(x_i)
-            e_j_xj = float(row_j[wj])  # H_j(x_j)
-        elif self.internal and self.evaluator is not None:
-            ci, cj = float(self.value(wi)), float(self.value(wj))
-            e_i_xi = self.evaluator(rep_i.coords, ci)
-            e_i_xj = self.evaluator(rep_j.coords, ci)
-            e_j_xi = self.evaluator(rep_i.coords, cj)
-            e_j_xj = self.evaluator(rep_j.coords, cj)
-        else:
-            raise ValueError(
-                f"{self.name}: salt exchange requires the single-point "
-                "energy matrix (run the SP tasks first) or internal=True "
-                "with an evaluator"
-            )
-        return beta_i * (e_i_xj - e_i_xi) + beta_j * (e_j_xi - e_j_xj)
-
     def batch_exchange_deltas(
         self,
         pairs: Sequence[Tuple[Replica, Replica]],
@@ -142,16 +95,31 @@ class SaltDimension(ExchangeDimension):
         window_of: Dict[int, int],
         states: Dict[int, ThermodynamicState],
         energy_matrix: Optional[Dict[int, np.ndarray]] = None,
-        cache: Optional[GroupEnergyCache] = None,
-    ) -> Optional[np.ndarray]:
-        """Stacked exponents gathered from the single-point energy rows.
+    ) -> np.ndarray:
+        """Cross single-point energies gathered from the energy rows.
 
-        Only the ``energy_matrix`` path vectorizes; the internal-evaluator
-        variant calls an arbitrary user callable per energy and stays on
-        the scalar path (returns None).
+        ``energy_matrix[rid][w]`` is the potential energy of replica
+        ``rid``'s configuration evaluated at salt window ``w`` (all other
+        parameters at that replica's own values), from the group-file
+        tasks.  Without one, an internal dimension fills the rows this
+        pass reads through :attr:`evaluator`.
+
+        Raises
+        ------
+        KeyError
+            If a replica of the pass has no energy at a window it needs.
+        ValueError
+            If neither an energy matrix nor an internal evaluator is
+            available.
         """
         if energy_matrix is None:
-            return None
+            if not (self.internal and self.evaluator is not None):
+                raise ValueError(
+                    f"{self.name}: salt exchange requires the single-point "
+                    "energy matrix (run the SP tasks first) or internal=True "
+                    "with an evaluator"
+                )
+            energy_matrix = self._evaluate_rows(pairs, window_of)
         n = len(pairs)
 
         def gather(energy_of) -> np.ndarray:
@@ -159,15 +127,26 @@ class SaltDimension(ExchangeDimension):
                 (energy_of(a, b) for a, b in pairs), dtype=float, count=n
             )
 
-        try:
-            e_i_xi = gather(lambda a, b: energy_matrix[a.rid][window_of[a.rid]])
-            e_i_xj = gather(lambda a, b: energy_matrix[b.rid][window_of[a.rid]])
-            e_j_xi = gather(lambda a, b: energy_matrix[a.rid][window_of[b.rid]])
-            e_j_xj = gather(lambda a, b: energy_matrix[b.rid][window_of[b.rid]])
-        except KeyError:
-            # Incomplete matrix (failed SP task, non-neighbour partner):
-            # defer to the scalar path so its per-pair error semantics and
-            # metric counts are preserved exactly.
-            return None
-        beta_i, beta_j = pair_state_betas(pairs, states, cache)
-        return beta_i * (e_i_xj - e_i_xi) + beta_j * (e_j_xi - e_j_xj)
+        e_i_xi = gather(lambda a, b: energy_matrix[a.rid][window_of[a.rid]])
+        e_i_xj = gather(lambda a, b: energy_matrix[b.rid][window_of[a.rid]])
+        e_j_xi = gather(lambda a, b: energy_matrix[a.rid][window_of[b.rid]])
+        e_j_xj = gather(lambda a, b: energy_matrix[b.rid][window_of[b.rid]])
+        beta_i, beta_j = pair_state_betas(pairs, states)
+        return metropolis_delta(beta_i, beta_j, e_i_xi, e_i_xj, e_j_xi, e_j_xj)
+
+    def _evaluate_rows(
+        self,
+        pairs: Sequence[Tuple[Replica, Replica]],
+        window_of: Dict[int, int],
+    ) -> Dict[int, Dict[int, float]]:
+        """The energy rows a pass reads, from :attr:`evaluator`: each
+        replica of a pair at both of the pair's windows."""
+        rows: Dict[int, Dict[int, float]] = {}
+        for a, b in pairs:
+            for w in (window_of[a.rid], window_of[b.rid]):
+                salt = float(self.value(w))
+                for rep in (a, b):
+                    rows.setdefault(rep.rid, {})[w] = self.evaluator(
+                        rep.coords, salt
+                    )
+        return rows

@@ -16,7 +16,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.exchange.base import ExchangeDimension, GroupEnergyCache
+from repro.core.exchange.base import ExchangeDimension
 from repro.core.replica import Replica
 from repro.md.toymd import ThermodynamicState
 from repro.utils.units import beta_from_temperature, geometric_temperature_ladder
@@ -50,23 +50,6 @@ class TemperatureDimension(ExchangeDimension):
         """Set the state's temperature to window ``index``."""
         return state.with_temperature(float(self.value(index)))
 
-    def exchange_delta(
-        self,
-        rep_i: Replica,
-        rep_j: Replica,
-        *,
-        window_i: int,
-        window_j: int,
-        states: Dict[int, ThermodynamicState],
-        energy_matrix: Optional[Dict[int, np.ndarray]] = None,
-    ) -> float:
-        """``(beta_i - beta_j)(U_j - U_i)`` from the MD phase energies."""
-        beta_i = beta_from_temperature(float(self.value(window_i)))
-        beta_j = beta_from_temperature(float(self.value(window_j)))
-        u_i = rep_i.last_energies["potential_energy"]
-        u_j = rep_j.last_energies["potential_energy"]
-        return (beta_i - beta_j) * (u_j - u_i)
-
     def batch_exchange_deltas(
         self,
         pairs: Sequence[Tuple[Replica, Replica]],
@@ -74,13 +57,15 @@ class TemperatureDimension(ExchangeDimension):
         window_of: Dict[int, int],
         states: Dict[int, ThermodynamicState],
         energy_matrix: Optional[Dict[int, np.ndarray]] = None,
-        cache: Optional[GroupEnergyCache] = None,
-    ) -> Optional[np.ndarray]:
-        """One stacked ``(beta_i - beta_j)(U_j - U_i)`` evaluation.
+    ) -> np.ndarray:
+        """``(beta_i - beta_j)(U_j - U_i)`` from the MD phase energies.
 
-        The per-window betas come from the cached ladder (scalar
-        ``beta_from_temperature`` per window, gathered by index), so each
-        element matches the scalar path bit for bit.
+        The per-window betas come from the cached ladder.
+
+        Raises
+        ------
+        KeyError
+            If a replica of the pass has no recorded ``potential_energy``.
         """
         n = len(pairs)
         betas = self._ladder("beta", lambda t: beta_from_temperature(float(t)))
@@ -90,19 +75,14 @@ class TemperatureDimension(ExchangeDimension):
         beta_j = betas[
             np.fromiter((window_of[b.rid] for _, b in pairs), np.intp, count=n)
         ]
-        try:
-            u_i = np.fromiter(
-                (a.last_energies["potential_energy"] for a, _ in pairs),
-                dtype=float,
-                count=n,
-            )
-            u_j = np.fromiter(
-                (b.last_energies["potential_energy"] for _, b in pairs),
-                dtype=float,
-                count=n,
-            )
-        except KeyError:
-            # A replica with no recorded MD energies: defer to the scalar
-            # path so its per-pair error semantics stay exact.
-            return None
+        u_i = np.fromiter(
+            (a.last_energies["potential_energy"] for a, _ in pairs),
+            dtype=float,
+            count=n,
+        )
+        u_j = np.fromiter(
+            (b.last_energies["potential_energy"] for _, b in pairs),
+            dtype=float,
+            count=n,
+        )
         return (beta_i - beta_j) * (u_j - u_i)

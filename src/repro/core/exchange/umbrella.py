@@ -20,13 +20,13 @@ import numpy as np
 
 from repro.core.exchange.base import (
     ExchangeDimension,
-    GroupEnergyCache,
+    metropolis_delta,
     pair_state_betas,
 )
 from repro.core.replica import Replica
 from repro.md.forcefield import UmbrellaRestraint, _deg, wrap_angle
 from repro.md.toymd import ThermodynamicState
-from repro.utils.units import beta_from_temperature, uniform_ladder
+from repro.utils.units import uniform_ladder
 
 
 class UmbrellaDimension(ExchangeDimension):
@@ -91,29 +91,6 @@ class UmbrellaDimension(ExchangeDimension):
         )
         return state.with_restraints(kept + (self.restraint(index),))
 
-    def exchange_delta(
-        self,
-        rep_i: Replica,
-        rep_j: Replica,
-        *,
-        window_i: int,
-        window_j: int,
-        states: Dict[int, ThermodynamicState],
-        energy_matrix: Optional[Dict[int, np.ndarray]] = None,
-    ) -> float:
-        """Cross restraint energies, computed analytically."""
-        beta_i = beta_from_temperature(states[rep_i.rid].temperature)
-        beta_j = beta_from_temperature(states[rep_j.rid].temperature)
-        w_i = self.restraint(window_i)
-        w_j = self.restraint(window_j)
-        phi_i, psi_i = rep_i.coords
-        phi_j, psi_j = rep_j.coords
-        e_i_xi = float(w_i.energy(phi_i, psi_i))
-        e_i_xj = float(w_i.energy(phi_j, psi_j))
-        e_j_xi = float(w_j.energy(phi_i, psi_i))
-        e_j_xj = float(w_j.energy(phi_j, psi_j))
-        return beta_i * (e_i_xj - e_i_xi) + beta_j * (e_j_xi - e_j_xj)
-
     def batch_exchange_deltas(
         self,
         pairs: Sequence[Tuple[Replica, Replica]],
@@ -121,15 +98,13 @@ class UmbrellaDimension(ExchangeDimension):
         window_of: Dict[int, int],
         states: Dict[int, ThermodynamicState],
         energy_matrix: Optional[Dict[int, np.ndarray]] = None,
-        cache: Optional[GroupEnergyCache] = None,
     ) -> np.ndarray:
-        """Stacked cross restraint energies over all pairs at once.
+        """Cross restraint energies, computed analytically for the pass.
 
         Evaluates ``k * degrees(wrap(theta - center))**2`` — the exact
         elementwise operation sequence of
         :meth:`UmbrellaRestraint.energy` — on arrays of the pairs'
-        torsions and window centers, so every exponent matches the scalar
-        path bit for bit.
+        torsions and window centers.
         """
         n = len(pairs)
         centers = self._ladder("center_rad", lambda c: _deg(float(c)))
@@ -147,14 +122,17 @@ class UmbrellaDimension(ExchangeDimension):
         c_j = centers[
             np.fromiter((window_of[b.rid] for _, b in pairs), np.intp, count=n)
         ]
-        beta_i, beta_j = pair_state_betas(pairs, states, cache)
+        beta_i, beta_j = pair_state_betas(pairs, states)
 
         def energy(theta: np.ndarray, center: np.ndarray) -> np.ndarray:
             d_deg = np.degrees(wrap_angle(theta - center))
             return k * d_deg**2
 
-        e_i_xi = energy(theta_i, c_i)
-        e_i_xj = energy(theta_j, c_i)
-        e_j_xi = energy(theta_i, c_j)
-        e_j_xj = energy(theta_j, c_j)
-        return beta_i * (e_i_xj - e_i_xi) + beta_j * (e_j_xi - e_j_xj)
+        return metropolis_delta(
+            beta_i,
+            beta_j,
+            energy(theta_i, c_i),
+            energy(theta_j, c_i),
+            energy(theta_i, c_j),
+            energy(theta_j, c_j),
+        )

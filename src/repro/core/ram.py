@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.core.exchange.base import (
     ExchangeDimension,
-    GroupEnergyCache,
     SwapProposal,
     metropolis_accept,
 )
@@ -77,62 +76,43 @@ def compute_exchange(
     cycle: int,
     rng: np.random.Generator,
     energy_matrix: Optional[Dict[int, np.ndarray]] = None,
-    cache: Optional[GroupEnergyCache] = None,
 ) -> List[SwapProposal]:
     """Perform the exchange procedure for one group.
 
-    Proposals are evaluated *sequentially* against the evolving window
-    assignment (``window_of``), which is required for multi-sweep (Gibbs)
-    pairing and harmless for disjoint neighbour pairing.  For disjoint
-    selectors the window assignment cannot change mid-sweep, so all
-    Metropolis exponents are first computed as one stacked numpy
-    evaluation (:meth:`ExchangeDimension.batch_exchange_deltas`,
-    bit-identical to the scalar formula); the accept/reject loop itself
-    always stays sequential because ``metropolis_accept`` draws from
-    ``rng`` only for uphill proposals, and that consumption order is part
-    of the reproducible trace.  The returned proposals record what was
-    attempted and accepted; the caller (AMM) applies the accepted ones to
-    the replica objects.
+    The selector's passes are decided in order against the evolving window
+    assignment (``window_of``): each pass's exponents come from one
+    :meth:`ExchangeDimension.batch_exchange_deltas` call, and its pairs
+    are then accepted one by one, updating ``window_of`` before the next
+    pass.  The accept loop stays sequential because ``metropolis_accept``
+    draws from ``rng`` only for uphill proposals, and that consumption
+    order is part of the reproducible trace.  The returned proposals
+    record what was attempted and accepted; the caller (AMM) applies the
+    accepted ones to the replica objects.
     """
     window_of = {rep.rid: rep.window(dimension.name) for rep in group}
-    pairs = selector.pairs(list(group), cycle, rng)
-    deltas = None
-    if pairs and getattr(selector, "disjoint", False):
-        deltas = dimension.batch_exchange_deltas(
-            pairs,
-            window_of=window_of,
-            states=states,
-            energy_matrix=energy_matrix,
-            cache=cache,
-        )
     proposals: List[SwapProposal] = []
-    for k, (rep_i, rep_j) in enumerate(pairs):
-        if deltas is not None:
-            delta = float(deltas[k])
-        else:
-            delta = dimension.exchange_delta(
-                rep_i,
-                rep_j,
-                window_i=window_of[rep_i.rid],
-                window_j=window_of[rep_j.rid],
-                states=states,
-                energy_matrix=energy_matrix,
-            )
-        accepted = metropolis_accept(delta, rng)
-        if accepted:
-            window_of[rep_i.rid], window_of[rep_j.rid] = (
-                window_of[rep_j.rid],
-                window_of[rep_i.rid],
-            )
-        proposals.append(
-            SwapProposal(
-                rid_i=rep_i.rid,
-                rid_j=rep_j.rid,
-                dimension=dimension.name,
-                delta=delta,
-                accepted=accepted,
-            )
+    for pairs in selector.passes(list(group), cycle, rng):
+        if not pairs:
+            continue
+        deltas = dimension.batch_exchange_deltas(
+            pairs, window_of=window_of, states=states, energy_matrix=energy_matrix
         )
+        for (rep_i, rep_j), delta in zip(pairs, deltas.tolist()):
+            accepted = metropolis_accept(delta, rng)
+            if accepted:
+                window_of[rep_i.rid], window_of[rep_j.rid] = (
+                    window_of[rep_j.rid],
+                    window_of[rep_i.rid],
+                )
+            proposals.append(
+                SwapProposal(
+                    rid_i=rep_i.rid,
+                    rid_j=rep_j.rid,
+                    dimension=dimension.name,
+                    delta=delta,
+                    accepted=accepted,
+                )
+            )
     return proposals
 
 

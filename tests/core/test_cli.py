@@ -97,6 +97,18 @@ CANNOT_RUN = {
                           "min_value": 0.0, "max_value": 1.0}},
         "asynchronous pattern",
     ),
+    "salt-random-pairing": (
+        {"pair_selector": "random",
+         "dimensions.1": {"kind": "salt", "n_windows": 2,
+                          "min_value": 0.0, "max_value": 1.0}},
+        "single-point tasks",
+    ),
+    "salt-gibbs-pairing": (
+        {"pair_selector": "gibbs",
+         "dimensions.1": {"kind": "salt", "n_windows": 2,
+                          "min_value": 0.0, "max_value": 1.0}},
+        "single-point tasks",
+    ),
     "namd-salt": (
         {"engine.name": "namd",
          "dimensions.1": {"kind": "salt", "n_windows": 2,

@@ -23,6 +23,17 @@ def make_rep(rid, coords=(0.0, 0.0), energies=None, **indices):
     return r
 
 
+def pair_delta(dim, ri, rj, *, window_i, window_j, states, energy_matrix=None):
+    """The exponent of one pair, as a one-pair pass."""
+    [delta] = dim.batch_exchange_deltas(
+        [(ri, rj)],
+        window_of={ri.rid: window_i, rj.rid: window_j},
+        states=states,
+        energy_matrix=energy_matrix,
+    )
+    return float(delta)
+
+
 class TestTemperatureDimension:
     def test_geometric_factory(self):
         d = TemperatureDimension.geometric(273.0, 373.0, 6)
@@ -52,8 +63,8 @@ class TestTemperatureDimension:
         ri = make_rep(0, energies={"potential_energy": -100.0}, temperature=0)
         rj = make_rep(1, energies={"potential_energy": -80.0}, temperature=1)
         states = {0: ThermodynamicState(300.0), 1: ThermodynamicState(330.0)}
-        delta = d.exchange_delta(
-            ri, rj, window_i=0, window_j=1, states=states
+        delta = pair_delta(
+            d, ri, rj, window_i=0, window_j=1, states=states
         )
         bi, bj = beta_from_temperature(300.0), beta_from_temperature(330.0)
         assert delta == pytest.approx((bi - bj) * (-80.0 - (-100.0)))
@@ -94,8 +105,8 @@ class TestUmbrellaDimension:
             0: ThermodynamicState(300.0),
             1: ThermodynamicState(300.0),
         }
-        delta = d.exchange_delta(
-            ri, rj, window_i=0, window_j=1, states=states
+        delta = pair_delta(
+            d, ri, rj, window_i=0, window_j=1, states=states
         )
         beta = beta_from_temperature(300.0)
         # W_i(x_j)=0, W_i(x_i)=0, W_j(x_i)=k*45^2, W_j(x_j)=k*45^2
@@ -103,8 +114,8 @@ class TestUmbrellaDimension:
 
         # now j actually sits at its own center
         rj2 = make_rep(1, coords=np.radians([45.0, 0.0]), umbrella_phi=1)
-        delta2 = d.exchange_delta(
-            ri, rj2, window_i=0, window_j=1, states=states
+        delta2 = pair_delta(
+            d, ri, rj2, window_i=0, window_j=1, states=states
         )
         # W_i(x_j) = k 45^2, W_i(x_i) = 0, W_j(x_i) = k 45^2, W_j(x_j) = 0
         assert delta2 == pytest.approx(beta * 2 * 0.01 * 45.0**2)
@@ -134,7 +145,7 @@ class TestSaltDimension:
         rj = make_rep(1, salt=1)
         states = {0: ThermodynamicState(), 1: ThermodynamicState()}
         with pytest.raises(ValueError, match="single-point"):
-            d.exchange_delta(ri, rj, window_i=0, window_j=1, states=states)
+            pair_delta(d, ri, rj, window_i=0, window_j=1, states=states)
 
     def test_exchange_delta_from_matrix(self):
         d = SaltDimension.linear(0.0, 1.0, 2)
@@ -145,8 +156,8 @@ class TestSaltDimension:
             0: {0: -10.0, 1: -9.0},  # x_i's energy at windows 0, 1
             1: {0: -8.0, 1: -12.0},  # x_j's energy at windows 0, 1
         }
-        delta = d.exchange_delta(
-            ri, rj, window_i=0, window_j=1, states=states,
+        delta = pair_delta(
+            d, ri, rj, window_i=0, window_j=1, states=states,
             energy_matrix=matrix,
         )
         beta = beta_from_temperature(300.0)
@@ -189,8 +200,8 @@ class TestPHDimension:
         ri = make_rep(0, energies={"protonation": 1.0}, ph=0)
         rj = make_rep(1, energies={"protonation": 0.0}, ph=1)
         states = {0: ThermodynamicState(), 1: ThermodynamicState()}
-        delta = d.exchange_delta(
-            ri, rj, window_i=0, window_j=1, states=states
+        delta = pair_delta(
+            d, ri, rj, window_i=0, window_j=1, states=states
         )
         # moving protonated site to higher pH costs ln10 * (8-5)
         assert delta == pytest.approx(math.log(10.0) * 3.0)

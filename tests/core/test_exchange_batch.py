@@ -1,12 +1,11 @@
-"""Batched Metropolis sweeps must be bit-identical to the scalar path.
+"""Batched Metropolis passes must be bit-identical to the scalar oracle.
 
-``compute_exchange`` evaluates all pair exponents of a disjoint sweep as
-one stacked numpy expression (``ExchangeDimension.batch_exchange_deltas``)
-and then runs the accept/reject loop sequentially.  The optimisation is
-only sound if every batched exponent equals the scalar
-``exchange_delta`` *exactly* — the golden traces compare Metropolis
-decisions, and a 1-ulp drift flips marginal ones — so these tests assert
-float equality, not approx.
+``compute_exchange`` evaluates all pair exponents of a pass as one stacked
+numpy expression (``ExchangeDimension.batch_exchange_deltas``) and then
+runs the accept/reject loop sequentially.  Every batched exponent must
+equal the scalar formula in ``tests/exchange_oracles.py`` *exactly* — the
+golden traces compare Metropolis decisions, and a 1-ulp drift flips
+marginal ones — so these tests assert float equality, not approx.
 """
 
 import numpy as np
@@ -14,7 +13,6 @@ import pytest
 
 from repro.core.exchange import (
     GibbsPairing,
-    GroupEnergyCache,
     NeighborPairing,
     PHDimension,
     RandomPairing,
@@ -26,8 +24,10 @@ from repro.core.ram import compute_exchange
 from repro.core.replica import Replica
 from repro.md.toymd import ThermodynamicState
 
+from tests.exchange_oracles import exchange_delta, reference_exchange
 
-def make_group(n, dim_name, rng, *, salted=False):
+
+def make_group(n, dim_name, rng):
     """Replicas with randomized coords/energies on windows 0..n-1."""
     reps = []
     for i in range(n):
@@ -69,6 +69,12 @@ def dimensions(n):
     ]
 
 
+def toy_salt_energy(coords, salt):
+    """A pure stand-in for the engine's single-point energy."""
+    return float(-40.0 + 8.0 * np.cos(coords[0] - salt)
+                 + 3.0 * salt * np.sin(coords[1]))
+
+
 @pytest.mark.parametrize("dim_index", range(4))
 @pytest.mark.parametrize("seed", [0, 7])
 def test_batch_deltas_equal_scalar_deltas_exactly(dim_index, seed):
@@ -78,15 +84,14 @@ def test_batch_deltas_equal_scalar_deltas_exactly(dim_index, seed):
     reps = make_group(n, dim.name, rng)
     states = make_states(dim, reps)
     window_of = {r.rid: r.window(dim.name) for r in reps}
-    pairs = NeighborPairing().pairs(reps, cycle=seed, rng=rng)
+    [pairs] = NeighborPairing().passes(reps, cycle=seed, rng=rng)
     deltas = dim.batch_exchange_deltas(
         pairs, window_of=window_of, states=states,
-        cache=GroupEnergyCache(states),
     )
-    assert deltas is not None and len(deltas) == len(pairs)
+    assert len(deltas) == len(pairs)
     for k, (a, b) in enumerate(pairs):
-        scalar = dim.exchange_delta(
-            a, b, window_i=window_of[a.rid], window_j=window_of[b.rid],
+        scalar = exchange_delta(
+            dim, a, b, window_i=window_of[a.rid], window_j=window_of[b.rid],
             states=states,
         )
         assert float(deltas[k]) == scalar  # exact, not approx
@@ -100,98 +105,133 @@ def test_salt_batch_matches_scalar_with_energy_matrix():
     states = make_states(dim, reps)
     window_of = {r.rid: r.window(dim.name) for r in reps}
     energy_matrix = {r.rid: rng.normal(-50.0, 5.0, size=n) for r in reps}
-    pairs = NeighborPairing().pairs(reps, cycle=0, rng=rng)
+    [pairs] = NeighborPairing().passes(reps, cycle=0, rng=rng)
     deltas = dim.batch_exchange_deltas(
         pairs, window_of=window_of, states=states,
-        energy_matrix=energy_matrix, cache=GroupEnergyCache(states),
+        energy_matrix=energy_matrix,
     )
     for k, (a, b) in enumerate(pairs):
-        scalar = dim.exchange_delta(
-            a, b, window_i=window_of[a.rid], window_j=window_of[b.rid],
+        scalar = exchange_delta(
+            dim, a, b, window_i=window_of[a.rid], window_j=window_of[b.rid],
             states=states, energy_matrix=energy_matrix,
         )
         assert float(deltas[k]) == scalar
 
 
-def test_salt_without_matrix_stays_on_scalar_path():
-    """The internal-evaluator variant opts out of batching."""
-    dim = SaltDimension([0.0, 0.5])
-    rng = np.random.default_rng(0)
-    reps = make_group(2, dim.name, rng)
-    states = make_states(dim, reps)
-    pairs = [(reps[0], reps[1])]
-    assert (
-        dim.batch_exchange_deltas(
-            pairs, window_of={0: 0, 1: 1}, states=states,
-        )
-        is None
-    )
-
-
-def test_incomplete_inputs_fall_back_to_scalar_path():
-    """Missing energies must NOT raise in batch mode.
-
-    The scalar loop raises mid-sweep (after earlier pairs were already
-    counted); an eager batch failure would change that observable order,
-    so the batch gather returns None and lets the scalar path reproduce
-    the original error behaviour.
-    """
-    rng = np.random.default_rng(1)
-    dim = TemperatureDimension.geometric(280.0, 400.0, 4)
-    reps = make_group(4, dim.name, rng)
-    del reps[2].last_energies["potential_energy"]
-    states = make_states(dim, reps)
-    window_of = {r.rid: r.window(dim.name) for r in reps}
-    pairs = [(reps[0], reps[1]), (reps[2], reps[3])]
-    assert (
-        dim.batch_exchange_deltas(
-            pairs, window_of=window_of, states=states,
-        )
-        is None
-    )
-
-    salt = SaltDimension([0.1, 0.2, 0.3, 0.4])
-    matrix = {0: np.zeros(4), 1: np.zeros(4)}  # rids 2, 3 missing
-    assert (
-        salt.batch_exchange_deltas(
-            pairs, window_of=window_of, states=states, energy_matrix=matrix,
-        )
-        is None
-    )
-
-
-def test_selector_disjoint_flags():
-    assert NeighborPairing.disjoint is True
-    assert RandomPairing.disjoint is True
-    assert GibbsPairing.disjoint is False
+def decisions(proposals):
+    """What a sweep decided, in the oracle's tuple form."""
+    return [
+        (p.rid_i, p.rid_j, p.dimension, p.delta, p.accepted)
+        for p in proposals
+    ]
 
 
 @pytest.mark.parametrize("dim_index", range(4))
 def test_compute_exchange_identical_with_and_without_batching(dim_index):
-    """Full sweep: same proposals, same decisions, same RNG consumption."""
+    """Full neighbour sweep: the batched pass and the scalar loop make the
+    same proposals and decisions, and consume the same draws."""
     n = 12
     outcomes = []
     for batched in (True, False):
         rng = np.random.default_rng(42)
-        group_rng = np.random.default_rng(17)
         dim = dimensions(n)[dim_index]
-        reps = make_group(n, dim.name, group_rng)
+        reps = make_group(n, dim.name, np.random.default_rng(17))
         states = make_states(dim, reps)
-        if not batched:
-            dim.batch_exchange_deltas = (
-                lambda *a, **kw: None  # force the scalar loop
+        if batched:
+            decided = decisions(compute_exchange(
+                dim, reps, states, NeighborPairing(), cycle=1, rng=rng,
+            ))
+        else:
+            decided = reference_exchange(
+                dim, reps, states, NeighborPairing(), 1, rng
             )
-        proposals = compute_exchange(
-            dim, reps, states, NeighborPairing(), cycle=1, rng=rng,
-            cache=GroupEnergyCache(states),
-        )
-        outcomes.append(
-            (
-                [
-                    (p.rid_i, p.rid_j, p.dimension, p.delta, p.accepted)
-                    for p in proposals
-                ],
-                rng.random(),  # same stream position afterwards
-            )
-        )
+        # same stream position afterwards
+        outcomes.append((decided, rng.random()))
     assert outcomes[0] == outcomes[1]
+
+
+SELECTORS = {
+    "neighbor": NeighborPairing,
+    "random": RandomPairing,
+    "gibbs": lambda: GibbsPairing(n_sweeps=3),
+}
+CASES = ["T", "U-phi", "U-psi", "pH", "salt-matrix", "salt-internal"]
+
+
+def exchange_case(case, n, rng):
+    """``(dimension, group, states, energy_matrix, calls)`` for one case;
+    the internal salt evaluator records each ``(coords, salt)`` call in
+    ``calls``."""
+    if case.startswith("salt"):
+        dim = SaltDimension.linear(0.0, 1.0, n, internal=case == "salt-internal")
+    else:
+        dim = dimensions(n)[CASES.index(case)]
+    reps = make_group(n, dim.name, rng)
+    states = make_states(dim, reps)
+    energy_matrix = None
+    if case == "salt-matrix":
+        energy_matrix = {r.rid: rng.normal(-50.0, 5.0, size=n) for r in reps}
+    calls = []
+    if case == "salt-internal":
+        def evaluator(coords, salt):
+            calls.append((tuple(coords), salt))
+            return toy_salt_energy(coords, salt)
+
+        dim.evaluator = evaluator
+    return dim, reps, states, energy_matrix, calls
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("selector", sorted(SELECTORS))
+@pytest.mark.parametrize("n, cycle", [(9, 0), (12, 1)])
+def test_compute_exchange_matches_oracle(n, cycle, selector, case):
+    """Every selector x dimension: the pass-by-pass exchange makes the
+    scalar loop's proposals and decisions, leaves the stream at the same
+    position, and (internal salt) makes the same evaluator calls."""
+    runs = []
+    for batched in (True, False):
+        rng = np.random.default_rng(2016 + n)
+        dim, reps, states, matrix, calls = exchange_case(
+            case, n, np.random.default_rng(n)
+        )
+        if batched:
+            decided = decisions(compute_exchange(
+                dim, reps, states, SELECTORS[selector](), cycle, rng,
+                energy_matrix=matrix,
+            ))
+        else:
+            decided = reference_exchange(
+                dim, reps, states, SELECTORS[selector](), cycle, rng, matrix
+            )
+        runs.append((decided, rng.random(), calls))
+    assert runs[0] == runs[1]
+    assert runs[0][0]  # the case proposed something
+
+
+@pytest.mark.parametrize("missing", ["potential_energy", "salt_row", "evaluator"])
+def test_missing_input_raises_before_the_pass_draws(missing):
+    """A missing MD energy or single-point row raises KeyError, and an
+    internal salt dimension without an evaluator ValueError, before any
+    pair of the pass is decided."""
+    n = 6
+    rng = np.random.default_rng(1)
+    if missing == "potential_energy":
+        dim = TemperatureDimension.geometric(280.0, 400.0, n)
+    else:
+        dim = SaltDimension.linear(0.0, 1.0, n, internal=missing == "evaluator")
+    reps = make_group(n, dim.name, rng)
+    states = make_states(dim, reps)
+    matrix = None
+    if missing == "potential_energy":
+        del reps[4].last_energies["potential_energy"]
+    elif missing == "salt_row":
+        matrix = {r.rid: np.zeros(n) for r in reps if r.rid != 4}
+    error = ValueError if missing == "evaluator" else KeyError
+    stream = np.random.default_rng(5)
+    before = stream.bit_generator.state
+    with pytest.raises(error):
+        compute_exchange(
+            dim, reps, states, NeighborPairing(), 0, stream,
+            energy_matrix=matrix,
+        )
+    assert stream.bit_generator.state == before

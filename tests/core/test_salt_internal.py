@@ -35,8 +35,8 @@ class TestDimensionFlag:
         r1 = Replica(rid=1, coords=np.zeros(2), param_indices={"salt": 1})
         states = {0: ThermodynamicState(), 1: ThermodynamicState()}
         with pytest.raises(ValueError):
-            d.exchange_delta(
-                r0, r1, window_i=0, window_j=1, states=states
+            d.batch_exchange_deltas(
+                [(r0, r1)], window_of={0: 0, 1: 1}, states=states
             )
 
     def test_internal_with_evaluator_computes(self):
@@ -48,8 +48,8 @@ class TestDimensionFlag:
             0: ThermodynamicState(300.0),
             1: ThermodynamicState(300.0),
         }
-        delta = d.exchange_delta(
-            r0, r1, window_i=0, window_j=1, states=states
+        [delta] = d.batch_exchange_deltas(
+            [(r0, r1)], window_of={0: 0, 1: 1}, states=states
         )
         # energies depend only on salt here: all cross terms equal -> 0
         assert delta == pytest.approx(0.0)

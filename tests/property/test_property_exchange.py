@@ -78,11 +78,12 @@ def test_deltas_antisymmetric_under_relabeling(energies, seed):
         for i, r in enumerate(group)
     }
     a, b = group[0], group[1]
-    d_ab = dim.exchange_delta(
-        a, b, window_i=0, window_j=1, states=states
+    window_of = {a.rid: 0, b.rid: 1}
+    [d_ab] = dim.batch_exchange_deltas(
+        [(a, b)], window_of=window_of, states=states
     )
-    d_ba = dim.exchange_delta(
-        b, a, window_i=1, window_j=0, states=states
+    [d_ba] = dim.batch_exchange_deltas(
+        [(b, a)], window_of=window_of, states=states
     )
     assert abs(d_ab - d_ba) < 1e-9
 

@@ -1,10 +1,10 @@
 """Property-based tests for pair selection and the Metropolis criterion.
 
 Complements ``test_property_exchange.py`` (window-multiset invariance)
-with the pairing-level invariants: disjointness and adjacency for every
-selector, symmetry of the exchange exponent under pair reversal, and the
-empirical acceptance rate of :func:`metropolis_accept` against
-``min(1, exp(-delta))``.
+with the pairing-level invariants: disjointness of every pass of every
+selector, adjacency of neighbour pairs, symmetry of the exchange exponent
+under pair reversal, and the empirical acceptance rate of
+:func:`metropolis_accept` against ``min(1, exp(-delta))``.
 """
 
 import math
@@ -18,6 +18,7 @@ from repro.core.exchange.pairing import (
     GibbsPairing,
     NeighborPairing,
     RandomPairing,
+    get_pair_selector,
 )
 from repro.core.exchange.temperature import TemperatureDimension
 from repro.core.replica import Replica
@@ -39,8 +40,9 @@ def make_group(n):
 )
 @settings(max_examples=100, deadline=None)
 def test_neighbor_pairs_disjoint_and_adjacent(n, cycle):
-    """DEO pairing touches each replica at most once, neighbours only."""
-    pairs = NeighborPairing().pairs(
+    """DEO pairing is one pass that touches each replica at most once,
+    neighbours only."""
+    [pairs] = NeighborPairing().passes(
         make_group(n), cycle, np.random.default_rng(0)
     )
     seen = [r.rid for p in pairs for r in p]
@@ -56,8 +58,9 @@ def test_neighbor_pairs_disjoint_and_adjacent(n, cycle):
 )
 @settings(max_examples=100, deadline=None)
 def test_random_pairs_disjoint(n, seed):
-    """Random pairing is a partial matching: no replica appears twice."""
-    pairs = RandomPairing().pairs(
+    """Random pairing is one pass, a partial matching: no replica appears
+    twice."""
+    [pairs] = RandomPairing().passes(
         make_group(n), 0, np.random.default_rng(seed)
     )
     seen = [r.rid for p in pairs for r in p]
@@ -75,15 +78,33 @@ def test_gibbs_pairs_are_neighbor_sweeps(n, cycle, n_sweeps):
     """Gibbs pairing is exactly n_sweeps alternating DEO passes."""
     rng = np.random.default_rng(0)
     group = make_group(n)
-    got = GibbsPairing(n_sweeps=n_sweeps).pairs(group, cycle, rng)
-    expected = []
-    for sweep in range(n_sweeps):
-        expected.extend(
-            NeighborPairing().pairs(group, cycle + sweep, rng)
-        )
-    assert [(a.rid, b.rid) for a, b in got] == [
-        (a.rid, b.rid) for a, b in expected
+    got = GibbsPairing(n_sweeps=n_sweeps).passes(group, cycle, rng)
+    expected = [
+        NeighborPairing().passes(group, cycle + sweep, rng)[0]
+        for sweep in range(n_sweeps)
     ]
+    assert [[(a.rid, b.rid) for a, b in p] for p in got] == [
+        [(a.rid, b.rid) for a, b in p] for p in expected
+    ]
+
+
+@given(
+    n=st.integers(min_value=0, max_value=33),
+    cycle=st.integers(min_value=0, max_value=7),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    name=st.sampled_from(["neighbor", "random", "gibbs"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_every_pass_of_every_selector_is_disjoint(n, cycle, seed, name):
+    """No replica appears twice within one pass, whatever the selector:
+    the exchange evaluates a pass against one window assignment."""
+    passes = get_pair_selector(name).passes(
+        make_group(n), cycle, np.random.default_rng(seed)
+    )
+    assert passes
+    for pairs in passes:
+        seen = [r.rid for p in pairs for r in p]
+        assert len(seen) == len(set(seen))
 
 
 @given(
@@ -95,7 +116,7 @@ def test_neighbor_pairing_is_positional(n, cycle):
     """Pairing depends only on ladder positions, not replica identity:
     relabelling rids leaves the selected positions unchanged."""
     rng = np.random.default_rng(0)
-    base = NeighborPairing().pairs(make_group(n), cycle, rng)
+    [base] = NeighborPairing().passes(make_group(n), cycle, rng)
     relabeled = [
         Replica(
             rid=1000 - i, coords=np.zeros(2),
@@ -103,7 +124,7 @@ def test_neighbor_pairing_is_positional(n, cycle):
         )
         for i in range(n)
     ]
-    perm = NeighborPairing().pairs(relabeled, cycle, rng)
+    [perm] = NeighborPairing().passes(relabeled, cycle, rng)
     base_pos = [(a.rid, b.rid) for a, b in base]
     perm_pos = [(1000 - a.rid, 1000 - b.rid) for a, b in perm]
     assert base_pos == perm_pos
@@ -127,11 +148,12 @@ def test_temperature_delta_symmetric_under_pair_reversal(u_i, u_j, w_i, w_j):
         rep_i.rid: ThermodynamicState(float(dim.value(w_i))),
         rep_j.rid: ThermodynamicState(float(dim.value(w_j))),
     }
-    d_ij = dim.exchange_delta(
-        rep_i, rep_j, window_i=w_i, window_j=w_j, states=states
+    window_of = {rep_i.rid: w_i, rep_j.rid: w_j}
+    [d_ij] = dim.batch_exchange_deltas(
+        [(rep_i, rep_j)], window_of=window_of, states=states
     )
-    d_ji = dim.exchange_delta(
-        rep_j, rep_i, window_i=w_j, window_j=w_i, states=states
+    [d_ji] = dim.batch_exchange_deltas(
+        [(rep_j, rep_i)], window_of=window_of, states=states
     )
     assert d_ij == d_ji
 
