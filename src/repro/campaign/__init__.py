@@ -29,7 +29,7 @@ from repro.campaign.arbiter import (
     SessionState,
 )
 from repro.campaign.grid import expand_grid
-from repro.campaign.runner import repex_runner, stub_runner
+from repro.campaign.runner import repex_runner
 from repro.campaign.service import CampaignReport, run_campaign
 from repro.campaign.spec import (
     CampaignError,
@@ -54,5 +54,4 @@ __all__ = [
     "expand_grid",
     "repex_runner",
     "run_campaign",
-    "stub_runner",
 ]

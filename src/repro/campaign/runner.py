@@ -1,43 +1,18 @@
-"""Session runners: how the arbiter executes one session's payload.
+"""The session runner: how the arbiter executes one session's payload.
 
-The production runner builds and runs a real :class:`~repro.core.framework.RepEx`
+It builds and runs a real :class:`~repro.core.framework.RepEx`
 simulation per request, each with a **private** metrics registry and its
 own inner virtual clock, so dozens of sessions can execute inside one
-process without sharing any mutable state.  The stub runner is what the
-property tests inject: a pure function of the request with a scripted
-duration, no MD stack involved.
+process without sharing any mutable state.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Optional, Union
 
 from repro.campaign.arbiter import SessionOutcome, SessionRequest
 from repro.campaign.spec import CampaignError
-
-
-def stub_runner(
-    durations: Optional[Dict[str, float]] = None,
-    default_s: float = 100.0,
-    fail: Optional[Dict[str, bool]] = None,
-) -> Callable[[SessionRequest], SessionOutcome]:
-    """A deterministic scripted runner for tests.
-
-    ``durations`` maps session uids to virtual makespans (seconds);
-    unlisted sessions take ``default_s``.  ``fail`` marks uids whose
-    outcome reports ``ok=False``.
-    """
-    durations = dict(durations or {})
-    fail = dict(fail or {})
-
-    def run(request: SessionRequest) -> SessionOutcome:
-        return SessionOutcome(
-            duration_s=float(durations.get(request.uid, default_s)),
-            ok=not fail.get(request.uid, False),
-        )
-
-    return run
 
 
 def repex_runner(

@@ -370,7 +370,7 @@ def _marks(emm) -> Dict[str, object]:
         "history": {r.rid: max(len(r.history) - 1, 0) for r in emm.replicas},
         "timings": len(emm.timings),
         "proposals": len(emm.proposals),
-        "rows": len(run_log.rows) if run_log is not None else 0,
+        "rows": len(run_log.lines) if run_log is not None else 0,
         "samples": emm.metrics.state_dict()["histograms"],
         "spans": len(emm.metrics.spans),
         "faults": len(_fault_events(emm)),

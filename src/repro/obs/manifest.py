@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field, fields
-from itertools import islice
+from json.decoder import scanstring
 from operator import itemgetter
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
@@ -61,8 +62,11 @@ _STATE_BUCKET = {
 
 _by_name = itemgetter("name")
 
-#: the sort key of a run log's ``(name, line)`` pairs
-_pair_name = itemgetter(0)
+#: The rest of a ``unit`` line from its ``kind``, the name (a JSON
+#: string) captured: the line's keys sort, so ``name`` follows ``kind``.
+_NAME = re.compile(
+    rb'"kind": "unit", "name": ("[^"\\]*(?:\\.[^"\\]*)*")[^\n]*\n'
+)
 
 _NUMBER = (int, float)
 
@@ -203,6 +207,21 @@ def _line_row(line: str) -> Dict:
     return row
 
 
+def _name_order(lines: bytearray) -> List[int]:
+    """Where each ``unit`` line of ``lines`` starts, stably sorted by the
+    line's unit name, decoded: the attempts of a relaunched unit share
+    its name and stay in finish order."""
+    starts: List[int] = []
+    names: List[str] = []
+    start = 0
+    for match in _NAME.finditer(lines):
+        starts.append(start)
+        names.append(scanstring(match[1].decode(), 1)[0])
+        start = match.end()
+    order = sorted(range(len(names)), key=names.__getitem__)
+    return [starts[i] for i in order]
+
+
 def _is_number(value) -> bool:
     return isinstance(value, _NUMBER) and not isinstance(value, bool)
 
@@ -239,9 +258,10 @@ def _problem(record) -> Optional[str]:
 class RunManifest:
     """Everything observable about one finished simulation run.
 
-    A manifest assembled from a run keeps each unit row as its log kept
-    it: the ``unit`` line a dump writes, which :meth:`dump` writes
-    unchanged.  :attr:`units` decodes those lines on first read and
+    A manifest assembled from a run keeps its log's buffer of ``unit``
+    lines, the lines a dump writes, in finish order, and where each
+    line starts in name order: :meth:`dump` writes the lines in that
+    order unchanged, and :attr:`units` decodes them on first read and
     caches the rows.
     """
 
@@ -278,13 +298,17 @@ class RunManifest:
     #: empty for a clean parse, never serialized
     recovered: List[str] = field(default_factory=list)
     schema_version: int = SCHEMA_VERSION
-    #: the ``unit`` line per unit, sorted by name, as its run's log kept
-    #: it (empty for a parsed manifest)
-    _unit_lines: List[str] = field(
+    #: the ``unit`` lines of the run's log, UTF-8, in finish order
+    #: (empty for a parsed manifest)
+    _unit_log: bytearray = field(
+        default_factory=bytearray, repr=False, compare=False
+    )
+    #: where each line of :attr:`_unit_log` starts, sorted by unit name
+    _unit_order: List[int] = field(
         default_factory=list, repr=False, compare=False
     )
     #: the rows of :attr:`units`: parsed, or decoded from
-    #: :attr:`_unit_lines` on first read
+    #: :attr:`_unit_log` on first read
     _units: Optional[List[Dict]] = field(
         default=None, repr=False, compare=False
     )
@@ -308,8 +332,10 @@ class RunManifest:
 
         ``config``/``result`` are duck-typed (SimulationConfig /
         SimulationResult) so this module stays import-light.  The unit
-        rows and phase totals are ``run_log``'s; it is None under a null
-        registry, which yields an identity-only manifest.
+        rows and phase totals are ``run_log``'s: the manifest takes its
+        buffer of lines as it is and sorts only where each line starts.
+        ``run_log`` is None under a null registry, which yields an
+        identity-only manifest.
         ``fault_events`` is the fault domain's event list in dict form,
         when fault injection was active; ``ladder`` is the v3
         exchange-dynamics record list, when the ladder tracker ran.
@@ -330,11 +356,9 @@ class RunManifest:
         )
         if run_log is not None:
             manifest.phase_totals = dict(run_log.totals)
-            # stable: the attempts of a relaunched unit share its name
-            manifest._unit_lines = [
-                line for _, line in sorted(run_log.rows, key=_pair_name)
-            ]
-            manifest.n_units = len(manifest._unit_lines)
+            manifest._unit_log = run_log.lines
+            manifest._unit_order = _name_order(run_log.lines)
+            manifest.n_units = len(manifest._unit_order)
         if fault_events:
             manifest.fault_events = list(fault_events)
         if ladder:
@@ -354,8 +378,14 @@ class RunManifest:
         equals what :meth:`from_jsonl` parses from the line.
         """
         if self._units is None:
-            self._units = [_line_row(line) for line in self._unit_lines]
+            self._units = [_line_row(line) for line in self._log_lines()]
         return self._units
+
+    def _log_lines(self) -> Iterator[str]:
+        """The kept ``unit`` lines, in name order."""
+        log = self._unit_log
+        for start in self._unit_order:
+            yield log[start : log.index(b"\n", start) + 1].decode()
 
     def __eq__(self, other) -> bool:
         """Field by field, the unit rows by content: a manifest from a
@@ -438,8 +468,8 @@ class RunManifest:
             yield _encode({"kind": "fault", **event}) + "\n"
         for entry in self.ladder:
             yield _encode({"kind": "ladder", **entry}) + "\n"
-        if self._unit_lines:
-            yield from self._unit_lines
+        if self._unit_order:
+            yield from self._log_lines()
         else:
             for unit in self.units:
                 yield _unit_line(unit)
@@ -635,11 +665,12 @@ class ManifestStream:
     :meth:`on_unit` is the run's :class:`~repro.pilot.trace.Tracer` sink:
     it builds each unit's v4 row once, when the unit reaches a final
     state, adds the unit's dwell to the five running phase sums
-    (:attr:`totals`) and keeps the row as its ``unit`` line, the exact
-    line a dump and a stream write (:attr:`rows`), from which
-    :meth:`RunManifest.from_run` assembles the manifest.  A checkpoint
-    journals the same rows, decoded (:meth:`rows_since`), and
-    :meth:`restore` re-encodes them.
+    (:attr:`totals`) and appends the row's ``unit`` line, the exact line
+    a dump and a stream write, to one byte buffer (:attr:`lines`), which
+    :meth:`RunManifest.from_run` takes for the manifest.  No Python
+    object is kept per unit: each line ends in its only newline, so the
+    buffer is its own index.  A checkpoint journals the same rows,
+    decoded (:meth:`rows_since`), and :meth:`restore` re-encodes them.
 
     Given a ``path`` the log is also an incrementally flushed JSONL
     manifest, so a run that *dies* still leaves a loadable prefix on
@@ -656,10 +687,10 @@ class ManifestStream:
     """
 
     def __init__(self, path, config):
-        #: ``(name, line)`` per finished unit, in finish order: its name
-        #: and its v4 row's ``unit`` line
-        self.rows: List[Tuple[str, str]] = []
-        #: core-seconds per phase of :data:`PHASES` over :attr:`rows`,
+        #: the v4 row's ``unit`` line of every finished unit, UTF-8, in
+        #: finish order
+        self.lines = bytearray()
+        #: core-seconds per phase of :data:`PHASES` over :attr:`lines`,
         #: summed in finish order from the unrounded entry times
         self.totals: Dict[str, float] = dict.fromkeys(PHASES, 0.0)
         self._fh = None
@@ -694,7 +725,7 @@ class ManifestStream:
 
     def _keep(self, row: Dict) -> None:
         line = _unit_line(row)
-        self.rows.append((row["name"], line))
+        self.lines += line.encode()
         self._put(line)
 
     # -- sinks ---------------------------------------------------------------
@@ -705,16 +736,20 @@ class ManifestStream:
         self._keep(_unit_row(unit, self.totals))
 
     def rows_since(self, start: int) -> Iterator[Dict]:
-        """The rows of the units that finished after the first ``start``,
-        decoded from their lines one at a time."""
-        return (_line_row(line) for _, line in islice(self.rows, start, None))
+        """The rows of the lines after the first ``start`` bytes of
+        :attr:`lines`, decoded one at a time."""
+        lines = self.lines
+        while start < len(lines):
+            end = lines.index(b"\n", start) + 1
+            yield _line_row(lines[start:end].decode())
+            start = end
 
     def restore(self, rows: List[Dict], totals: Dict[str, float]) -> None:
         """Refill the log from a checkpoint: its journaled ``rows``, each
         re-encoded to its line, and its phase sums.  The lines reach the
         file too, so a stream opened before the restore still holds the
         pre-checkpoint units."""
-        self.rows = []
+        self.lines = bytearray()
         self.totals = {phase: float(totals[phase]) for phase in PHASES}
         for row in rows:
             self._keep(row)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.campaign.arbiter import Arbiter, SessionRequest, SessionState
-from repro.campaign.runner import stub_runner
+from tests.campaign_stubs import stub_runner
 from repro.campaign.spec import (
     CampaignError,
     DatacenterSpec,

@@ -4,6 +4,7 @@ import hashlib
 import json
 from dataclasses import asdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,7 +21,7 @@ from repro.obs.manifest import (
     config_hash,
 )
 from repro.obs.metrics import MetricsRegistry, NullRegistry
-from repro.pilot.unit import UnitState
+from repro.pilot.unit import ComputeUnit, UnitDescription, UnitState
 from tests.conftest import small_tremd_config
 
 EXAMPLE_CONFIGS = Path(__file__).resolve().parents[2] / "examples" / "configs"
@@ -138,6 +139,37 @@ class TestFromRun:
                 if t is not None
             ]
         assert [tuple(e) for e in manifest.timeline] == sorted(triples)
+
+
+    def test_unit_lines_sort_stably_by_decoded_name(self):
+        """The by-name order compares names, not their JSON escapes, and
+        keeps same-named attempts in finish order."""
+        names = [
+            "z", "\u00e9", "\U0001f600", "\uffff", "a", "a!", 'a"b', "a\\",
+            "x\ny", "", '", "kind": "unit", "name": "evil', "a",
+        ]
+        log = ManifestStream(None, None)
+        for cycle, name in enumerate(names):
+            unit = ComputeUnit(
+                UnitDescription(name=name, metadata={"cycle": cycle})
+            )
+            unit.advance(UnitState.CANCELED, float(cycle))
+            log.on_unit(unit)
+        finished = log.lines.decode().splitlines(keepends=True)
+        result = SimpleNamespace(
+            title="t", pattern="synchronous", execution_mode="I",
+            n_replicas=1, pilot_cores=1, t_start=0.0, t_end=1.0,
+            utilization=lambda: 0.0,
+        )
+        manifest = RunManifest.from_run(
+            small_tremd_config(), result, log, MetricsRegistry()
+        )
+        by_name = sorted(finished, key=lambda line: json.loads(line)["name"])
+        assert manifest.to_jsonl().endswith("".join(by_name))
+        assert [row["cycle"] for row in manifest.units] == [
+            json.loads(line)["cycle"] for line in by_name
+        ]
+        assert manifest.n_units == len(names)
 
 
 class TestJsonlRoundTrip:

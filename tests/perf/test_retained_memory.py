@@ -2,29 +2,36 @@
 
 A run's result holds its replicas' cycle records and its manifest's
 unit rows, so the memory it keeps grows with replicas x cycles.  Both
-are kept at their encoded size: each unit row as the manifest line a
-dump writes, each cycle record slotted and sharing its lattice point's
-window map (and, when it sampled nothing, the one empty trajectory).
-Measured as the tracemalloc growth across one ``RepEx(config).run()``
-with the result held, after a warm-up run, per manifest unit: about
-850 B on the T-REMD config below and 730 B on the NAMD one, about
-1,400 B when the run log kept each row as a dict and each record its
-own window map.
+are kept at their encoded size: the unit rows as the bytes of the
+manifest lines a dump writes, in one buffer, each cycle record slotted
+and sharing its lattice point's window map (and, when it sampled
+nothing, the one empty trajectory).  Measured as the tracemalloc growth
+across one ``RepEx(config).run()`` with the result held, after a
+warm-up run, per manifest unit: about 840 B on the T-REMD config below
+and 740 B on the NAMD one, about 1,400 B when the run log kept each row
+as a dict and each record its own window map.
 
-Holding the ``RepEx`` too adds what it still reaches: about 1,030 B
+Holding the ``RepEx`` too adds what it still reaches: about 1,020 B
 per unit in all, 1,260 B when its run log kept its ``(name, line)``
 pairs after the manifest took the lines.  A resumed run keeps within a
 few percent of the uninterrupted run, not 17% more as when each
 restored record had its own window map and dimension name.
+
+While a run goes on, its log holds each finished unit as its line's
+bytes: about 231 B per unit for a 213 B line, where a ``str`` line, a
+``(name, line)`` pair and the name held 391 B.
 """
 
 import functools
 import gc
+import json
 import tracemalloc
 
 import pytest
 
 from repro import RepEx, SimulationConfig
+from repro.obs.manifest import ManifestStream
+from repro.pilot.unit import ComputeUnit, UnitDescription, UnitState
 
 #: bytes a finished run may keep per unit
 BOUND = 1_100
@@ -108,3 +115,53 @@ def test_a_resumed_run_keeps_what_the_uninterrupted_run_keeps(tmp_path):
         lambda: RepEx(config, resume_from=tmp_path / "latest.json")
     )
     assert resumed < 1.05 * kept_by_a_finished_run("tremd")
+
+
+def finished_md_unit(rid: int, cycle: int) -> ComputeUnit:
+    """An MD unit that went through every state to DONE."""
+    unit = ComputeUnit(
+        UnitDescription(
+            name=f"md_r{rid:05d}_c{cycle:04d}",
+            metadata={"phase": "md", "rid": rid, "cycle": cycle},
+        )
+    )
+    t = 100.0 * cycle + 0.123457 * rid
+    for state in (
+        UnitState.SCHEDULING,
+        UnitState.STAGING_INPUT,
+        UnitState.AGENT_EXECUTING_PENDING,
+        UnitState.EXECUTING,
+        UnitState.STAGING_OUTPUT,
+        UnitState.DONE,
+    ):
+        t += 1.618034
+        unit.advance(state, t)
+    return unit
+
+
+def test_the_run_log_keeps_each_unit_as_its_line_bytes():
+    """A run log holds no Python object per finished unit: it grows by
+    each unit's line and the growth slack of the buffer that holds the
+    lines, not by a per-line string, a name and a pair too (about 175 B
+    more per unit)."""
+    config = SimulationConfig.from_dict(CONFIGS["tremd"])
+    n_replicas, n_cycles = 500, 6
+    ManifestStream(None, config).on_unit(finished_md_unit(0, 0))  # warm-up
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        log = ManifestStream(None, config)
+        for cycle in range(n_cycles):
+            for rid in range(n_replicas):
+                log.on_unit(finished_md_unit(rid, cycle))
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    n_units = n_replicas * n_cycles
+    mean_line = sum(
+        len(json.dumps({"kind": "unit", **row}, sort_keys=True)) + 1
+        for row in log.rows_since(0)
+    ) / n_units
+    assert grown / n_units <= 1.15 * mean_line + 16

@@ -108,9 +108,9 @@ class TestTracer:
         assert ref() is None
         assert tracer.in_flight == {}
         if with_sink:
-            ((name, line),) = log.rows
-            assert name == "u"
+            (line,) = log.lines.decode().splitlines()
             (row,) = log.rows_since(0)
+            assert row["name"] == "u"
             assert json.loads(line) == {"kind": "unit", **row}
             assert row["t"] == [None] + [float(t) for t in range(6)] + [
                 None, None

@@ -113,7 +113,7 @@ def build_campaign(shape):
 
 def drive(arbiter, requests, durations, observer=None):
     """Submit everything and run with a scripted (optionally spied) runner."""
-    from repro.campaign.runner import stub_runner
+    from tests.campaign_stubs import stub_runner
 
     base = stub_runner(durations)
 
